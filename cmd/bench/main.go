@@ -247,8 +247,8 @@ func run(args []string) error {
 			}
 			defer broker.Close()
 			res, err := s.Stream(scenario.SynthFleet(*fleetHomes, cfg.Seed), core.StreamOptions{
-				Days:   *fleetDays,
-				Broker: broker.Addr(),
+				Days:         *fleetDays,
+				ShardOptions: fleetd.ShardOptions{Broker: broker.Addr()},
 			})
 			if err != nil {
 				return err
@@ -270,18 +270,20 @@ func run(args []string) error {
 			}
 			defer os.RemoveAll(dir)
 			res, err := s.Stream(scenario.SynthFleet(*fleetHomes, cfg.Seed), core.StreamOptions{
-				Days:             *fleetDays,
-				Recover:          true,
-				CheckpointDir:    dir,
-				AsyncCheckpoints: true,
-				Clock:            stream.NewVirtualClock(),
-				// Block-scale probabilities: the transport moves one frame
-				// per home-day, so per-frame rates are ~1000x the per-slot
-				// rates earlier baselines used.
-				Chaos: &stream.FaultConfig{
-					Seed: cfg.Seed, Drop: 0.04, Duplicate: 0.06, Delay: 0.05,
-					Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01,
-					MaxDelay: 100 * time.Microsecond,
+				Days: *fleetDays,
+				ShardOptions: fleetd.ShardOptions{
+					Recover:          true,
+					CheckpointDir:    dir,
+					AsyncCheckpoints: true,
+					Clock:            stream.NewVirtualClock(),
+					// Block-scale probabilities: the transport moves one
+					// frame per home-day, so per-frame rates are ~1000x the
+					// per-slot rates earlier baselines used.
+					Chaos: &stream.FaultConfig{
+						Seed: cfg.Seed, Drop: 0.04, Duplicate: 0.06, Delay: 0.05,
+						Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01,
+						MaxDelay: 100 * time.Microsecond,
+					},
 				},
 			})
 			if err != nil {

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"github.com/acyd-lab/shatter/internal/core"
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/profiling"
 	"github.com/acyd-lab/shatter/internal/scenario"
@@ -205,9 +206,11 @@ func run(args []string) error {
 	if len(streamSpecs) > 0 && sel("stream") {
 		opts := core.StreamOptions{
 			Days: *streamDays, Defend: *streamDefend, Attack: *streamAttack,
-			MaxRetries: *streamRetries, FailFast: *streamFailFast,
-			CheckpointDir: *streamCkptDir, LegacyJSON: *streamLegacyJSON,
-			AsyncCheckpoints: *streamAsyncCkpt,
+			ShardOptions: fleetd.ShardOptions{
+				MaxRetries: *streamRetries, FailFast: *streamFailFast,
+				CheckpointDir: *streamCkptDir, LegacyJSON: *streamLegacyJSON,
+				AsyncCheckpoints: *streamAsyncCkpt,
+			},
 		}
 		if *streamVirtualClock {
 			opts.Clock = stream.NewVirtualClock()

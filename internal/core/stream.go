@@ -6,12 +6,14 @@ import (
 	"github.com/acyd-lab/shatter/internal/adm"
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/attack"
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/hvac"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
 )
 
-// StreamOptions configures a Suite.Stream fleet run.
+// StreamOptions configures a Suite.Stream fleet run: what each home
+// streams, plus the fleet's scheduler, supervision, and transport options.
 type StreamOptions struct {
 	// Days bounds each home's stream; 0 streams the suite's configured
 	// trace length, which makes a defended/attacked run comparable
@@ -25,47 +27,19 @@ type StreamOptions struct {
 	// Algorithm-1 appliance triggering) per home and injects it into the
 	// stream in flight.
 	Attack bool
-	// Broker, when non-empty, routes every home's frames through the MQTT
-	// broker at this address (per-home topics, fleet-wide monitor).
-	Broker string
-	// Recover enables the fault-tolerant supervisor: failed homes retry
-	// from their last checkpoint up to MaxRetries, then quarantine with a
-	// recorded error instead of aborting the fleet.
-	Recover bool
-	// MaxRetries bounds retry attempts per home; 0 takes the stream-layer
-	// default, negative disables retries.
-	MaxRetries int
-	// FailFast aborts the whole fleet on the first quarantined home even
-	// when Recover is set.
-	FailFast bool
-	// CheckpointDir persists per-home day-boundary checkpoints so retries
-	// (and later runs) resume instead of replaying from day zero.
-	CheckpointDir string
-	// AsyncCheckpoints moves checkpoint disk writes off the drive hot path
-	// onto a background sink with flush barriers (see
-	// stream.FleetOptions.AsyncCheckpoints).
-	AsyncCheckpoints bool
-	// Chaos injects a deterministic fault schedule into every home's
-	// transport — the resilience test harness.
-	Chaos *stream.FaultConfig
-	// Clock times chaos delays and retry backoff; nil is real wall-clock
-	// time, a stream.VirtualClock makes chaos runs compute-bound with
-	// byte-identical results.
-	Clock stream.Clock
-	// LegacyJSON forces per-slot JSON framing instead of the default binary
-	// day-block transport (see stream.FleetOptions.LegacyJSON). Results are
-	// bit-identical either way.
-	LegacyJSON bool
+	// ShardOptions runs the fleet; unset Workers take the suite's pool
+	// width.
+	fleetd.ShardOptions
 }
 
-// Stream drives the scenario worlds as a concurrent streaming fleet: each
-// home advances slot-by-slot through an incremental generator source, the
-// optional live injector, the optional online detector, and the incremental
-// HVAC stepper, across the suite's worker pool with per-home backpressure.
-// Per-home results and the deterministic aggregate fields are identical for
-// any worker count, and — because every streaming stage is equivalence-
-// locked to its batch counterpart — identical to the batch pipeline over
-// the same worlds.
+// Stream drives the scenario worlds as a concurrent streaming fleet
+// (fleetd.RunFleet): each home advances through an incremental generator
+// source, the optional live injector, the optional online detector, and the
+// incremental HVAC stepper, across the suite's worker pool with per-home
+// backpressure. Per-home results and the deterministic aggregate fields are
+// identical for any worker count, and — because every streaming stage is
+// equivalence-locked to its batch counterpart — identical to the batch
+// pipeline over the same worlds.
 //
 // Worlds are materialized (and defenders trained, campaigns planned) only
 // when Defend or Attack demands them; a plain benign fleet streams straight
@@ -75,23 +49,16 @@ func (s *Suite) Stream(specs []scenario.Spec, opts StreamOptions) (stream.FleetR
 	if err != nil {
 		return stream.FleetResult{}, err
 	}
-	return stream.RunFleet(jobs, stream.FleetOptions{
-		Workers:          s.Config.Workers,
-		Broker:           opts.Broker,
-		Recover:          opts.Recover,
-		MaxRetries:       opts.MaxRetries,
-		FailFast:         opts.FailFast,
-		CheckpointDir:    opts.CheckpointDir,
-		AsyncCheckpoints: opts.AsyncCheckpoints,
-		Chaos:            opts.Chaos,
-		Clock:            opts.Clock,
-		LegacyJSON:       opts.LegacyJSON,
-	})
+	shard := opts.ShardOptions
+	if shard.Workers == 0 {
+		shard.Workers = s.Config.Workers
+	}
+	return fleetd.RunFleet(jobs, shard)
 }
 
 // FleetJobs assembles one lazily-opening stream job per spec — the job
 // list both Stream and the fleetd service run, so a sharded service and a
-// one-shot RunFleet drive byte-identical pipelines. Worlds are materialized
+// one-shot fleet drive byte-identical pipelines. Worlds are materialized
 // (and defenders trained, campaigns planned) up front across the pool only
 // when Defend or Attack demands them; a benign fleet streams straight from
 // the generators without ever holding a full trace.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
 )
@@ -133,11 +134,14 @@ func TestStreamChaosSupervisedMatchesClean(t *testing.T) {
 	}
 	got, err := s.Stream(specs, StreamOptions{
 		Defend: true, Attack: true,
-		Recover:       true,
-		CheckpointDir: t.TempDir(),
-		// Block-scale probabilities: the default transport moves one frame
-		// per home-day, so per-frame rates sit near the day count's inverse.
-		Chaos:         &stream.FaultConfig{Seed: 17, Drop: 0.2, Duplicate: 0.15, Corrupt: 0.1},
+		ShardOptions: fleetd.ShardOptions{
+			Recover:       true,
+			CheckpointDir: t.TempDir(),
+			// Block-scale probabilities: the default transport moves one
+			// frame per home-day, so per-frame rates sit near the day
+			// count's inverse.
+			Chaos: &stream.FaultConfig{Seed: 17, Drop: 0.2, Duplicate: 0.15, Corrupt: 0.1},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

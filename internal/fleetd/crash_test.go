@@ -51,7 +51,7 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+		want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestServicePausePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+	want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestServiceBrokerOutageChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+	want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestServiceMatchesRunFleet(t *testing.T) {
 	jobs = append(jobs, synthJobs(3, days, 1234)...)
 
 	run := func(t *testing.T, jobs []stream.Job, opts ShardOptions) {
-		want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+		want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestServiceMatchesRunFleet(t *testing.T) {
 func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 	const homes, days = 16, 6
 	run := func(t *testing.T, jobs []stream.Job, opts ShardOptions) {
-		want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+		want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +157,12 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Let the fleet make some progress, then stop it mid-flight. The
-		// sleep only positions the drain somewhere inside the run; the
-		// byte-identical guarantee holds wherever it lands.
-		time.Sleep(20 * time.Millisecond)
+		// wait only positions the drain somewhere inside the run (after a
+		// sixth of the fleet's home-days, so a fast machine cannot finish
+		// first); the byte-identical guarantee holds wherever it lands.
+		for svc.met.days.Load() < homes {
+			time.Sleep(100 * time.Microsecond)
+		}
 		for i := 0; i < 2; i++ {
 			if err := svc.DrainShard(i); err != nil {
 				t.Fatal(err)
@@ -209,7 +212,7 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 func TestServicePauseResume(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := synthJobs(homes, days, 55)
-	want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+	want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +341,7 @@ func TestShardRetryAndQuarantine(t *testing.T) {
 	const days = 2
 	specs := scenario.SynthFleet(3, 404)
 	jobs := []stream.Job{
-		flakyJob(specs[0], days, 11, 1), // one bad attempt, then clean
+		flakyJob(specs[0], days, 11, 1),  // one bad attempt, then clean
 		flakyJob(specs[1], days, 12, 99), // every attempt fails
 		specJob(specs[2], days, 13),
 	}
@@ -394,7 +397,7 @@ func TestServiceChaosMatchesRunFleet(t *testing.T) {
 		Seed: 909, Drop: 0.2, Duplicate: 0.2, Corrupt: 0.1,
 		Disconnect: 0.1, MaxDelay: time.Microsecond,
 	}
-	want, err := stream.RunFleet(jobs, stream.FleetOptions{
+	want, err := RunFleet(jobs, ShardOptions{
 		Workers: 2, Recover: true, CheckpointDir: t.TempDir(), Chaos: chaos,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})

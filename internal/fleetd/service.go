@@ -460,10 +460,9 @@ func (s *Service) Snapshot() Snapshot {
 	return s.met.Snapshot(statuses)
 }
 
-// Result assembles the fleet outcome in add order, mirroring
-// stream.RunFleet's FleetResult: per-home results in job order (ID-only
-// for homes that did not complete), supervision outcomes for every home,
-// and the shared aggregate. Call after WaitIdle for a settled fleet;
+// Result assembles the fleet outcome in add order: per-home results
+// (ID-only for homes that did not complete), supervision outcomes for every
+// home, and the aggregate. Call after WaitIdle for a settled fleet;
 // calling earlier reports in-flight homes as OutcomeActive.
 func (s *Service) Result() stream.FleetResult {
 	s.mu.Lock()

@@ -13,18 +13,22 @@ import (
 	"github.com/acyd-lab/shatter/internal/stream"
 )
 
-// ShardOptions configures one shard's scheduler and transport. The zero
-// value multiplexes over one worker per CPU with a 4096-home admission
-// window, one-day quanta, direct (in-process) frame transport, and no
+// ShardOptions configures a fleet run: one shard's scheduler, supervision,
+// and transport. It is the only fleet options type — the service gives
+// every shard a copy, RunFleet runs one shard to idle, and
+// core.StreamOptions embeds it. The zero value multiplexes over one worker
+// per CPU with a 4096-home admission window (RunFleet: one home per
+// worker), one-day quanta, direct (in-process) frame transport, and no
 // supervision.
 type ShardOptions struct {
 	// Workers is the shard's worker-goroutine count; 0 selects one per CPU.
 	// Homes vastly outnumber workers — the scheduler multiplexes them.
 	Workers int
 	// MaxResident bounds how many homes hold live pipeline state at once
-	// (the admission window); 0 defaults to 4096. Homes beyond the window
-	// wait unopened on the pending queue, which is what keeps a 100k-home
-	// shard's memory proportional to the window, not the fleet.
+	// (the admission window); 0 defaults to 4096 on the service and to
+	// Workers under RunFleet. Homes beyond the window wait unopened on the
+	// pending queue, which is what keeps a 100k-home shard's memory
+	// proportional to the window, not the fleet.
 	MaxResident int
 	// QuantumDays is how many days a home advances per scheduling turn
 	// before yielding its worker at a day boundary; 0 defaults to 1. Larger
@@ -34,10 +38,14 @@ type ShardOptions struct {
 
 	// Recover enables supervised retries: a failed home reopens from its
 	// last day-boundary checkpoint up to MaxRetries times (0 defaults to 3,
-	// negative disables) before it is quarantined.
+	// negative disables) before it is quarantined. Without it RunFleet
+	// aborts on the first failed home.
 	Recover bool
 	// MaxRetries is the retry budget per home (see Recover).
 	MaxRetries int
+	// FailFast makes RunFleet abort on the first quarantined home even when
+	// Recover is set. The service never aborts a fleet and ignores it.
+	FailFast bool
 	// RetryBackoff schedules the pause before each retry; retries wait on a
 	// timer, never on a worker.
 	RetryBackoff mqtt.Backoff
@@ -49,7 +57,8 @@ type ShardOptions struct {
 	CheckpointEvery int
 	// AsyncCheckpoints moves day-boundary disk writes onto a background
 	// sink; drain, stop, restore, and completion barrier the sink before
-	// they read or finalize disk state (see stream.FleetOptions).
+	// they read or finalize disk state, which is when staleness would be
+	// observable.
 	AsyncCheckpoints bool
 	// Chaos injects the seeded fault schedule into every home's transport.
 	Chaos *stream.FaultConfig
@@ -57,8 +66,9 @@ type ShardOptions struct {
 	// default, kept by the live service) is real wall-clock time.
 	Clock stream.Clock
 	// LegacyJSON forces per-slot JSON framing; by default a shard moves
-	// binary day-blocks with or without chaos (see
-	// stream.FleetOptions.LegacyJSON). Results are bit-identical either way.
+	// binary day-blocks with or without chaos, and block-mode faults perturb
+	// whole day frames on the (home, attempt, day)-keyed schedule. Results
+	// are bit-identical either way.
 	LegacyJSON bool
 
 	// ProgressDeadline arms the liveness watchdog: a running home whose
@@ -72,11 +82,15 @@ type ShardOptions struct {
 	ProgressDeadline time.Duration
 
 	// Broker, when non-empty, routes every home's frames through the MQTT
-	// broker at this address (per-home home/<id>/sensor topics), exactly
-	// like stream.RunFleet's MQTT mode.
+	// broker at this address (per-home home/<id>/sensor topics); RunFleet
+	// also tallies the bus traffic through a home/+/sensor monitor.
 	Broker string
-	// Dial, ProbeTimeout, and ReceiveTimeout configure the broker
-	// connections (see stream.FleetOptions).
+	// Dial configures every broker connection (dial deadline, redial with
+	// backoff, per-frame write deadline). ProbeTimeout bounds each
+	// subscription handshake (0: 5s). ReceiveTimeout bounds each wait for
+	// the next frame: 0 waits forever, except that supervised runs default
+	// to 10s so a lost end-of-stream sentinel surfaces as a retryable error
+	// instead of a hang.
 	Dial           mqtt.DialOptions
 	ProbeTimeout   time.Duration
 	ReceiveTimeout time.Duration
@@ -170,7 +184,8 @@ type homeRun struct {
 	removeReq bool
 	err       error
 	result    stream.HomeResult
-	elapsed   time.Duration
+	elapsed   time.Duration // driven time of finished quanta
+	began     time.Time     // start of the running quantum
 
 	wd *watchdog // liveness watchdog (nil unless ProgressDeadline armed it)
 }
@@ -247,14 +262,9 @@ func newShard(id int, opts ShardOptions, met *Metrics) *Shard {
 	return sh
 }
 
-// Add admits jobs to the shard's pending queue. Duplicate IDs (including
+// add admits jobs to the shard's pending queue. Duplicate IDs (including
 // completed ones) are rejected — they would collide on checkpoint files
-// and MQTT topics.
-func (sh *Shard) Add(jobs []stream.Job) error {
-	return sh.add(jobs, nil)
-}
-
-// add is Add plus the manifest-replay path's pre-paused set: homes in it
+// and MQTT topics. Homes in paused (the manifest replay's pre-paused set)
 // are admitted with their pause request already standing, so a fast worker
 // cannot race them past the pause a prior process lifetime recorded.
 func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
@@ -356,8 +366,7 @@ func (sh *Shard) claimLocked() *homeRun {
 // drive advances one home by one quantum (or to end-of-stream) and hands
 // it back to the scheduler.
 func (sh *Shard) drive(h *homeRun, slot *stream.Slot, blk *stream.DayBlock) {
-	began := time.Now()
-	defer func() { h.elapsed += time.Since(began) }()
+	h.began = time.Now()
 	if h.home == nil {
 		if err := sh.open(h); err != nil {
 			sh.fail(h, err)
@@ -479,10 +488,10 @@ func (sh *Shard) driveBlocks(h *homeRun, blk *stream.DayBlock) {
 	sh.yield(h)
 }
 
-// open builds (or rebuilds) a home's pipeline on the claiming worker,
-// restoring from the newest checkpoint when one exists — the same
-// open/restore/transport sequence as stream.RunFleet's supervised attempt.
+// open builds (or rebuilds) a home's pipeline on the claiming worker: one
+// attempt's open → restore from the newest checkpoint → wire the transport.
 func (sh *Shard) open(h *homeRun) error {
+	h.opens++
 	src, home, err := h.job.Open()
 	if err != nil {
 		return err
@@ -521,10 +530,9 @@ func (sh *Shard) open(h *homeRun) error {
 			h.days = 0
 		}
 	}
-	h.opens++
-	// Same gating as stream.RunFleet: day-block transport is the default
-	// with or without chaos — block-mode faults perturb whole day frames on
-	// the (home, attempt, day)-keyed schedule.
+	// Day-block transport is the default with or without chaos — block-mode
+	// faults perturb whole day frames on the (home, attempt, day)-keyed
+	// schedule.
 	useBlocks := !sh.opts.LegacyJSON
 	plan := sh.opts.Chaos.Plan(h.job.ID, h.opens-1)
 	var drive stream.Source = src
@@ -559,11 +567,11 @@ func (sh *Shard) open(h *homeRun) error {
 	return nil
 }
 
-// wireVerdicts points the home's verdict hook at the shard metrics. Must
-// run before any restore (the hook cannot be installed on a home that has
-// already streamed).
+// wireVerdicts chains the shard metrics after the home's own verdict hook.
+// Must run before any restore (the hook cannot be installed on a home that
+// has already streamed).
 func (sh *Shard) wireVerdicts(h *homeRun, home *stream.Home) {
-	_ = home.SetOnVerdict(func(v adm.Verdict) {
+	_ = home.AddOnVerdict(func(v adm.Verdict) {
 		end := v.Episode.Day*aras.SlotsPerDay + v.Episode.ArrivalSlot + v.Episode.Duration - 1
 		sh.met.observeVerdict(int64(h.pos-end), v.Anomalous)
 	})
@@ -735,6 +743,7 @@ func (sh *Shard) armWatchdog(h *homeRun) {
 // yield hands a home back to the scheduler at a day boundary.
 func (sh *Shard) yield(h *homeRun) {
 	h.wd.disarm()
+	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.running--
@@ -752,13 +761,22 @@ func (sh *Shard) yield(h *homeRun) {
 	sh.cond.Broadcast()
 }
 
-// complete finishes a home successfully. The completion hook runs before
-// the checkpoint is removed: if the process dies between them, the replayed
-// manifest both restores the result and deletes the now-stale checkpoint —
-// whereas the reverse order could lose a finished home's result entirely.
+// complete finishes a home successfully. The duration is final before the
+// home is journaled: it covers the last quantum through the checkpoint
+// barrier. The completion hook runs before the checkpoint is removed: if
+// the process dies between them, the replayed manifest both restores the
+// result and deletes the now-stale checkpoint — whereas the reverse order
+// could lose a finished home's result entirely.
 func (sh *Shard) complete(h *homeRun) {
 	h.wd.disarm()
 	h.teardown()
+	if sh.ckSink != nil {
+		// Barrier any queued async write before the removal below.
+		if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil && h.err == nil {
+			h.err = ferr
+		}
+	}
+	h.elapsed += time.Since(h.began)
 	if sh.opts.onDone != nil {
 		status := stream.OutcomeCompleted
 		if h.failures > 0 {
@@ -767,13 +785,8 @@ func (sh *Shard) complete(h *homeRun) {
 		sh.opts.onDone(h.result, h.outcome(status))
 	}
 	if sh.opts.CheckpointDir != "" {
-		// Barrier any queued async write, then remove: the checkpoint served
-		// its purpose, and a later fresh run must not resume from it.
-		if sh.ckSink != nil {
-			if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil && h.err == nil {
-				h.err = ferr
-			}
-		}
+		// The checkpoint served its purpose, and a later fresh run must not
+		// resume from it.
 		if rerr := stream.RemoveCheckpoint(sh.opts.CheckpointDir, h.job.ID); rerr != nil && h.err == nil {
 			h.err = rerr
 		}
@@ -801,6 +814,7 @@ func (sh *Shard) fail(h *homeRun, err error) {
 			h.job.ID, sh.opts.ProgressDeadline, err)
 	}
 	h.teardown()
+	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
 	sh.running--
 	sh.resident--
@@ -810,14 +824,18 @@ func (sh *Shard) fail(h *homeRun, err error) {
 	if sh.opts.Recover && sh.opts.MaxRetries > 0 {
 		retries = sh.opts.MaxRetries
 	}
-	if h.failures <= retries && !sh.stopped && !h.removeReq {
-		sh.met.retries.Add(1)
+	if h.failures <= retries && !h.removeReq {
 		h.state = statePending
-		delay := sh.opts.RetryBackoff.Delay(h.failures - 1)
-		// The retry waits on a timer, not a worker: the home re-enters the
-		// pending queue when the backoff elapses and reopens from its last
-		// checkpoint on whichever worker claims it.
-		sh.opts.Clock.AfterFunc(delay, func() { sh.requeue(h) })
+		// A stopping shard schedules nothing and journals nothing: the home
+		// stays non-terminal, so a restart resumes it from its checkpoint.
+		if !sh.stopped {
+			sh.met.retries.Add(1)
+			delay := sh.opts.RetryBackoff.Delay(h.failures - 1)
+			// The retry waits on a timer, not a worker: the home re-enters
+			// the pending queue when the backoff elapses and reopens from its
+			// last checkpoint on whichever worker claims it.
+			sh.opts.Clock.AfterFunc(delay, func() { sh.requeue(h) })
+		}
 		sh.cond.Broadcast()
 		sh.mu.Unlock()
 		return
@@ -920,23 +938,6 @@ func (sh *Shard) resumeLocked(h *homeRun) {
 		sh.pending = append(sh.pending, h)
 	}
 	sh.cond.Broadcast()
-}
-
-// PauseAll / ResumeAll apply Pause/Resume to every non-terminal home.
-func (sh *Shard) PauseAll() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, h := range sh.homes {
-		_ = sh.pauseLocked(h)
-	}
-}
-
-func (sh *Shard) ResumeAll() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, h := range sh.homes {
-		sh.resumeLocked(h)
-	}
 }
 
 // Remove evicts a home from the shard: pending homes are dropped, resident

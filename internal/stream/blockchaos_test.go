@@ -1,20 +1,22 @@
-package stream
+package stream_test
 
 import (
 	"os"
 	"testing"
 	"time"
 
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/mqtt"
+	"github.com/acyd-lab/shatter/internal/stream"
 )
 
 // goldenJobs builds the registry-golden fleet the three-leg equivalence
 // tests run: named scenarios with pinned seeds, so the clean baseline is a
 // stable fixture rather than a synthetic one.
-func goldenJobs(t *testing.T, days int) []Job {
+func goldenJobs(t *testing.T, days int) []stream.Job {
 	t.Helper()
 	specs := registrySpecs(t, "B", "studio", "family4", "nightshift")
-	jobs := make([]Job, len(specs))
+	jobs := make([]stream.Job, len(specs))
 	for i, sp := range specs {
 		jobs[i] = specJob(sp, days, uint64(900+i))
 	}
@@ -31,7 +33,7 @@ func goldenJobs(t *testing.T, days int) []Job {
 func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 	const days = 2
 	jobs := goldenJobs(t, days)
-	clean, err := RunFleet(jobs, FleetOptions{Workers: 2})
+	clean, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +45,9 @@ func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 		}
 		blockCfg, legacyCfg := blockCfg, legacy[name]
 		t.Run(name, func(t *testing.T) {
-			run := func(cfg FaultConfig, legacyJSON bool) FleetResult {
+			run := func(cfg stream.FaultConfig, legacyJSON bool) stream.FleetResult {
 				t.Helper()
-				got, err := RunFleet(jobs, FleetOptions{
+				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 					Workers: 2, Recover: true, Chaos: &cfg, LegacyJSON: legacyJSON,
 					CheckpointDir: t.TempDir(),
 					RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -82,23 +84,22 @@ func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 func TestFleetChaosThreeLegEquivalenceMQTT(t *testing.T) {
 	const days = 2
 	jobs := goldenJobs(t, days)
-	clean, err := RunFleet(jobs, FleetOptions{Workers: 2})
+	clean, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cfg FaultConfig, legacyJSON bool) FleetResult {
+	run := func(cfg stream.FaultConfig, legacyJSON bool) stream.FleetResult {
 		t.Helper()
 		broker, err := mqtt.NewBroker("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer broker.Close()
-		got, err := RunFleet(jobs, FleetOptions{
+		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 			Workers: 2, Broker: broker.Addr(), Recover: true, Chaos: &cfg, LegacyJSON: legacyJSON,
 			CheckpointDir:  t.TempDir(),
 			RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 			ReceiveTimeout: 2 * time.Second,
-			DrainTimeout:   2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,9 +128,9 @@ func TestFleetChaosVirtualClock(t *testing.T) {
 	cfg := blockChaosClasses()["mixed"]
 	// Real backoff sizes so skipping them is observable in virtual time.
 	backoff := mqtt.Backoff{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond}
-	run := func(workers int, clock Clock) FleetResult {
+	run := func(workers int, clock stream.Clock) stream.FleetResult {
 		t.Helper()
-		got, err := RunFleet(jobs, FleetOptions{
+		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 			Workers: workers, Recover: true, Chaos: &cfg, Clock: clock,
 			CheckpointDir: t.TempDir(),
 			RetryBackoff:  backoff,
@@ -139,11 +140,11 @@ func TestFleetChaosVirtualClock(t *testing.T) {
 		}
 		return got
 	}
-	vc1, vc8 := NewVirtualClock(), NewVirtualClock()
+	vc1, vc8 := stream.NewVirtualClock(), stream.NewVirtualClock()
 	seq := run(1, vc1)
 	par := run(8, vc8)
 	real := run(2, nil)
-	sameOutcomes := func(a, b FleetResult, label string) {
+	sameOutcomes := func(a, b stream.FleetResult, label string) {
 		t.Helper()
 		checkDeterministic(t, a, b)
 		for i := range a.Outcomes {

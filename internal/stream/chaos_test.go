@@ -1,23 +1,24 @@
-package stream
+package stream_test
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
+	"github.com/acyd-lab/shatter/internal/stream"
 )
 
 // chaosJobs builds a small procedurally generated fleet.
-func chaosJobs(n, days int) []Job {
-	jobs := make([]Job, n)
+func chaosJobs(n, days int) []stream.Job {
+	jobs := make([]stream.Job, n)
 	for i := range jobs {
 		sp := scenario.Synth(4+i%5, 1+i%2, uint64(500+i))
 		jobs[i] = specJob(sp, days, uint64(77+i))
@@ -28,9 +29,9 @@ func chaosJobs(n, days int) []Job {
 // checkSameHomes compares per-home results and the deterministic aggregate
 // counters, ignoring the wall-clock and resilience-bookkeeping stats (a
 // chaos run retries; a clean baseline does not).
-func checkSameHomes(t *testing.T, got, want FleetResult) {
+func checkSameHomes(t *testing.T, got, want stream.FleetResult) {
 	t.Helper()
-	zero := func(r FleetResult) FleetResult {
+	zero := func(r stream.FleetResult) stream.FleetResult {
 		r.Outcomes = nil
 		r.Stats.Elapsed, r.Stats.HomesPerSec, r.Stats.EventsPerSec = 0, 0, 0
 		r.Stats.BusFrames, r.Stats.Retries, r.Stats.Restores, r.Stats.Quarantined = 0, 0, 0, 0
@@ -43,8 +44,8 @@ func checkSameHomes(t *testing.T, got, want FleetResult) {
 // Probabilities are sized for ~2880-frame homes: high enough that first
 // attempts virtually always fail, low enough that a failure usually lands
 // after the first checkpointed day.
-func chaosClasses() map[string]FaultConfig {
-	return map[string]FaultConfig{
+func chaosClasses() map[string]stream.FaultConfig {
+	return map[string]stream.FaultConfig{
 		"drop":       {Seed: 101, Drop: 0.002},
 		"duplicate":  {Seed: 102, Duplicate: 0.005},
 		"delay":      {Seed: 103, Delay: 0.002, MaxDelay: 100 * time.Microsecond},
@@ -60,8 +61,8 @@ func chaosClasses() map[string]FaultConfig {
 // 2-day home publishes 2 frames per attempt, so per-frame probabilities
 // are ~0.5 to make first attempts virtually always fail while CleanAttempt
 // still guarantees completion.
-func blockChaosClasses() map[string]FaultConfig {
-	return map[string]FaultConfig{
+func blockChaosClasses() map[string]stream.FaultConfig {
+	return map[string]stream.FaultConfig{
 		"drop":       {Seed: 201, Drop: 0.5},
 		"duplicate":  {Seed: 202, Duplicate: 0.5},
 		"delay":      {Seed: 203, Delay: 0.5, MaxDelay: 100 * time.Microsecond},
@@ -83,7 +84,7 @@ func blockChaosClasses() map[string]FaultConfig {
 func TestFleetChaosMatrix(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := chaosJobs(homes, days)
-	baseline, err := RunFleet(jobs, FleetOptions{Workers: 2})
+	baseline, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFleetChaosMatrix(t *testing.T) {
 	legs := []struct {
 		framing string
 		legacy  bool
-		classes map[string]FaultConfig
+		classes map[string]stream.FaultConfig
 	}{
 		{"block", false, blockChaosClasses()},
 		{"legacy", true, chaosClasses()},
@@ -118,7 +119,7 @@ func TestFleetChaosMatrix(t *testing.T) {
 			// other class (duplicates included — the direct path has no dedup
 			// layer) must force retries.
 			t.Run(leg.framing+"/"+name+"/direct", func(t *testing.T) {
-				got, err := RunFleet(jobs, FleetOptions{
+				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 					Workers: 3, Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
 					CheckpointDir: t.TempDir(),
 					RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -147,12 +148,11 @@ func TestFleetChaosMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer broker.Close()
-				got, err := RunFleet(jobs, FleetOptions{
+				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 					Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
 					CheckpointDir:  t.TempDir(),
 					RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 					ReceiveTimeout: 2 * time.Second,
-					DrainTimeout:   2 * time.Second,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -196,9 +196,9 @@ func TestFleetChaosMatrix(t *testing.T) {
 func TestFleetChaosWorkerDeterminism(t *testing.T) {
 	jobs := chaosJobs(4, 2)
 	cfg := blockChaosClasses()["mixed"]
-	run := func(workers int) FleetResult {
+	run := func(workers int) stream.FleetResult {
 		t.Helper()
-		got, err := RunFleet(jobs, FleetOptions{
+		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 			Workers: workers, Recover: true, Chaos: &cfg,
 			CheckpointDir: t.TempDir(),
 			RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -232,7 +232,7 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 		homes = 10
 	}
 	jobs := chaosJobs(homes, days)
-	baseline, err := RunFleet(jobs, FleetOptions{Workers: 0})
+	baseline, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,13 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 	defer broker.Close()
 	// Block-scale probabilities: each home publishes `days` frames per
 	// attempt, so per-frame rates are ~1000x the old per-slot ones.
-	cfg := FaultConfig{Seed: 2023, Drop: 0.04, Duplicate: 0.06, Delay: 0.05,
+	cfg := stream.FaultConfig{Seed: 2023, Drop: 0.04, Duplicate: 0.06, Delay: 0.05,
 		Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01, MaxDelay: 100 * time.Microsecond}
-	got, err := RunFleet(jobs, FleetOptions{
+	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 0, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
 		CheckpointDir:  t.TempDir(),
 		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		ReceiveTimeout: 5 * time.Second,
-		DrainTimeout:   5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +271,7 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 // brokenSource fails every read with the given error.
 type brokenSource struct{ err error }
 
-func (b *brokenSource) Next(*Slot) error { return b.err }
+func (b *brokenSource) Next(*stream.Slot) error { return b.err }
 
 // TestFleetQuarantineGracefulDegradation: a home that fails past its retry
 // budget is quarantined with its error recorded, while the rest of the
@@ -280,20 +279,22 @@ func (b *brokenSource) Next(*Slot) error { return b.err }
 func TestFleetQuarantineGracefulDegradation(t *testing.T) {
 	sick := errors.New("sensor bus on fire")
 	good := chaosJobs(2, 1)
-	jobs := append(good, Job{ID: "sick", Open: func() (Source, *Home, error) {
+	jobs := append(good, stream.Job{ID: "sick", Open: func() (stream.Source, *stream.Home, error) {
 		src, h, err := good[0].Open()
 		if err != nil {
 			return nil, nil, err
 		}
-		closeSource(src)
+		if c, ok := src.(io.Closer); ok {
+			c.Close()
+		}
 		return &brokenSource{err: sick}, h, nil
 	}})
 
-	solo, err := RunFleet(good, FleetOptions{Workers: 1})
+	solo, err := fleetd.RunFleet(good, fleetd.ShardOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFleet(jobs, FleetOptions{
+	res, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 2, Recover: true, MaxRetries: 2,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
@@ -301,14 +302,14 @@ func TestFleetQuarantineGracefulDegradation(t *testing.T) {
 		t.Fatalf("quarantine leaked into the fleet error: %v", err)
 	}
 	out := res.Outcomes[2]
-	if out.Status != OutcomeQuarantined || out.Attempts != 3 || !strings.Contains(out.Err, "on fire") {
+	if out.Status != stream.OutcomeQuarantined || out.Attempts != 3 || !strings.Contains(out.Err, "on fire") {
 		t.Fatalf("sick home outcome: %+v", out)
 	}
 	if res.Stats.Quarantined != 1 || res.Stats.Retries != 2 {
 		t.Fatalf("stats: %+v", res.Stats)
 	}
 	for i := range good {
-		if res.Outcomes[i].Status != OutcomeCompleted {
+		if res.Outcomes[i].Status != stream.OutcomeCompleted {
 			t.Fatalf("healthy home %d: %+v", i, res.Outcomes[i])
 		}
 		if !equalHomeResult(res.Homes[i], solo.Homes[i]) {
@@ -321,7 +322,7 @@ func TestFleetQuarantineGracefulDegradation(t *testing.T) {
 	}
 
 	// FailFast turns the quarantine into a fleet abort.
-	if _, err := RunFleet(jobs, FleetOptions{
+	if _, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 2, Recover: true, MaxRetries: 1, FailFast: true,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	}); !errors.Is(err, sick) || !strings.Contains(err.Error(), "sick") {
@@ -329,17 +330,17 @@ func TestFleetQuarantineGracefulDegradation(t *testing.T) {
 	}
 
 	// A negative retry budget quarantines on the first failure.
-	res, err = RunFleet(jobs, FleetOptions{Workers: 1, Recover: true, MaxRetries: -1})
+	res, err = fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 1, Recover: true, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcomes[2].Attempts != 1 || res.Outcomes[2].Status != OutcomeQuarantined {
+	if res.Outcomes[2].Attempts != 1 || res.Outcomes[2].Status != stream.OutcomeQuarantined {
 		t.Fatalf("MaxRetries<0 outcome: %+v", res.Outcomes[2])
 	}
 }
 
 // equalHomeResult compares the deterministic fields of two home results.
-func equalHomeResult(a, b HomeResult) bool {
+func equalHomeResult(a, b stream.HomeResult) bool {
 	return a.ID == b.ID && a.Days == b.Days && a.Slots == b.Slots &&
 		a.SensorEvents == b.SensorEvents && a.ActionEvents == b.ActionEvents &&
 		a.Verdicts == b.Verdicts && a.Anomalies == b.Anomalies &&
@@ -350,11 +351,11 @@ func equalHomeResult(a, b HomeResult) bool {
 // outOfOrderSource emits a frame at the wrong position to trip the home's
 // sequence check mid-stream.
 type outOfOrderSource struct {
-	src Source
+	src stream.Source
 	n   int
 }
 
-func (o *outOfOrderSource) Next(dst *Slot) error {
+func (o *outOfOrderSource) Next(dst *stream.Slot) error {
 	if err := o.src.Next(dst); err != nil {
 		return err
 	}
@@ -369,14 +370,14 @@ func (o *outOfOrderSource) Next(dst *Slot) error {
 // mid-stream ingest failure (sequence gap) as a first-error-wins abort.
 func TestRunFleetMidStreamFailure(t *testing.T) {
 	base := chaosJobs(1, 1)[0]
-	job := Job{ID: base.ID, Open: func() (Source, *Home, error) {
+	job := stream.Job{ID: base.ID, Open: func() (stream.Source, *stream.Home, error) {
 		src, h, err := base.Open()
 		if err != nil {
 			return nil, nil, err
 		}
 		return &outOfOrderSource{src: src}, h, nil
 	}}
-	_, err := RunFleet([]Job{job}, FleetOptions{Workers: 1})
+	_, err := fleetd.RunFleet([]stream.Job{job}, fleetd.ShardOptions{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "stepper position") {
 		t.Fatalf("err = %v, want sequence-gap ingest failure", err)
 	}
@@ -384,16 +385,16 @@ func TestRunFleetMidStreamFailure(t *testing.T) {
 
 // flakyAtSource fails deterministically once it reaches a position.
 type flakyAtSource struct {
-	src       Source
+	src       stream.Source
 	day, slot int
 }
 
-func (f *flakyAtSource) Next(dst *Slot) error {
+func (f *flakyAtSource) Next(dst *stream.Slot) error {
 	if err := f.src.Next(dst); err != nil {
 		return err
 	}
 	if dst.Day > f.day || (dst.Day == f.day && dst.Index >= f.slot) {
-		return fmt.Errorf("%w: link died at (%d,%d)", ErrInjectedFault, dst.Day, dst.Index)
+		return fmt.Errorf("%w: link died at (%d,%d)", stream.ErrInjectedFault, dst.Day, dst.Index)
 	}
 	return nil
 }
@@ -404,12 +405,12 @@ func (f *flakyAtSource) Next(dst *Slot) error {
 // result byte-identical to an uninterrupted run.
 func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 	base := chaosJobs(1, 3)[0]
-	baseline, err := RunFleet([]Job{base}, FleetOptions{Workers: 1})
+	baseline, err := fleetd.RunFleet([]stream.Job{base}, fleetd.ShardOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	job := Job{ID: base.ID, Open: func() (Source, *Home, error) {
+	job := stream.Job{ID: base.ID, Open: func() (stream.Source, *stream.Home, error) {
 		src, h, err := base.Open()
 		if err != nil {
 			return nil, nil, err
@@ -422,7 +423,7 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 		}
 		return src, h, nil
 	}}
-	res, err := RunFleet([]Job{job}, FleetOptions{
+	res, err := fleetd.RunFleet([]stream.Job{job}, fleetd.ShardOptions{
 		Workers: 1, Recover: true, CheckpointDir: t.TempDir(),
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
@@ -430,7 +431,7 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := res.Outcomes[0]
-	if out.Status != OutcomeRetried || out.Attempts != 2 || out.Restores != 1 {
+	if out.Status != stream.OutcomeRetried || out.Attempts != 2 || out.Restores != 1 {
 		t.Fatalf("outcome: %+v", out)
 	}
 	if !equalHomeResult(res.Homes[0], baseline.Homes[0]) {
@@ -439,135 +440,4 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 	if res.Stats.Restores != 1 || res.Stats.Retries != 1 {
 		t.Fatalf("stats: %+v", res.Stats)
 	}
-}
-
-// closableSource records whether the fleet released it.
-type closableSource struct {
-	Source
-	closed bool
-}
-
-func (c *closableSource) Close() error {
-	c.closed = true
-	return nil
-}
-
-// TestRunAttemptClosesSourceOnPipeFailure: when OpenPipe fails (dead
-// broker), the freshly opened source must still be released — the leak the
-// supervisor's defer path exists to prevent.
-func TestRunAttemptClosesSourceOnPipeFailure(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-
-	src := &closableSource{Source: traceSrc(t, 1)}
-	base := chaosJobs(1, 1)[0]
-	_, h, err := base.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := Job{ID: "x", Open: func() (Source, *Home, error) { return src, h, nil }}
-	opts := FleetOptions{Broker: dead, Dial: mqtt.DialOptions{Timeout: 200 * time.Millisecond}}.withDefaults()
-	if _, _, err := runAttempt(job, opts, 0); err == nil {
-		t.Fatal("dead broker accepted")
-	}
-	if !src.closed {
-		t.Fatal("source leaked after OpenPipe failure")
-	}
-}
-
-// TestFleetMonitorDrainLostSentinel: when end-of-stream sentinels never
-// arrive, drain falls back to bounded quiescence — it returns the frame
-// count within the drain deadline instead of hanging.
-func TestFleetMonitorDrainLostSentinel(t *testing.T) {
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
-	opts := FleetOptions{
-		DrainTimeout: 300 * time.Millisecond,
-		DrainPoll:    5 * time.Millisecond,
-		QuiescePoll:  10 * time.Millisecond,
-	}.withDefaults()
-	m, err := newFleetMonitor(broker.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.close()
-
-	pub, err := mqtt.Dial(broker.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	const frames = 5
-	for i := 0; i < frames; i++ {
-		if err := pub.Publish(SensorTopic("ghost"), Slot{Home: "ghost", Day: 0, Index: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No sentinel is ever published: the expected-sentinel wait must time
-	// out and the quiescence fallback must return the observed frames.
-	start := time.Now()
-	n := m.drain(1, opts)
-	elapsed := time.Since(start)
-	if n != frames {
-		t.Fatalf("drain counted %d frames, want %d", n, frames)
-	}
-	if elapsed < opts.DrainTimeout {
-		t.Fatalf("drain returned in %s, before the %s sentinel deadline", elapsed, opts.DrainTimeout)
-	}
-	if elapsed > opts.DrainTimeout+2*time.Second {
-		t.Fatalf("drain took %s — quiescence loop not bounded", elapsed)
-	}
-}
-
-// TestPipeReceiveTimeout: a silent publisher surfaces as ErrReceiveTimeout
-// instead of a hang — the supervised fleet's escape from a lost sentinel.
-func TestPipeReceiveTimeout(t *testing.T) {
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
-	// A source that delivers one frame and then blocks forever.
-	stall := &stallingSource{src: traceSrc(t, 1), after: 1, release: make(chan struct{})}
-	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("slow"), stall, PipeOptions{
-		ReceiveTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		close(stall.release)
-		pipe.Close()
-	}()
-	var s Slot
-	if err := pipe.Next(&s); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Next(&s); !errors.Is(err, ErrReceiveTimeout) {
-		t.Fatalf("err = %v, want receive timeout", err)
-	}
-}
-
-// stallingSource delivers `after` frames then blocks until released.
-type stallingSource struct {
-	src     Source
-	after   int
-	n       int
-	release chan struct{}
-}
-
-func (s *stallingSource) Next(dst *Slot) error {
-	if s.n >= s.after {
-		<-s.release
-		return io.EOF
-	}
-	s.n++
-	return s.src.Next(dst)
 }

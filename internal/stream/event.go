@@ -12,7 +12,10 @@
 //	Source    → per-slot frames (aras.Generator or a recorded Trace)
 //	Injector  → applies an attack.Plan to the frames in flight
 //	Home      → hvac.Sim stepper + adm.Detector per home
-//	Fleet     → N homes over a worker pool, optionally via the MQTT broker
+//	Pipe      → optional MQTT transport between Source and Home
+//
+// The package is one home's data plane; internal/fleetd supervises fleets
+// of homes over it.
 package stream
 
 import (

@@ -201,10 +201,9 @@ type faultSource struct {
 }
 
 // NewFaultSource wraps a source with a chaos schedule on the direct (no
-// broker) path — the constructor the fleet service shares with RunFleet's
-// internal wiring. When src can emit day-blocks the wrapper can too, with
-// faults applied per block frame. A nil plan returns src unchanged; a nil
-// clock waits on real time.
+// broker) path — the fleet shard's transport wiring. When src can emit
+// day-blocks the wrapper can too, with faults applied per block frame. A
+// nil plan returns src unchanged; a nil clock waits on real time.
 func NewFaultSource(src Source, plan *FaultPlan, clock Clock) Source {
 	if plan == nil {
 		return src

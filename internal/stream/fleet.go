@@ -1,15 +1,8 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"sync/atomic"
 	"time"
-
-	"github.com/acyd-lab/shatter/internal/aras"
-	"github.com/acyd-lab/shatter/internal/mqtt"
-	"github.com/acyd-lab/shatter/internal/pool"
 )
 
 // Job is one home's entry in a fleet run. Open constructs the home's source
@@ -19,121 +12,6 @@ import (
 type Job struct {
 	ID   string
 	Open func() (Source, *Home, error)
-}
-
-// FleetOptions configures a fleet run. The zero value reproduces the legacy
-// behaviour: no supervision (first error aborts the fleet), no checkpoints,
-// no chaos, and the historical transport timeouts.
-type FleetOptions struct {
-	// Workers bounds the pool. 0 uses one worker per CPU; 1 forces
-	// sequential execution. Per-home results are deterministic either way.
-	Workers int
-	// Broker, when non-empty, routes every home's frames through the MQTT
-	// broker at this address: each home publishes on home/<id>/sensor and
-	// its runtime consumes the subscribed stream, with per-home
-	// backpressure from the bounded subscription buffer and TCP flow
-	// control. A fleet-wide monitor subscribed to home/+/sensor tallies the
-	// bus traffic.
-	Broker string
-
-	// Recover enables the supervisor: failed homes are retried (from their
-	// last checkpoint when CheckpointDir is set) up to MaxRetries, and homes
-	// that exhaust the budget are quarantined instead of failing the fleet
-	// (unless FailFast). Without Recover the first error aborts the run.
-	Recover bool
-	// MaxRetries is the retry budget per home; 0 defaults to 3, negative
-	// disables retries (a home's first failure quarantines it).
-	MaxRetries int
-	// FailFast makes a quarantined home abort the whole fleet; the default
-	// (false) records the quarantine and lets the rest of the fleet finish.
-	FailFast bool
-	// RetryBackoff schedules the pause before each retry attempt.
-	RetryBackoff mqtt.Backoff
-
-	// CheckpointDir, when non-empty, persists each home's progress at day
-	// boundaries so retries resume from the last completed day instead of
-	// replaying the whole stream. Checkpoints of completed homes are removed.
-	CheckpointDir string
-	// CheckpointEvery is the checkpoint cadence in days; 0 defaults to 1.
-	CheckpointEvery int
-	// AsyncCheckpoints moves checkpoint writes off the drive hot path onto a
-	// background sink with flush barriers before every restore, completion,
-	// and at fleet drain — durability moves from "at the day boundary" to
-	// "by the next barrier", which is when staleness would be observable.
-	AsyncCheckpoints bool
-	// ckSink is the shared async writer when AsyncCheckpoints is on; wired
-	// internally by RunFleet.
-	ckSink *CheckpointSink
-
-	// Chaos, when non-nil, injects the seeded fault schedule into every
-	// home's transport (see FaultConfig).
-	Chaos *FaultConfig
-
-	// Clock times chaos delay faults and supervised-retry backoff. Nil (the
-	// default) is real wall-clock time; a VirtualClock makes a chaos run
-	// compute-bound while producing byte-identical results.
-	Clock Clock
-
-	// LegacyJSON forces per-slot JSON framing. By default a fleet moves
-	// whole day-blocks — one binary wire frame per home-day on the bus,
-	// IngestDay on the consumer — with or without chaos: block-mode faults
-	// perturb whole day frames on the (home, attempt, day)-keyed schedule.
-	// This flag pins the per-slot JSON path (with its slot-order fault
-	// schedule) for debugging and wire-level comparison; results are
-	// bit-identical either way.
-	LegacyJSON bool
-
-	// Dial configures every fleet broker connection (dial deadline, redial
-	// attempts with exponential backoff, per-frame write deadline).
-	Dial mqtt.DialOptions
-	// ProbeTimeout bounds each subscription-registration handshake; 0
-	// defaults to 5s.
-	ProbeTimeout time.Duration
-	// ReceiveTimeout bounds each consumer wait for the next frame; 0 waits
-	// forever, except that supervised broker runs default to 10s so a lost
-	// end-of-stream sentinel surfaces as a retryable error instead of a hang.
-	ReceiveTimeout time.Duration
-	// DrainTimeout bounds the monitor's wait for the fleet's end-of-stream
-	// sentinels; 0 defaults to 10s.
-	DrainTimeout time.Duration
-	// DrainPoll is retained for compatibility; the monitor drain is
-	// event-driven now and no longer polls for sentinels.
-	DrainPoll time.Duration
-	// QuiescePoll is the bus stillness window the monitor requires before
-	// giving up on lost sentinels; 0 defaults to 20ms. The stillness wait is
-	// bounded by a second DrainTimeout.
-	QuiescePoll time.Duration
-}
-
-// withDefaults resolves the option defaults documented on FleetOptions.
-func (o FleetOptions) withDefaults() FleetOptions {
-	if o.Recover {
-		if o.MaxRetries == 0 {
-			o.MaxRetries = 3
-		}
-		if o.ReceiveTimeout == 0 && o.Broker != "" {
-			o.ReceiveTimeout = 10 * time.Second
-		}
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 5 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-	if o.DrainPoll <= 0 {
-		o.DrainPoll = 5 * time.Millisecond
-	}
-	if o.QuiescePoll <= 0 {
-		o.QuiescePoll = 20 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = RealClock
-	}
-	return o
 }
 
 // OutcomeStatus classifies how a home's supervised run ended.
@@ -215,72 +93,9 @@ type FleetResult struct {
 	Stats    FleetStats
 }
 
-// RunFleet drives every job's pipeline to end-of-stream across a bounded
-// worker pool. Each home's pipeline is sequential (pull-based, so the
-// source, injector, detector, and stepper stay in lockstep) and homes run
-// concurrently. Without Recover, errors propagate first-job-wins; with it,
-// each home is supervised independently — retried from its checkpoint and
-// quarantined past the budget — so one bad home cannot sink the fleet.
-func RunFleet(jobs []Job, opts FleetOptions) (FleetResult, error) {
-	opts = opts.withDefaults()
-	started := time.Now()
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if seen[j.ID] {
-			// Duplicate IDs would share a topic in MQTT mode (crossing the
-			// two homes' streams) and are ambiguous in the results either
-			// way; reject them up front.
-			return FleetResult{}, fmt.Errorf("stream: duplicate fleet job ID %q", j.ID)
-		}
-		seen[j.ID] = true
-	}
-	var monitor *fleetMonitor
-	if opts.Broker != "" {
-		m, err := newFleetMonitor(opts.Broker, opts)
-		if err != nil {
-			return FleetResult{}, fmt.Errorf("stream: fleet monitor: %w", err)
-		}
-		monitor = m
-		defer monitor.close()
-	}
-	if opts.CheckpointDir != "" && opts.AsyncCheckpoints {
-		sink := NewCheckpointSink(opts.CheckpointDir)
-		opts.ckSink = sink
-		// The final barrier: any write still queued for a quarantined home
-		// lands before the fleet returns.
-		defer sink.Close()
-	}
-	results := make([]HomeResult, len(jobs))
-	outcomes := make([]HomeOutcome, len(jobs))
-	err := pool.Run(opts.Workers, len(jobs), func(i int) error {
-		res, out, jerr := superviseJob(jobs[i], opts)
-		results[i], outcomes[i] = res, out
-		if jerr != nil && (!opts.Recover || opts.FailFast) {
-			return fmt.Errorf("stream: home %s: %w", jobs[i].ID, jerr)
-		}
-		return nil
-	})
-	if err != nil {
-		return FleetResult{}, err
-	}
-	out := AggregateFleet(results, outcomes)
-	st := &out.Stats
-	if monitor != nil {
-		completed := len(outcomes) - int(st.Quarantined)
-		st.BusFrames = monitor.drain(completed, opts)
-	}
-	st.Elapsed = time.Since(started)
-	if secs := st.Elapsed.Seconds(); secs > 0 {
-		st.HomesPerSec = float64(st.Homes) / secs
-		st.EventsPerSec = float64(st.Events) / secs
-	}
-	return out, nil
-}
-
 // AggregateFleet assembles a FleetResult from index-aligned per-home
-// results and supervision records — the accounting shared by RunFleet and
-// the fleetd service, so both report an identical aggregate over the same
-// homes. Quarantined homes are excluded from the stats. Wall-clock fields
+// results and supervision records — the fleet supervisor's accounting.
+// Quarantined homes are excluded from the stats. Wall-clock fields
 // (Elapsed, rates, BusFrames) are left zero for the caller to fill.
 func AggregateFleet(results []HomeResult, outcomes []HomeOutcome) FleetResult {
 	out := FleetResult{Homes: results, Outcomes: outcomes}
@@ -312,227 +127,10 @@ func AggregateFleet(results []HomeResult, outcomes []HomeOutcome) FleetResult {
 	return out
 }
 
-// superviseJob runs one home under the retry policy. It returns the home's
-// result, its supervision record, and — for a quarantined home — the final
-// error.
-func superviseJob(job Job, opts FleetOptions) (HomeResult, HomeOutcome, error) {
-	out := HomeOutcome{ID: job.ID}
-	retries := 0
-	if opts.Recover && opts.MaxRetries > 0 {
-		retries = opts.MaxRetries
-	}
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			opts.Clock.Sleep(opts.RetryBackoff.Delay(attempt - 1))
-		}
-		out.Attempts++
-		began := time.Now()
-		res, info, err := runAttempt(job, opts, attempt)
-		out.Duration += time.Since(began)
-		if info.restored {
-			out.Restores++
-		}
-		if info.checkpointDay > out.CheckpointDay {
-			out.CheckpointDay = info.checkpointDay
-		}
-		if info.days > out.Days {
-			out.Days = info.days
-		}
-		if err == nil {
-			out.Status = OutcomeCompleted
-			if attempt > 0 {
-				out.Status = OutcomeRetried
-			}
-			if opts.CheckpointDir != "" {
-				// Barrier any in-flight async write, then remove: the
-				// checkpoint served its purpose, and a later fresh run must
-				// not resume from it.
-				if opts.ckSink != nil {
-					if ferr := opts.ckSink.Flush(job.ID); ferr != nil {
-						out.Err = ferr.Error()
-					}
-				}
-				if rerr := RemoveCheckpoint(opts.CheckpointDir, job.ID); rerr != nil {
-					out.Err = rerr.Error()
-				}
-			}
-			return res, out, nil
-		}
-		lastErr = err
-		out.Err = err.Error()
-	}
-	out.Status = OutcomeQuarantined
-	return HomeResult{ID: job.ID}, out, lastErr
-}
-
-// attemptInfo reports what one attempt did beyond its result.
-type attemptInfo struct {
-	restored      bool
-	checkpointDay int
-	// days counts the full days the attempt covered, including the days a
-	// restored checkpoint already carried — the attempt's day progress even
-	// when it fails mid-stream.
-	days int
-}
-
-// runAttempt drives one home from open to close, resuming from a persisted
-// checkpoint when one exists and the freshly opened source can seek to it.
-func runAttempt(job Job, opts FleetOptions, attempt int) (HomeResult, attemptInfo, error) {
-	var info attemptInfo
-	src, home, err := job.Open()
-	if err != nil {
-		return HomeResult{}, info, err
-	}
-	// The source may hold real resources (files, broker connections); every
-	// exit path must release them, including a failed OpenPipe below.
-	defer func() { closeSource(src) }()
-
-	if opts.CheckpointDir != "" {
-		if opts.ckSink != nil {
-			// Restore decisions read the disk; every queued write must land
-			// first, and a write failure makes this attempt fail (retrying
-			// re-runs the flush) instead of silently resuming stale.
-			if ferr := opts.ckSink.Flush(job.ID); ferr != nil {
-				return HomeResult{}, info, ferr
-			}
-		}
-		ck, lerr := LoadCheckpoint(opts.CheckpointDir, job.ID)
-		if lerr == nil && ck != nil && ck.Days > 0 {
-			if rerr := RestoreFrom(src, home, ck); rerr == nil {
-				info.restored = true
-				info.checkpointDay = ck.Days
-				info.days = ck.Days
-			} else {
-				// A checkpoint that does not fit the job (or a source that
-				// cannot seek) restarts the home from scratch on fresh
-				// components — a half-restored home must never stream.
-				closeSource(src)
-				if src, home, err = job.Open(); err != nil {
-					return HomeResult{}, info, err
-				}
-			}
-		}
-		// Load errors (corrupt file) also restart from scratch: the next
-		// save overwrites the bad file.
-	}
-
-	// Day-block transport is the default with or without chaos: block-mode
-	// faults perturb whole day frames on the (home, attempt, day)-keyed
-	// schedule, so a faulty attempt and its clean retries publish the same
-	// frame unit and the fleet's bus accounting stays consistent.
-	useBlocks := !opts.LegacyJSON
-	plan := opts.Chaos.Plan(job.ID, attempt)
-	var s Source = src
-	if opts.Broker != "" {
-		pipe, perr := OpenPipeOptions(opts.Broker, SensorTopic(job.ID), src, PipeOptions{
-			Dial:           opts.Dial,
-			ProbeTimeout:   opts.ProbeTimeout,
-			ReceiveTimeout: opts.ReceiveTimeout,
-			Faults:         plan,
-			Epoch:          attempt,
-			Blocks:         useBlocks,
-			Clock:          opts.Clock,
-		})
-		if perr != nil {
-			return HomeResult{}, info, perr
-		}
-		defer pipe.Close()
-		if pipe.Blocks() {
-			if err := driveBlocks(pipe.NextBlock, home, opts, &info); err != nil {
-				return HomeResult{}, info, err
-			}
-			res, err := home.Close()
-			return res, info, err
-		}
-		s = pipe
-	} else {
-		if plan != nil {
-			s = NewFaultSource(src, plan, opts.Clock)
-		}
-		if useBlocks {
-			if bsrc, ok := s.(BlockSource); ok {
-				if err := driveBlocks(bsrc.NextBlock, home, opts, &info); err != nil {
-					return HomeResult{}, info, err
-				}
-				res, err := home.Close()
-				return res, info, err
-			}
-		}
-	}
-
-	var slot Slot
-	for {
-		if err := s.Next(&slot); err == io.EOF {
-			break
-		} else if err != nil {
-			return HomeResult{}, info, err
-		}
-		if _, err := home.Ingest(&slot); err != nil {
-			return HomeResult{}, info, err
-		}
-		if slot.Index == aras.SlotsPerDay-1 {
-			info.days = slot.Day + 1
-		}
-		if opts.CheckpointDir != "" && slot.Index == aras.SlotsPerDay-1 {
-			if done := slot.Day + 1; done%opts.CheckpointEvery == 0 {
-				ck, cerr := home.Checkpoint()
-				if cerr != nil {
-					return HomeResult{}, info, cerr
-				}
-				if serr := saveFleetCheckpoint(opts, ck); serr != nil {
-					return HomeResult{}, info, serr
-				}
-				info.checkpointDay = done
-			}
-		}
-	}
-	res, err := home.Close()
-	return res, info, err
-}
-
-// driveBlocks drives a home at day-block granularity — the clean-run fast
-// path shared by the direct and broker transports. Checkpoint cadence and
-// day progress match the per-slot loop's day-boundary behaviour exactly.
-func driveBlocks(next func(*DayBlock) error, home *Home, opts FleetOptions, info *attemptInfo) error {
-	var blk DayBlock
-	for {
-		if err := next(&blk); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		if _, err := home.IngestDay(&blk); err != nil {
-			return err
-		}
-		done := blk.Day + 1
-		info.days = done
-		if opts.CheckpointDir != "" && done%opts.CheckpointEvery == 0 {
-			ck, cerr := home.Checkpoint()
-			if cerr != nil {
-				return cerr
-			}
-			if serr := saveFleetCheckpoint(opts, ck); serr != nil {
-				return serr
-			}
-			info.checkpointDay = done
-		}
-	}
-}
-
-// saveFleetCheckpoint routes a day-boundary save to the async sink when one
-// is wired, else writes synchronously before the next frame is ingested.
-func saveFleetCheckpoint(opts FleetOptions, ck *Checkpoint) error {
-	if opts.ckSink != nil {
-		return opts.ckSink.Save(ck)
-	}
-	return SaveCheckpoint(opts.CheckpointDir, ck)
-}
-
 // RestoreFrom applies a checkpoint to a freshly opened (source, home) pair:
 // the home's state is rebuilt and the source fast-forwarded to the
-// checkpoint's day cursor. Shared by the fleet supervisor's retry path and
-// the fleet service's shard rehydration.
+// checkpoint's day cursor — the fleet supervisor's retry and rehydration
+// path.
 func RestoreFrom(src Source, home *Home, ck *Checkpoint) error {
 	seeker, ok := src.(DaySeeker)
 	if !ok {
@@ -544,140 +142,6 @@ func RestoreFrom(src Source, home *Home, ck *Checkpoint) error {
 	return seeker.SeekDay(ck.Days)
 }
 
-// closeSource releases a source's resources when it holds any; plain
-// in-memory sources pass through.
-func closeSource(src Source) {
-	if c, ok := src.(io.Closer); ok {
-		c.Close()
-	}
-}
-
 // SensorTopic names a home's sensor stream on the fleet bus; the fleet-wide
 // filter home/+/sensor matches every home's topic.
 func SensorTopic(homeID string) string { return "home/" + homeID + "/sensor" }
-
-// fleetMonitor is the fleet-wide observer: one client subscribed to
-// home/+/sensor counting every data frame on the bus (transport control
-// frames — handshake probes and end-of-stream sentinels — are excluded
-// from the count; the sentinels mark stream ends for drain).
-type fleetMonitor struct {
-	client *mqtt.Client
-	frames atomic.Int64
-	eofs   atomic.Int64
-	seen   chan struct{} // closed on the first frame of any kind
-	bump   chan struct{} // sticky wakeup: set after every counted message
-	done   chan struct{}
-}
-
-func newFleetMonitor(broker string, opts FleetOptions) (*fleetMonitor, error) {
-	c, err := mqtt.DialWithOptions(broker, opts.Dial)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := c.Subscribe("home/+/sensor")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	m := &fleetMonitor{client: c, seen: make(chan struct{}), bump: make(chan struct{}, 1), done: make(chan struct{})}
-	go func() {
-		defer close(m.done)
-		first := true
-		for msg := range ch {
-			if first {
-				close(m.seen)
-				first = false
-			}
-			if IsBlockFrame(msg.Payload) {
-				// One binary frame carries a whole home-day of data.
-				m.frames.Add(1)
-			} else {
-				var hdr struct {
-					Day int `json:"day"`
-				}
-				switch err := json.Unmarshal(msg.Payload, &hdr); {
-				case err != nil:
-					// Malformed traffic carries no position to classify; skip it.
-				case hdr.Day >= 0:
-					m.frames.Add(1)
-				case hdr.Day == dayEOF:
-					m.eofs.Add(1)
-				}
-			}
-			// Wake the drain after the counters moved; the 1-slot buffer
-			// makes the signal sticky, so a wakeup is never lost.
-			select {
-			case m.bump <- struct{}{}:
-			default:
-			}
-		}
-	}()
-	// Confirm the subscription is registered before any home publishes: a
-	// loopback probe on the monitor's own connection is processed by the
-	// broker strictly after the subscription frame.
-	if err := c.Publish(SensorTopic("monitor"), probeFrame()); err != nil {
-		c.Close()
-		return nil, err
-	}
-	select {
-	case <-m.seen:
-	case <-time.After(opts.ProbeTimeout):
-		c.Close()
-		return nil, fmt.Errorf("mqtt monitor probe lost")
-	}
-	return m, nil
-}
-
-// drain waits until every completed home's end-of-stream sentinel has
-// reached the monitor and returns the data-frame count. Each pipe publishes
-// its data frames and then its sentinel on one connection, and the broker
-// processes a connection's frames in order, so seeing a home's sentinel
-// proves all its data frames were counted. The wait is event-driven — the
-// subscriber wakes it through the sticky bump channel — so a quiet drain
-// finishes the instant the last sentinel lands instead of on the next poll
-// tick. Sentinels can be lost (a chaos-killed publisher, a quarantined
-// home's aborted attempts), so a bounded stillness fallback closes the gap:
-// once the sentinel wait times out, the count is taken after the bus stays
-// still for one QuiescePoll window, capped by a second DrainTimeout.
-func (m *fleetMonitor) drain(homes int, opts FleetOptions) int64 {
-	deadline := time.NewTimer(opts.DrainTimeout)
-	defer deadline.Stop()
-	for m.eofs.Load() < int64(homes) {
-		select {
-		case <-m.bump:
-		case <-deadline.C:
-			return m.quiesce(opts)
-		}
-	}
-	return m.frames.Load()
-}
-
-// quiesce waits for the bus to stay still for one QuiescePoll window — the
-// lost-sentinel fallback — bounded by an extra DrainTimeout.
-func (m *fleetMonitor) quiesce(opts FleetOptions) int64 {
-	bound := time.NewTimer(opts.DrainTimeout)
-	defer bound.Stop()
-	still := time.NewTimer(opts.QuiescePoll)
-	defer still.Stop()
-	for {
-		select {
-		case <-m.bump:
-			if !still.Stop() {
-				select {
-				case <-still.C:
-				default:
-				}
-			}
-			still.Reset(opts.QuiescePoll)
-		case <-still.C:
-			return m.frames.Load()
-		case <-bound.C:
-			return m.frames.Load()
-		}
-	}
-}
-
-func (m *fleetMonitor) close() {
-	m.client.Close()
-	<-m.done
-}

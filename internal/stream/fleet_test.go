@@ -1,4 +1,7 @@
-package stream
+// The fleet-level tests run as an external test package: they drive
+// fleetd.RunFleet, the one fleet supervisor, over this package's sources
+// and homes.
+package stream_test
 
 import (
 	"errors"
@@ -8,15 +11,17 @@ import (
 
 	"github.com/acyd-lab/shatter/internal/adm"
 	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/hvac"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
+	"github.com/acyd-lab/shatter/internal/stream"
 )
 
 // specJob builds a fleet job that streams a scenario spec's world for the
 // given number of days. Construction happens inside Open, on the worker.
-func specJob(sp scenario.Spec, days int, seed uint64) Job {
-	return Job{ID: sp.ID, Open: func() (Source, *Home, error) {
+func specJob(sp scenario.Spec, days int, seed uint64) stream.Job {
+	return stream.Job{ID: sp.ID, Open: func() (stream.Source, *stream.Home, error) {
 		house, err := sp.Build()
 		if err != nil {
 			return nil, nil, err
@@ -25,7 +30,7 @@ func specJob(sp scenario.Spec, days int, seed uint64) Job {
 		if err != nil {
 			return nil, nil, err
 		}
-		h, err := NewHome(HomeConfig{
+		h, err := stream.NewHome(stream.HomeConfig{
 			ID:      sp.ID,
 			House:   house,
 			Params:  hvac.DefaultParams(),
@@ -34,7 +39,7 @@ func specJob(sp scenario.Spec, days int, seed uint64) Job {
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewGeneratorSource(sp.ID, gen), h, nil
+		return stream.NewGeneratorSource(sp.ID, gen), h, nil
 	}}
 }
 
@@ -54,7 +59,7 @@ func registrySpecs(t *testing.T, ids ...string) []scenario.Spec {
 
 // checkDeterministic compares two fleet results field-by-field, ignoring
 // the wall-clock stats.
-func checkDeterministic(t *testing.T, a, b FleetResult) {
+func checkDeterministic(t *testing.T, a, b stream.FleetResult) {
 	t.Helper()
 	if len(a.Homes) != len(b.Homes) {
 		t.Fatalf("%d vs %d home results", len(a.Homes), len(b.Homes))
@@ -70,7 +75,7 @@ func checkDeterministic(t *testing.T, a, b FleetResult) {
 			t.Fatalf("home %s diverges across worker counts:\n%+v\nvs\n%+v", got.ID, got, want)
 		}
 	}
-	zeroClock := func(s FleetStats) FleetStats {
+	zeroClock := func(s stream.FleetStats) stream.FleetStats {
 		s.Elapsed, s.HomesPerSec, s.EventsPerSec, s.BusFrames = 0, 0, 0, 0
 		return s
 	}
@@ -83,14 +88,14 @@ func checkDeterministic(t *testing.T, a, b FleetResult) {
 // registry fleet that includes a defended, attacked home.
 func TestRunFleetDeterministicWorkers(t *testing.T) {
 	const days = 2
-	jobs := []Job{}
+	jobs := []stream.Job{}
 	for _, sp := range registrySpecs(t, "B", "studio", "family4", "nightshift") {
 		jobs = append(jobs, specJob(sp, days, 99))
 	}
 	// House A streams defended: the detector runs online over the frames.
-	tr, model := testWorld(t, "A", 4, 2)
-	jobs = append(jobs, Job{ID: "A-defended", Open: func() (Source, *Home, error) {
-		h, err := NewHome(HomeConfig{
+	tr, model := stream.ExportTestWorld(t, "A", 4, 2)
+	jobs = append(jobs, stream.Job{ID: "A-defended", Open: func() (stream.Source, *stream.Home, error) {
+		h, err := stream.NewHome(stream.HomeConfig{
 			ID:       "A-defended",
 			House:    tr.House,
 			Params:   hvac.DefaultParams(),
@@ -100,14 +105,14 @@ func TestRunFleetDeterministicWorkers(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewTraceSource("A-defended", tr), h, nil
+		return stream.NewTraceSource("A-defended", tr), h, nil
 	}})
 
-	seq, err := RunFleet(jobs, FleetOptions{Workers: 1})
+	seq, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFleet(jobs, FleetOptions{Workers: 8})
+	par, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +127,16 @@ func TestRunFleetDeterministicWorkers(t *testing.T) {
 // run — the fleet-scale determinism acceptance gate.
 func TestRunFleetHundredSynthHomes(t *testing.T) {
 	const homes, days = 110, 2
-	jobs := make([]Job, homes)
+	jobs := make([]stream.Job, homes)
 	for i := range jobs {
 		sp := scenario.Synth(4+i%6, 1+i%3, uint64(1000+i))
 		jobs[i] = specJob(sp, days, uint64(31+i))
 	}
-	par, err := RunFleet(jobs, FleetOptions{Workers: 0})
+	par, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := RunFleet(jobs, FleetOptions{Workers: 1})
+	seq, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +164,19 @@ func TestFleetBrokerTransport(t *testing.T) {
 	defer broker.Close()
 
 	const days = 1
-	var jobs []Job
+	var jobs []stream.Job
 	for _, sp := range registrySpecs(t, "A", "B", "studio") {
 		jobs = append(jobs, specJob(sp, days, 7))
 	}
-	direct, err := RunFleet(jobs, FleetOptions{Workers: 2})
+	direct, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := RunFleet(jobs, FleetOptions{Workers: 2, Broker: broker.Addr()})
+	piped, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2, Broker: broker.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := RunFleet(jobs, FleetOptions{Workers: 2, Broker: broker.Addr(), LegacyJSON: true})
+	legacy, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2, Broker: broker.Addr(), LegacyJSON: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +196,11 @@ func TestFleetBrokerTransport(t *testing.T) {
 // TestRunFleetErrorPropagation checks first-error-wins with home context.
 func TestRunFleetErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := []Job{
+	jobs := []stream.Job{
 		specJob(scenario.Synth(4, 1, 5), 1, 5),
-		{ID: "broken", Open: func() (Source, *Home, error) { return nil, nil, boom }},
+		{ID: "broken", Open: func() (stream.Source, *stream.Home, error) { return nil, nil, boom }},
 	}
-	_, err := RunFleet(jobs, FleetOptions{Workers: 4})
+	_, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 4})
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("err = %v, want wrapped boom naming the home", err)
 	}
@@ -204,10 +209,10 @@ func TestRunFleetErrorPropagation(t *testing.T) {
 // TestVerdictEventsThroughFleet checks OnVerdict events survive the fleet
 // path (the hook a service publishes detector verdicts from).
 func TestVerdictEventsThroughFleet(t *testing.T) {
-	tr, model := testWorld(t, "B", 3, 2)
+	tr, model := stream.ExportTestWorld(t, "B", 3, 2)
 	var count int64
-	job := Job{ID: "B", Open: func() (Source, *Home, error) {
-		h, err := NewHome(HomeConfig{
+	job := stream.Job{ID: "B", Open: func() (stream.Source, *stream.Home, error) {
+		h, err := stream.NewHome(stream.HomeConfig{
 			ID:       "B",
 			House:    tr.House,
 			Params:   hvac.DefaultParams(),
@@ -223,9 +228,9 @@ func TestVerdictEventsThroughFleet(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewTraceSource("B", tr), h, nil
+		return stream.NewTraceSource("B", tr), h, nil
 	}}
-	res, err := RunFleet([]Job{job}, FleetOptions{Workers: 1})
+	res, err := fleetd.RunFleet([]stream.Job{job}, fleetd.ShardOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +243,8 @@ func TestVerdictEventsThroughFleet(t *testing.T) {
 // (crossing two homes' streams), so the fleet refuses them up front.
 func TestRunFleetRejectsDuplicateIDs(t *testing.T) {
 	sp := scenario.Synth(4, 1, 5)
-	jobs := []Job{specJob(sp, 1, 5), specJob(sp, 1, 5)}
-	if _, err := RunFleet(jobs, FleetOptions{Workers: 2}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	jobs := []stream.Job{specJob(sp, 1, 5), specJob(sp, 1, 5)}
+	if _, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("err = %v, want duplicate-ID rejection", err)
 	}
 }

@@ -19,11 +19,27 @@ const (
 	dayProbe = -2 // subscription-registration handshake
 )
 
-// probeFrame is the handshake frame a subscriber publishes to its own topic
+// ProbeFrame is the handshake frame a subscriber publishes to its own topic
 // to confirm the broker registered the subscription (the broker processes
 // frames of one connection in order, so the probe's delivery proves the
 // subscription precedes any other publisher's traffic).
-func probeFrame() Slot { return Slot{Day: dayProbe} }
+func ProbeFrame() Slot { return Slot{Day: dayProbe} }
+
+// ClassifyBusFrame sorts a payload seen on a sensor topic: data frames are
+// binary day blocks and JSON slots, eof marks an end-of-stream sentinel.
+// Handshake probes and malformed traffic are neither.
+func ClassifyBusFrame(payload []byte) (data, eof bool) {
+	if IsBlockFrame(payload) {
+		return true, false
+	}
+	var hdr struct {
+		Day int `json:"day"`
+	}
+	if json.Unmarshal(payload, &hdr) != nil {
+		return false, false
+	}
+	return hdr.Day >= 0, hdr.Day == dayEOF
+}
 
 // ErrReceiveTimeout is returned when a pipe waits longer than its
 // configured ReceiveTimeout for the next frame — the signal that the
@@ -155,7 +171,7 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 		rcv.Close()
 		return nil, fmt.Errorf("stream: pipe subscribe: %w", err)
 	}
-	if err := rcv.Publish(topic, probeFrame()); err != nil {
+	if err := rcv.Publish(topic, ProbeFrame()); err != nil {
 		rcv.Close()
 		return nil, fmt.Errorf("stream: pipe probe: %w", err)
 	}

@@ -1,0 +1,56 @@
+package stream
+
+import (
+	"errors"
+	"io"
+	"testing"
+	"time"
+
+	"github.com/acyd-lab/shatter/internal/mqtt"
+)
+
+// TestPipeReceiveTimeout: a silent publisher surfaces as ErrReceiveTimeout
+// instead of a hang — the supervised fleet's escape from a lost sentinel.
+func TestPipeReceiveTimeout(t *testing.T) {
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	// A source that delivers one frame and then blocks forever.
+	stall := &stallingSource{src: traceSrc(t, 1), after: 1, release: make(chan struct{})}
+	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("slow"), stall, PipeOptions{
+		ReceiveTimeout: 150 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(stall.release)
+		pipe.Close()
+	}()
+	var s Slot
+	if err := pipe.Next(&s); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Next(&s); !errors.Is(err, ErrReceiveTimeout) {
+		t.Fatalf("err = %v, want receive timeout", err)
+	}
+}
+
+// stallingSource delivers `after` frames then blocks until released.
+type stallingSource struct {
+	src     Source
+	after   int
+	n       int
+	release chan struct{}
+}
+
+func (s *stallingSource) Next(dst *Slot) error {
+	if s.n >= s.after {
+		<-s.release
+		return io.EOF
+	}
+	s.n++
+	return s.src.Next(dst)
+}

@@ -133,13 +133,18 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 	return h, nil
 }
 
-// SetOnVerdict installs (or replaces) the verdict observer after
-// construction — the hook a fleet service uses to attach its metrics to a
-// home another layer assembled. It must be called before the first Ingest;
-// the callback runs synchronously from Ingest/Close like cfg.OnVerdict.
-func (h *Home) SetOnVerdict(fn func(adm.Verdict)) error {
+// AddOnVerdict chains a verdict observer after the home's own
+// cfg.OnVerdict — the hook a fleet service uses to attach its metrics to a
+// home another layer assembled, without displacing that layer's observer.
+// It must be called before the first Ingest; the callback runs
+// synchronously from Ingest/Close like cfg.OnVerdict.
+func (h *Home) AddOnVerdict(fn func(adm.Verdict)) error {
 	if h.res.Slots != 0 || h.closed {
-		return errors.New("stream: SetOnVerdict after streaming began")
+		return errors.New("stream: AddOnVerdict after streaming began")
+	}
+	if prev := h.cfg.OnVerdict; prev != nil {
+		h.cfg.OnVerdict = func(v adm.Verdict) { prev(v); fn(v) }
+		return nil
 	}
 	h.cfg.OnVerdict = fn
 	return nil

@@ -241,8 +241,10 @@ type (
 	StreamOptions = core.StreamOptions
 	// FleetJob is one home's entry in a fleet run.
 	FleetJob = stream.Job
-	// FleetOptions configures a fleet run (workers, MQTT transport).
-	FleetOptions = stream.FleetOptions
+	// FleetOptions configures a fleet run: workers, admission window,
+	// supervision, chaos, and frame transport. It is the same type as
+	// FleetShardOptions.
+	FleetOptions = fleetd.ShardOptions
 	// FleetResult is a fleet run's per-home results plus aggregate stats.
 	FleetResult = stream.FleetResult
 	// FleetStats is a fleet run's aggregate accounting and throughput.
@@ -277,19 +279,18 @@ func NewInjector(h *House, plan *Plan) (*stream.Injector, error) { return stream
 // NewOnlineDetector wraps a trained ADM for online, per-episode use.
 func NewOnlineDetector(m *ADM) *OnlineDetector { return adm.NewDetector(m) }
 
-// RunFleet drives every job's pipeline to end-of-stream across a bounded
-// worker pool, optionally over an MQTT broker.
+// RunFleet drives every job's pipeline to end-of-stream on one fleet-service
+// shard run to idle, optionally over an MQTT broker.
 func RunFleet(jobs []FleetJob, opts FleetOptions) (FleetResult, error) {
-	return stream.RunFleet(jobs, opts)
+	return fleetd.RunFleet(jobs, opts)
 }
 
-// Fleet service: the long-running sharded runtime. Where RunFleet is a
-// batch call that owns its goroutines for the duration, the fleet service
-// multiplexes thousands of homes over a small worker pool per shard,
-// admits and removes homes while running, pauses, drains, and rehydrates
-// shards from checkpoints, and speaks MQTT on its admin and metrics
-// topics. Shard results stay byte-identical to RunFleet over the same
-// jobs.
+// Fleet service: the long-running sharded runtime RunFleet is the batch
+// form of. It multiplexes thousands of homes over a small worker pool per
+// shard, admits and removes homes while running, pauses, drains, and
+// rehydrates shards from checkpoints, and speaks MQTT on its admin and
+// metrics topics. Per-home results stay byte-identical to RunFleet over
+// the same jobs, whatever the shard count.
 type (
 	// FleetService is the running sharded fleet runtime.
 	FleetService = fleetd.Service
@@ -297,7 +298,8 @@ type (
 	// metrics cadence.
 	FleetServiceConfig = fleetd.Config
 	// FleetShardOptions tunes one shard's scheduler (workers, admission
-	// window, quantum, supervision, frame transport).
+	// window, quantum, supervision, frame transport); the same type as
+	// FleetOptions.
 	FleetShardOptions = fleetd.ShardOptions
 	// FleetAdmin is an MQTT control-plane client for a running service.
 	FleetAdmin = fleetd.Admin
