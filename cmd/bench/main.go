@@ -224,10 +224,11 @@ func run(args []string) error {
 		}},
 		{"stream_fleet", func() error {
 			// The streaming runtime at fleet scale: N procedurally generated
-			// homes advance slot-by-slot over the worker pool. There is no
-			// artifact cache on this path (nothing is materialized), so cold
-			// and warm legs measure the same steady-state throughput; the
-			// emitted stats come from the warm leg.
+			// homes advance one day block at a time over the worker pool.
+			// There is no artifact cache on this path (nothing is
+			// materialized), so cold and warm legs measure the same
+			// steady-state throughput; the emitted stats come from the warm
+			// leg.
 			res, err := s.Stream(scenario.SynthFleet(*fleetHomes, cfg.Seed), core.StreamOptions{Days: *fleetDays})
 			if err != nil {
 				return err

@@ -6,7 +6,7 @@
 //	experiments [-days N] [-train N] [-seed S] [-workers N] [-quick]
 //	            [-only fig3,tableV,...] [-suite A,B,...] [-scenarios list]
 //	            [-stream list|N] [-stream-days N] [-stream-mqtt]
-//	            [-stream-defend] [-stream-attack] [-stream-legacy-json]
+//	            [-stream-defend] [-stream-attack]
 //	            [-stream-chaos spec] [-stream-checkpoint-dir D]
 //	            [-stream-retries N] [-stream-failfast]
 //	            [-stream-virtual-clock] [-stream-async-ckpt]
@@ -24,7 +24,7 @@
 // -stream runs the streaming fleet instead of (or alongside) the batch
 // experiments: the argument is either a scenario list in the -scenarios
 // syntax or a bare home count N (N procedurally generated homes). Each
-// home advances slot-by-slot through the incremental event core;
+// home advances one day block at a time through the incremental event core;
 // -stream-defend attaches the online detector, -stream-attack injects a
 // live SHATTER campaign, and -stream-mqtt routes every home's frames
 // through an in-process MQTT broker with a fleet-wide home/+/sensor
@@ -32,9 +32,10 @@
 // -stream-chaos turns on the fault-tolerant supervisor and injects a
 // deterministic fault schedule into every home's transport. The spec is a
 // comma-separated k=v list: drop, dup, delay, corrupt, trunc and disc set
-// per-frame fault probabilities; seed picks the schedule; maxdelay bounds
-// injected latency (duration syntax); clean is the first fault-free
-// attempt (e.g. "drop=0.001,dup=0.002,seed=7,maxdelay=1ms"). Failed homes
+// per-frame fault probabilities (a frame is one home-day; each in [0, 1],
+// summing to at most 1); seed picks the schedule; maxdelay bounds injected
+// latency (non-negative, duration syntax); clean is the first fault-free
+// attempt (e.g. "drop=0.3,dup=0.2,seed=7,maxdelay=1ms"). Failed homes
 // retry from their last checkpoint (-stream-checkpoint-dir persists the
 // checkpoints) up to -stream-retries attempts before quarantine;
 // -stream-failfast aborts the fleet on the first quarantine instead.
@@ -84,7 +85,6 @@ func run(args []string) error {
 	streamCkptDir := fs.String("stream-checkpoint-dir", "", "persist per-home day-boundary checkpoints in this directory")
 	streamRetries := fs.Int("stream-retries", 0, "retry budget per failed home (0 = default, negative = no retries)")
 	streamFailFast := fs.Bool("stream-failfast", false, "abort the fleet on the first quarantined home")
-	streamLegacyJSON := fs.Bool("stream-legacy-json", false, "force per-slot JSON framing instead of binary day-block transport")
 	streamVirtualClock := fs.Bool("stream-virtual-clock", false, "run chaos delays and retry backoff on a virtual clock (compute-bound, byte-identical results)")
 	streamAsyncCkpt := fs.Bool("stream-async-ckpt", false, "write day-boundary checkpoints through the async sink instead of inline")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -129,6 +129,12 @@ func run(args []string) error {
 	}
 	if want["stream"] && len(streamSpecs) == 0 {
 		return fmt.Errorf("-only stream needs a -stream fleet (e.g. -stream 100 or -stream \"A,B,synth:6x2\")")
+	}
+	var chaos *stream.FaultConfig
+	if *streamChaos != "" {
+		if chaos, err = parseChaos(*streamChaos); err != nil {
+			return err
+		}
 	}
 
 	started := time.Now()
@@ -208,19 +214,14 @@ func run(args []string) error {
 			Days: *streamDays, Defend: *streamDefend, Attack: *streamAttack,
 			ShardOptions: fleetd.ShardOptions{
 				MaxRetries: *streamRetries, FailFast: *streamFailFast,
-				CheckpointDir: *streamCkptDir, LegacyJSON: *streamLegacyJSON,
-				AsyncCheckpoints: *streamAsyncCkpt,
+				CheckpointDir: *streamCkptDir, AsyncCheckpoints: *streamAsyncCkpt,
 			},
 		}
 		if *streamVirtualClock {
 			opts.Clock = stream.NewVirtualClock()
 		}
-		if *streamChaos != "" {
-			cfg, err := parseChaos(*streamChaos)
-			if err != nil {
-				return err
-			}
-			opts.Chaos, opts.Recover = cfg, true
+		if chaos != nil {
+			opts.Chaos, opts.Recover = chaos, true
 		}
 		if opts.CheckpointDir != "" || opts.MaxRetries != 0 {
 			opts.Recover = true
@@ -234,7 +235,9 @@ func run(args []string) error {
 }
 
 // parseChaos resolves the -stream-chaos spec, a comma-separated k=v list
-// of fault probabilities and schedule knobs.
+// of fault probabilities and schedule knobs. It enforces the FaultConfig
+// contract: every probability finite and in [0, 1], their sum at most 1,
+// and a non-negative maxdelay.
 func parseChaos(spec string) (*stream.FaultConfig, error) {
 	cfg := &stream.FaultConfig{}
 	for _, entry := range strings.Split(spec, ",") {
@@ -253,19 +256,22 @@ func parseChaos(spec string) (*stream.FaultConfig, error) {
 		case "seed":
 			cfg.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "drop":
-			cfg.Drop, err = strconv.ParseFloat(val, 64)
+			cfg.Drop, err = parseProb(val)
 		case "dup", "duplicate":
-			cfg.Duplicate, err = strconv.ParseFloat(val, 64)
+			cfg.Duplicate, err = parseProb(val)
 		case "delay":
-			cfg.Delay, err = strconv.ParseFloat(val, 64)
+			cfg.Delay, err = parseProb(val)
 		case "corrupt":
-			cfg.Corrupt, err = strconv.ParseFloat(val, 64)
+			cfg.Corrupt, err = parseProb(val)
 		case "trunc", "truncate":
-			cfg.Truncate, err = strconv.ParseFloat(val, 64)
+			cfg.Truncate, err = parseProb(val)
 		case "disc", "disconnect":
-			cfg.Disconnect, err = strconv.ParseFloat(val, 64)
+			cfg.Disconnect, err = parseProb(val)
 		case "maxdelay":
 			cfg.MaxDelay, err = time.ParseDuration(val)
+			if err == nil && cfg.MaxDelay < 0 {
+				err = fmt.Errorf("negative duration")
+			}
 		case "clean":
 			cfg.CleanAttempt, err = strconv.Atoi(val)
 		default:
@@ -275,7 +281,22 @@ func parseChaos(spec string) (*stream.FaultConfig, error) {
 			return nil, fmt.Errorf("bad -stream-chaos value %q: %v", entry, err)
 		}
 	}
+	// One uniform draw picks the class by cumulative probability, so a sum
+	// past 1 would silently starve the later classes. The slack absorbs
+	// float rounding of sums that are 1 in decimal (0.1+0.2+0.7).
+	if sum := cfg.Drop + cfg.Duplicate + cfg.Delay + cfg.Corrupt + cfg.Truncate + cfg.Disconnect; sum > 1+1e-9 {
+		return nil, fmt.Errorf("bad -stream-chaos spec %q: fault probabilities sum to %g, more than 1", spec, sum)
+	}
 	return cfg, nil
+}
+
+// parseProb parses one fault probability: a finite number in [0, 1].
+func parseProb(val string) (float64, error) {
+	p, err := strconv.ParseFloat(val, 64)
+	if err == nil && !(p >= 0 && p <= 1) { // false for NaN and ±Inf too
+		err = fmt.Errorf("probability %g outside [0, 1]", p)
+	}
+	return p, err
 }
 
 // parseStreamSpecs resolves the -stream argument: a bare integer N fans out

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
@@ -388,24 +387,24 @@ func TestAdminRidesBrokerRestart(t *testing.T) {
 	}
 }
 
-// stallSource streams normally until an absolute frame, then blocks until
+// stallSource streams normally until an absolute day, then blocks until
 // the test releases it — the wedged-transport fixture for the liveness
 // watchdog. SeekDay keeps the counter absolute, so every restored attempt
 // wedges at the same place.
 type stallSource struct {
 	src     stream.Source
-	stallAt int64
-	n       int64
+	stallAt int
+	n       int
 	unblock chan struct{}
 }
 
-func (s *stallSource) Next(dst *stream.Slot) error {
+func (s *stallSource) NextBlock(dst *stream.DayBlock) error {
 	if s.n == s.stallAt {
 		<-s.unblock
 		return errors.New("stalled transport released")
 	}
 	s.n++
-	return s.src.Next(dst)
+	return s.src.NextBlock(dst)
 }
 
 func (s *stallSource) SeekDay(day int) error {
@@ -416,7 +415,7 @@ func (s *stallSource) SeekDay(day int) error {
 	if err := sk.SeekDay(day); err != nil {
 		return err
 	}
-	s.n = int64(day) * int64(aras.SlotsPerDay)
+	s.n = day
 	return nil
 }
 
@@ -440,8 +439,8 @@ func TestShardWatchdogQuarantinesStalledHome(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Wedge mid-day-2, past the day-1 checkpoint boundary.
-		return &stallSource{src: src, stallAt: 1500, unblock: unblock}, h, nil
+		// Wedge on day 2, past the day-1 checkpoint boundary.
+		return &stallSource{src: src, stallAt: 1, unblock: unblock}, h, nil
 	}}
 	jobs := []stream.Job{stalled, specJob(specs[1], days, 12)}
 

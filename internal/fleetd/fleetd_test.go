@@ -286,20 +286,20 @@ func TestShardAdmissionWindow(t *testing.T) {
 }
 
 // flakySource fails its stream with a transport error at the given absolute
-// frame, passing everything else through. SeekDay keeps the frame counter
+// day, passing everything else through. SeekDay keeps the day counter
 // absolute, so a restored attempt hits the same failure point again.
 type flakySource struct {
 	src    stream.Source
-	failAt int64
-	n      int64
+	failAt int
+	n      int
 }
 
-func (f *flakySource) Next(dst *stream.Slot) error {
+func (f *flakySource) NextBlock(dst *stream.DayBlock) error {
 	if f.n == f.failAt {
 		return errors.New("flaky transport: connection lost")
 	}
 	f.n++
-	return f.src.Next(dst)
+	return f.src.NextBlock(dst)
 }
 
 func (f *flakySource) SeekDay(day int) error {
@@ -310,13 +310,13 @@ func (f *flakySource) SeekDay(day int) error {
 	if err := s.SeekDay(day); err != nil {
 		return err
 	}
-	f.n = int64(day) * int64(aras.SlotsPerDay)
+	f.n = day
 	return nil
 }
 
-// flakyJob wraps a spec job so the given attempts fail mid-day-2: attempt
-// indexes below cleanFrom lose the connection at frame 1500 (past the day-1
-// checkpoint boundary), later attempts run clean.
+// flakyJob wraps a spec job so the given attempts fail on day 2: attempt
+// indexes below cleanFrom lose the connection at day index 1 (past the
+// day-1 checkpoint boundary), later attempts run clean.
 func flakyJob(sp scenario.Spec, days int, seed uint64, cleanFrom int) stream.Job {
 	base := specJob(sp, days, seed)
 	attempt := 0
@@ -328,7 +328,7 @@ func flakyJob(sp scenario.Spec, days int, seed uint64, cleanFrom int) stream.Job
 		a := attempt
 		attempt++
 		if a < cleanFrom {
-			return &flakySource{src: src, failAt: 1500}, h, nil
+			return &flakySource{src: src, failAt: 1}, h, nil
 		}
 		return src, h, nil
 	}}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
@@ -239,7 +238,7 @@ func TestShardDurationFinalAtIdle(t *testing.T) {
 	}
 }
 
-// gatedSource streams until an absolute frame, reports that it got there,
+// gatedSource streams until an absolute day, reports that it got there,
 // and fails once the test opens its gate.
 type gatedSource struct {
 	src     stream.Source
@@ -248,14 +247,14 @@ type gatedSource struct {
 	gate    chan struct{}
 }
 
-func (g *gatedSource) Next(dst *stream.Slot) error {
+func (g *gatedSource) NextBlock(dst *stream.DayBlock) error {
 	if g.n == g.at {
 		close(g.reached)
 		<-g.gate
 		return errors.New("link lost during shutdown")
 	}
 	g.n++
-	return g.src.Next(dst)
+	return g.src.NextBlock(dst)
 }
 
 // TestShardStopKeepsRetryableHomeLive: a home that fails while its shard is
@@ -273,7 +272,7 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := &gatedSource{at: aras.SlotsPerDay + 100, reached: make(chan struct{}), gate: make(chan struct{})}
+	gated := &gatedSource{at: 1, reached: make(chan struct{}), gate: make(chan struct{})}
 	var mu sync.Mutex
 	first := true
 	factory := func(req AddRequest) ([]stream.Job, error) {

@@ -65,11 +65,6 @@ type ShardOptions struct {
 	// Clock times chaos delay faults and retry backoff timers; nil (the
 	// default, kept by the live service) is real wall-clock time.
 	Clock stream.Clock
-	// LegacyJSON forces per-slot JSON framing; by default a shard moves
-	// binary day-blocks with or without chaos, and block-mode faults perturb
-	// whole day frames on the (home, attempt, day)-keyed schedule. Results
-	// are bit-identical either way.
-	LegacyJSON bool
 
 	// ProgressDeadline arms the liveness watchdog: a running home whose
 	// transport produces no day-boundary advance within this window has the
@@ -166,9 +161,8 @@ type homeRun struct {
 	job   stream.Job
 	state homeState
 
-	src    stream.Source      // as returned by job.Open (owns real resources)
-	drive  stream.Source      // transport-wrapped source the scheduler pulls
-	bdrive stream.BlockSource // non-nil when the home moves day-blocks
+	src   stream.Source // as returned by job.Open (owns real resources)
+	drive stream.Source // transport-wrapped source the scheduler pulls
 
 	home *stream.Home
 	pos  int // last ingested absolute slot, for verdict latency
@@ -290,18 +284,17 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
 }
 
 // worker is one scheduling loop: claim the next runnable home, drive one
-// quantum, repeat. The slot buffer is reused across homes (sources size it
-// per home).
+// quantum, repeat. The day-block buffer is reused across homes (sources
+// size it per home).
 func (sh *Shard) worker() {
 	defer sh.wg.Done()
-	var slot stream.Slot
 	var blk stream.DayBlock
 	for {
 		h := sh.next()
 		if h == nil {
 			return
 		}
-		sh.drive(h, &slot, &blk)
+		sh.drive(h, &blk)
 	}
 }
 
@@ -364,8 +357,12 @@ func (sh *Shard) claimLocked() *homeRun {
 }
 
 // drive advances one home by one quantum (or to end-of-stream) and hands
-// it back to the scheduler.
-func (sh *Shard) drive(h *homeRun, slot *stream.Slot, blk *stream.DayBlock) {
+// it back to the scheduler: one day block per home-day, a day-boundary
+// checkpoint every CheckpointEvery days, and event metrics from IngestDay's
+// accounting. The verdict-latency position advances to the day's last slot
+// before ingesting — a whole day arrives at once, so the latency metric is
+// day-granular.
+func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	h.began = time.Now()
 	if h.home == nil {
 		if err := sh.open(h); err != nil {
@@ -377,68 +374,6 @@ func (sh *Shard) drive(h *homeRun, slot *stream.Slot, blk *stream.DayBlock) {
 	// sits at a day boundary waiting for a worker, and scheduler latency is
 	// not a stall. Every exit path (yield/complete/fail) disarms it.
 	sh.armWatchdog(h)
-	if h.bdrive != nil {
-		sh.driveBlocks(h, blk)
-		return
-	}
-	var slots, sensor, action int64
-	flush := func() {
-		sh.met.slots.Add(slots)
-		sh.met.sensorEvents.Add(sensor)
-		sh.met.actionEvents.Add(action)
-	}
-	for d := 0; d < sh.opts.QuantumDays; {
-		err := h.drive.Next(slot)
-		if err == io.EOF {
-			flush()
-			res, cerr := h.home.Close()
-			if cerr != nil {
-				sh.fail(h, cerr)
-				return
-			}
-			h.result = res
-			sh.complete(h)
-			return
-		}
-		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
-		}
-		h.pos = slot.Day*aras.SlotsPerDay + slot.Index
-		act, err := h.home.Ingest(slot)
-		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
-		}
-		slots++
-		sensor += int64(slot.SensorEvents())
-		action += int64(len(act.Demands))
-		if slot.Index == aras.SlotsPerDay-1 {
-			h.days = slot.Day + 1
-			sh.met.days.Add(1)
-			d++
-			h.wd.feed()
-			if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
-				if err := sh.checkpoint(h, false); err != nil {
-					flush()
-					sh.fail(h, err)
-					return
-				}
-			}
-		}
-	}
-	flush()
-	sh.yield(h)
-}
-
-// driveBlocks is the quantum loop at day-block granularity: one frame per
-// home-day, the same day-boundary checkpoint cadence, and event metrics
-// from IngestDay's accounting. The verdict-latency position advances to the
-// day's last slot before ingesting — a whole day arrives at once, so the
-// latency metric is day-granular on this path.
-func (sh *Shard) driveBlocks(h *homeRun, blk *stream.DayBlock) {
 	var slots, sensor, action int64
 	flush := func() {
 		sh.met.slots.Add(slots)
@@ -446,7 +381,7 @@ func (sh *Shard) driveBlocks(h *homeRun, blk *stream.DayBlock) {
 		sh.met.actionEvents.Add(action)
 	}
 	for d := 0; d < sh.opts.QuantumDays; d++ {
-		err := h.bdrive.NextBlock(blk)
+		err := h.drive.NextBlock(blk)
 		if err == io.EOF {
 			flush()
 			res, cerr := h.home.Close()
@@ -530,13 +465,10 @@ func (sh *Shard) open(h *homeRun) error {
 			h.days = 0
 		}
 	}
-	// Day-block transport is the default with or without chaos — block-mode
-	// faults perturb whole day frames on the (home, attempt, day)-keyed
-	// schedule.
-	useBlocks := !sh.opts.LegacyJSON
+	// Chaos perturbs whole day frames on the (home, attempt, day)-keyed
+	// schedule, on the bus and on the direct path alike.
 	plan := sh.opts.Chaos.Plan(h.job.ID, h.opens-1)
-	var drive stream.Source = src
-	h.bdrive = nil
+	var drive stream.Source
 	if sh.opts.Broker != "" {
 		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), src, stream.PipeOptions{
 			Dial:           sh.opts.Dial,
@@ -544,7 +476,6 @@ func (sh *Shard) open(h *homeRun) error {
 			ReceiveTimeout: sh.opts.ReceiveTimeout,
 			Faults:         plan,
 			Epoch:          h.opens - 1,
-			Blocks:         useBlocks,
 			Clock:          sh.opts.Clock,
 		})
 		if perr != nil {
@@ -552,16 +483,8 @@ func (sh *Shard) open(h *homeRun) error {
 			return perr
 		}
 		drive = pipe
-		if pipe.Blocks() {
-			h.bdrive = pipe
-		}
 	} else {
 		drive = stream.NewFaultSource(src, plan, sh.opts.Clock)
-		if useBlocks {
-			if bsrc, ok := drive.(stream.BlockSource); ok {
-				h.bdrive = bsrc
-			}
-		}
 	}
 	h.src, h.drive, h.home = src, drive, home
 	return nil
@@ -619,7 +542,7 @@ func (h *homeRun) teardown() {
 		closeSource(h.drive) // MQTT pipe: closes pump + subscriptions
 	}
 	closeSource(h.src)
-	h.src, h.drive, h.bdrive, h.home = nil, nil, nil, nil
+	h.src, h.drive, h.home = nil, nil, nil
 }
 
 // closeSource releases a source's resources when it holds any.

@@ -10,11 +10,11 @@ import (
 // DayBlock is one whole home-day of sensor traffic in struct-of-arrays
 // layout: parallel per-slot columns of weather, per-occupant zones and
 // activities, and per-appliance statuses, each aras.SlotsPerDay long. It is
-// the streaming hot path's frame — a source emits one block per home-day,
-// the injector rewrites its reported columns in place, and Home.IngestDay
+// the stream's only frame — a source emits one block per home-day, the
+// injector rewrites its reported columns in place, and Home.IngestDay
 // advances detection and the HVAC plant over the contiguous columns without
-// materializing 1440 per-slot Slot frames. Slot decodes a block back to
-// frame granularity for callers that need it.
+// materializing 1440 per-slot Slot views. Slot decodes a block back to slot
+// granularity for callers that need it.
 type DayBlock struct {
 	// Home identifies the emitting home on the fleet bus.
 	Home string
@@ -35,16 +35,10 @@ type DayBlock struct {
 	RepAppliance [][]bool
 }
 
-// BlockSource is implemented by sources that can emit whole home-days in
-// struct-of-arrays layout. NextBlock fills dst (reusing its backing storage
-// where possible) and returns io.EOF at end of stream; blocks are emitted in
-// day order and only from a day boundary — a source whose per-slot cursor
-// sits mid-day refuses to coarsen. Both repository sources implement it, so
-// block-mode pipelines need no capability negotiation with the generator or
-// trace layers.
-type BlockSource interface {
-	NextBlock(dst *DayBlock) error
-}
+// BlockSource is Source under its former name.
+//
+// Deprecated: use Source.
+type BlockSource = Source
 
 // ensure sizes the block's columns for a home with the given occupant and
 // appliance counts, reusing backing storage where the shape already fits.
@@ -99,8 +93,7 @@ func (b *DayBlock) mirrorTruth() {
 	}
 }
 
-// Slot decodes minute t of the block into a per-slot frame — the shim that
-// serves frame-granularity consumers from block-granularity transport.
+// Slot decodes minute t of the block into its per-slot reference view.
 func (b *DayBlock) Slot(dst *Slot, t int) {
 	dst.ensure(len(b.TrueZone), len(b.TrueAppliance))
 	dst.Home = b.Home

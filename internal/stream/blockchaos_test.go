@@ -10,8 +10,8 @@ import (
 	"github.com/acyd-lab/shatter/internal/stream"
 )
 
-// goldenJobs builds the registry-golden fleet the three-leg equivalence
-// tests run: named scenarios with pinned seeds, so the clean baseline is a
+// goldenJobs builds the registry-golden fleet the chaos equivalence tests
+// run: named scenarios with pinned seeds, so the clean baseline is a
 // stable fixture rather than a synthetic one.
 func goldenJobs(t *testing.T, days int) []stream.Job {
 	t.Helper()
@@ -23,13 +23,13 @@ func goldenJobs(t *testing.T, days int) []stream.Job {
 	return jobs
 }
 
-// TestFleetChaosThreeLegEquivalence is the per-class equivalence lock for
-// the framing split: for every fault class, a block-framed chaos run, a
-// LegacyJSON chaos run, and the clean unsupervised baseline must agree on
-// every per-home result and deterministic aggregate — chaos on either
-// transport changes nothing but the resilience counters, and the two
-// framings never drift apart. CHAOS_CLASS narrows the sweep to one class
-// (the CI matrix drives it).
+// TestFleetChaosThreeLegEquivalence is the per-class equivalence lock on
+// the registry goldens: for every fault class, a supervised block-framed
+// chaos run and the clean unsupervised baseline must agree on every
+// per-home result and deterministic aggregate — chaos changes nothing but
+// the resilience counters. (The name predates the retirement of the
+// per-slot JSON leg.) CHAOS_CLASS narrows the sweep to one class (the CI
+// matrix drives it).
 func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 	const days = 2
 	jobs := goldenJobs(t, days)
@@ -38,49 +38,34 @@ func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	only := os.Getenv("CHAOS_CLASS")
-	legacy := chaosClasses()
-	for name, blockCfg := range blockChaosClasses() {
+	for name, cfg := range blockChaosClasses() {
 		if only != "" && only != name {
 			continue
 		}
-		blockCfg, legacyCfg := blockCfg, legacy[name]
+		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			run := func(cfg stream.FaultConfig, legacyJSON bool) stream.FleetResult {
-				t.Helper()
-				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
-					Workers: 2, Recover: true, Chaos: &cfg, LegacyJSON: legacyJSON,
-					CheckpointDir: t.TempDir(),
-					RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.Quarantined != 0 {
-					t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-				}
-				return got
+			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
+				Workers: 2, Recover: true, Chaos: &cfg,
+				CheckpointDir: t.TempDir(),
+				RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			block := run(blockCfg, false)
-			legacyGot := run(legacyCfg, true)
-			// Leg 1 ≡ leg 3 and leg 2 ≡ leg 3 (so leg 1 ≡ leg 2).
-			checkSameHomes(t, block, clean)
-			checkSameHomes(t, legacyGot, clean)
-			if name != "delay" {
-				if block.Stats.Retries == 0 {
-					t.Fatalf("%s: block leg caused no retries", name)
-				}
-				if legacyGot.Stats.Retries == 0 {
-					t.Fatalf("%s: legacy leg caused no retries", name)
-				}
+			if got.Stats.Quarantined != 0 {
+				t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+			}
+			checkSameHomes(t, got, clean)
+			if name != "delay" && got.Stats.Retries == 0 {
+				t.Fatalf("%s: chaos caused no retries", name)
 			}
 		})
 	}
 }
 
-// TestFleetChaosThreeLegEquivalenceMQTT repeats the three-leg lock over a
-// real broker for the mixed class: block framing, legacy framing, and the
-// clean baseline must coincide when every fault classes is in play at once
-// on the wire.
+// TestFleetChaosThreeLegEquivalenceMQTT repeats the lock over a real broker
+// for the mixed class: the block-framed chaos run and the clean baseline
+// must coincide when every fault class is in play at once on the wire.
 func TestFleetChaosThreeLegEquivalenceMQTT(t *testing.T) {
 	const days = 2
 	jobs := goldenJobs(t, days)
@@ -88,33 +73,27 @@ func TestFleetChaosThreeLegEquivalenceMQTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cfg stream.FaultConfig, legacyJSON bool) stream.FleetResult {
-		t.Helper()
-		broker, err := mqtt.NewBroker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer broker.Close()
-		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
-			Workers: 2, Broker: broker.Addr(), Recover: true, Chaos: &cfg, LegacyJSON: legacyJSON,
-			CheckpointDir:  t.TempDir(),
-			RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-			ReceiveTimeout: 2 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.Quarantined != 0 {
-			t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-		}
-		return got
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	block := run(blockChaosClasses()["mixed"], false)
-	legacyGot := run(chaosClasses()["mixed"], true)
-	checkSameHomes(t, block, clean)
-	checkSameHomes(t, legacyGot, clean)
-	if block.Stats.Retries == 0 || legacyGot.Stats.Retries == 0 {
-		t.Fatalf("mixed mqtt chaos too tame: block %d retries, legacy %d", block.Stats.Retries, legacyGot.Stats.Retries)
+	defer broker.Close()
+	cfg := blockChaosClasses()["mixed"]
+	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
+		Workers: 2, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
+		CheckpointDir:  t.TempDir(),
+		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+		ReceiveTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Quarantined != 0 {
+		t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+	}
+	checkSameHomes(t, got, clean)
+	if got.Stats.Retries == 0 {
+		t.Fatalf("mixed mqtt chaos too tame: %d retries", got.Stats.Retries)
 	}
 }
 

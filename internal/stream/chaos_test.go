@@ -40,27 +40,10 @@ func checkSameHomes(t *testing.T, got, want stream.FleetResult) {
 	checkDeterministic(t, zero(got), zero(want))
 }
 
-// chaosClasses is the fault matrix for the LegacyJSON (per-slot) legs.
-// Probabilities are sized for ~2880-frame homes: high enough that first
-// attempts virtually always fail, low enough that a failure usually lands
-// after the first checkpointed day.
-func chaosClasses() map[string]stream.FaultConfig {
-	return map[string]stream.FaultConfig{
-		"drop":       {Seed: 101, Drop: 0.002},
-		"duplicate":  {Seed: 102, Duplicate: 0.005},
-		"delay":      {Seed: 103, Delay: 0.002, MaxDelay: 100 * time.Microsecond},
-		"corrupt":    {Seed: 104, Corrupt: 0.002},
-		"truncate":   {Seed: 105, Truncate: 0.002},
-		"disconnect": {Seed: 106, Disconnect: 0.001},
-		"mixed": {Seed: 107, Drop: 0.0008, Duplicate: 0.002, Delay: 0.0008,
-			Corrupt: 0.0004, Truncate: 0.0004, Disconnect: 0.0002, MaxDelay: 100 * time.Microsecond},
-	}
-}
-
-// blockChaosClasses is the same matrix sized for day-block framing: a
-// 2-day home publishes 2 frames per attempt, so per-frame probabilities
-// are ~0.5 to make first attempts virtually always fail while CleanAttempt
-// still guarantees completion.
+// blockChaosClasses is the fault matrix, one config per fault class, sized
+// for day-block framing: a 2-day home publishes 2 frames per attempt, so
+// per-frame probabilities are ~0.5 to make first attempts virtually always
+// fail while CleanAttempt still guarantees completion.
 func blockChaosClasses() map[string]stream.FaultConfig {
 	return map[string]stream.FaultConfig{
 		"drop":       {Seed: 201, Drop: 0.5},
@@ -75,12 +58,12 @@ func blockChaosClasses() map[string]stream.FaultConfig {
 }
 
 // TestFleetChaosMatrix runs a supervised fleet under every fault class, on
-// both the direct path and a real MQTT broker, over both framings — the
-// default day-block transport and the equivalence-locked LegacyJSON shim —
-// and requires byte-identical per-home results against the clean
-// unsupervised baseline: recoverable faults must change *nothing* but the
-// retry counters. CHAOS_CLASS narrows the sweep to one class and CHAOS_SEED
-// reseeds the schedule (the CI matrix drives both).
+// both the direct path and a real MQTT broker, and requires byte-identical
+// per-home results against the clean unsupervised baseline: recoverable
+// faults must change *nothing* but the retry counters. Subtests are named
+// block/<class>/<transport> after the day-block framing they run.
+// CHAOS_CLASS narrows the sweep to one class and CHAOS_SEED reseeds the
+// schedule (the CI matrix drives both).
 func TestFleetChaosMatrix(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := chaosJobs(homes, days)
@@ -98,95 +81,80 @@ func TestFleetChaosMatrix(t *testing.T) {
 		}
 		seed = s
 	}
-	legs := []struct {
-		framing string
-		legacy  bool
-		classes map[string]stream.FaultConfig
-	}{
-		{"block", false, blockChaosClasses()},
-		{"legacy", true, chaosClasses()},
-	}
-	for _, leg := range legs {
-		for name, cfg := range leg.classes {
-			if only != "" && only != name {
-				continue
-			}
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg, leg := cfg, leg
-			// Direct-path expectations: delay only slows frames down; every
-			// other class (duplicates included — the direct path has no dedup
-			// layer) must force retries.
-			t.Run(leg.framing+"/"+name+"/direct", func(t *testing.T) {
-				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
-					Workers: 3, Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
-					CheckpointDir: t.TempDir(),
-					RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.Quarantined != 0 {
-					t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-				}
-				checkSameHomes(t, got, baseline)
-				switch name {
-				case "delay":
-					if got.Stats.Retries != 0 {
-						t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
-					}
-				default:
-					if got.Stats.Retries == 0 {
-						t.Fatalf("%s chaos caused no retries (faults not reaching the stream?)", name)
-					}
-				}
-			})
-			t.Run(leg.framing+"/"+name+"/mqtt", func(t *testing.T) {
-				broker, err := mqtt.NewBroker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer broker.Close()
-				got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
-					Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
-					CheckpointDir:  t.TempDir(),
-					RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-					ReceiveTimeout: 2 * time.Second,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.Quarantined != 0 {
-					t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-				}
-				checkSameHomes(t, got, baseline)
-				// The clean bus moves one frame per home-day on the block
-				// path, one per slot on the legacy path.
-				expect := got.Stats.Days
-				if leg.legacy {
-					expect = got.Stats.Slots
-				}
-				switch name {
-				case "delay":
-					if got.Stats.Retries != 0 {
-						t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
-					}
-				case "duplicate":
-					// The pipe's position tracking absorbs duplicates entirely.
-					if got.Stats.Retries != 0 {
-						t.Fatalf("transport failed to dedup: %d retries", got.Stats.Retries)
-					}
-					if got.Stats.BusFrames <= expect {
-						t.Fatalf("duplicates missing from the bus: %d frames for %d expected", got.Stats.BusFrames, expect)
-					}
-				default:
-					if got.Stats.Retries == 0 {
-						t.Fatalf("%s chaos caused no retries (faults not reaching the transport?)", name)
-					}
-				}
-			})
+	for name, cfg := range blockChaosClasses() {
+		if only != "" && only != name {
+			continue
 		}
+		if seed != 0 {
+			cfg.Seed = seed
+		}
+		cfg := cfg
+		// Direct-path expectations: delay only slows frames down; every
+		// other class (duplicates included — the direct path has no dedup
+		// layer) must force retries.
+		t.Run("block/"+name+"/direct", func(t *testing.T) {
+			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
+				Workers: 3, Recover: true, Chaos: &cfg,
+				CheckpointDir: t.TempDir(),
+				RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.Quarantined != 0 {
+				t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+			}
+			checkSameHomes(t, got, baseline)
+			switch name {
+			case "delay":
+				if got.Stats.Retries != 0 {
+					t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
+				}
+			default:
+				if got.Stats.Retries == 0 {
+					t.Fatalf("%s chaos caused no retries (faults not reaching the stream?)", name)
+				}
+			}
+		})
+		t.Run("block/"+name+"/mqtt", func(t *testing.T) {
+			broker, err := mqtt.NewBroker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer broker.Close()
+			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
+				Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
+				CheckpointDir:  t.TempDir(),
+				RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+				ReceiveTimeout: 2 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.Quarantined != 0 {
+				t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+			}
+			checkSameHomes(t, got, baseline)
+			switch name {
+			case "delay":
+				if got.Stats.Retries != 0 {
+					t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
+				}
+			case "duplicate":
+				// The pipe's day tracking absorbs duplicates entirely.
+				if got.Stats.Retries != 0 {
+					t.Fatalf("transport failed to dedup: %d retries", got.Stats.Retries)
+				}
+				// The clean bus moves one frame per home-day.
+				if got.Stats.BusFrames <= got.Stats.Days {
+					t.Fatalf("duplicates missing from the bus: %d frames for %d expected", got.Stats.BusFrames, got.Stats.Days)
+				}
+			default:
+				if got.Stats.Retries == 0 {
+					t.Fatalf("%s chaos caused no retries (faults not reaching the transport?)", name)
+				}
+			}
+		})
 	}
 }
 
@@ -271,7 +239,7 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 // brokenSource fails every read with the given error.
 type brokenSource struct{ err error }
 
-func (b *brokenSource) Next(*stream.Slot) error { return b.err }
+func (b *brokenSource) NextBlock(*stream.DayBlock) error { return b.err }
 
 // TestFleetQuarantineGracefulDegradation: a home that fails past its retry
 // budget is quarantined with its error recorded, while the rest of the
@@ -348,20 +316,20 @@ func equalHomeResult(a, b stream.HomeResult) bool {
 		a.Sim.TotalKWh == b.Sim.TotalKWh && a.Sim.TotalCostUSD == b.Sim.TotalCostUSD
 }
 
-// outOfOrderSource emits a frame at the wrong position to trip the home's
-// sequence check mid-stream.
+// outOfOrderSource emits a day frame at the wrong position to trip the
+// home's sequence check mid-stream.
 type outOfOrderSource struct {
 	src stream.Source
 	n   int
 }
 
-func (o *outOfOrderSource) Next(dst *stream.Slot) error {
-	if err := o.src.Next(dst); err != nil {
+func (o *outOfOrderSource) NextBlock(dst *stream.DayBlock) error {
+	if err := o.src.NextBlock(dst); err != nil {
 		return err
 	}
 	o.n++
-	if o.n > 5 {
-		dst.Index += 3 // manufacture a gap
+	if o.n > 1 {
+		dst.Day += 3 // manufacture a gap
 	}
 	return nil
 }
@@ -369,7 +337,7 @@ func (o *outOfOrderSource) Next(dst *stream.Slot) error {
 // TestRunFleetMidStreamFailure: an unsupervised fleet propagates a
 // mid-stream ingest failure (sequence gap) as a first-error-wins abort.
 func TestRunFleetMidStreamFailure(t *testing.T) {
-	base := chaosJobs(1, 1)[0]
+	base := chaosJobs(1, 2)[0]
 	job := stream.Job{ID: base.ID, Open: func() (stream.Source, *stream.Home, error) {
 		src, h, err := base.Open()
 		if err != nil {
@@ -383,24 +351,24 @@ func TestRunFleetMidStreamFailure(t *testing.T) {
 	}
 }
 
-// flakyAtSource fails deterministically once it reaches a position.
+// flakyAtSource fails deterministically once it reaches a day.
 type flakyAtSource struct {
-	src       stream.Source
-	day, slot int
+	src stream.Source
+	day int
 }
 
-func (f *flakyAtSource) Next(dst *stream.Slot) error {
-	if err := f.src.Next(dst); err != nil {
+func (f *flakyAtSource) NextBlock(dst *stream.DayBlock) error {
+	if err := f.src.NextBlock(dst); err != nil {
 		return err
 	}
-	if dst.Day > f.day || (dst.Day == f.day && dst.Index >= f.slot) {
-		return fmt.Errorf("%w: link died at (%d,%d)", stream.ErrInjectedFault, dst.Day, dst.Index)
+	if dst.Day >= f.day {
+		return fmt.Errorf("%w: link died at day %d", stream.ErrInjectedFault, dst.Day)
 	}
 	return nil
 }
 
 // TestFleetRetryRestoresFromCheckpoint is the deterministic supervisor
-// lock: a home whose first attempt dies mid-day-1 must be retried from its
+// lock: a home whose first attempt dies on day 1 must be retried from its
 // day-boundary checkpoint (one restore, two attempts) and finish with a
 // result byte-identical to an uninterrupted run.
 func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
@@ -417,9 +385,9 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 		}
 		calls++
 		if calls == 1 {
-			// First attempt dies partway through day 1, after the day-0
-			// checkpoint was persisted.
-			return &flakyAtSource{src: src, day: 1, slot: 100}, h, nil
+			// First attempt dies on day 1, after the day-0 checkpoint was
+			// persisted.
+			return &flakyAtSource{src: src, day: 1}, h, nil
 		}
 		return src, h, nil
 	}}

@@ -18,7 +18,7 @@ import (
 // SHATTER campaign, and open constructs a fresh (source, home) pair wired
 // with the injector, detector, and truth episodizer — the maximal state a
 // checkpoint must carry.
-func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() (Source, *Home)) {
+func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() (slotSource, *Home)) {
 	t.Helper()
 	params := hvac.DefaultParams()
 	pricing := hvac.DefaultPricing()
@@ -37,7 +37,7 @@ func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() 
 		t.Fatal(err)
 	}
 	attack.TriggerAppliances(tr, plan, model, cap)
-	return func() (Source, *Home) {
+	return func() (slotSource, *Home) {
 		inj, err := NewInjector(house, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() 
 }
 
 // ingestDays pulls exactly the first n days through the home.
-func ingestDays(t *testing.T, src Source, h *Home, n int) {
+func ingestDays(t *testing.T, src slotSource, h *Home, n int) {
 	t.Helper()
 	var s Slot
 	for i := 0; i < n*aras.SlotsPerDay; i++ {
@@ -151,7 +151,7 @@ func TestCheckpointGeneratorSeekEquivalence(t *testing.T) {
 	const days, trainDays = 4, 2
 	_, model := testWorld(t, "B", days, trainDays)
 	house := home.MustHouse("B")
-	open := func() (Source, *Home) {
+	open := func() (slotSource, *Home) {
 		gen, err := aras.NewGenerator(house, aras.GeneratorConfig{Days: days, Seed: 2024})
 		if err != nil {
 			t.Fatal(err)

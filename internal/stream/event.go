@@ -1,17 +1,19 @@
 // Package stream is the incremental runtime of the SHATTER reproduction:
-// a typed per-slot event model over which trace generation, HVAC control,
-// attack injection, and anomaly detection all advance minute-by-minute
+// trace generation, HVAC control, attack injection, and anomaly detection
+// all advance one home-day at a time over struct-of-arrays day blocks
 // instead of materializing whole multi-day traces. Every streaming path is
 // equivalence-locked to its batch counterpart — replaying a house through
 // the stream reproduces the batch trace, controller costs, and ADM verdicts
 // byte-for-byte — so the batch experiment suite and the fleet service are
-// two shells over the same core.
+// two shells over the same core. The per-slot Slot view (Home.Ingest and
+// the sources' Next) is the reference the day-block kernels are locked
+// against; no transport moves it.
 //
 // The layer stack:
 //
-//	Source    → per-slot frames (aras.Generator or a recorded Trace)
-//	Injector  → applies an attack.Plan to the frames in flight
-//	Home      → hvac.Sim stepper + adm.Detector per home
+//	Source    → day blocks (aras.Generator or a recorded Trace)
+//	Injector  → applies an attack.Plan to the blocks in flight
+//	Home      → hvac.Sim day stepper + adm.Detector per home
 //	Pipe      → optional MQTT transport between Source and Home
 //
 // The package is one home's data plane; internal/fleetd supervises fleets
@@ -29,10 +31,10 @@ type OccupantReading struct {
 	Activity home.ActivityID `json:"a"`
 }
 
-// Slot is one minute of a home's sensor traffic — the frame a deployment
-// publishes on its per-home topic each control cycle. It carries the ground
-// truth alongside the reported view: the two coincide until an Injector
-// falsifies the reported half (sensor spoofing never changes the truth, and
+// Slot is one minute of a home's sensor traffic — the per-slot reference
+// view of a DayBlock column, not a bus frame. It carries the ground truth
+// alongside the reported view: the two coincide until an Injector falsifies
+// the reported half (sensor spoofing never changes the truth, and
 // really-triggered appliances change both).
 type Slot struct {
 	// Home identifies the emitting home on the fleet bus.

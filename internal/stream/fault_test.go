@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,45 +20,6 @@ func traceSrc(t *testing.T, days int) *TraceSource {
 		t.Fatal(err)
 	}
 	return NewTraceSource("A", tr)
-}
-
-// TestFaultPlanDeterminism: the fault schedule is a pure function of
-// (config, home, attempt) — two plans for the same coordinates roll the
-// same sequence, and different homes or attempts diverge.
-func TestFaultPlanDeterminism(t *testing.T) {
-	cfg := &FaultConfig{Seed: 42, Drop: 0.1, Duplicate: 0.1, Delay: 0.1, Corrupt: 0.1}
-	roll := func(home string, attempt, n int) []FaultClass {
-		p := cfg.Plan(home, attempt)
-		if p == nil {
-			t.Fatalf("plan (%s,%d) unexpectedly clean", home, attempt)
-		}
-		out := make([]FaultClass, n)
-		for i := range out {
-			out[i] = p.Roll()
-		}
-		return out
-	}
-	a := roll("h1", 0, 500)
-	b := roll("h1", 0, 500)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("roll %d diverges for identical coordinates", i)
-		}
-	}
-	diff := func(x, y []FaultClass) bool {
-		for i := range x {
-			if x[i] != y[i] {
-				return true
-			}
-		}
-		return false
-	}
-	if !diff(a, roll("h2", 0, 500)) {
-		t.Fatal("different homes share a schedule")
-	}
-	if !diff(a, roll("h1", 1, 500)) {
-		t.Fatal("different attempts share a schedule")
-	}
 }
 
 // TestFaultPlanCleanAttempt pins the retry-escape hatch: attempts past
@@ -97,6 +59,13 @@ func plan1(t *testing.T, set func(*FaultConfig)) *FaultPlan {
 	return p
 }
 
+// faultSrc wraps a days-long trace source in the direct-path fault
+// wrapper under the given schedule.
+func faultSrc(t *testing.T, days int, set func(*FaultConfig)) Source {
+	t.Helper()
+	return NewFaultSource(traceSrc(t, days), plan1(t, set), nil)
+}
+
 // TestFaultSourceClasses drives each fault class through the direct-path
 // wrapper and checks the manufactured failure mode.
 func TestFaultSourceClasses(t *testing.T) {
@@ -104,73 +73,83 @@ func TestFaultSourceClasses(t *testing.T) {
 		// Dropping every frame consumes the stream to its end — but losing
 		// the tail must never complete the home silently short, so EOF after
 		// an unsurfaced drop is an injected-fault error.
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Drop = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		fs := faultSrc(t, 1, func(c *FaultConfig) { c.Drop = 1 })
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault (tail dropped)", err)
 		}
 	})
 	t.Run("duplicate", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Duplicate = 1 }))
-		var a, b, c Slot
-		if err := fs.Next(&a); err != nil {
-			t.Fatal(err)
+		fs := faultSrc(t, 2, func(c *FaultConfig) { c.Duplicate = 1 })
+		var a, b, c DayBlock
+		for _, blk := range []*DayBlock{&a, &b, &c} {
+			if err := fs.NextBlock(blk); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := fs.Next(&b); err != nil {
-			t.Fatal(err)
+		if a.Day != 0 || b.Day != 0 || c.Day != 1 {
+			t.Fatalf("days %d,%d,%d, want 0,0,1", a.Day, b.Day, c.Day)
 		}
-		if err := fs.Next(&c); err != nil {
-			t.Fatal(err)
-		}
-		if a.Index != 0 || b.Index != 0 || c.Index != 1 {
-			t.Fatalf("positions %d,%d,%d, want 0,0,1", a.Index, b.Index, c.Index)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("duplicate differs from the original frame")
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Corrupt = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		fs := faultSrc(t, 1, func(c *FaultConfig) { c.Corrupt = 1 })
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}
 	})
 	t.Run("truncate", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Truncate = 1 }))
-		var s Slot
-		if err := fs.Next(&s); err != nil {
+		fs := faultSrc(t, 1, func(c *FaultConfig) { c.Truncate = 1 })
+		var b DayBlock
+		if err := fs.NextBlock(&b); err != nil {
 			t.Fatal(err)
 		}
-		occ := len(home.MustHouse("A").Occupants)
-		if len(s.Reported) != occ-1 {
-			t.Fatalf("reported vector %d long, want %d", len(s.Reported), occ-1)
+		house := home.MustHouse("A")
+		if appl := len(house.Appliances); len(b.TrueAppliance) != appl-1 || len(b.RepAppliance) != appl-1 {
+			t.Fatalf("appliance columns %d/%d, want %d", len(b.TrueAppliance), len(b.RepAppliance), appl-1)
+		}
+		if b.shapeErr(len(house.Occupants), len(house.Appliances)) == nil {
+			t.Fatal("truncated block passes the home's structural check")
 		}
 	})
 	t.Run("disconnect", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Disconnect = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		fs := faultSrc(t, 1, func(c *FaultConfig) { c.Disconnect = 1 })
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}
 		// The connection stays dead.
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("second read: %v, want injected fault", err)
 		}
 	})
 	t.Run("delay", func(t *testing.T) {
-		// Delays perturb latency only; the frame arrives intact and a home
-		// fed through a delay-only source finishes normally.
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Delay = 0.01 }))
-		var s Slot
+		// Delays perturb latency only; every frame arrives intact and in
+		// order.
+		const days = 3
+		fs := faultSrc(t, days, func(c *FaultConfig) { c.Delay = 1 })
+		ref := traceSrc(t, days)
+		var b, want DayBlock
 		n := 0
 		for {
-			if err := fs.Next(&s); err == io.EOF {
+			if err := fs.NextBlock(&b); err == io.EOF {
 				break
 			} else if err != nil {
 				t.Fatal(err)
 			}
+			if err := ref.NextBlock(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(b, want) {
+				t.Fatalf("delayed day %d arrived altered", b.Day)
+			}
 			n++
 		}
-		if n != aras.SlotsPerDay {
-			t.Fatalf("delivered %d frames, want %d", n, aras.SlotsPerDay)
+		if n != days {
+			t.Fatalf("delivered %d frames, want %d", n, days)
 		}
 	})
 }
@@ -245,15 +224,15 @@ func TestFaultPlanRollDayKeying(t *testing.T) {
 // TestFaultSourceSeekDay: the wrapper forwards seeks so faulty retry
 // attempts can still resume from a checkpoint.
 func TestFaultSourceSeekDay(t *testing.T) {
-	fs := newFaultSource(traceSrc(t, 3), plan1(t, func(c *FaultConfig) { c.Delay = 0.001 }))
-	if err := fs.SeekDay(2); err != nil {
+	fs := faultSrc(t, 3, func(c *FaultConfig) { c.Delay = 0.001 })
+	if err := fs.(DaySeeker).SeekDay(2); err != nil {
 		t.Fatal(err)
 	}
-	var s Slot
-	if err := fs.Next(&s); err != nil {
+	var b DayBlock
+	if err := fs.NextBlock(&b); err != nil {
 		t.Fatal(err)
 	}
-	if s.Day != 2 || s.Index != 0 {
-		t.Fatalf("post-seek frame at (%d,%d), want (2,0)", s.Day, s.Index)
+	if b.Day != 2 {
+		t.Fatalf("post-seek frame for day %d, want 2", b.Day)
 	}
 }

@@ -67,11 +67,10 @@ type FleetStats struct {
 	HomesPerSec  float64       `json:"homes_per_sec"`
 	EventsPerSec float64       `json:"events_per_sec"`
 	// BusFrames counts the data frames the fleet-wide home/+/sensor monitor
-	// saw (zero without a broker). On the default block transport each
-	// home-day is one binary frame, so a clean fleet tallies its Days here
-	// and a chaos fleet an at-least-once count of Days (retried attempts
-	// republish); under LegacyJSON every slot is its own JSON frame and the
-	// tally is in Slots.
+	// saw (zero without a broker). Each home-day is one binary frame, so a
+	// clean fleet tallies its Days here and a chaos fleet an at-least-once
+	// count of Days (retried attempts republish, and a corrupted frame's
+	// stand-in counts too).
 	BusFrames int64 `json:"bus_frames"`
 	// Retries counts extra attempts across the fleet; Restores counts the
 	// attempts that resumed from a checkpoint; Quarantined counts homes

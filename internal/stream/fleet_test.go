@@ -151,11 +151,9 @@ func TestRunFleetHundredSynthHomes(t *testing.T) {
 }
 
 // TestFleetBrokerTransport routes a small fleet through a real MQTT broker
-// over loopback TCP on both wire encodings and checks (a) per-home results
-// are bit-identical across the direct run, the default binary day-block
-// transport, and the per-slot LegacyJSON transport, and (b) the fleet-wide
-// home/+/sensor monitor tallied each encoding's own frame unit — one frame
-// per home-day on the block path, one per slot on the JSON path.
+// over loopback TCP and checks (a) per-home results are bit-identical
+// between the direct run and the binary day-block transport, and (b) the
+// fleet-wide home/+/sensor monitor tallied one frame per home-day.
 func TestFleetBrokerTransport(t *testing.T) {
 	broker, err := mqtt.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -176,17 +174,9 @@ func TestFleetBrokerTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{Workers: 2, Broker: broker.Addr(), LegacyJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	checkDeterministic(t, direct, piped)
-	checkDeterministic(t, direct, legacy)
 	if piped.Stats.BusFrames != piped.Stats.Days {
 		t.Fatalf("block monitor saw %d bus frames, want %d (one per home-day)", piped.Stats.BusFrames, piped.Stats.Days)
-	}
-	if legacy.Stats.BusFrames != legacy.Stats.Slots {
-		t.Fatalf("JSON monitor saw %d bus frames, want %d", legacy.Stats.BusFrames, legacy.Stats.Slots)
 	}
 	if direct.Stats.BusFrames != 0 {
 		t.Fatalf("direct run reported %d bus frames", direct.Stats.BusFrames)

@@ -7,14 +7,14 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
-// Injector applies a precomputed attack.Plan to a home's slot stream in
-// flight — the streaming counterpart of attack.View. Planning stays offline
-// (the optimiser needs its horizon), but execution is live: each frame's
+// Injector applies a precomputed attack.Plan to a home's stream in flight —
+// the streaming counterpart of attack.View. Planning stays offline (the
+// optimiser needs its horizon), but execution is live: each day block's
 // reported occupancy is replaced by the plan's falsified readings, really
 // triggered appliances are switched on in the truth (they draw power), and
 // forged δ^D appliance statuses consistent with the reported activities are
-// injected into the believed statuses. Frames beyond the plan's horizon
-// pass through truthfully.
+// injected into the believed statuses. Days beyond the plan's horizon pass
+// through truthfully.
 type Injector struct {
 	house *home.House
 	plan  *attack.Plan
@@ -33,11 +33,12 @@ func NewInjector(h *home.House, plan *attack.Plan) (*Injector, error) {
 	return &Injector{house: h, plan: plan}, nil
 }
 
-// Rewrite falsifies one frame in place. The rewrite reproduces
-// attack.View's semantics exactly: Reported matches View.Occupants,
-// ReportedAppliance matches View.ApplianceOn, and TrueAppliance matches
-// View.ActualApplianceOn, so a rewritten stream drives the plant to the
-// same state as the batch attacked simulation.
+// Rewrite falsifies one slot in place — the per-slot reference RewriteBlock
+// is locked against. The rewrite reproduces attack.View's semantics
+// exactly: Reported matches View.Occupants, ReportedAppliance matches
+// View.ApplianceOn, and TrueAppliance matches View.ActualApplianceOn, so a
+// rewritten stream drives the plant to the same state as the batch
+// attacked simulation.
 func (inj *Injector) Rewrite(s *Slot) {
 	d, t := s.Day, s.Index
 	if d < 0 || d >= len(inj.plan.RepZone) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 )
 
@@ -19,22 +18,45 @@ const (
 	dayProbe = -2 // subscription-registration handshake
 )
 
+// controlFrame is the JSON envelope of a sensor topic's control traffic: the
+// handshake probe (day -2), an end-of-stream sentinel (day -1), or the
+// stand-in for a day frame that failed its integrity check (Corrupt, with
+// the frame's day). Epoch names the publishing attempt, so a stale control
+// frame from a dead attempt can be discarded instead of failing or ending
+// the current one.
+type controlFrame struct {
+	Day     int  `json:"day"`
+	Epoch   int  `json:"epoch"`
+	Corrupt bool `json:"corrupt,omitempty"`
+	// Final, set only on end-of-stream sentinels, is one past the last day
+	// the publisher generated. The consumer compares it against the last
+	// day it actually delivered: a mismatch means the stream's tail was
+	// lost in transit — the one loss no sequence-gap check can see, because
+	// nothing follows it.
+	Final int `json:"final,omitempty"`
+}
+
+// encode marshals the envelope as a pre-encoded publish payload.
+func (c controlFrame) encode() json.RawMessage {
+	raw, _ := json.Marshal(c) // ints and a bool always encode
+	return raw
+}
+
 // ProbeFrame is the handshake frame a subscriber publishes to its own topic
 // to confirm the broker registered the subscription (the broker processes
 // frames of one connection in order, so the probe's delivery proves the
 // subscription precedes any other publisher's traffic).
-func ProbeFrame() Slot { return Slot{Day: dayProbe} }
+func ProbeFrame() json.RawMessage { return controlFrame{Day: dayProbe}.encode() }
 
 // ClassifyBusFrame sorts a payload seen on a sensor topic: data frames are
-// binary day blocks and JSON slots, eof marks an end-of-stream sentinel.
-// Handshake probes and malformed traffic are neither.
+// binary day blocks and the corrupt stand-ins for them, eof marks an
+// end-of-stream sentinel. Handshake probes and malformed traffic are
+// neither.
 func ClassifyBusFrame(payload []byte) (data, eof bool) {
 	if IsBlockFrame(payload) {
 		return true, false
 	}
-	var hdr struct {
-		Day int `json:"day"`
-	}
+	var hdr controlFrame
 	if json.Unmarshal(payload, &hdr) != nil {
 		return false, false
 	}
@@ -56,12 +78,13 @@ type PipeOptions struct {
 	// ProbeTimeout bounds the subscription-registration handshake; 0
 	// defaults to 5s.
 	ProbeTimeout time.Duration
-	// ReceiveTimeout bounds each wait for the next frame in Next; 0 waits
-	// forever. Supervised fleets set it so a lost end-of-stream sentinel
+	// ReceiveTimeout bounds each wait for the next frame in NextBlock; 0
+	// waits forever. Supervised fleets set it so a lost end-of-stream sentinel
 	// surfaces as ErrReceiveTimeout instead of a hang.
 	ReceiveTimeout time.Duration
-	// Faults, when non-nil, applies the chaos schedule to the publishing
-	// side — the deterministic stand-in for a lossy network.
+	// Faults, when non-nil, applies the (home, attempt, day)-keyed chaos
+	// schedule to the publishing side — the deterministic stand-in for a
+	// lossy network.
 	Faults *FaultPlan
 	// Epoch tags every published frame with the attempt number. A retry
 	// reuses its home's topic, and the broker may still be flushing the
@@ -70,49 +93,19 @@ type PipeOptions struct {
 	// never poison its successor's stream (stale data advancing the dedup
 	// cursor, or a stale end-of-stream sentinel ending the new attempt).
 	Epoch int
-	// Blocks requests day-block transport: one binary frame per home-day
-	// (the zero-copy wire codec) instead of aras.SlotsPerDay JSON envelopes.
-	// The pipe falls back to per-slot JSON silently when the source cannot
-	// emit blocks; callers check Blocks() to learn which mode is live. A
-	// fault plan composes with either framing — block-mode faults perturb
-	// whole day frames via the (home, attempt, day)-keyed schedule.
+	// Blocks is ignored: a pipe always moves one binary day-block frame per
+	// home-day.
+	//
+	// Deprecated: day blocks are the only framing.
 	Blocks bool
 	// Clock times chaos delay faults; nil uses real wall-clock time.
 	Clock Clock
 }
 
-// busFrame is the wire envelope: a Slot plus the publishing attempt's
-// epoch and an integrity flag. Decoding a plain Slot from it still works
-// (the extra keys are ignored), which keeps the fleet monitor and external
-// subscribers agnostic. Corrupt stands in for a failed payload checksum:
-// the frame is unusable, but it still names its epoch, so a stale corrupt
-// frame from a dead attempt can be discarded instead of failing the
-// current one.
-type busFrame struct {
-	Slot
-	Epoch   int  `json:"epoch"`
-	Corrupt bool `json:"corrupt,omitempty"`
-	// Final, set only on end-of-stream sentinels, is one past the last
-	// stream position the publisher generated (day*SlotsPerDay+slot+1).
-	// The consumer compares it against the last position it actually
-	// delivered: a mismatch means the stream's tail was lost in transit —
-	// the one loss no sequence-gap check can see, because nothing follows
-	// it.
-	Final int `json:"final,omitempty"`
-}
-
-// rxFrame decodes a bus frame in place into an existing Slot.
-type rxFrame struct {
-	*Slot
-	Epoch   int  `json:"epoch"`
-	Corrupt bool `json:"corrupt"`
-	Final   int  `json:"final"`
-}
-
 // txRec is one publish queued from a chaos pump's reader to its publisher
-// goroutine: a pre-encoded payload (binary block frame or JSON envelope),
-// an optional injected delay served before the publish, or a kill order
-// that force-closes the publishing connection.
+// goroutine: a pre-encoded payload (binary block frame or JSON control
+// envelope), an optional injected delay served before the publish, or a
+// kill order that force-closes the publishing connection.
 type txRec struct {
 	payload []byte
 	binary  bool
@@ -121,13 +114,13 @@ type txRec struct {
 }
 
 // Pipe routes a source through an MQTT broker: a pump goroutine publishes
-// every frame on the topic, and Next re-receives them from a subscription —
-// the wiring a real deployment has between in-home sensor nodes and the
-// supervisory service. Backpressure is per home: the subscription buffer is
-// bounded and TCP flow control stalls the pump when the consumer lags.
-// Duplicate and stale frames on the bus (retransmissions, chaos-injected
-// duplicates) are absorbed by position tracking in Next, so the consumer
-// sees each (day, slot) at most once, in order.
+// every day block on the topic as one binary frame, and NextBlock
+// re-receives them from a subscription — the wiring a real deployment has
+// between in-home sensor nodes and the supervisory service. Backpressure is
+// per home: the subscription buffer is bounded and TCP flow control stalls
+// the pump when the consumer lags. Duplicate and stale frames on the bus
+// (retransmissions, chaos-injected duplicates) are absorbed by day tracking
+// in NextBlock, so the consumer sees each day at most once, in order.
 type Pipe struct {
 	pub, rcv *mqtt.Client
 	ch       <-chan mqtt.Message
@@ -136,21 +129,13 @@ type Pipe struct {
 	timer       *time.Timer
 	clock       Clock // times chaos delay faults
 	epoch       int   // attempt tag; frames from other epochs are discarded
-	blocks      bool  // day-block transport is live (see PipeOptions.Blocks)
-	last        int   // highest delivered day*SlotsPerDay+slot; -1 before any
-	scratch     Slot  // NextBlock's decode target for JSON control frames
+	last        int   // highest delivered day; -1 before any
 
 	mu      sync.Mutex
 	pumpErr error
 	severed bool
 
 	wg sync.WaitGroup
-}
-
-// OpenPipe subscribes to topic on the broker with default options; see
-// OpenPipeOptions.
-func OpenPipe(broker, topic string, src Source) (*Pipe, error) {
-	return OpenPipeOptions(broker, topic, src, PipeOptions{})
 }
 
 // OpenPipeOptions subscribes to topic on the broker, confirms registration
@@ -187,8 +172,6 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 		return nil, fmt.Errorf("stream: pipe dial: %w", err)
 	}
 	p := &Pipe{pub: pub, rcv: rcv, ch: ch, recvTimeout: opts.ReceiveTimeout, clock: clockOrReal(opts.Clock), epoch: opts.Epoch, last: -1}
-	bsrc, isBlock := src.(BlockSource)
-	p.blocks = isBlock && opts.Blocks
 	if opts.Faults != nil {
 		// Chaos pumps split into a reader and a publisher joined by a
 		// bounded queue, so an injected delay stalls only the publishing
@@ -196,50 +179,13 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 		// waits behind a sleeping frame.
 		txq := make(chan txRec, 64)
 		p.wg.Add(2)
-		if p.blocks {
-			go p.pumpBlocksChaos(topic, bsrc, opts.Faults, txq)
-		} else {
-			go p.pumpChaos(topic, src, opts.Faults, txq)
-		}
+		go p.pumpBlocksChaos(topic, src, opts.Faults, txq)
 		go p.publisher(topic, txq)
 	} else {
 		p.wg.Add(1)
-		if p.blocks {
-			go p.pumpBlocks(topic, bsrc)
-		} else {
-			go p.pump(topic, src)
-		}
+		go p.pumpBlocks(topic, src)
 	}
 	return p, nil
-}
-
-// Blocks reports whether day-block transport is live on this pipe — when
-// true the consumer must drain it with NextBlock, not Next.
-func (p *Pipe) Blocks() bool { return p.blocks }
-
-// pump publishes src's frames until EOF or error, then an end-of-stream
-// sentinel either way; the sentinel carries the stream's final position so
-// the consumer can detect a lost tail.
-func (p *Pipe) pump(topic string, src Source) {
-	defer p.wg.Done()
-	var s Slot
-	final := 0
-	for {
-		err := src.Next(&s)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.setErr(err)
-			break
-		}
-		final = s.Day*aras.SlotsPerDay + s.Index + 1
-		if err := p.pub.Publish(topic, &busFrame{Slot: s, Epoch: p.epoch}); err != nil {
-			p.publishFailed(err)
-			return
-		}
-	}
-	p.pub.Publish(topic, busFrame{Slot: Slot{Day: dayEOF}, Epoch: p.epoch, Final: final})
 }
 
 // publisher drains a chaos pump's transmit queue: serve each record's
@@ -269,7 +215,8 @@ func (p *Pipe) publisher(topic string, txq <-chan txRec) {
 		if rec.binary {
 			err = p.pub.PublishRaw(topic, rec.payload)
 		} else {
-			// Pre-marshaled JSON: RawMessage round-trips the bytes as-is.
+			// A pre-encoded control envelope: RawMessage round-trips the
+			// bytes as-is.
 			err = p.pub.Publish(topic, json.RawMessage(rec.payload))
 		}
 		if err != nil {
@@ -279,83 +226,11 @@ func (p *Pipe) publisher(topic string, txq <-chan txRec) {
 	}
 }
 
-// pumpChaos reads src and queues per-slot JSON frames under the slot-order
-// fault schedule — the equivalence-locked legacy framing: Roll draws in
-// generation order exactly as the historical inline pump did, so a given
-// (config, home, attempt) produces the same perturbed stream. Every
-// manufactured failure eventually surfaces to the consumer as a decode
-// error, a sequence gap, a short stream, or a dead connection.
-func (p *Pipe) pumpChaos(topic string, src Source, faults *FaultPlan, txq chan<- txRec) {
-	defer p.wg.Done()
-	defer close(txq)
-	enq := func(frame *busFrame, delay time.Duration) bool {
-		raw, err := json.Marshal(frame)
-		if err != nil {
-			p.setErr(fmt.Errorf("stream: pipe encode: %w", err))
-			return false
-		}
-		txq <- txRec{payload: raw, delay: delay}
-		return true
-	}
-	var s Slot
-	final := 0
-	for {
-		err := src.Next(&s)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.setErr(err)
-			break
-		}
-		final = s.Day*aras.SlotsPerDay + s.Index + 1
-		switch faults.Roll() {
-		case FaultDrop:
-			continue // the frame never reaches the bus
-		case FaultDelay:
-			if !enq(&busFrame{Slot: s, Epoch: p.epoch}, faults.DelayFor()) {
-				return
-			}
-		case FaultCorrupt:
-			// Publish the frame with its integrity flag set — the transport
-			// analogue of a payload that fails its checksum on receipt.
-			if !enq(&busFrame{Slot: Slot{Day: s.Day, Index: s.Index}, Epoch: p.epoch, Corrupt: true}, 0) {
-				return
-			}
-		case FaultTruncate:
-			trunc := s
-			if len(trunc.Reported) > 0 {
-				trunc.Reported = trunc.Reported[:len(trunc.Reported)-1]
-			} else {
-				trunc.True = trunc.True[:0]
-			}
-			if !enq(&busFrame{Slot: trunc, Epoch: p.epoch}, 0) {
-				return
-			}
-		case FaultDisconnect:
-			txq <- txRec{kill: true}
-			return // no sentinel: the connection died mid-stream
-		case FaultDuplicate:
-			if !enq(&busFrame{Slot: s, Epoch: p.epoch}, 0) {
-				return
-			}
-			if !enq(&busFrame{Slot: s, Epoch: p.epoch}, 0) {
-				return
-			}
-		default:
-			if !enq(&busFrame{Slot: s, Epoch: p.epoch}, 0) {
-				return
-			}
-		}
-	}
-	enq(&busFrame{Slot: Slot{Day: dayEOF}, Epoch: p.epoch, Final: final}, 0)
-}
-
 // pumpBlocksChaos reads day-blocks and queues binary wire frames under the
-// (home, attempt, day)-keyed fault schedule: one roll per home-day, so a
-// single block fault exercises the same recovery machinery as a day's worth
-// of slot faults at 1/1440th of the frame rate.
-func (p *Pipe) pumpBlocksChaos(topic string, src BlockSource, faults *FaultPlan, txq chan<- txRec) {
+// (home, attempt, day)-keyed fault schedule: one roll per home-day. Every
+// manufactured failure eventually surfaces to the consumer as a decode
+// error, a day gap, a short stream, or a dead connection.
+func (p *Pipe) pumpBlocksChaos(topic string, src Source, faults *FaultPlan, txq chan<- txRec) {
 	defer p.wg.Done()
 	defer close(txq)
 	var blk DayBlock
@@ -369,18 +244,15 @@ func (p *Pipe) pumpBlocksChaos(topic string, src BlockSource, faults *FaultPlan,
 			p.setErr(err)
 			break
 		}
-		final = (blk.Day + 1) * aras.SlotsPerDay
+		final = blk.Day + 1
 		class, stall := faults.RollDay(blk.Day)
 		switch class {
 		case FaultDrop:
 			continue // the whole day frame never reaches the bus
 		case FaultCorrupt:
-			raw, err := json.Marshal(&busFrame{Slot: Slot{Day: blk.Day}, Epoch: p.epoch, Corrupt: true})
-			if err != nil {
-				p.setErr(fmt.Errorf("stream: pipe encode: %w", err))
-				return
-			}
-			txq <- txRec{payload: raw}
+			// Publish the frame's integrity-failure stand-in — the transport
+			// analogue of a payload that fails its checksum on receipt.
+			txq <- txRec{payload: controlFrame{Day: blk.Day, Epoch: p.epoch, Corrupt: true}.encode()}
 			continue
 		case FaultTruncate:
 			// Slice a column pair off in place; the generator's ensure
@@ -404,20 +276,17 @@ func (p *Pipe) pumpBlocksChaos(topic string, src BlockSource, faults *FaultPlan,
 			txq <- txRec{payload: raw, binary: true}
 		}
 	}
-	raw, err := json.Marshal(&busFrame{Slot: Slot{Day: dayEOF}, Epoch: p.epoch, Final: final})
-	if err != nil {
-		p.setErr(fmt.Errorf("stream: pipe encode: %w", err))
-		return
-	}
-	txq <- txRec{payload: raw}
+	txq <- txRec{payload: controlFrame{Day: dayEOF, Epoch: p.epoch, Final: final}.encode()}
 }
 
 // pumpBlocks publishes src's day-blocks as binary wire frames — one raw
 // publish per home-day through a reused encode buffer, so a warm pump runs
 // the whole transport path (encode, frame, fan-out) allocation-free. The
-// end-of-stream sentinel stays a JSON frame: sentinels are control traffic,
-// and the fleet monitor classifies them without the block decoder.
-func (p *Pipe) pumpBlocks(topic string, src BlockSource) {
+// end-of-stream sentinel is a JSON control frame: the fleet monitor
+// classifies it without the block decoder. The sentinel is published after
+// a source error too; it carries the stream's final day so the consumer
+// can detect a lost tail.
+func (p *Pipe) pumpBlocks(topic string, src Source) {
 	defer p.wg.Done()
 	var blk DayBlock
 	var buf []byte
@@ -431,7 +300,7 @@ func (p *Pipe) pumpBlocks(topic string, src BlockSource) {
 			p.setErr(err)
 			break
 		}
-		final = (blk.Day + 1) * aras.SlotsPerDay
+		final = blk.Day + 1
 		buf, err = AppendBlockFrame(buf[:0], &blk, p.epoch)
 		if err != nil {
 			p.setErr(fmt.Errorf("stream: pipe encode day %d: %w", blk.Day, err))
@@ -442,12 +311,12 @@ func (p *Pipe) pumpBlocks(topic string, src BlockSource) {
 			return
 		}
 	}
-	p.pub.Publish(topic, busFrame{Slot: Slot{Day: dayEOF}, Epoch: p.epoch, Final: final})
+	p.pub.Publish(topic, controlFrame{Day: dayEOF, Epoch: p.epoch, Final: final})
 }
 
 // publishFailed records a dead publisher and tears the receive side down —
 // the sentinel cannot be delivered, so the closed subscription channel is
-// what unblocks Next, which then surfaces the pump error.
+// what unblocks NextBlock, which then surfaces the pump error.
 func (p *Pipe) publishFailed(err error) {
 	p.setErr(fmt.Errorf("stream: pipe publish: %w", err))
 	p.rcv.Close()
@@ -493,69 +362,12 @@ func (p *Pipe) receive() (mqtt.Message, bool, error) {
 	}
 }
 
-// Next implements Source: it decodes the next frame off the subscription.
-// The pump's end-of-stream sentinel yields io.EOF (or the pump's error).
-// Duplicate and stale frames are skipped so each position is delivered at
-// most once.
-func (p *Pipe) Next(dst *Slot) error {
-	for {
-		m, ok, err := p.receive()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if err := p.err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("stream: pipe connection lost: %w", io.ErrUnexpectedEOF)
-		}
-		rx := rxFrame{Slot: dst}
-		if err := json.Unmarshal(m.Payload, &rx); err != nil {
-			return fmt.Errorf("stream: pipe decode: %w", err)
-		}
-		switch dst.Day {
-		case dayProbe:
-			continue // stray handshake frame
-		}
-		if rx.Epoch != p.epoch {
-			// A dead attempt's tail (data, corrupt, or sentinel) still
-			// flushing out of the broker; it belongs to another epoch and
-			// must not advance the dedup cursor or end this stream.
-			continue
-		}
-		if rx.Corrupt {
-			return fmt.Errorf("stream: pipe frame (%d,%d) failed integrity check: %w", dst.Day, dst.Index, ErrInjectedFault)
-		}
-		switch dst.Day {
-		case dayEOF:
-			if err := p.err(); err != nil {
-				return err
-			}
-			if rx.Final > 0 && p.last != rx.Final-1 {
-				// The publisher generated frames past the last one we
-				// delivered: the stream's tail was lost in transit.
-				return fmt.Errorf("stream: pipe stream ended short of position %d (last delivered %d): frames lost", rx.Final-1, p.last)
-			}
-			return io.EOF
-		}
-		if key := dst.Day*aras.SlotsPerDay + dst.Index; key <= p.last {
-			continue // duplicate or stale retransmission
-		} else {
-			p.last = key
-		}
-		return nil
-	}
-}
-
-// NextBlock drains a block-mode pipe: binary frames decode into dst, JSON
-// frames are the control plane (probes, foreign-epoch stragglers, the
-// end-of-stream sentinel). A same-epoch per-slot data frame on a block pipe
-// is a protocol violation and errors — the two granularities never mix
-// within one attempt.
+// NextBlock implements Source: binary frames decode into dst, JSON frames
+// are the control plane (probes, foreign-epoch stragglers, corrupt
+// stand-ins, the end-of-stream sentinel). The pump's sentinel yields io.EOF
+// (or the pump's error). Duplicate and stale frames are skipped so each day
+// is delivered at most once.
 func (p *Pipe) NextBlock(dst *DayBlock) error {
-	if !p.blocks {
-		return errors.New("stream: NextBlock on a per-slot pipe")
-	}
 	for {
 		m, ok, err := p.receive()
 		if err != nil {
@@ -575,41 +387,38 @@ func (p *Pipe) NextBlock(dst *DayBlock) error {
 			if epoch != p.epoch {
 				continue // a dead attempt's tail still flushing out
 			}
-			// Dedup at day granularity: delivering day d advances the slot
-			// cursor past every slot of d, so retransmissions and any stale
-			// per-slot stragglers below it are both absorbed.
-			if key := dst.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1; key <= p.last {
-				continue
-			} else {
-				p.last = key
+			if dst.Day <= p.last {
+				continue // duplicate or stale retransmission
 			}
+			p.last = dst.Day
 			return nil
 		}
-		rx := rxFrame{Slot: &p.scratch}
-		if err := json.Unmarshal(m.Payload, &rx); err != nil {
+		var c controlFrame
+		if err := json.Unmarshal(m.Payload, &c); err != nil {
 			return fmt.Errorf("stream: pipe decode: %w", err)
 		}
-		if p.scratch.Day == dayProbe {
+		switch {
+		case c.Day == dayProbe:
 			continue // stray handshake frame
-		}
-		if rx.Epoch != p.epoch {
-			continue // foreign epoch: data, corrupt, or sentinel — all stale
-		}
-		if rx.Corrupt {
-			return fmt.Errorf("stream: pipe frame (%d,%d) failed integrity check: %w", p.scratch.Day, p.scratch.Index, ErrInjectedFault)
-		}
-		if p.scratch.Day == dayEOF {
+		case c.Epoch != p.epoch:
+			// A dead attempt's tail (corrupt stand-in or sentinel) still
+			// flushing out of the broker; it must not fail or end this
+			// stream.
+			continue
+		case c.Corrupt:
+			return fmt.Errorf("stream: pipe day frame %d failed integrity check: %w", c.Day, ErrInjectedFault)
+		case c.Day == dayEOF:
 			if err := p.err(); err != nil {
 				return err
 			}
-			if rx.Final > 0 && p.last != rx.Final-1 {
+			if c.Final > 0 && p.last != c.Final-1 {
 				// The publisher generated day frames past the last one we
 				// delivered: the stream's tail was lost in transit.
-				return fmt.Errorf("stream: pipe stream ended short of position %d (last delivered %d): frames lost", rx.Final-1, p.last)
+				return fmt.Errorf("stream: pipe stream ended short of day %d (last delivered %d): frames lost", c.Final-1, p.last)
 			}
 			return io.EOF
 		}
-		return fmt.Errorf("stream: per-slot frame (%d,%d) on a block-mode pipe", p.scratch.Day, p.scratch.Index)
+		return fmt.Errorf("stream: unexpected control frame for day %d", c.Day)
 	}
 }
 
@@ -631,10 +440,10 @@ func (p *Pipe) Close() error {
 // Sever force-closes both bus connections without waiting for the pump —
 // the watchdog's lever against a transport that stopped making progress.
 // Closing the receiver ends the subscription channel, so a consumer blocked
-// in Next/NextBlock unblocks into its failure path immediately; closing the
+// in NextBlock unblocks into its failure path immediately; closing the
 // publisher makes the pump's next Publish fail so it winds down on its own.
-// A pump wedged inside src.Next cannot be interrupted from outside — it is
-// abandoned and exits whenever that call returns. After Sever, Close no
+// A pump wedged inside src.NextBlock cannot be interrupted from outside —
+// it is abandoned and exits whenever that call returns. After Sever, Close no
 // longer waits for the pump.
 func (p *Pipe) Sever() {
 	p.mu.Lock()

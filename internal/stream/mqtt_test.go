@@ -17,7 +17,7 @@ func TestPipeReceiveTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer broker.Close()
-	// A source that delivers one frame and then blocks forever.
+	// A source that delivers one day frame and then blocks forever.
 	stall := &stallingSource{src: traceSrc(t, 1), after: 1, release: make(chan struct{})}
 	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("slow"), stall, PipeOptions{
 		ReceiveTimeout: 150 * time.Millisecond,
@@ -29,16 +29,16 @@ func TestPipeReceiveTimeout(t *testing.T) {
 		close(stall.release)
 		pipe.Close()
 	}()
-	var s Slot
-	if err := pipe.Next(&s); err != nil {
+	var b DayBlock
+	if err := pipe.NextBlock(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Next(&s); !errors.Is(err, ErrReceiveTimeout) {
+	if err := pipe.NextBlock(&b); !errors.Is(err, ErrReceiveTimeout) {
 		t.Fatalf("err = %v, want receive timeout", err)
 	}
 }
 
-// stallingSource delivers `after` frames then blocks until released.
+// stallingSource delivers `after` day frames then blocks until released.
 type stallingSource struct {
 	src     Source
 	after   int
@@ -46,11 +46,11 @@ type stallingSource struct {
 	release chan struct{}
 }
 
-func (s *stallingSource) Next(dst *Slot) error {
+func (s *stallingSource) NextBlock(dst *DayBlock) error {
 	if s.n >= s.after {
 		<-s.release
 		return io.EOF
 	}
 	s.n++
-	return s.src.Next(dst)
+	return s.src.NextBlock(dst)
 }

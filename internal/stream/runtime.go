@@ -39,7 +39,7 @@ type HomeConfig struct {
 // HomeResult aggregates one home's streamed run.
 type HomeResult struct {
 	ID string
-	// Days counts days with at least one ingested slot; Slots the frames.
+	// Days counts days with at least one ingested slot; Slots the slots.
 	Days  int
 	Slots int64
 	// SensorEvents, ActionEvents, and Verdicts count the typed events the
@@ -61,7 +61,7 @@ type HomeResult struct {
 	Sim hvac.Result
 }
 
-// Home runs one home's incremental pipeline: frames are rewritten by the
+// Home runs one home's incremental pipeline: day blocks are rewritten by the
 // optional injector, scored by the optional online detector, and stepped
 // through the incremental HVAC simulator. Not safe for concurrent use.
 type Home struct {
@@ -150,11 +150,12 @@ func (h *Home) AddOnVerdict(fn func(adm.Verdict)) error {
 	return nil
 }
 
-// Ingest advances the pipeline by one frame and returns the controller's
-// action event for the slot (its Demands slice is controller scratch, valid
-// until the next Ingest). Frames must arrive in stream order; the runtime
-// cross-checks the frame's (day, slot) against the stepper's position so
-// transport bugs surface as errors, not silent divergence.
+// Ingest advances the pipeline by one slot — the per-slot reference
+// IngestDay is locked against — and returns the controller's action event
+// for the slot (its Demands slice is controller scratch, valid until the
+// next Ingest). Slots must arrive in stream order; the runtime cross-checks
+// the slot's (day, index) against the stepper's position so ordering bugs
+// surface as errors, not silent divergence.
 func (h *Home) Ingest(s *Slot) (Action, error) {
 	if h.closed {
 		return Action{}, errors.New("stream: Ingest after Close")
@@ -229,8 +230,8 @@ func (h *Home) Ingest(s *Slot) (Action, error) {
 }
 
 // DayStats is the per-block event accounting IngestDay reports back to its
-// driver — what a per-slot loop would have tallied from its own frames, so
-// block-mode fleet paths keep identical metrics without reaching into the
+// driver — what the per-slot reference would have tallied from its own
+// slots, so the fleet keeps identical metrics without reaching into the
 // home's internals.
 type DayStats struct {
 	SensorEvents int64

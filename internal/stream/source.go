@@ -7,19 +7,20 @@ import (
 	"github.com/acyd-lab/shatter/internal/aras"
 )
 
-// Source produces a home's slot frames in order: day-major, then minute
-// 0..aras.SlotsPerDay-1. Next fills dst (reusing its backing storage where
-// possible) and returns io.EOF at end of stream. Sources are not safe for
-// concurrent use.
+// Source produces a home's stream one day block at a time, in day order.
+// NextBlock fills dst (reusing its backing storage where possible) and
+// returns io.EOF at end of stream. Sources are not safe for concurrent use.
 type Source interface {
-	Next(dst *Slot) error
+	NextBlock(dst *DayBlock) error
 }
 
 // GeneratorSource adapts the incremental aras.Generator to the event model:
-// days are planned lazily one at a time and emitted slot-by-slot, so a home
+// days are planned lazily one at a time and emitted as day blocks, so a home
 // streams forever (unbounded generator) without ever materializing a
 // multi-day trace. The reported view mirrors the truth — attacks enter the
-// stream through an Injector, not the source.
+// stream through an Injector, not the source. Next serves the same stream
+// slot by slot, the per-slot reference view the block kernels are locked
+// against.
 type GeneratorSource struct {
 	id   string
 	gen  *aras.Generator
@@ -29,13 +30,12 @@ type GeneratorSource struct {
 	slot int // next slot to emit; SlotsPerDay forces a day fetch
 }
 
-// NewGeneratorSource streams the generator's days as slot frames tagged
-// with the home ID.
+// NewGeneratorSource streams the generator's days tagged with the home ID.
 func NewGeneratorSource(id string, g *aras.Generator) *GeneratorSource {
 	return &GeneratorSource{id: id, gen: g, slot: aras.SlotsPerDay, d: -1}
 }
 
-// Next implements Source.
+// Next emits the next slot of the per-slot reference view.
 func (s *GeneratorSource) Next(dst *Slot) error {
 	if s.slot == aras.SlotsPerDay {
 		d := s.gen.DayIndex()
@@ -50,8 +50,8 @@ func (s *GeneratorSource) Next(dst *Slot) error {
 	return nil
 }
 
-// NextBlock implements BlockSource: the generator plans the next day
-// directly into the block's ground-truth columns (no intermediate aras.Day
+// NextBlock implements Source: the generator plans the next day directly
+// into the block's ground-truth columns (no intermediate aras.Day
 // allocation) and mirrors them into the reported view. Interleaving with a
 // partially consumed per-slot day is an error — blocks only coarsen whole
 // days.
@@ -97,9 +97,10 @@ func (s *GeneratorSource) SeekDay(day int) error {
 	return nil
 }
 
-// TraceSource replays a materialized trace as slot frames — the bridge that
+// TraceSource replays a materialized trace as day blocks — the bridge that
 // lets recorded (or batch-generated) data drive the streaming runtime, and
 // the replay path the equivalence tests pin against the batch pipeline.
+// Next serves the same stream as the per-slot reference view.
 type TraceSource struct {
 	id    string
 	trace *aras.Trace
@@ -107,13 +108,12 @@ type TraceSource struct {
 	slot  int
 }
 
-// NewTraceSource streams the trace's days as slot frames tagged with the
-// home ID.
+// NewTraceSource streams the trace's days tagged with the home ID.
 func NewTraceSource(id string, tr *aras.Trace) *TraceSource {
 	return &TraceSource{id: id, trace: tr}
 }
 
-// Next implements Source.
+// Next emits the next slot of the per-slot reference view.
 func (s *TraceSource) Next(dst *Slot) error {
 	if s.d >= s.trace.NumDays() {
 		return io.EOF
@@ -127,7 +127,7 @@ func (s *TraceSource) Next(dst *Slot) error {
 	return nil
 }
 
-// NextBlock implements BlockSource: the trace day is copied column-wise into
+// NextBlock implements Source: the trace day is copied column-wise into
 // the block (a copy, not an alias — injectors rewrite blocks in place and
 // must not corrupt the source trace). Mid-day cursors refuse to coarsen.
 func (s *TraceSource) NextBlock(dst *DayBlock) error {

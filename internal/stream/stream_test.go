@@ -37,9 +37,17 @@ func testWorld(t *testing.T, name string, days, trainDays int) (*aras.Trace, *ad
 	return tr, model
 }
 
+// slotSource is a Source that also serves the per-slot reference view —
+// both repository sources do; the equivalence tests drive it through
+// Home.Ingest.
+type slotSource interface {
+	Source
+	Next(dst *Slot) error
+}
+
 // drive pulls src to end-of-stream through h, invoking observe (when
-// non-nil) on each frame after Ingest rewrote it.
-func drive(t *testing.T, src Source, h *Home, observe func(*Slot)) HomeResult {
+// non-nil) on each slot after Ingest rewrote it.
+func drive(t *testing.T, src slotSource, h *Home, observe func(*Slot)) HomeResult {
 	t.Helper()
 	var s Slot
 	for {

@@ -226,9 +226,10 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) { return core.NewSuite(cfg) }
 // locked to its batch counterpart (replaying a house reproduces the batch
 // trace, controller costs, and ADM verdicts byte-for-byte).
 type (
-	// StreamSlot is one minute of a home's sensor traffic.
+	// StreamSlot is one minute of a home's sensor traffic — the per-slot
+	// reference view of a day block.
 	StreamSlot = stream.Slot
-	// StreamSource produces a home's slot frames in order.
+	// StreamSource produces a home's day blocks in order.
 	StreamSource = stream.Source
 	// StreamHome is one home's incremental pipeline (injector → online
 	// detector → HVAC stepper).
@@ -258,8 +259,8 @@ type (
 // NewStreamHome builds the incremental runtime for one home.
 func NewStreamHome(cfg StreamHomeConfig) (*StreamHome, error) { return stream.NewHome(cfg) }
 
-// NewGeneratorStream adapts an incremental trace generator into a slot
-// source, emitting a home's frames minute-by-minute without materializing
+// NewGeneratorStream adapts an incremental trace generator into a stream
+// source, emitting a home's days one block at a time without materializing
 // the trace.
 func NewGeneratorStream(id string, h *House, cfg GeneratorConfig) (StreamSource, error) {
 	g, err := aras.NewGenerator(h, cfg)
@@ -269,7 +270,7 @@ func NewGeneratorStream(id string, h *House, cfg GeneratorConfig) (StreamSource,
 	return stream.NewGeneratorSource(id, g), nil
 }
 
-// NewTraceStream replays a materialized trace as slot frames.
+// NewTraceStream replays a materialized trace as day blocks.
 func NewTraceStream(id string, tr *Trace) StreamSource { return stream.NewTraceSource(id, tr) }
 
 // NewInjector builds the live attack injector for a home's plan — the
