@@ -356,72 +356,30 @@ func TestReportedEpisodesPartition(t *testing.T) {
 	}
 }
 
-func TestSensorDeltas(t *testing.T) {
-	f := newFixture(t, "A", 6)
-	pl := f.planner(Full(f.trace.House))
-	plan, err := pl.PlanSHATTER()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a day the plan actually falsifies.
-	day := -1
-	for d := 0; d < f.trace.NumDays() && day < 0; d++ {
-		for o := range f.trace.House.Occupants {
-			for tt := 0; tt < aras.SlotsPerDay; tt++ {
-				if plan.RepZone[d][o][tt] != f.trace.Days[d].Zone[o][tt] {
-					day = d
-					break
-				}
-			}
-		}
-	}
-	if day < 0 {
-		t.Fatal("plan injected nothing")
-	}
-	deltas, err := SensorDeltas(f.trace, plan, f.ctrl, f.params, day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != aras.SlotsPerDay {
-		t.Fatalf("deltas rows = %d", len(deltas))
-	}
-	// The attack must require non-trivial CO2 injection somewhere.
-	maxAbs := 0.0
-	for _, row := range deltas {
-		for _, v := range row {
-			maxAbs = math.Max(maxAbs, math.Abs(v))
-		}
-	}
-	if maxAbs < 1 {
-		t.Errorf("max |δC| = %v ppm on day %d; expected a visible injection", maxAbs, day)
-	}
-	if _, err := SensorDeltas(f.trace, plan, f.ctrl, f.params, 99); err == nil {
-		t.Error("bad day should error")
-	}
-}
-
-func TestNewViewNil(t *testing.T) {
-	if _, err := NewView(nil, nil); err == nil {
-		t.Error("nil args should error")
-	}
-}
-
 func TestNoCapabilityNoInjection(t *testing.T) {
 	f := newFixture(t, "A", 4)
 	pl := f.planner(Capability{}) // powerless attacker
-	plan, err := pl.PlanSHATTER()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.InjectedSlots(f.trace); got != 0 {
-		t.Errorf("powerless attacker injected %d slots", got)
-	}
-	imp, err := EvaluateImpact(f.trace, plan, f.model, f.ctrl, f.params, f.pricing, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(imp.ExtraCostUSD) > 1e-9 {
-		t.Errorf("powerless attack changed cost by %v", imp.ExtraCostUSD)
+	for _, tc := range []struct {
+		name string
+		plan func(pl *Planner) (*Plan, error)
+	}{
+		{"SHATTER", (*Planner).PlanSHATTER},
+		{"BIoTA", (*Planner).PlanBIoTA},
+	} {
+		plan, err := tc.plan(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.InjectedSlots(f.trace); got != 0 {
+			t.Errorf("%s: powerless attacker injected %d slots", tc.name, got)
+		}
+		imp, err := EvaluateImpact(f.trace, plan, f.model, f.ctrl, f.params, f.pricing, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(imp.ExtraCostUSD) > 1e-9 {
+			t.Errorf("%s: powerless attack changed cost by %v", tc.name, imp.ExtraCostUSD)
+		}
 	}
 }
 
@@ -485,6 +443,290 @@ func TestPlannerOccupantDayAllocBounds(t *testing.T) {
 		})
 		if perCell := allocs / cells; perCell > tc.budget {
 			t.Errorf("%s: %.1f allocs per occupant-day, budget %.0f", tc.name, perCell, tc.budget)
+		}
+	}
+}
+
+// oracleActualApplianceOn is the per-slot reference for an appliance's true
+// electrical state under attack: its trace status, or really triggered.
+func oracleActualApplianceOn(trace *aras.Trace, plan *Plan, day, slot, a int) bool {
+	return trace.Days[day].Appliance[a][slot] || plan.Triggered[day][a][slot]
+}
+
+// oracleApplianceOn is the per-slot reference for the δ^D rule FalsifyDay
+// implements column-wise: appliance a reads "on" to the attacked controller
+// when it really is on, or when a falsified presence's reported activity
+// habitually uses it in its zone.
+func oracleApplianceOn(trace *aras.Trace, plan *Plan, day, slot, a int) bool {
+	if oracleActualApplianceOn(trace, plan, day, slot, a) {
+		return true
+	}
+	appl := trace.House.Appliances[a]
+	for o := range plan.RepZone[day] {
+		z := plan.RepZone[day][o][slot]
+		if z != appl.Zone || z == trace.Days[day].Zone[o][slot] {
+			continue // only falsified presences carry forged statuses
+		}
+		for _, ai := range trace.House.AppliancesForActivity(plan.RepAct[day][o][slot]) {
+			if ai == a {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cloneDay returns a deep copy of a trace day.
+func cloneDay(day aras.Day) aras.Day {
+	c := aras.NewDay(len(day.Zone), len(day.Appliance))
+	for o := range day.Zone {
+		copy(c.Zone[o], day.Zone[o])
+		copy(c.Act[o], day.Act[o])
+	}
+	for a := range day.Appliance {
+		copy(c.Appliance[a], day.Appliance[a])
+	}
+	return c
+}
+
+// truthDayInput returns day d of the trace as day-kernel columns, with the
+// believed and actual-appliance columns in fresh copies of the truth.
+func truthDayInput(tr *aras.Trace, d int) hvac.DayInput {
+	day := tr.Days[d]
+	believed := cloneDay(day)
+	actualAppl := cloneDay(day).Appliance
+	return hvac.DayInput{
+		OutdoorTempF:      tr.Weather[d].TempF,
+		OutdoorCO2PPM:     tr.Weather[d].CO2PPM,
+		BelievedZone:      believed.Zone,
+		BelievedAct:       believed.Act,
+		BelievedAppliance: believed.Appliance,
+		ActualZone:        day.Zone,
+		ActualAct:         day.Act,
+		ActualAppliance:   actualAppl,
+	}
+}
+
+// overlayPlan returns a deep copy of p spanning every day of trace: p's
+// reported rows and triggers over a truth-telling plan, so days past p's
+// horizon tell the truth.
+func overlayPlan(trace *aras.Trace, p *Plan) *Plan {
+	out := newPlan(trace, p.Strategy)
+	out.InfeasibleWindows = p.InfeasibleWindows
+	for d := range p.RepZone {
+		for o := range p.RepZone[d] {
+			copy(out.RepZone[d][o], p.RepZone[d][o])
+			copy(out.RepAct[d][o], p.RepAct[d][o])
+		}
+		for a := range p.Triggered[d] {
+			copy(out.Triggered[d][a], p.Triggered[d][a])
+		}
+	}
+	return out
+}
+
+// triggeredPlans returns BIoTA, Greedy and SHATTER plans for the fixture,
+// each with Algorithm-1 triggers.
+func triggeredPlans(t *testing.T, f *fixture) []*Plan {
+	t.Helper()
+	cap := Full(f.trace.House)
+	pl := f.planner(cap)
+	var plans []*Plan
+	for _, mk := range []func() (*Plan, error){pl.PlanBIoTA, pl.PlanGreedy, pl.PlanSHATTER} {
+		plan, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if TriggerAppliances(f.trace, plan, f.model, cap) == 0 {
+			t.Fatalf("%s: no appliances triggered", plan.Strategy)
+		}
+		plans = append(plans, plan)
+	}
+	return plans
+}
+
+// TestFalsifyDayMatchesOracle checks every column the day kernel rewrites
+// against the per-slot oracle, on every day of BIoTA, Greedy and SHATTER
+// plans with triggers on both paper houses, and that the kernel never
+// writes the plan or the trace it reads.
+func TestFalsifyDayMatchesOracle(t *testing.T) {
+	for _, name := range []string{"A", "B"} {
+		f := newFixture(t, name, 8)
+		house := f.trace.House
+		var truthBefore []aras.Day
+		for _, day := range f.trace.Days {
+			truthBefore = append(truthBefore, cloneDay(day))
+		}
+		for _, plan := range triggeredPlans(t, f) {
+			planBefore := overlayPlan(f.trace, plan)
+			forged := 0
+			for d := range f.trace.Days {
+				in := truthDayInput(f.trace, d)
+				plan.FalsifyDay(house, d, &in)
+				for o := range house.Occupants {
+					if !reflect.DeepEqual(in.BelievedZone[o], plan.RepZone[d][o]) ||
+						!reflect.DeepEqual(in.BelievedAct[o], plan.RepAct[d][o]) {
+						t.Fatalf("house %s %s day %d occ %d: believed occupancy differs from the plan", name, plan.Strategy, d, o)
+					}
+				}
+				for a := range house.Appliances {
+					for slot := 0; slot < aras.SlotsPerDay; slot++ {
+						if got, want := in.ActualAppliance[a][slot], oracleActualApplianceOn(f.trace, plan, d, slot, a); got != want {
+							t.Fatalf("house %s %s day %d slot %d appl %d: actual %v, oracle %v", name, plan.Strategy, d, slot, a, got, want)
+						}
+						got, want := in.BelievedAppliance[a][slot], oracleApplianceOn(f.trace, plan, d, slot, a)
+						if got != want {
+							t.Fatalf("house %s %s day %d slot %d appl %d: believed %v, oracle %v", name, plan.Strategy, d, slot, a, got, want)
+						}
+						if got && !in.ActualAppliance[a][slot] {
+							forged++
+						}
+					}
+				}
+			}
+			if forged == 0 {
+				t.Errorf("house %s %s: no forged δ^D statuses, the rule went unexercised", name, plan.Strategy)
+			}
+			if !reflect.DeepEqual(plan, planBefore) {
+				t.Errorf("house %s %s: FalsifyDay wrote the plan", name, plan.Strategy)
+			}
+			if !reflect.DeepEqual(f.trace.Days, truthBefore) {
+				t.Errorf("house %s %s: FalsifyDay wrote the trace", name, plan.Strategy)
+			}
+		}
+	}
+}
+
+// stepOracle replays the attacked plant slot by slot through Sim.Step with
+// the oracle's beliefs; days marked in reverted replay the truth.
+func stepOracle(t *testing.T, f *fixture, plan *Plan, reverted []bool) hvac.Result {
+	t.Helper()
+	house := f.trace.House
+	sim, err := hvac.NewSim(house, &hvac.SHATTERController{Params: f.params}, f.params, f.pricing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := hvac.StepInput{
+		Believed:          make([]hvac.OccupantObs, len(house.Occupants)),
+		BelievedAppliance: make([]bool, len(house.Appliances)),
+		ActualOccupants:   make([]hvac.OccupantObs, len(house.Occupants)),
+		ActualAppliance:   make([]bool, len(house.Appliances)),
+	}
+	for d, day := range f.trace.Days {
+		truth := reverted != nil && reverted[d]
+		for slot := 0; slot < aras.SlotsPerDay; slot++ {
+			in.OutdoorTempF = f.trace.Weather[d].TempF[slot]
+			in.OutdoorCO2PPM = f.trace.Weather[d].CO2PPM[slot]
+			for o := range house.Occupants {
+				in.ActualOccupants[o] = hvac.OccupantObs{Zone: day.Zone[o][slot], Activity: day.Act[o][slot]}
+				in.Believed[o] = in.ActualOccupants[o]
+				if !truth {
+					in.Believed[o] = hvac.OccupantObs{Zone: plan.RepZone[d][o][slot], Activity: plan.RepAct[d][o][slot]}
+				}
+			}
+			for a := range house.Appliances {
+				in.ActualAppliance[a] = day.Appliance[a][slot]
+				in.BelievedAppliance[a] = day.Appliance[a][slot]
+				if !truth {
+					in.ActualAppliance[a] = oracleActualApplianceOn(f.trace, plan, d, slot, a)
+					in.BelievedAppliance[a] = oracleApplianceOn(f.trace, plan, d, slot, a)
+				}
+			}
+			sim.Step(in)
+		}
+	}
+	return sim.Result()
+}
+
+// TestEvaluateImpactMatchesStepOracle pins EvaluateImpact's day-kernel
+// attacked leg to a per-slot Sim.Step replay through the oracle, with
+// detected days aborted and not.
+func TestEvaluateImpactMatchesStepOracle(t *testing.T) {
+	for _, name := range []string{"A", "B"} {
+		f := newFixture(t, name, 8)
+		aborted := false
+		for _, plan := range triggeredPlans(t, f) {
+			detected := make([]bool, f.trace.NumDays())
+			for d := range detected {
+				for o := range f.trace.House.Occupants {
+					for _, e := range plan.DayReportedEpisodes(f.trace, d, o) {
+						if e.Injected && f.model.EpisodeAnomalous(e.Episode) {
+							detected[d] = true
+							aborted = true
+						}
+					}
+				}
+			}
+			for _, abort := range []bool{false, true} {
+				imp, err := EvaluateImpact(f.trace, plan, f.model, f.ctrl, f.params, f.pricing, EvalOptions{AbortDetectedDays: abort})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reverted []bool
+				if abort {
+					reverted = detected
+				}
+				if want := stepOracle(t, f, plan, reverted); !reflect.DeepEqual(imp.Attacked, want) {
+					t.Errorf("house %s %s abort=%v: attacked result differs from the per-slot oracle\nday:  %+v\nslot: %+v",
+						name, plan.Strategy, abort, imp.Attacked, want)
+				}
+			}
+		}
+		if !aborted {
+			t.Errorf("house %s: no plan has a detected day, so aborting went unexercised", name)
+		}
+	}
+}
+
+// TestEvaluateImpactBeyondHorizon evaluates a plan made over the first two
+// days of a four-day trace: the days past its horizon tell the truth, so
+// the impact equals that of the plan extended with truth-telling days.
+func TestEvaluateImpactBeyondHorizon(t *testing.T) {
+	f := newFixture(t, "A", 4)
+	short, err := f.trace.SubTrace(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap := Full(f.trace.House)
+	pl := &Planner{Trace: short, Model: f.model, Cost: f.cost, Cap: cap, WindowLen: 10}
+	plan, err := pl.PlanSHATTER()
+	if err != nil {
+		t.Fatal(err)
+	}
+	TriggerAppliances(short, plan, f.model, cap)
+	if plan.InjectedSlots(short) == 0 {
+		t.Fatal("short plan injected nothing")
+	}
+	extended := overlayPlan(f.trace, plan)
+	for _, abort := range []bool{false, true} {
+		opts := EvalOptions{AbortDetectedDays: abort}
+		got, err := EvaluateImpact(f.trace, plan, f.model, f.ctrl, f.params, f.pricing, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EvaluateImpact(f.trace, extended, f.model, f.ctrl, f.params, f.pricing, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("abort=%v: short plan impact differs from the truth-extended plan\nshort:    %+v\nextended: %+v", abort, got, want)
+		}
+		if got.ExtraCostUSD <= 0 {
+			t.Errorf("abort=%v: extra cost %v, want the short plan's days to raise it", abort, got.ExtraCostUSD)
+		}
+	}
+	// The kernel's own beyond-horizon rule: days outside the plan are
+	// left untouched.
+	for _, d := range []int{-1, 2, 3} {
+		day := d
+		if day < 0 {
+			day = 0
+		}
+		in := truthDayInput(f.trace, day)
+		before := truthDayInput(f.trace, day)
+		plan.FalsifyDay(f.trace.House, d, &in)
+		if !reflect.DeepEqual(in, before) {
+			t.Errorf("day %d: FalsifyDay rewrote a day outside the plan's horizon", d)
 		}
 	}
 }

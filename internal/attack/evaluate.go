@@ -42,14 +42,15 @@ type Impact struct {
 
 // EvaluateImpact simulates the benign and attacked systems and scores
 // stealthiness against the defender's ADM (which may differ from the
-// attacker's estimate under partial knowledge).
+// attacker's estimate under partial knowledge). Trace days at or past the
+// plan's horizon are truth-telling: nothing is injected or scored there.
 func EvaluateImpact(trace *aras.Trace, plan *Plan, defender *adm.Model, ctrl hvac.Controller, params hvac.Params, pricing hvac.Pricing, opts EvalOptions) (Impact, error) {
 	var benign hvac.Result
 	if opts.Benign != nil {
 		benign = *opts.Benign
 	} else {
 		var err error
-		benign, err = hvac.Simulate(trace, ctrl, params, pricing, hvac.Options{})
+		benign, err = hvac.Simulate(trace, ctrl, params, pricing)
 		if err != nil {
 			return Impact{}, fmt.Errorf("attack: benign simulation: %w", err)
 		}
@@ -58,7 +59,7 @@ func EvaluateImpact(trace *aras.Trace, plan *Plan, defender *adm.Model, ctrl hva
 	injected, flagged := 0, 0
 	detectedDay := make([]bool, trace.NumDays())
 	if defender != nil {
-		for d := 0; d < trace.NumDays(); d++ {
+		for d := 0; d < trace.NumDays() && d < len(plan.RepZone); d++ {
 			for o := range trace.House.Occupants {
 				for _, e := range plan.DayReportedEpisodes(trace, d, o) {
 					if !e.Injected {
@@ -74,18 +75,11 @@ func EvaluateImpact(trace *aras.Trace, plan *Plan, defender *adm.Model, ctrl hva
 		}
 	}
 
-	effective := plan
+	var reverted []bool
 	if opts.AbortDetectedDays {
-		effective = plan.revertDays(trace, detectedDay)
+		reverted = detectedDay
 	}
-	view, err := NewView(trace, effective)
-	if err != nil {
-		return Impact{}, err
-	}
-	attacked, err := hvac.Simulate(trace, ctrl, params, pricing, hvac.Options{
-		View:              view,
-		ActualApplianceOn: view.ActualApplianceOn,
-	})
+	attacked, err := simulateAttacked(trace, plan, reverted, ctrl, params, pricing)
 	if err != nil {
 		return Impact{}, fmt.Errorf("attack: attacked simulation: %w", err)
 	}
@@ -108,53 +102,47 @@ func EvaluateImpact(trace *aras.Trace, plan *Plan, defender *adm.Model, ctrl hva
 	return imp, nil
 }
 
-// revertDays returns a copy of the plan with the flagged days restored to
-// truth-telling (no injections, no triggers): a fresh truth plan with the
-// surviving days' falsifications overlaid.
-func (p *Plan) revertDays(trace *aras.Trace, revert []bool) *Plan {
-	fresh := newPlan(trace, p.Strategy)
-	for d := range p.RepZone {
-		if revert[d] {
-			continue
-		}
-		for o := range p.RepZone[d] {
-			copy(fresh.RepZone[d][o], p.RepZone[d][o])
-			copy(fresh.RepAct[d][o], p.RepAct[d][o])
-		}
-		for a := range p.Triggered[d] {
-			copy(fresh.Triggered[d][a], p.Triggered[d][a])
-		}
+// simulateAttacked steps the plant over the falsified stream one day at a
+// time: each day's columns start as a copy of the truth in per-call scratch
+// (the trace and the plan are never written) and FalsifyDay rewrites them,
+// except on days marked in reverted, which stay truth-telling (no
+// injections, no triggers).
+func simulateAttacked(trace *aras.Trace, plan *Plan, reverted []bool, ctrl hvac.Controller, params hvac.Params, pricing hvac.Pricing) (hvac.Result, error) {
+	if trace.NumDays() == 0 {
+		return hvac.Result{}, hvac.ErrEmptyTrace
 	}
-	fresh.InfeasibleWindows = p.InfeasibleWindows
-	return fresh
-}
-
-// SensorDeltas synthesises the IAQ component of the FDI attack vector for
-// one day: the δ^C series (Eq 14) that must be injected into each zone's
-// CO2 sensor so the reported measurements stay consistent with the reported
-// occupancy under the plant's mass balance. (Temperature deltas follow the
-// same construction via Eq 15; CO2 is the binding consistency check because
-// occupancy drives it directly.)
-func SensorDeltas(trace *aras.Trace, plan *Plan, ctrl hvac.Controller, params hvac.Params, day int) ([][]float64, error) {
-	benignView := &hvac.TraceView{Trace: trace}
-	attackView, err := NewView(trace, plan)
+	house := trace.House
+	sim, err := hvac.NewSim(house, ctrl, params, pricing)
 	if err != nil {
-		return nil, err
+		return hvac.Result{}, err
 	}
-	benign, err := hvac.BelievedCO2Series(trace, benignView, ctrl, params, day)
-	if err != nil {
-		return nil, err
-	}
-	attacked, err := hvac.BelievedCO2Series(trace, attackView, ctrl, params, day)
-	if err != nil {
-		return nil, err
-	}
-	deltas := make([][]float64, len(benign))
-	for t := range benign {
-		deltas[t] = make([]float64, len(benign[t]))
-		for z := range benign[t] {
-			deltas[t][z] = attacked[t][z] - benign[t][z]
+	believed := aras.NewDay(len(house.Occupants), len(house.Appliances))
+	actualAppl := aras.NewDay(0, len(house.Appliances)).Appliance
+	for d, day := range trace.Days {
+		for o := range believed.Zone {
+			copy(believed.Zone[o], day.Zone[o])
+			copy(believed.Act[o], day.Act[o])
+		}
+		for a := range believed.Appliance {
+			copy(believed.Appliance[a], day.Appliance[a])
+			copy(actualAppl[a], day.Appliance[a])
+		}
+		in := hvac.DayInput{
+			OutdoorTempF:      trace.Weather[d].TempF,
+			OutdoorCO2PPM:     trace.Weather[d].CO2PPM,
+			BelievedZone:      believed.Zone,
+			BelievedAct:       believed.Act,
+			BelievedAppliance: believed.Appliance,
+			ActualZone:        day.Zone,
+			ActualAct:         day.Act,
+			ActualAppliance:   actualAppl,
+		}
+		if reverted == nil || !reverted[d] {
+			plan.FalsifyDay(house, d, &in)
+		}
+		if err := sim.StepDay(&in); err != nil {
+			return hvac.Result{}, err
 		}
 	}
-	return deltas, nil
+	return sim.Result(), nil
 }

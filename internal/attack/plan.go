@@ -1,8 +1,6 @@
 package attack
 
 import (
-	"errors"
-
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/hvac"
@@ -175,78 +173,54 @@ func (p *Plan) appendDayReportedEpisodes(buf []ReportedEpisode, trace *aras.Trac
 	return buf
 }
 
-// View adapts the plan into the hvac.View the attacked controller consumes:
-// reported occupancy/activity, and appliance status including really
-// triggered appliances (their status sensors read "on" because they are on).
-// The observation buffer is reused across Occupants calls, so an instance
-// must not be shared between concurrent simulations.
-type View struct {
-	trace *aras.Trace
-	plan  *Plan
-
-	obs []hvac.OccupantObs
-}
-
-var _ hvac.View = (*View)(nil)
-
-// ErrNilPlan guards View construction.
-var ErrNilPlan = errors.New("attack: nil plan or trace")
-
-// NewView builds the falsified controller view.
-func NewView(trace *aras.Trace, plan *Plan) (*View, error) {
-	if trace == nil || plan == nil {
-		return nil, ErrNilPlan
+// FalsifyDay rewrites one day of columns in place into the falsified stream
+// the attacked controller believes — the only column-wise form of the
+// attack's execution, shared by batch EvaluateImpact and the streaming
+// injector. On entry the columns hold the day's truth, the believed ones
+// mirroring the actual ones; on return, within the plan's horizon:
+//   - BelievedZone/BelievedAct hold the plan's reported occupancy;
+//   - ActualAppliance has the really-triggered appliances OR-ed in (they
+//     are on and draw power);
+//   - BelievedAppliance is the actual state plus the forged δ^D statuses:
+//     appliance a reads "on" at slot t iff some falsified presence's
+//     reported activity habitually uses it in its zone (the
+//     activity-appliance relationship makes the story self-consistent, so
+//     the controller supplies cooling for its heat). Forged statuses are
+//     beliefs only and draw no power.
+//
+// Days beyond the plan's horizon are left untouched: truth-telling.
+// FalsifyDay reads the plan and in.ActualZone but never writes them, so
+// plans and traces may be shared across concurrent evaluations as long as
+// each has its own believed and actual-appliance columns.
+func (p *Plan) FalsifyDay(house *home.House, day int, in *hvac.DayInput) {
+	if day < 0 || day >= len(p.RepZone) {
+		return // beyond the campaign horizon: truth-telling
 	}
-	return &View{trace: trace, plan: plan}, nil
-}
-
-// Occupants implements hvac.View. The returned slice is valid until the
-// next call.
-func (v *View) Occupants(day, slot int) []hvac.OccupantObs {
-	occ := len(v.plan.RepZone[day])
-	if cap(v.obs) < occ {
-		v.obs = make([]hvac.OccupantObs, occ)
+	for o := range in.BelievedZone {
+		copy(in.BelievedZone[o], p.RepZone[day][o])
+		copy(in.BelievedAct[o], p.RepAct[day][o])
 	}
-	obs := v.obs[:occ]
-	for o := 0; o < occ; o++ {
-		obs[o] = hvac.OccupantObs{
-			Zone:     v.plan.RepZone[day][o][slot],
-			Activity: v.plan.RepAct[day][o][slot],
-		}
-	}
-	return obs
-}
-
-// ApplianceOn implements hvac.View. Beyond the real statuses (including
-// really-triggered appliances), the attacker injects δ^D false status
-// measurements consistent with the reported activities: an occupant
-// reported PreparingDinner comes with the oven and microwave reading "on"
-// (the activity-appliance relationship makes the story self-consistent),
-// so the controller supplies cooling for their heat.
-func (v *View) ApplianceOn(day, slot, appliance int) bool {
-	if v.trace.Days[day].Appliance[appliance][slot] || v.plan.Triggered[day][appliance][slot] {
-		return true
-	}
-	appl := v.trace.House.Appliances[appliance]
-	for o := range v.plan.RepZone[day] {
-		z := v.plan.RepZone[day][o][slot]
-		if z != appl.Zone || z == v.trace.Days[day].Zone[o][slot] {
-			continue // only falsified presences carry forged statuses
-		}
-		for _, ai := range v.trace.House.AppliancesForActivity(v.plan.RepAct[day][o][slot]) {
-			if ai == appliance {
-				return true
+	for a, col := range in.ActualAppliance {
+		for t, on := range p.Triggered[day][a] {
+			if on {
+				col[t] = true
 			}
 		}
 	}
-	return false
-}
-
-// ActualApplianceOn reports the true electrical state (trace plus really
-// triggered appliances) for energy accounting. Forged δ^D statuses are
-// beliefs only — they make the controller move air, but draw no power
-// themselves.
-func (v *View) ActualApplianceOn(day, slot, appliance int) bool {
-	return v.trace.Days[day].Appliance[appliance][slot] ||
-		v.plan.Triggered[day][appliance][slot]
+	for a, col := range in.BelievedAppliance {
+		copy(col, in.ActualAppliance[a])
+	}
+	for o, zones := range in.BelievedZone {
+		acts, truth := in.BelievedAct[o], in.ActualZone[o]
+		for t, z := range zones {
+			if z == truth[t] {
+				continue // only falsified presences carry forged statuses
+			}
+			for _, ai := range house.AppliancesForActivity(acts[t]) {
+				if house.Appliances[ai].Zone == z {
+					in.BelievedAppliance[ai][t] = true
+				}
+			}
+		}
+	}
 }

@@ -50,7 +50,6 @@ const (
 	artifactADM       artifactKind = iota + 1 // (house, alg, trainDays) → *adm.Model
 	artifactSplit                             // (house, n=from<<16|to) → *aras.Trace
 	artifactBenign                            // (house, n=controller id) → hvac.Result
-	artifactTruth                             // (house) → *attack.Plan
 	artifactEpisodes                          // (house, n=occupant<<1|partial) → []adm.LabeledEpisode
 	artifactCostTable                         // (house, n=occupant<<16|day) → []float64
 	artifactPlan                              // (house, alg, n=flags, extra=strategy|capSig) → *campaign
@@ -170,28 +169,12 @@ func (s *Suite) benignSim(house string, ctrlID int) (hvac.Result, error) {
 		default:
 			ctrl = s.controllerFor(house)
 		}
-		return hvac.Simulate(tr, ctrl, s.Params, s.pricingFor(house), hvac.Options{})
+		return hvac.Simulate(tr, ctrl, s.Params, s.pricingFor(house))
 	})
 	if err != nil {
 		return hvac.Result{}, err
 	}
 	return v.(hvac.Result), nil
-}
-
-// truthPlan returns the memoized no-op plan (reported = actual) for a house.
-// The plan is immutable by convention: consumers must not trigger appliances
-// on it. No experiment currently consumes it (BenignCosts reads the cached
-// benign simulation directly); it stays as the cached reference vector for
-// detection baselines and is covered by TestTruthPlanCached.
-func (s *Suite) truthPlan(house string) (*attack.Plan, error) {
-	v, err := s.cache.do(artifactKey{kind: artifactTruth, house: house}, func() (any, error) {
-		pl := s.planner(house, nil, attack.Capability{})
-		return pl.PlanBIoTA() // powerless capability ⇒ pure truth
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*attack.Plan), nil
 }
 
 // labeledEpisodes returns the memoized Table IV / Fig 5 evaluation set for

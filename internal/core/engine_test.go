@@ -93,26 +93,6 @@ func TestADMCacheTrainsOnce(t *testing.T) {
 	}
 }
 
-// TestTruthPlanCached asserts the memoized truth plan is a genuine no-op
-// vector and that repeated lookups share one instance.
-func TestTruthPlanCached(t *testing.T) {
-	s := testSuite(t)
-	p1, err := s.truthPlan("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := p1.InjectedSlots(s.Trace("A")); n != 0 {
-		t.Errorf("truth plan injects %d slots, want 0", n)
-	}
-	p2, err := s.truthPlan("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("truth plan not cached: distinct instances")
-	}
-}
-
 // TestRunCellsErrorPropagation checks first-error-wins cancellation.
 func TestRunCellsErrorPropagation(t *testing.T) {
 	s := testSuite(t)

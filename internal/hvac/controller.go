@@ -14,18 +14,6 @@ type OccupantObs struct {
 	Activity home.ActivityID
 }
 
-// View supplies the controller's sensor-derived beliefs for each slot of
-// each day. The benign view reads the ground-truth trace; attack views
-// overlay falsified occupancy, activity, and appliance status.
-type View interface {
-	// Occupants returns the believed observation per occupant. The returned
-	// slice may be reused by the view on the next call — callers must not
-	// retain it across slots.
-	Occupants(day, slot int) []OccupantObs
-	// ApplianceOn returns the believed status of appliance a.
-	ApplianceOn(day, slot, appliance int) bool
-}
-
 // ZoneConditions carries the per-slot boundary conditions a controller
 // plans against.
 type ZoneConditions struct {
@@ -50,8 +38,10 @@ type Controller interface {
 	// Name identifies the controller in experiment output.
 	Name() string
 	// Plan returns one Demand per zone (indexed by ZoneID; Outside's entry
-	// is zero).
-	Plan(house *home.House, view View, day, slot int, cond ZoneConditions) []Demand
+	// is zero) for one slot. believed[o] is the believed observation of
+	// occupant o and believedAppliance[a] the believed status of appliance
+	// a; under attack both are falsified. Plan must not retain either slice.
+	Plan(house *home.House, believed []OccupantObs, believedAppliance []bool, cond ZoneConditions) []Demand
 }
 
 // freshAirForCO2 solves the Eq 1 mass balance for the minimum fresh airflow
@@ -117,7 +107,7 @@ func (c *SHATTERController) Name() string { return "SHATTER" }
 
 // Plan implements Controller. The returned demand slice is valid until the
 // next Plan call.
-func (c *SHATTERController) Plan(house *home.House, view View, day, slot int, cond ZoneConditions) []Demand {
+func (c *SHATTERController) Plan(house *home.House, believed []OccupantObs, believedAppliance []bool, cond ZoneConditions) []Demand {
 	p := c.Params
 	nz := len(house.Zones)
 	if cap(c.demands) < nz {
@@ -131,9 +121,8 @@ func (c *SHATTERController) Plan(house *home.House, view View, day, slot int, co
 		demands[zi] = Demand{}
 		heat[zi], gen[zi], occupied[zi] = 0, 0, false
 	}
-	obs := view.Occupants(day, slot)
 	// Per-zone occupant heat and CO2 generation from activity profiles.
-	for o, ob := range obs {
+	for o, ob := range believed {
 		if !ob.Zone.Conditioned() {
 			continue
 		}
@@ -145,7 +134,7 @@ func (c *SHATTERController) Plan(house *home.House, view View, day, slot int, co
 	}
 	// Appliance heat by installed zone, from believed status.
 	for ai, appl := range house.Appliances {
-		if view.ApplianceOn(day, slot, ai) {
+		if believedAppliance[ai] {
 			heat[appl.Zone] += appl.HeatW()
 		}
 	}
@@ -213,7 +202,7 @@ func (c *ASHRAEController) Name() string { return "ASHRAE" }
 
 // Plan implements Controller. The returned demand slice is valid until the
 // next Plan call.
-func (c *ASHRAEController) Plan(house *home.House, view View, day, slot int, cond ZoneConditions) []Demand {
+func (c *ASHRAEController) Plan(house *home.House, believed []OccupantObs, _ []bool, cond ZoneConditions) []Demand {
 	p := c.Params
 	nz := len(house.Zones)
 	if cap(c.demands) < nz {
@@ -225,9 +214,8 @@ func (c *ASHRAEController) Plan(house *home.House, view View, day, slot int, con
 		demands[zi] = Demand{}
 		counts[zi] = 0
 	}
-	obs := view.Occupants(day, slot)
 	anyoneHome := false
-	for _, ob := range obs {
+	for _, ob := range believed {
 		if ob.Zone.Conditioned() {
 			counts[ob.Zone]++
 			anyoneHome = true

@@ -114,7 +114,7 @@ func TestMixedAirTemp(t *testing.T) {
 func TestSimulateEmptyTrace(t *testing.T) {
 	tr := &aras.Trace{House: home.MustHouse("A")}
 	ctrl := &SHATTERController{Params: DefaultParams()}
-	if _, err := Simulate(tr, ctrl, DefaultParams(), DefaultPricing(), Options{}); err == nil {
+	if _, err := Simulate(tr, ctrl, DefaultParams(), DefaultPricing()); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -123,7 +123,7 @@ func TestSimulateBenignPositiveCost(t *testing.T) {
 	tr := testTrace(t, "A", 3)
 	params := DefaultParams()
 	ctrl := &SHATTERController{Params: params}
-	res, err := Simulate(tr, ctrl, params, DefaultPricing(), Options{})
+	res, err := Simulate(tr, ctrl, params, DefaultPricing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestASHRAECostlierThanSHATTER(t *testing.T) {
 	tr := testTrace(t, "A", 5)
 	params := DefaultParams()
 	pr := DefaultPricing()
-	shatter, err := Simulate(tr, &SHATTERController{Params: params}, params, pr, Options{})
+	shatter, err := Simulate(tr, &SHATTERController{Params: params}, params, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ashrae, err := Simulate(tr, NewASHRAEController(params, tr.House), params, pr, Options{})
+	ashrae, err := Simulate(tr, NewASHRAEController(params, tr.House), params, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestHouseBCheaperThanHouseA(t *testing.T) {
 	pr := DefaultPricing()
 	trA := testTrace(t, "A", 5)
 	trB := testTrace(t, "B", 5)
-	resA, err := Simulate(trA, &SHATTERController{Params: params}, params, pr, Options{})
+	resA, err := Simulate(trA, &SHATTERController{Params: params}, params, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Simulate(trB, &SHATTERController{Params: params}, params, pr, Options{})
+	resB, err := Simulate(trB, &SHATTERController{Params: params}, params, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,25 +191,26 @@ func TestHouseBCheaperThanHouseA(t *testing.T) {
 	}
 }
 
-// fakeView plants a fixed observation, for controller unit tests.
-type fakeView struct {
-	obs   []OccupantObs
-	appls map[int]bool
+// applianceStatus returns a believed-status slice for the house with the
+// listed appliances on, for controller unit tests.
+func applianceStatus(h *home.House, on ...int) []bool {
+	st := make([]bool, len(h.Appliances))
+	for _, a := range on {
+		st[a] = true
+	}
+	return st
 }
-
-func (v *fakeView) Occupants(day, slot int) []OccupantObs { return v.obs }
-func (v *fakeView) ApplianceOn(day, slot, a int) bool     { return v.appls[a] }
 
 func TestSHATTERZeroWhenEmpty(t *testing.T) {
 	h := home.MustHouse("A")
 	params := DefaultParams()
 	ctrl := &SHATTERController{Params: params}
-	view := &fakeView{obs: []OccupantObs{
+	obs := []OccupantObs{
 		{Zone: home.Outside, Activity: home.GoingOut},
 		{Zone: home.Outside, Activity: home.GoingOut},
-	}}
+	}
 	cond := ZoneConditions{OutdoorTempF: 90, OutdoorCO2PPM: 420, ZoneCO2PPM: make([]float64, 5)}
-	for _, d := range ctrl.Plan(h, view, 0, 0, cond) {
+	for _, d := range ctrl.Plan(h, obs, applianceStatus(h), cond) {
 		if d.SupplyCFM != 0 {
 			t.Fatal("empty home must get no supply air under demand control")
 		}
@@ -220,13 +221,13 @@ func TestSHATTERSuppliesOccupiedZoneOnly(t *testing.T) {
 	h := home.MustHouse("A")
 	params := DefaultParams()
 	ctrl := &SHATTERController{Params: params}
-	view := &fakeView{obs: []OccupantObs{
+	obs := []OccupantObs{
 		{Zone: home.Kitchen, Activity: home.PreparingDinner},
 		{Zone: home.Outside, Activity: home.GoingOut},
-	}}
+	}
 	co2 := []float64{420, 420, 420, 420, 420}
 	cond := ZoneConditions{OutdoorTempF: 90, OutdoorCO2PPM: 420, ZoneCO2PPM: co2}
-	demands := ctrl.Plan(h, view, 0, 0, cond)
+	demands := ctrl.Plan(h, obs, applianceStatus(h), cond)
 	if demands[home.Kitchen].SupplyCFM <= 0 {
 		t.Error("occupied kitchen must receive supply air")
 	}
@@ -242,10 +243,10 @@ func TestSHATTERActivityIntensityMatters(t *testing.T) {
 	params := DefaultParams()
 	ctrl := &SHATTERController{Params: params}
 	cond := ZoneConditions{OutdoorTempF: 90, OutdoorCO2PPM: 420, ZoneCO2PPM: make([]float64, 5)}
-	cook := &fakeView{obs: []OccupantObs{{Zone: home.Kitchen, Activity: home.PreparingDinner}, {Zone: home.Outside}}}
-	eat := &fakeView{obs: []OccupantObs{{Zone: home.Kitchen, Activity: home.HavingLunch}, {Zone: home.Outside}}}
-	qCook := ctrl.Plan(h, cook, 0, 0, cond)[home.Kitchen].SupplyCFM
-	qEat := ctrl.Plan(h, eat, 0, 0, cond)[home.Kitchen].SupplyCFM
+	cook := []OccupantObs{{Zone: home.Kitchen, Activity: home.PreparingDinner}, {Zone: home.Outside}}
+	eat := []OccupantObs{{Zone: home.Kitchen, Activity: home.HavingLunch}, {Zone: home.Outside}}
+	qCook := ctrl.Plan(h, cook, applianceStatus(h), cond)[home.Kitchen].SupplyCFM
+	qEat := ctrl.Plan(h, eat, applianceStatus(h), cond)[home.Kitchen].SupplyCFM
 	if qCook <= qEat {
 		t.Errorf("cooking (%v CFM) should demand more air than eating (%v CFM)", qCook, qEat)
 	}
@@ -256,13 +257,9 @@ func TestSHATTERApplianceLoadMatters(t *testing.T) {
 	params := DefaultParams()
 	ctrl := &SHATTERController{Params: params}
 	cond := ZoneConditions{OutdoorTempF: 90, OutdoorCO2PPM: 420, ZoneCO2PPM: make([]float64, 5)}
-	base := &fakeView{obs: []OccupantObs{{Zone: home.Kitchen, Activity: home.HavingLunch}, {Zone: home.Outside}}}
-	withOven := &fakeView{
-		obs:   base.obs,
-		appls: map[int]bool{0: true}, // oven
-	}
-	q0 := ctrl.Plan(h, base, 0, 0, cond)[home.Kitchen].SupplyCFM
-	q1 := ctrl.Plan(h, withOven, 0, 0, cond)[home.Kitchen].SupplyCFM
+	obs := []OccupantObs{{Zone: home.Kitchen, Activity: home.HavingLunch}, {Zone: home.Outside}}
+	q0 := ctrl.Plan(h, obs, applianceStatus(h), cond)[home.Kitchen].SupplyCFM
+	q1 := ctrl.Plan(h, obs, applianceStatus(h, 0), cond)[home.Kitchen].SupplyCFM // oven on
 	if q1 <= q0 {
 		t.Errorf("oven-on demand (%v) should exceed oven-off (%v)", q1, q0)
 	}
@@ -274,16 +271,16 @@ func TestASHRAEAreaTermAlwaysOnWhenHome(t *testing.T) {
 	ctrl := NewASHRAEController(params, h)
 	cond := ZoneConditions{OutdoorTempF: 90, OutdoorCO2PPM: 420, ZoneCO2PPM: make([]float64, 5)}
 	// One occupant in the bedroom: ASHRAE still ventilates every zone.
-	view := &fakeView{obs: []OccupantObs{{Zone: home.Bedroom, Activity: home.Sleeping}, {Zone: home.Outside}}}
-	demands := ctrl.Plan(h, view, 0, 0, cond)
+	obs := []OccupantObs{{Zone: home.Bedroom, Activity: home.Sleeping}, {Zone: home.Outside}}
+	demands := ctrl.Plan(h, obs, applianceStatus(h), cond)
 	for _, z := range []home.ZoneID{home.Bedroom, home.Livingroom, home.Kitchen, home.Bathroom} {
 		if demands[z].FreshCFM <= 0 {
 			t.Errorf("ASHRAE should ventilate %v while home is occupied", z)
 		}
 	}
 	// Nobody home: no air at all.
-	away := &fakeView{obs: []OccupantObs{{Zone: home.Outside}, {Zone: home.Outside}}}
-	for _, d := range ctrl.Plan(h, away, 0, 0, cond) {
+	away := []OccupantObs{{Zone: home.Outside}, {Zone: home.Outside}}
+	for _, d := range ctrl.Plan(h, away, applianceStatus(h), cond) {
 		if d.SupplyCFM != 0 {
 			t.Error("ASHRAE unoccupied mode should shut off")
 		}
@@ -334,30 +331,13 @@ func TestApplianceSlotCost(t *testing.T) {
 func TestPropertyCO2AboveOutdoor(t *testing.T) {
 	tr := testTrace(t, "A", 1)
 	params := DefaultParams()
-	w := tr.Weather[0]
-	view := &TraceView{Trace: tr}
 	sim, err := NewSim(tr.House, &SHATTERController{Params: params}, params, DefaultPricing())
 	if err != nil {
 		t.Fatal(err)
 	}
-	day := tr.Days[0]
-	in := StepInput{
-		BelievedAppliance: make([]bool, len(tr.House.Appliances)),
-		ActualOccupants:   make([]OccupantObs, len(tr.House.Occupants)),
-		ActualAppliance:   make([]bool, len(tr.House.Appliances)),
-	}
+	in := newStepInput(tr.House)
 	for tslot := 0; tslot < aras.SlotsPerDay; tslot++ {
-		in.OutdoorTempF = w.TempF[tslot]
-		in.OutdoorCO2PPM = w.CO2PPM[tslot]
-		in.Believed = view.Occupants(0, tslot)
-		for ai := range tr.House.Appliances {
-			on := day.Appliance[ai][tslot]
-			in.BelievedAppliance[ai] = on
-			in.ActualAppliance[ai] = on
-		}
-		for o := range tr.House.Occupants {
-			in.ActualOccupants[o] = OccupantObs{Zone: day.Zone[o][tslot], Activity: day.Act[o][tslot]}
-		}
+		fillTruth(&in, tr, 0, tslot)
 		sim.Step(in)
 		for zi, c := range sim.ZoneCO2() {
 			if home.ZoneID(zi).Conditioned() && c < 380 {

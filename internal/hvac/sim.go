@@ -8,46 +8,6 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
-// TraceView is the benign View: the controller's beliefs equal ground truth.
-// The observation buffer is reused across Occupants calls, so an instance
-// must not be shared between concurrent simulations.
-type TraceView struct {
-	Trace *aras.Trace
-
-	obs []OccupantObs
-}
-
-var _ View = (*TraceView)(nil)
-
-// Occupants implements View. The returned slice is valid until the next
-// call.
-func (v *TraceView) Occupants(day, slot int) []OccupantObs {
-	d := v.Trace.Days[day]
-	if cap(v.obs) < len(d.Zone) {
-		v.obs = make([]OccupantObs, len(d.Zone))
-	}
-	obs := v.obs[:len(d.Zone)]
-	for o := range d.Zone {
-		obs[o] = OccupantObs{Zone: d.Zone[o][slot], Activity: d.Act[o][slot]}
-	}
-	return obs
-}
-
-// ApplianceOn implements View.
-func (v *TraceView) ApplianceOn(day, slot, appliance int) bool {
-	return v.Trace.Days[day].Appliance[appliance][slot]
-}
-
-// Options configures a simulation run.
-type Options struct {
-	// View supplies controller beliefs; nil means the benign TraceView.
-	View View
-	// ActualApplianceOn reports the true status of an appliance (actual
-	// electrical draw). Nil means the trace's recorded statuses. Attacks
-	// that really trigger appliances override this.
-	ActualApplianceOn func(day, slot, appliance int) bool
-}
-
 // Result aggregates a simulation.
 type Result struct {
 	Controller string
@@ -69,15 +29,12 @@ type Result struct {
 // ErrEmptyTrace is returned when the trace has no days.
 var ErrEmptyTrace = errors.New("hvac: empty trace")
 
-// Simulate runs the controller over the full trace and returns cost/energy
-// accounting per Eqs 3-4. The plant CO2 state evolves from ground-truth
-// occupancy and the delivered fresh airflow; the controller acts on the
-// (possibly falsified) View.
-//
-// Simulate is the batch shell over the incremental Sim.Step core: it builds
-// one StepInput per slot from the trace and the view and drains the stepper,
-// so batch and streaming execution are equivalent by construction.
-func Simulate(trace *aras.Trace, ctrl Controller, params Params, pricing Pricing, opts Options) (Result, error) {
+// Simulate runs the controller over the full trace with benign beliefs and
+// returns cost/energy accounting per Eqs 3-4: one StepDay per trace day,
+// with the controller's believed columns and the plant's actual columns
+// both reading the trace, so batch and streaming execution are equivalent
+// by construction.
+func Simulate(trace *aras.Trace, ctrl Controller, params Params, pricing Pricing) (Result, error) {
 	if trace.NumDays() == 0 {
 		return Result{}, ErrEmptyTrace
 	}
@@ -85,37 +42,19 @@ func Simulate(trace *aras.Trace, ctrl Controller, params Params, pricing Pricing
 	if err != nil {
 		return Result{}, err
 	}
-	view := opts.View
-	if view == nil {
-		view = &TraceView{Trace: trace}
-	}
-	actualAppl := opts.ActualApplianceOn
-	if actualAppl == nil {
-		actualAppl = func(day, slot, a int) bool {
-			return trace.Days[day].Appliance[a][slot]
+	for d, day := range trace.Days {
+		in := DayInput{
+			OutdoorTempF:      trace.Weather[d].TempF,
+			OutdoorCO2PPM:     trace.Weather[d].CO2PPM,
+			BelievedZone:      day.Zone,
+			BelievedAct:       day.Act,
+			BelievedAppliance: day.Appliance,
+			ActualZone:        day.Zone,
+			ActualAct:         day.Act,
+			ActualAppliance:   day.Appliance,
 		}
-	}
-	house := trace.House
-	in := StepInput{
-		BelievedAppliance: make([]bool, len(house.Appliances)),
-		ActualOccupants:   make([]OccupantObs, len(house.Occupants)),
-		ActualAppliance:   make([]bool, len(house.Appliances)),
-	}
-	for d := 0; d < trace.NumDays(); d++ {
-		w := trace.Weather[d]
-		day := trace.Days[d]
-		for t := 0; t < aras.SlotsPerDay; t++ {
-			in.OutdoorTempF = w.TempF[t]
-			in.OutdoorCO2PPM = w.CO2PPM[t]
-			in.Believed = view.Occupants(d, t)
-			for ai := range house.Appliances {
-				in.BelievedAppliance[ai] = view.ApplianceOn(d, t, ai)
-				in.ActualAppliance[ai] = actualAppl(d, t, ai)
-			}
-			for o := range house.Occupants {
-				in.ActualOccupants[o] = OccupantObs{Zone: day.Zone[o][t], Activity: day.Act[o][t]}
-			}
-			sim.Step(in)
+		if err := sim.StepDay(&in); err != nil {
+			return Result{}, err
 		}
 	}
 	return sim.Result(), nil

@@ -17,7 +17,8 @@ type StepInput struct {
 	// OutdoorTempF and OutdoorCO2PPM are the slot's weather (P^OT, P^OC).
 	OutdoorTempF  float64
 	OutdoorCO2PPM float64
-	// Believed is the controller's per-occupant observation (View semantics).
+	// Believed is the controller's per-occupant observation (falsified under
+	// attack).
 	Believed []OccupantObs
 	// BelievedAppliance[a] is the believed status of appliance a (forged
 	// δ^D statuses included under attack).
@@ -41,10 +42,11 @@ type SlotReport struct {
 }
 
 // Sim is the incremental plant/controller simulator: one Step call advances
-// one minute slot, carrying the zone CO2 state, the daily peak-window
-// battery accounting, and the cost/energy totals across calls. The batch
-// Simulate is a loop over Step, so the two produce bit-identical results on
-// the same inputs. A Sim is not safe for concurrent use.
+// one minute slot and one StepDay call one whole day, carrying the zone CO2
+// state, the daily peak-window battery accounting, and the cost/energy
+// totals across calls. StepDay is bit-identical to aras.SlotsPerDay Step
+// calls on the same inputs, and the batch Simulate is a loop over StepDay.
+// A Sim is not safe for concurrent use.
 type Sim struct {
 	house   *home.House
 	ctrl    Controller
@@ -57,11 +59,6 @@ type Sim struct {
 	day     int
 	slot    int // slot-of-day, 0..SlotsPerDay-1
 	peakKWh float64
-	view    stepView
-	// curIn stages the in-flight StepInput for the controller view; pointing
-	// the view at this field instead of the Step parameter keeps the
-	// parameter on the stack (zero allocations per slot).
-	curIn StepInput
 	// scratch is StepDay's reusable working state.
 	scratch dayScratch
 }
@@ -72,7 +69,7 @@ func NewSim(house *home.House, ctrl Controller, params Params, pricing Pricing) 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{
+	return &Sim{
 		house:   house,
 		ctrl:    ctrl,
 		params:  params,
@@ -83,9 +80,7 @@ func NewSim(house *home.House, ctrl Controller, params Params, pricing Pricing) 
 		},
 		zoneCO2: make([]float64, len(house.Zones)),
 		gen:     make([]float64, len(house.Zones)),
-	}
-	s.view.sim = s
-	return s, nil
+	}, nil
 }
 
 // Day returns the day index the next Step call advances.
@@ -93,21 +88,6 @@ func (s *Sim) Day() int { return s.day }
 
 // SlotOfDay returns the minute-of-day the next Step call advances.
 func (s *Sim) SlotOfDay() int { return s.slot }
-
-// stepView adapts the current StepInput to the View interface the
-// controllers consume; the day/slot arguments are ignored because the view
-// always serves the in-flight slot.
-type stepView struct {
-	sim *Sim
-	in  *StepInput
-}
-
-var _ View = (*stepView)(nil)
-
-func (v *stepView) Occupants(day, slot int) []OccupantObs { return v.in.Believed }
-func (v *stepView) ApplianceOn(day, slot, appliance int) bool {
-	return v.in.BelievedAppliance[appliance]
-}
 
 // Step advances the plant and the accounting by one minute slot. Day
 // boundaries are implicit: every aras.SlotsPerDay calls start a new day,
@@ -132,10 +112,7 @@ func (s *Sim) Step(in StepInput) SlotReport {
 		OutdoorCO2PPM: in.OutdoorCO2PPM,
 		ZoneCO2PPM:    s.zoneCO2,
 	}
-	s.curIn = in
-	s.view.in = &s.curIn
-	demands := s.ctrl.Plan(s.house, &s.view, d, t, cond)
-	s.view.in = nil
+	demands := s.ctrl.Plan(s.house, in.Believed, in.BelievedAppliance, cond)
 	// Energy: coil on the fresh/return mix (Eq 3) plus fan power.
 	var slotW float64
 	for zi, dem := range demands {

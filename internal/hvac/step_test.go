@@ -8,6 +8,33 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
+// newStepInput allocates a reusable per-slot StepInput sized for the house.
+func newStepInput(h *home.House) StepInput {
+	return StepInput{
+		Believed:          make([]OccupantObs, len(h.Occupants)),
+		BelievedAppliance: make([]bool, len(h.Appliances)),
+		ActualOccupants:   make([]OccupantObs, len(h.Occupants)),
+		ActualAppliance:   make([]bool, len(h.Appliances)),
+	}
+}
+
+// fillTruth loads slot s of trace day d into in, with the believed fields
+// reading the same ground-truth columns as the actual ones (the benign case).
+func fillTruth(in *StepInput, tr *aras.Trace, d, s int) {
+	day := tr.Days[d]
+	in.OutdoorTempF = tr.Weather[d].TempF[s]
+	in.OutdoorCO2PPM = tr.Weather[d].CO2PPM[s]
+	for o := range in.Believed {
+		obs := OccupantObs{Zone: day.Zone[o][s], Activity: day.Act[o][s]}
+		in.Believed[o] = obs
+		in.ActualOccupants[o] = obs
+	}
+	for a := range in.BelievedAppliance {
+		in.BelievedAppliance[a] = day.Appliance[a][s]
+		in.ActualAppliance[a] = day.Appliance[a][s]
+	}
+}
+
 // driveSteps replays a trace through the incremental Sim exactly the way a
 // streaming consumer would — one StepInput per slot — and returns the
 // result, plus the totals reported after the final step.
@@ -17,30 +44,13 @@ func driveSteps(t *testing.T, tr *aras.Trace, ctrl Controller, params Params, pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := &TraceView{Trace: tr}
-	in := StepInput{
-		BelievedAppliance: make([]bool, len(tr.House.Appliances)),
-		ActualOccupants:   make([]OccupantObs, len(tr.House.Occupants)),
-		ActualAppliance:   make([]bool, len(tr.House.Appliances)),
-	}
+	in := newStepInput(tr.House)
 	for d := 0; d < tr.NumDays(); d++ {
-		w := tr.Weather[d]
-		day := tr.Days[d]
 		for s := 0; s < aras.SlotsPerDay; s++ {
 			if sim.Day() != d || sim.SlotOfDay() != s {
 				t.Fatalf("stepper at (%d,%d), want (%d,%d)", sim.Day(), sim.SlotOfDay(), d, s)
 			}
-			in.OutdoorTempF = w.TempF[s]
-			in.OutdoorCO2PPM = w.CO2PPM[s]
-			in.Believed = view.Occupants(d, s)
-			for ai := range tr.House.Appliances {
-				on := day.Appliance[ai][s]
-				in.BelievedAppliance[ai] = on
-				in.ActualAppliance[ai] = on
-			}
-			for o := range tr.House.Occupants {
-				in.ActualOccupants[o] = OccupantObs{Zone: day.Zone[o][s], Activity: day.Act[o][s]}
-			}
+			fillTruth(&in, tr, d, s)
 			rep := sim.Step(in)
 			if rep.Day != d || rep.Slot != s {
 				t.Fatalf("report at (%d,%d), want (%d,%d)", rep.Day, rep.Slot, d, s)
@@ -50,8 +60,9 @@ func driveSteps(t *testing.T, tr *aras.Trace, ctrl Controller, params Params, pr
 	return sim.Result()
 }
 
-// TestStepMatchesSimulate pins the incremental Step path to batch Simulate
-// bit-for-bit on both paper houses and both controllers.
+// TestStepMatchesSimulate pins the per-slot Step path to the day-loop batch
+// Simulate bit-for-bit on both paper houses and both controllers (the
+// SHATTER controller's segment-amortized StepDay and the ASHRAE fallback).
 func TestStepMatchesSimulate(t *testing.T) {
 	params := DefaultParams()
 	pricing := DefaultPricing()
@@ -61,7 +72,7 @@ func TestStepMatchesSimulate(t *testing.T) {
 			func() Controller { return &SHATTERController{Params: params} },
 			func() Controller { return NewASHRAEController(params, tr.House) },
 		} {
-			batch, err := Simulate(tr, mk(), params, pricing, Options{})
+			batch, err := Simulate(tr, mk(), params, pricing)
 			if err != nil {
 				t.Fatalf("Simulate(%s): %v", name, err)
 			}
@@ -83,24 +94,9 @@ func TestStepPartialDayTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := &TraceView{Trace: tr}
-	in := StepInput{
-		BelievedAppliance: make([]bool, len(tr.House.Appliances)),
-		ActualOccupants:   make([]OccupantObs, len(tr.House.Occupants)),
-		ActualAppliance:   make([]bool, len(tr.House.Appliances)),
-	}
-	day := tr.Days[0]
+	in := newStepInput(tr.House)
 	for s := 0; s < 100; s++ {
-		in.OutdoorTempF = tr.Weather[0].TempF[s]
-		in.OutdoorCO2PPM = tr.Weather[0].CO2PPM[s]
-		in.Believed = view.Occupants(0, s)
-		for ai := range tr.House.Appliances {
-			in.BelievedAppliance[ai] = day.Appliance[ai][s]
-			in.ActualAppliance[ai] = day.Appliance[ai][s]
-		}
-		for o := range tr.House.Occupants {
-			in.ActualOccupants[o] = OccupantObs{Zone: day.Zone[o][s], Activity: day.Act[o][s]}
-		}
+		fillTruth(&in, tr, 0, s)
 		sim.Step(in)
 	}
 	res := sim.Result()

@@ -11,23 +11,26 @@ import (
 
 // DayInput is one whole day of boundary conditions and observations in
 // struct-of-arrays layout: per-slot weather columns plus per-occupant and
-// per-appliance columns of aras.SlotsPerDay entries each. It is the HVAC
-// half of the streaming layer's DayBlock — StepDay advances a full day over
-// these contiguous columns without materializing 1440 per-slot StepInputs.
-// All slices are read synchronously during StepDay and may be reused by the
-// caller afterwards.
+// per-appliance columns of aras.SlotsPerDay entries each. StepDay advances a
+// full day over these contiguous columns without materializing 1440
+// per-slot StepInputs. Batch Simulate points them at a trace day, the
+// streaming layer at a DayBlock, and attack.Plan.FalsifyDay rewrites the
+// believed columns (and the really-triggered appliances) of either in
+// place. All slices are read synchronously during StepDay and may be reused
+// by the caller afterwards.
 type DayInput struct {
 	// OutdoorTempF and OutdoorCO2PPM are the day's weather columns.
 	OutdoorTempF  []float64
 	OutdoorCO2PPM []float64
 	// BelievedZone[o][t] / BelievedAct[o][t] are the controller's per-slot
-	// observation of occupant o (View semantics; falsified under attack).
+	// observation of occupant o (falsified under attack).
 	BelievedZone [][]home.ZoneID
 	BelievedAct  [][]home.ActivityID
 	// BelievedAppliance[a][t] is the believed status column of appliance a.
 	BelievedAppliance [][]bool
 	// ActualZone/ActualAct/ActualAppliance are the ground-truth columns that
-	// drive the plant's CO2 mass balance and the energy metering.
+	// drive the plant's CO2 mass balance and the energy metering (really
+	// triggered appliances included).
 	ActualZone      [][]home.ZoneID
 	ActualAct       [][]home.ActivityID
 	ActualAppliance [][]bool
@@ -159,8 +162,8 @@ func (s *Sim) StepDay(in *DayInput) error {
 // the floating-point results bit-identical) and only the weather-, CO2- and
 // pricing-dependent terms run per slot.
 func (s *Sim) stepDaySHATTER(c *SHATTERController, in *DayInput) {
-	cp := c.Params  // the controller's planning parameters
-	sp := s.params  // the plant's metering parameters
+	cp := c.Params // the controller's planning parameters
+	sp := s.params // the plant's metering parameters
 	sc := &s.scratch
 	d := s.day
 	// Day-boundary bookkeeping, exactly as Step's slot-0 branch.

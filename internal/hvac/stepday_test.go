@@ -28,12 +28,7 @@ func dayInputFor(tr *aras.Trace, d int, believed aras.Day, believedAppl [][]bool
 // equivalence reference for StepDay.
 func stepSlots(sim *Sim, tr *aras.Trace, d int, believed aras.Day, believedAppl [][]bool) {
 	occ, appl := len(tr.House.Occupants), len(tr.House.Appliances)
-	in := StepInput{
-		Believed:          make([]OccupantObs, occ),
-		BelievedAppliance: make([]bool, appl),
-		ActualOccupants:   make([]OccupantObs, occ),
-		ActualAppliance:   make([]bool, appl),
-	}
+	in := newStepInput(tr.House)
 	for t := 0; t < aras.SlotsPerDay; t++ {
 		in.OutdoorTempF = tr.Weather[d].TempF[t]
 		in.OutdoorCO2PPM = tr.Weather[d].CO2PPM[t]
@@ -150,14 +145,7 @@ func TestStepDayMidDayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	occ, appl := len(house.Occupants), len(house.Appliances)
-	in := StepInput{
-		Believed:          make([]OccupantObs, occ),
-		BelievedAppliance: make([]bool, appl),
-		ActualOccupants:   make([]OccupantObs, occ),
-		ActualAppliance:   make([]bool, appl),
-	}
-	sim.Step(in)
+	sim.Step(newStepInput(house))
 	err = sim.StepDay(dayInputFor(tr, 0, tr.Days[0], tr.Days[0].Appliance))
 	if !errors.Is(err, ErrNotDayBoundary) {
 		t.Fatalf("mid-day StepDay: got %v, want ErrNotDayBoundary", err)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
+	"github.com/acyd-lab/shatter/internal/hvac"
 )
 
 // DayBlock is one whole home-day of sensor traffic in struct-of-arrays
@@ -90,6 +91,22 @@ func (b *DayBlock) mirrorTruth() {
 	}
 	for a := range b.TrueAppliance {
 		copy(b.RepAppliance[a], b.TrueAppliance[a])
+	}
+}
+
+// dayInput views the block's columns as the HVAC day kernel's input: the
+// reported columns are the controller's beliefs, the true ones drive the
+// plant.
+func (b *DayBlock) dayInput() hvac.DayInput {
+	return hvac.DayInput{
+		OutdoorTempF:      b.TempF,
+		OutdoorCO2PPM:     b.CO2PPM,
+		BelievedZone:      b.RepZone,
+		BelievedAct:       b.RepAct,
+		BelievedAppliance: b.RepAppliance,
+		ActualZone:        b.TrueZone,
+		ActualAct:         b.TrueAct,
+		ActualAppliance:   b.TrueAppliance,
 	}
 }
 

@@ -7,19 +7,16 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
-// Injector applies a precomputed attack.Plan to a home's stream in flight —
-// the streaming counterpart of attack.View. Planning stays offline (the
-// optimiser needs its horizon), but execution is live: each day block's
-// reported occupancy is replaced by the plan's falsified readings, really
-// triggered appliances are switched on in the truth (they draw power), and
-// forged δ^D appliance statuses consistent with the reported activities are
-// injected into the believed statuses. Days beyond the plan's horizon pass
-// through truthfully.
+// Injector applies a precomputed attack.Plan to a home's stream in flight.
+// Planning stays offline (the optimiser needs its horizon), but execution
+// is live: RewriteBlock runs the plan's day kernel, attack.Plan.FalsifyDay
+// (the one batch attack.EvaluateImpact runs), on each block's columns —
+// reported occupancy from the plan, really triggered appliances switched on
+// in the truth, and forged δ^D statuses in the believed ones. Days beyond
+// the plan's horizon pass through truthfully.
 type Injector struct {
 	house *home.House
 	plan  *attack.Plan
-	// forged is RewriteBlock's per-appliance forged-status scratch.
-	forgedCol [][]bool
 }
 
 // ErrNilInjector guards construction.
@@ -34,11 +31,11 @@ func NewInjector(h *home.House, plan *attack.Plan) (*Injector, error) {
 }
 
 // Rewrite falsifies one slot in place — the per-slot reference RewriteBlock
-// is locked against. The rewrite reproduces attack.View's semantics
-// exactly: Reported matches View.Occupants, ReportedAppliance matches
-// View.ApplianceOn, and TrueAppliance matches View.ActualApplianceOn, so a
-// rewritten stream drives the plant to the same state as the batch
-// attacked simulation.
+// is locked against. It evaluates FalsifyDay's rule slot by slot:
+// Reported takes the plan's occupancy, TrueAppliance gains the really
+// triggered appliances, and ReportedAppliance is the true state plus the
+// forged statuses, so a rewritten stream drives the plant to the same state
+// as the batch attacked simulation.
 func (inj *Injector) Rewrite(s *Slot) {
 	d, t := s.Day, s.Index
 	if d < 0 || d >= len(inj.plan.RepZone) {
@@ -65,63 +62,12 @@ func (inj *Injector) Rewrite(s *Slot) {
 	}
 }
 
-// RewriteBlock falsifies one whole day-block in place — the column-wise
-// counterpart of Rewrite, producing bit-identical reported and true columns:
-// occupancy columns come straight from the plan, triggered appliances are
-// OR-ed into the truth, and forged δ^D statuses are derived occupant-major
-// (appliance a reads "on" at slot t iff some falsified presence's reported
-// activity uses it in its zone — the same predicate forged evaluates
-// appliance-major). Blocks beyond the plan's horizon pass through
-// truthfully.
+// RewriteBlock falsifies one whole day block in place through the plan's
+// day kernel, producing the same reported and true columns as Rewrite does
+// slot by slot. Blocks beyond the plan's horizon pass through truthfully.
 func (inj *Injector) RewriteBlock(b *DayBlock) {
-	d := b.Day
-	if d < 0 || d >= len(inj.plan.RepZone) {
-		return // beyond the campaign horizon: truth-telling
-	}
-	for o := range b.RepZone {
-		copy(b.RepZone[o], inj.plan.RepZone[d][o])
-		copy(b.RepAct[o], inj.plan.RepAct[d][o])
-	}
-	for a := range b.TrueAppliance {
-		trig, col := inj.plan.Triggered[d][a], b.TrueAppliance[a]
-		for t := range col {
-			if trig[t] {
-				col[t] = true
-			}
-		}
-	}
-	if len(inj.forgedCol) != len(b.RepAppliance) {
-		inj.forgedCol = make([][]bool, len(b.RepAppliance))
-		for a := range inj.forgedCol {
-			inj.forgedCol[a] = make([]bool, len(b.RepAppliance[a]))
-		}
-	}
-	for a := range inj.forgedCol {
-		col := inj.forgedCol[a]
-		for t := range col {
-			col[t] = false
-		}
-	}
-	for o := range b.RepZone {
-		zones, acts, truth := b.RepZone[o], b.RepAct[o], b.TrueZone[o]
-		for t := range zones {
-			z := zones[t]
-			if z == truth[t] {
-				continue // only falsified presences carry forged statuses
-			}
-			for _, ai := range inj.house.AppliancesForActivity(acts[t]) {
-				if inj.house.Appliances[ai].Zone == z {
-					inj.forgedCol[ai][t] = true
-				}
-			}
-		}
-	}
-	for a := range b.RepAppliance {
-		rep, truth, forged := b.RepAppliance[a], b.TrueAppliance[a], inj.forgedCol[a]
-		for t := range rep {
-			rep[t] = truth[t] || forged[t]
-		}
-	}
+	in := b.dayInput()
+	inj.plan.FalsifyDay(inj.house, b.Day, &in)
 }
 
 // forged reports whether appliance a's status reads "on" only because a

@@ -315,16 +315,7 @@ func (h *Home) IngestDay(b *DayBlock) (DayStats, error) {
 			}
 		}
 	}
-	h.dayIn = hvac.DayInput{
-		OutdoorTempF:      b.TempF,
-		OutdoorCO2PPM:     b.CO2PPM,
-		BelievedZone:      b.RepZone,
-		BelievedAct:       b.RepAct,
-		BelievedAppliance: b.RepAppliance,
-		ActualZone:        b.TrueZone,
-		ActualAct:         b.TrueAct,
-		ActualAppliance:   b.TrueAppliance,
-	}
+	h.dayIn = b.dayInput()
 	if err := h.sim.StepDay(&h.dayIn); err != nil {
 		return DayStats{}, err
 	}

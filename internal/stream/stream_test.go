@@ -84,7 +84,7 @@ func TestHomeStreamMatchesBatchBenign(t *testing.T) {
 		const days, trainDays = 8, 6
 		batchTrace, model := testWorld(t, name, days, trainDays)
 
-		batchSim, err := hvac.Simulate(batchTrace, &hvac.SHATTERController{Params: params}, params, pricing, hvac.Options{})
+		batchSim, err := hvac.Simulate(batchTrace, &hvac.SHATTERController{Params: params}, params, pricing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,24 +244,20 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		view, err := attack.NewView(tr, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res := drive(t, NewTraceSource(name, tr), h, func(s *Slot) {
-			// The rewritten frame must reproduce attack.View's semantics.
-			obs := view.Occupants(s.Day, s.Index)
+			// The rewritten frame must reproduce the plan's falsified view.
+			d, slot := s.Day, s.Index
 			for o, r := range s.Reported {
-				if r.Zone != obs[o].Zone || r.Activity != obs[o].Activity {
-					t.Fatalf("house %s day %d slot %d occ %d: reported %+v, view %+v", name, s.Day, s.Index, o, r, obs[o])
+				if r.Zone != plan.RepZone[d][o][slot] || r.Activity != plan.RepAct[d][o][slot] {
+					t.Fatalf("house %s day %d slot %d occ %d: reported %+v, plan %v/%v", name, d, slot, o, r, plan.RepZone[d][o][slot], plan.RepAct[d][o][slot])
 				}
 			}
 			for a := range s.ReportedAppliance {
-				if s.ReportedAppliance[a] != view.ApplianceOn(s.Day, s.Index, a) {
-					t.Fatalf("house %s day %d slot %d appl %d: believed status diverges from view", name, s.Day, s.Index, a)
+				if s.ReportedAppliance[a] != believedApplianceOn(tr, plan, d, slot, a) {
+					t.Fatalf("house %s day %d slot %d appl %d: believed status diverges from the oracle", name, d, slot, a)
 				}
-				if s.TrueAppliance[a] != view.ActualApplianceOn(s.Day, s.Index, a) {
-					t.Fatalf("house %s day %d slot %d appl %d: actual status diverges from view", name, s.Day, s.Index, a)
+				if s.TrueAppliance[a] != actualApplianceOn(tr, plan, d, slot, a) {
+					t.Fatalf("house %s day %d slot %d appl %d: actual status diverges from the oracle", name, d, slot, a)
 				}
 			}
 		})
@@ -283,6 +279,34 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 			t.Errorf("house %s: detection rate %v, batch %v", name, rate, imp.DetectionRate)
 		}
 	}
+}
+
+// actualApplianceOn is the per-slot reference for an appliance's true
+// electrical state under attack: its trace status, or really triggered.
+func actualApplianceOn(tr *aras.Trace, plan *attack.Plan, day, slot, a int) bool {
+	return tr.Days[day].Appliance[a][slot] || plan.Triggered[day][a][slot]
+}
+
+// believedApplianceOn is the per-slot reference for the δ^D rule: appliance
+// a reads "on" to the attacked controller when it really is on, or when a
+// falsified presence's reported activity habitually uses it in its zone.
+func believedApplianceOn(tr *aras.Trace, plan *attack.Plan, day, slot, a int) bool {
+	if actualApplianceOn(tr, plan, day, slot, a) {
+		return true
+	}
+	appl := tr.House.Appliances[a]
+	for o := range plan.RepZone[day] {
+		z := plan.RepZone[day][o][slot]
+		if z != appl.Zone || z == tr.Days[day].Zone[o][slot] {
+			continue // only falsified presences carry forged statuses
+		}
+		for _, ai := range tr.House.AppliancesForActivity(plan.RepAct[day][o][slot]) {
+			if ai == a {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestInjectorBeyondHorizon checks frames past the plan's campaign horizon

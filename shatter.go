@@ -140,7 +140,7 @@ func NewASHRAEController(p HVACParams, h *House) Controller { return hvac.NewASH
 // Simulate runs a controller over a trace with benign beliefs. For
 // concurrent simulations, give each call its own controller instance.
 func Simulate(tr *Trace, ctrl Controller, p HVACParams, pr Pricing) (SimResult, error) {
-	return hvac.Simulate(tr, ctrl, p, pr, hvac.Options{})
+	return hvac.Simulate(tr, ctrl, p, pr)
 }
 
 // Anomaly detection.
@@ -273,8 +273,9 @@ func NewGeneratorStream(id string, h *House, cfg GeneratorConfig) (StreamSource,
 // NewTraceStream replays a materialized trace as day blocks.
 func NewTraceStream(id string, tr *Trace) StreamSource { return stream.NewTraceSource(id, tr) }
 
-// NewInjector builds the live attack injector for a home's plan — the
-// streaming counterpart of the batch attack view.
+// NewInjector builds the live attack injector for a home's plan. It runs
+// the plan's day kernel (Plan.FalsifyDay), the same one EvaluateImpact runs
+// in batch.
 func NewInjector(h *House, plan *Plan) (*stream.Injector, error) { return stream.NewInjector(h, plan) }
 
 // NewOnlineDetector wraps a trained ADM for online, per-episode use.
