@@ -1,0 +1,145 @@
+package attack
+
+import (
+	"math"
+	"testing"
+
+	"github.com/acyd-lab/shatter/internal/adm"
+	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/home"
+	"github.com/acyd-lab/shatter/internal/hvac"
+	"github.com/acyd-lab/shatter/internal/scenario"
+)
+
+// synthTrace generates a procedural home's trace for the planner tests.
+func synthTrace(tb testing.TB, sp scenario.Spec, days int) *aras.Trace {
+	tb.Helper()
+	tr, err := sp.Generate(days, 4242)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// TestCostTableMatchesSlotCost checks the tabulated occupant-day surrogate
+// cell by cell, with bit equality, against hvac's per-call OccupantSlotCost
+// (itself locked to the per-slot reference arithmetic in hvac's tests)
+// under the surrogate's activity rule: the occupant's actual activity where
+// the cell's zone is the actual zone, else the zone's most intense
+// activity. CostFnFor must serve the same surface.
+func TestCostTableMatchesSlotCost(t *testing.T) {
+	for _, sp := range scenario.SynthFleet(6, 1)[3:] {
+		tr := synthTrace(t, sp, 2)
+		h := tr.House
+		pl := &Planner{Trace: tr, Cost: hvac.NewCostModel(h, hvac.DefaultParams(), hvac.DefaultPricing())}
+		for d := range tr.Days {
+			for o := range h.Occupants {
+				tbl := pl.CostTable(d, o)
+				cost := pl.CostFnFor(d, o)
+				for _, zone := range h.Zones {
+					z := zone.ID
+					act := h.MostIntenseActivity(z)
+					for slot := 0; slot < aras.SlotsPerDay; slot++ {
+						a := act
+						if tr.Days[d].Zone[o][slot] == z {
+							a = tr.Days[d].Act[o][slot]
+						}
+						want := pl.Cost.OccupantSlotCost(o, z, a, slot, tr.Weather[d].TempF[slot])
+						got := tbl[int(z)*aras.SlotsPerDay+slot]
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s day %d occupant %d zone %d slot %d: table %v, OccupantSlotCost %v", sp.ID, d, o, z, slot, got, want)
+						}
+						if c := cost(slot, z); math.Float64bits(c) != math.Float64bits(want) {
+							t.Fatalf("%s day %d occupant %d zone %d slot %d: CostFnFor %v, OccupantSlotCost %v", sp.ID, d, o, z, slot, c, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllowedForMatchesCanReport checks the resolved capability view
+// against Capability.CanReport for every (slot, zone) of every
+// occupant-day, across capability shapes and across houses of different
+// zone counts sharing one worker scratch.
+func TestAllowedForMatchesCanReport(t *testing.T) {
+	var st planScratch
+	for _, tr := range []*aras.Trace{
+		synthTrace(t, scenario.Synth(9, 3, 1), 2),
+		synthTrace(t, scenario.Synth(4, 2, 1), 1),
+	} {
+		h := tr.House
+		everyThird := Full(h)
+		everyThird.SlotAllowed = func(slot int) bool { return slot%3 != 0 }
+		for _, tc := range []struct {
+			name string
+			cap  Capability
+		}{
+			{"full", Full(h)},
+			{"zones", Full(h).WithZones(home.Bedroom, home.Kitchen)},
+			{"occupants", Full(h).WithOccupants(1)},
+			{"slots", everyThird},
+			{"empty", Capability{}},
+		} {
+			pl := &Planner{Trace: tr, Cap: tc.cap}
+			for d := range tr.Days {
+				for o := range h.Occupants {
+					allowed := pl.allowedFor(&st, d, o)
+					for slot := 0; slot < aras.SlotsPerDay; slot++ {
+						actual := tr.Days[d].Zone[o][slot]
+						for _, zone := range h.Zones {
+							if got, want := allowed(slot, zone.ID), tc.cap.CanReport(o, slot, actual, zone.ID); got != want {
+								t.Fatalf("%s %s: day %d occupant %d slot %d %v→%v: allowedFor %v, CanReport %v",
+									h.Name, tc.name, d, o, slot, actual, zone.ID, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlanSHATTER plans cold SHATTER campaigns, one per home of a
+// 24-home SynthFleet over 12 days, against a DBSCAN defender trained on
+// the first 9 days as the scenario sweep trains it. Planning is
+// sequential (Workers=1) and builds its cost tables locally.
+func BenchmarkPlanSHATTER(b *testing.B) {
+	const days, trainDays = 12, 9
+	var planners []*Planner
+	for _, sp := range scenario.SynthFleet(24, 1) {
+		tr := synthTrace(b, sp, days)
+		train, err := tr.SubTrace(0, trainDays)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := adm.DefaultConfig(adm.DBSCAN)
+		cfg.MinPts = max(3, trainDays/5)
+		cfg.Eps = 30
+		model, err := adm.Train(train, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pricing := hvac.DefaultPricing()
+		if sp.Pricing != nil {
+			pricing = *sp.Pricing
+		}
+		planners = append(planners, &Planner{
+			Trace:     tr,
+			Model:     model,
+			Cost:      hvac.NewCostModel(tr.House, hvac.DefaultParams(), pricing),
+			Cap:       Full(tr.House),
+			WindowLen: 10,
+			Workers:   1,
+		})
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, pl := range planners {
+			if _, err := pl.PlanSHATTER(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

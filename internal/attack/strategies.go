@@ -45,13 +45,15 @@ type Planner struct {
 	Workers int
 }
 
-// planScratch is one planning worker's reusable state: the DP workspace and
-// the local cost-table buffer (used when no memoized surface is injected).
-// Scratch never influences results, only allocation counts, so sharing one
-// per worker preserves the Workers=1 ≡ Workers=N determinism contract.
+// planScratch is one planning worker's reusable state: the DP workspace,
+// the local cost-table buffer (used when no memoized surface is injected)
+// and the occupant-day's resolved zone grants (allowedFor). Scratch never
+// influences results, only allocation counts, so sharing one per worker
+// preserves the Workers=1 ≡ Workers=N determinism contract.
 type planScratch struct {
-	ws   solver.Workspace
-	ctbl []float64
+	ws     solver.Workspace
+	ctbl   []float64
+	zoneOK []bool
 }
 
 // ErrNeedModel is returned when a strategy requires an ADM estimate.
@@ -73,31 +75,14 @@ func zonesOf(h *home.House) []home.ZoneID {
 	return zs
 }
 
-// costFor builds the surrogate CostFn for one occupant and day: the
-// per-minute cost of the occupant reported in a zone with that zone's most
-// intense activity (or the actual activity when reporting truthfully).
-func (pl *Planner) costFor(day, occupant int) solver.CostFn {
-	w := pl.Trace.Weather[day]
-	dd := pl.Trace.Days[day]
-	house := pl.Trace.House
-	return func(slot int, z home.ZoneID) float64 {
-		if !z.Conditioned() {
-			return 0
-		}
-		act := house.MostIntenseActivity(z)
-		if dd.Zone[occupant][slot] == z {
-			act = dd.Act[occupant][slot]
-		}
-		return pl.Cost.OccupantSlotCost(occupant, z, act, slot, w.TempF[slot])
-	}
-}
-
-// costTableFn precomputes the occupant-day cost surface of costFor into a
-// (zone, slot)-indexed table and returns a table-backed CostFn plus the
-// (possibly grown) buffer for reuse. The schedule optimisers query the
-// surrogate thousands of times per occupant-day with the same (slot, zone)
-// arguments; tabulating the ≤ house-zones × SlotsPerDay distinct values once
-// removes the repeated HVAC cost-model evaluations from the hot path.
+// costTableFn tabulates the occupant-day surrogate into a (zone,
+// slot)-indexed table and returns a table-backed CostFn plus the (possibly
+// grown) buffer for reuse. Cell (z, t) is the per-minute cost of the
+// occupant reported in z at t with that zone's most intense activity, or
+// with the actual activity when reporting truthfully. The schedule
+// optimisers query the surrogate thousands of times per occupant-day with
+// the same (slot, zone) arguments, so each row is filled once, from at most
+// one hoisted hvac.OccupantLoad per activity.
 func (pl *Planner) costTableFn(day, occupant int, tbl []float64) (solver.CostFn, []float64) {
 	house := pl.Trace.House
 	nz := len(house.Zones)
@@ -106,23 +91,35 @@ func (pl *Planner) costTableFn(day, occupant int, tbl []float64) (solver.CostFn,
 		tbl = make([]float64, n)
 	}
 	tbl = tbl[:n]
-	w := pl.Trace.Weather[day]
-	dd := pl.Trace.Days[day]
+	temp := pl.Trace.Weather[day].TempF
+	zones := pl.Trace.Days[day].Zone[occupant]
+	acts := pl.Trace.Days[day].Act[occupant]
 	for z := home.ZoneID(0); int(z) < nz; z++ {
 		row := tbl[int(z)*aras.SlotsPerDay : (int(z)+1)*aras.SlotsPerDay]
 		if !z.Conditioned() {
-			for t := range row {
-				row[t] = 0
-			}
+			clear(row)
 			continue
 		}
-		intense := house.MostIntenseActivity(z)
-		for t := range row {
-			act := intense
-			if dd.Zone[occupant][t] == z {
-				act = dd.Act[occupant][t]
+		var loads [home.NumActivities]hvac.OccupantLoad
+		var hoisted [home.NumActivities]bool
+		load := func(act home.ActivityID) *hvac.OccupantLoad {
+			if act < 0 || act >= home.NumActivities {
+				l := pl.Cost.OccupantLoad(occupant, z, act)
+				return &l
 			}
-			row[t] = pl.Cost.OccupantSlotCost(occupant, z, act, t, w.TempF[t])
+			if !hoisted[act] {
+				loads[act] = pl.Cost.OccupantLoad(occupant, z, act)
+				hoisted[act] = true
+			}
+			return &loads[act]
+		}
+		intense := load(house.MostIntenseActivity(z))
+		for t := range row {
+			l := intense
+			if zones[t] == z {
+				l = load(acts[t])
+			}
+			row[t] = pl.Cost.SlotCost(l, t, temp[t])
 		}
 	}
 	return CostFnFromTable(tbl), tbl
@@ -163,11 +160,31 @@ func (pl *Planner) surfaceFor(day, occupant int, tbl *[]float64) solver.CostFn {
 	return fn
 }
 
-// allowedFor builds the capability AllowedFn for one occupant and day.
-func (pl *Planner) allowedFor(day, occupant int) solver.AllowedFn {
-	dd := pl.Trace.Days[day]
+// allowedFor builds the capability AllowedFn for one occupant and day. The
+// capability's occupant and zone grants are read once into st.zoneOK, so a
+// query costs slice loads instead of CanReport's map lookups; its answers
+// equal Cap.CanReport for every slot and house zone. The returned function
+// reads st and is valid until st plans its next occupant-day.
+func (pl *Planner) allowedFor(st *planScratch, day, occupant int) solver.AllowedFn {
+	actual := pl.Trace.Days[day].Zone[occupant]
+	nz := len(pl.Trace.House.Zones)
+	if cap(st.zoneOK) < nz {
+		st.zoneOK = make([]bool, nz)
+	}
+	// zoneOK[z]: the attacker may move this occupant's report into or out
+	// of zone z (CanReport's occupant and sensor-access terms).
+	zoneOK := st.zoneOK[:nz]
+	occupantOK := pl.Cap.Occupants[occupant]
+	for z := range zoneOK {
+		zoneOK[z] = occupantOK && pl.Cap.zoneOK(home.ZoneID(z))
+	}
+	slotOK := pl.Cap.SlotAllowed
 	return func(slot int, z home.ZoneID) bool {
-		return pl.Cap.CanReport(occupant, slot, dd.Zone[occupant][slot], z)
+		a := actual[slot]
+		if z == a {
+			return true
+		}
+		return zoneOK[a] && zoneOK[z] && (slotOK == nil || slotOK(slot))
 	}
 }
 
@@ -207,11 +224,13 @@ func (pl *Planner) viableTerminal(day, occupant int, end *int, zones []home.Zone
 	}
 }
 
-// CostFnFor exposes the planner's surrogate cost function for external
-// harnesses (e.g. the Fig 11 scalability benchmarks drive the solver
-// directly with it).
+// CostFnFor exposes the occupant-day surrogate the planner optimises — the
+// memoized surface when one is injected, otherwise a fresh table — for
+// harnesses that score schedules outside the planner (the Table III case
+// study).
 func (pl *Planner) CostFnFor(day, occupant int) solver.CostFn {
-	return pl.costFor(day, occupant)
+	var tbl []float64
+	return pl.surfaceFor(day, occupant, &tbl)
 }
 
 // actualArrival returns the start slot of the in-progress actual stay at
@@ -265,7 +284,7 @@ func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.Z
 	bands := pl.Model.StayBands(o)
 	iLen := pl.windowLen()
 	cost := pl.surfaceFor(d, o, &st.ctbl)
-	allowed := pl.allowedFor(d, o)
+	allowed := pl.allowedFor(st, d, o)
 	// The terminal closures are hoisted out of the window loop (one
 	// allocation per occupant-day instead of per window) and read the
 	// current interior-window end through this variable.
@@ -433,8 +452,9 @@ func (pl *Planner) PlanGreedy() (*Plan, error) {
 	scratch := make([]planScratch, pool.Width(pl.Workers, cells))
 	err := pool.RunIndexed(pl.Workers, cells, func(worker, i int) error {
 		d, o := i/occ, i%occ
-		cost := pl.surfaceFor(d, o, &scratch[worker].ctbl)
-		pl.greedyDay(p, d, o, zones, cost)
+		st := &scratch[worker]
+		cost := pl.surfaceFor(d, o, &st.ctbl)
+		pl.greedyDay(p, st, d, o, zones, cost)
 		pl.applyTruthFloor(p, d, o, cost)
 		pl.sanitizeDay(p, d, o)
 		return nil
@@ -447,10 +467,10 @@ func (pl *Planner) PlanGreedy() (*Plan, error) {
 
 // greedyDay walks one occupant-day as a consistency-checked state machine.
 // zones is the house's reportable zone list and cost the occupant-day
-// surrogate, both hoisted by the caller.
-func (pl *Planner) greedyDay(p *Plan, d, o int, zones []home.ZoneID, cost solver.CostFn) {
+// surrogate, both hoisted by the caller; st is the worker's scratch.
+func (pl *Planner) greedyDay(p *Plan, st *planScratch, d, o int, zones []home.ZoneID, cost solver.CostFn) {
 	bands := pl.Model.StayBands(o)
-	allowed := pl.allowedFor(d, o)
+	allowed := pl.allowedFor(st, d, o)
 	zone := pl.Trace.Days[d].Zone[o][0]
 	arrival := 0
 	commitUntil := 0 // committed stay end (Algorithm 2's duration)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/acyd-lab/shatter/internal/adm"
+	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/attack"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/solver"
@@ -321,11 +322,13 @@ func (s *Suite) Fig11a(horizons []int) ([]ScalePoint, error) {
 }
 
 // Fig11b measures window-optimisation time against the number of zones
-// (horizontal scaling, lookback 10) on a synthetic oracle.
+// (horizontal scaling, lookback 10). It times the kernel the attack planner
+// runs, solver.OptimizeWindowBands, on the synthetic oracle tabulated as a
+// stay-band table.
 func (s *Suite) Fig11b(zoneCounts []int) ([]ScalePoint, error) {
 	var out []ScalePoint
 	for _, n := range zoneCounts {
-		oracle := newSyntheticOracle(n)
+		bands := newSyntheticOracle(n).stayBands()
 		zones := make([]home.ZoneID, n)
 		for i := range zones {
 			zones[i] = home.ZoneID(i)
@@ -342,7 +345,7 @@ func (s *Suite) Fig11b(zoneCounts []int) ([]ScalePoint, error) {
 		// Repeat to get a measurable duration for small n.
 		const reps = 200
 		for r := 0; r < reps; r++ {
-			_, st, err := solver.OptimizeWindowWS(&ws, w, oracle, cost, func(int, home.ZoneID) bool { return true })
+			_, st, err := solver.OptimizeWindowBands(&ws, w, bands, cost, func(int, home.ZoneID) bool { return true })
 			if err != nil {
 				return nil, err
 			}
@@ -354,17 +357,47 @@ func (s *Suite) Fig11b(zoneCounts []int) ([]ScalePoint, error) {
 }
 
 // syntheticOracle gives every zone a simple stay band, for zone-scaling
-// benchmarks where no trained model exists.
+// benchmarks where no trained model exists: from any arrival, a stay in
+// zone z may last up to 5+z%11 minutes and may end after 2 or more.
 type syntheticOracle struct{ n int }
+
+const syntheticMinStay = 2
 
 func newSyntheticOracle(n int) syntheticOracle { return syntheticOracle{n: n} }
 
+func (o syntheticOracle) maxStay(z home.ZoneID) int { return 5 + int(z)%11 }
+
 func (o syntheticOracle) MaxStay(_ int, z home.ZoneID, _ int) (int, bool) {
-	return 5 + int(z)%11, true
+	return o.maxStay(z), true
 }
 
 func (o syntheticOracle) InRangeStay(_ int, z home.ZoneID, _ int, stay int) bool {
-	return stay >= 2 && stay <= 5+int(z)%11
+	return stay >= syntheticMinStay && stay <= o.maxStay(z)
+}
+
+// stayBands tabulates the oracle over the n zones and every arrival slot of
+// a day: each cell is covered by the one stay interval [2, maxStay(z)].
+func (o syntheticOracle) stayBands() *solver.StayBands {
+	const slots = aras.SlotsPerDay
+	cells := o.n * slots
+	b := &solver.StayBands{
+		Slots:   slots,
+		Covered: make([]bool, cells),
+		MinStay: make([]int32, cells),
+		MaxStay: make([]int32, cells),
+		IvOff:   make([]int32, cells+1),
+		IvLo:    make([]float64, cells),
+		IvHi:    make([]float64, cells),
+	}
+	for c := range cells {
+		mx := o.maxStay(home.ZoneID(c / slots))
+		b.Covered[c] = true
+		b.MinStay[c], b.MaxStay[c] = syntheticMinStay, int32(mx)
+		b.IvOff[c] = int32(c)
+		b.IvLo[c], b.IvHi[c] = syntheticMinStay, float64(mx)
+	}
+	b.IvOff[cells] = int32(cells)
+	return b
 }
 
 // TestbedResult wraps the Section VI validation.

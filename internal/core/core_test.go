@@ -2,9 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/acyd-lab/shatter/internal/adm"
+	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/home"
+	"github.com/acyd-lab/shatter/internal/solver"
 )
 
 // testSuite builds a reduced-size suite so the full experiment matrix runs
@@ -309,6 +313,47 @@ func TestFig11bModerateGrowth(t *testing.T) {
 	ratio := float64(points[2].Nodes) / float64(points[0].Nodes)
 	if ratio > 50 {
 		t.Errorf("zone scaling ratio %v too steep", ratio)
+	}
+}
+
+// TestSyntheticStayBandsMatchOracle locks Fig 11b's tabulated oracle to the
+// synthetic oracle it tabulates: equal stay queries, and a window solved
+// over the table equal to the interface DP's, node count included.
+func TestSyntheticStayBandsMatchOracle(t *testing.T) {
+	for _, n := range []int{4, 24} {
+		oracle := newSyntheticOracle(n)
+		bands := oracle.stayBands()
+		zones := make([]home.ZoneID, n)
+		for i := range zones {
+			zones[i] = home.ZoneID(i)
+			for arr := 0; arr < aras.SlotsPerDay; arr += 7 {
+				wantMax, wantOK := oracle.MaxStay(0, zones[i], arr)
+				if gotMax, gotOK := bands.MaxStayAt(zones[i], arr); gotMax != wantMax || gotOK != wantOK {
+					t.Fatalf("n=%d zone %d arrival %d: MaxStayAt (%d,%v), oracle (%d,%v)", n, i, arr, gotMax, gotOK, wantMax, wantOK)
+				}
+				for stay := 0; stay < 20; stay++ {
+					if got, want := bands.InRange(zones[i], arr, stay), oracle.InRangeStay(0, zones[i], arr, stay); got != want {
+						t.Fatalf("n=%d zone %d arrival %d stay %d: InRange %v, oracle %v", n, i, arr, stay, got, want)
+					}
+				}
+			}
+		}
+		w := solver.Window{StartSlot: 600, Length: 10, StartZone: zones[0], StartArrival: 595, Zones: zones}
+		cost := func(slot int, z home.ZoneID) float64 { return float64((int(z)+slot)%7) + 0.5 }
+		all := func(int, home.ZoneID) bool { return true }
+		var ws solver.Workspace
+		want, wantSt, err := solver.OptimizeWindowWS(&ws, w, oracle, cost, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantZones := append([]home.ZoneID(nil), want.Zones...)
+		got, gotSt, err := solver.OptimizeWindowBands(&ws, w, bands, cost, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSt != wantSt || got.Value != want.Value || !reflect.DeepEqual(got.Zones, wantZones) {
+			t.Errorf("n=%d: bands DP (%+v, %v, %v) != oracle DP (%+v, %v, %v)", n, gotSt, got.Value, got.Zones, wantSt, want.Value, wantZones)
+		}
 	}
 }
 

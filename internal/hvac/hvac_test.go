@@ -109,6 +109,71 @@ func TestMixedAirTemp(t *testing.T) {
 	if got := mixedAirTempF(Demand{SupplyCFM: 100, FreshCFM: 50}, 90, 72); got != 81 {
 		t.Errorf("half mix = %v, want 81", got)
 	}
+	// The builtin min/max clamp matches math.Min/math.Max on NaN, signed
+	// zeros and infinities.
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1, 0.5, 2, 100}
+	for _, supply := range special {
+		for _, fresh := range special {
+			for _, out := range special {
+				dem := Demand{SupplyCFM: supply, FreshCFM: fresh}
+				got, want := mixedAirTempF(dem, out, 72), referenceMixedAirTempF(dem, out, 72)
+				if !sameFloat(got, want) {
+					t.Errorf("mixedAirTempF(%+v, %v) = %v, reference %v", dem, out, got, want)
+				}
+			}
+		}
+	}
+}
+
+// sameFloat reports bit equality, treating any two NaNs as equal.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// referenceMixedAirTempF is mixedAirTempF with the math.Min/math.Max clamp.
+func referenceMixedAirTempF(dem Demand, outdoorF, returnF float64) float64 {
+	if dem.SupplyCFM <= 0 {
+		return returnF
+	}
+	frac := dem.FreshCFM / dem.SupplyCFM
+	frac = math.Max(0, math.Min(1, frac))
+	return frac*outdoorF + (1-frac)*returnF
+}
+
+// ReferenceOccupantSlotCost is the per-slot surrogate arithmetic that the
+// hoisted kernel (OccupantLoad, then SlotCost) must reproduce bit for bit:
+// every term re-derived on each call, in the original operation order. It
+// is exported for the external oracle test, which ranges over scenario's
+// procedural houses.
+func ReferenceOccupantSlotCost(m *CostModel, occupant int, z home.ZoneID, act home.ActivityID, slot int, outdoorF float64) float64 {
+	if !z.Conditioned() {
+		return 0
+	}
+	p := m.params
+	zone := m.house.Zone(z)
+	demo := m.house.Occupants[occupant].Demographics
+	a := home.ActivityByID(act)
+	heat := a.HeatW(demo) + p.EnvelopeUAWPerF2*zone.AreaFt2*math.Max(0, outdoorF-p.ZoneSetpointF)
+	for _, ai := range m.house.AppliancesForActivity(act) {
+		if m.house.Appliances[ai].Zone == z {
+			heat += m.house.Appliances[ai].HeatW()
+		}
+	}
+	qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
+	genPPM := a.CO2Ft3PerMin(demo) * SlotMinutes / zone.VolumeFt3 * 1e6
+	qf := 0.0
+	if den := p.CO2SetpointPPM - 420; den > 0 {
+		qf = genPPM / den * zone.VolumeFt3 / SlotMinutes
+	}
+	q := math.Min(math.Max(qs, qf), p.MaxZoneCFM)
+	fresh := math.Min(qf, q)
+	tMix := referenceMixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outdoorF, p.ZoneSetpointF)
+	watts := q*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
+	kwh := watts * SlotMinutes / 60000
+	return kwh * m.rateApprox(slot)
 }
 
 func TestSimulateEmptyTrace(t *testing.T) {

@@ -68,7 +68,7 @@ func mixedAirTempF(dem Demand, outdoorF, returnF float64) float64 {
 		return returnF
 	}
 	frac := dem.FreshCFM / dem.SupplyCFM
-	frac = math.Max(0, math.Min(1, frac))
+	frac = max(0, min(1, frac))
 	return frac*outdoorF + (1-frac)*returnF
 }
 
@@ -81,49 +81,103 @@ type CostModel struct {
 	house   *home.House
 	params  Params
 	pricing Pricing
+	// applianceW[z·NumActivities+a] lists, in link order, the heat (W) of
+	// activity a's habitual appliances installed in zone z.
+	applianceW [][]float64
 }
 
 // NewCostModel builds a CostModel.
 func NewCostModel(house *home.House, params Params, pricing Pricing) *CostModel {
-	return &CostModel{house: house, params: params, pricing: pricing}
+	m := &CostModel{
+		house:      house,
+		params:     params,
+		pricing:    pricing,
+		applianceW: make([][]float64, len(house.Zones)*home.NumActivities),
+	}
+	for act := home.ActivityID(0); act < home.NumActivities; act++ {
+		for _, ai := range house.AppliancesForActivity(act) {
+			appl := house.Appliances[ai]
+			i := int(appl.Zone)*home.NumActivities + int(act)
+			m.applianceW[i] = append(m.applianceW[i], appl.HeatW())
+		}
+	}
+	return m
 }
 
-// OccupantSlotCost returns the marginal per-minute USD cost of a believed
-// occupant in zone z performing activity act at slot (minute-of-day),
-// assuming the zone is otherwise unconditioned (so the envelope load
-// activates with the occupant). Outdoor temperature defaults to the design
-// summer mean when weather is nil.
-func (m *CostModel) OccupantSlotCost(occupant int, z home.ZoneID, act home.ActivityID, slot int, outdoorF float64) float64 {
+// OccupantLoad is the slot-independent part of OccupantSlotCost for one
+// (occupant, zone, activity): everything except the outdoor temperature
+// and the tariff. The attack planner hoists one per activity out of each
+// occupant-day's 1,440-slot zone row.
+type OccupantLoad struct {
+	conditioned bool
+	// activityW is the activity's sensible heat for the occupant.
+	activityW float64
+	// envelopeWPerF is the zone's envelope conductance UA·area.
+	envelopeWPerF float64
+	// applianceW is the heat of the activity's appliances in the zone, in
+	// the order OccupantSlotCost adds it.
+	applianceW []float64
+	// freshCFM is the steady-state fresh air holding the CO2 setpoint
+	// against the occupant's generation.
+	freshCFM float64
+}
+
+// OccupantLoad hoists the slot-independent terms of OccupantSlotCost.
+func (m *CostModel) OccupantLoad(occupant int, z home.ZoneID, act home.ActivityID) OccupantLoad {
 	if !z.Conditioned() {
-		return 0
+		return OccupantLoad{}
 	}
 	p := m.params
 	zone := m.house.Zone(z)
 	demo := m.house.Occupants[occupant].Demographics
 	a := home.ActivityByID(act)
-	heat := a.HeatW(demo) + p.EnvelopeUAWPerF2*zone.AreaFt2*math.Max(0, outdoorF-p.ZoneSetpointF)
+	l := OccupantLoad{
+		conditioned:   true,
+		activityW:     a.HeatW(demo),
+		envelopeWPerF: p.EnvelopeUAWPerF2 * zone.AreaFt2,
+	}
 	// The activity-appliance relationship: a reported activity carries its
 	// habitual appliances' status (δ^D in the attack vector), so their heat
 	// becomes believed cooling load.
-	for _, ai := range m.house.AppliancesForActivity(act) {
-		if m.house.Appliances[ai].Zone == z {
-			heat += m.house.Appliances[ai].HeatW()
-		}
+	if act >= 0 && act < home.NumActivities {
+		l.applianceW = m.applianceW[int(z)*home.NumActivities+int(act)]
 	}
-	qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
 	// Steady-state fresh air to hold the setpoint against this occupant's
 	// generation: r·(set − out) = genPPM.
 	genPPM := a.CO2Ft3PerMin(demo) * SlotMinutes / zone.VolumeFt3 * 1e6
-	qf := 0.0
 	if den := p.CO2SetpointPPM - 420; den > 0 {
-		qf = genPPM / den * zone.VolumeFt3 / SlotMinutes
+		l.freshCFM = genPPM / den * zone.VolumeFt3 / SlotMinutes
 	}
-	q := math.Min(math.Max(qs, qf), p.MaxZoneCFM)
-	fresh := math.Min(qf, q)
+	return l
+}
+
+// SlotCost evaluates a hoisted load at a slot (minute-of-day) and outdoor
+// temperature: the marginal per-minute USD cost OccupantSlotCost returns.
+func (m *CostModel) SlotCost(l *OccupantLoad, slot int, outdoorF float64) float64 {
+	if !l.conditioned {
+		return 0
+	}
+	p := &m.params
+	heat := l.activityW + l.envelopeWPerF*max(0, outdoorF-p.ZoneSetpointF)
+	for _, w := range l.applianceW {
+		heat += w
+	}
+	qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
+	q := min(max(qs, l.freshCFM), p.MaxZoneCFM)
+	fresh := min(l.freshCFM, q)
 	tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outdoorF, p.ZoneSetpointF)
-	watts := q*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
+	watts := q*max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
 	kwh := watts * SlotMinutes / 60000
 	return kwh * m.rateApprox(slot)
+}
+
+// OccupantSlotCost returns the marginal per-minute USD cost of a believed
+// occupant in zone z performing activity act at slot (minute-of-day),
+// assuming the zone is otherwise unconditioned (so the envelope load
+// activates with the occupant).
+func (m *CostModel) OccupantSlotCost(occupant int, z home.ZoneID, act home.ActivityID, slot int, outdoorF float64) float64 {
+	l := m.OccupantLoad(occupant, z, act)
+	return m.SlotCost(&l, slot, outdoorF)
 }
 
 // ApplianceSlotCost returns the marginal per-minute USD cost of appliance

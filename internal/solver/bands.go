@@ -135,7 +135,9 @@ func OptimizeWindowBands(ws *Workspace, w Window, bands *StayBands, cost CostFn,
 	for t := 0; t < w.Length; t++ {
 		abs := w.StartSlot + t
 		for z := 0; z < d.nZ; z++ {
-			for a := 0; a < d.nA; a++ {
+			// Arrival index a first appears in layer a (a move at step
+			// a−1), so indices above t cannot be live at step t.
+			for a := 0; a <= t; a++ {
 				i := d.idx(t, z, a)
 				if !ws.live(i) {
 					continue

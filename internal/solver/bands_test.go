@@ -82,7 +82,8 @@ func TestBandsQueriesMatchOracle(t *testing.T) {
 // TestBandsDPMatchesOracleDP is the lock between the two forward passes:
 // over randomized stay bands, windows, and capabilities, OptimizeWindowBands
 // must reproduce OptimizeWindowWS exactly — value, feasibility, schedule,
-// end state, and node count.
+// end state, and node count. Cost and the capability vary by slot as well
+// as by zone, so a pass that reads the wrong slot diverges.
 func TestBandsDPMatchesOracleDP(t *testing.T) {
 	r := rng.New(42)
 	const nSlots = 400
@@ -100,9 +101,19 @@ func TestBandsDPMatchesOracleDP(t *testing.T) {
 		for _, z := range allZones {
 			costTbl[z] = r.Range(0, 10)
 		}
-		cost := func(_ int, z home.ZoneID) float64 { return costTbl[z] }
-		blocked := allZones[r.Intn(len(allZones))]
-		allowed := func(_ int, z home.ZoneID) bool { return z != blocked }
+		// slotCost[slot][z] and blocked[slot] give every (slot, zone) its
+		// own cost and every slot its own inaccessible zone.
+		slotCost := make([][]float64, nSlots)
+		blocked := make([]home.ZoneID, nSlots)
+		for s := range slotCost {
+			slotCost[s] = make([]float64, len(allZones))
+			for zi := range slotCost[s] {
+				slotCost[s][zi] = r.Range(0, 10)
+			}
+			blocked[s] = allZones[r.Intn(len(allZones))]
+		}
+		cost := func(slot int, z home.ZoneID) float64 { return slotCost[slot][z] }
+		allowed := func(slot int, z home.ZoneID) bool { return z != blocked[slot] }
 		start := 50 + r.Intn(200)
 		w := Window{
 			Occupant:     0,
