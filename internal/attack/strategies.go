@@ -28,15 +28,6 @@ type Planner struct {
 	// WindowLen is the optimisation horizon I (Eq 17); the paper uses 10.
 	// Defaults to 10 when zero.
 	WindowLen int
-	// CostSurface, when non-nil, supplies the tabulated occupant-day cost
-	// surrogate instead of the planner computing it. The surface depends
-	// only on (trace, cost model) — not on the attacker's ADM estimate or
-	// strategy — so suite-level callers memoize one per (house, day,
-	// occupant) and share it across every planning cell. The provider
-	// receives the planner's trace and must return nil when the surface was
-	// built for a different trace (e.g. after the planner is re-pointed at
-	// a sub-trace); the planner then tabulates locally.
-	CostSurface func(tr *aras.Trace, day, occupant int) solver.CostFn
 	// Workers bounds the occupant-day planning fan-out: the cells of a
 	// campaign (one per occupant-day for SHATTER/Greedy, one per day for
 	// BIoTA) are independent and spread across a bounded worker pool.
@@ -46,13 +37,13 @@ type Planner struct {
 }
 
 // planScratch is one planning worker's reusable state: the DP workspace,
-// the local cost-table buffer (used when no memoized surface is injected)
-// and the occupant-day's resolved zone grants (allowedFor). Scratch never
-// influences results, only allocation counts, so sharing one per worker
-// preserves the Workers=1 ≡ Workers=N determinism contract.
+// the occupant-day's cost surface (surfaceFor) and its resolved zone grants
+// (allowedFor). Scratch never influences results, only allocation counts,
+// so sharing one per worker preserves the Workers=1 ≡ Workers=N
+// determinism contract.
 type planScratch struct {
 	ws     solver.Workspace
-	ctbl   []float64
+	cost   costSurface
 	zoneOK []bool
 }
 
@@ -75,89 +66,98 @@ func zonesOf(h *home.House) []home.ZoneID {
 	return zs
 }
 
-// costTableFn tabulates the occupant-day surrogate into a (zone,
-// slot)-indexed table and returns a table-backed CostFn plus the (possibly
-// grown) buffer for reuse. Cell (z, t) is the per-minute cost of the
-// occupant reported in z at t with that zone's most intense activity, or
-// with the actual activity when reporting truthfully. The schedule
-// optimisers query the surrogate thousands of times per occupant-day with
-// the same (slot, zone) arguments, so each row is filled once, from at most
-// one hoisted hvac.OccupantLoad per activity.
-func (pl *Planner) costTableFn(day, occupant int, tbl []float64) (solver.CostFn, []float64) {
-	house := pl.Trace.House
-	nz := len(house.Zones)
-	n := nz * aras.SlotsPerDay
-	if cap(tbl) < n {
-		tbl = make([]float64, n)
-	}
-	tbl = tbl[:n]
-	temp := pl.Trace.Weather[day].TempF
-	zones := pl.Trace.Days[day].Zone[occupant]
-	acts := pl.Trace.Days[day].Act[occupant]
-	for z := home.ZoneID(0); int(z) < nz; z++ {
-		row := tbl[int(z)*aras.SlotsPerDay : (int(z)+1)*aras.SlotsPerDay]
-		if !z.Conditioned() {
-			clear(row)
-			continue
-		}
-		var loads [home.NumActivities]hvac.OccupantLoad
-		var hoisted [home.NumActivities]bool
-		load := func(act home.ActivityID) *hvac.OccupantLoad {
-			if act < 0 || act >= home.NumActivities {
-				l := pl.Cost.OccupantLoad(occupant, z, act)
-				return &l
-			}
-			if !hoisted[act] {
-				loads[act] = pl.Cost.OccupantLoad(occupant, z, act)
-				hoisted[act] = true
-			}
-			return &loads[act]
-		}
-		intense := load(house.MostIntenseActivity(z))
-		for t := range row {
-			l := intense
-			if zones[t] == z {
-				l = load(acts[t])
-			}
-			row[t] = pl.Cost.SlotCost(l, t, temp[t])
-		}
-	}
-	return CostFnFromTable(tbl), tbl
+// costSurface is one occupant-day's surrogate cost surface, indexed by
+// (zone, slot) and computed cell by cell on first read. Cell (z, t) is the
+// per-minute cost of the occupant reported in z at t with that zone's most
+// intense activity, or with the actual activity when reporting truthfully.
+// The planners read a small part of the surface, many times over, so each
+// cell they read is evaluated once, from at most one hoisted
+// hvac.OccupantLoad per (zone, activity). Cells and loads carry epoch
+// stamps: opening the next occupant-day (surfaceFor) bumps the epoch
+// instead of clearing them. Slots outside the day and zones outside the
+// house cost 0. A surface is not safe for concurrent use.
+type costSurface struct {
+	cost     *hvac.CostModel
+	house    *home.House
+	occupant int
+	nz       int
+	temp     []float64
+	zone     []home.ZoneID
+	act      []home.ActivityID
+	// val and stamp are the (zone, slot) cells; loads and loadStamp the
+	// hoisted loads, indexed z·NumActivities + activity.
+	val       []float64
+	stamp     []uint32
+	loads     []hvac.OccupantLoad
+	loadStamp []uint32
+	epoch     uint32
 }
 
-// CostTable returns the freshly allocated (zone, slot)-indexed surrogate
-// cost surface for one occupant-day — the memoizable artifact behind
-// CostSurface.
-func (pl *Planner) CostTable(day, occupant int) []float64 {
-	_, tbl := pl.costTableFn(day, occupant, nil)
-	return tbl
+// surfaceFor points s at one occupant-day of the planner's trace,
+// invalidating every cell of the previous one, and returns it as a CostFn,
+// valid until s opens its next occupant-day.
+func (pl *Planner) surfaceFor(s *costSurface, day, occupant int) solver.CostFn {
+	s.cost, s.house, s.occupant = pl.Cost, pl.Trace.House, occupant
+	s.nz = len(s.house.Zones)
+	s.temp = pl.Trace.Weather[day].TempF
+	s.zone = pl.Trace.Days[day].Zone[occupant]
+	s.act = pl.Trace.Days[day].Act[occupant]
+	if cells := s.nz * aras.SlotsPerDay; len(s.val) < cells {
+		s.val = make([]float64, cells)
+		s.stamp = make([]uint32, cells)
+		s.loads = make([]hvac.OccupantLoad, s.nz*home.NumActivities)
+		s.loadStamp = make([]uint32, s.nz*home.NumActivities)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		// Stamp wrap-around: old stamps could alias the restarted epoch.
+		clear(s.stamp)
+		clear(s.loadStamp)
+		s.epoch = 1
+	}
+	return s.at
 }
 
-// CostFnFromTable wraps a CostTable surface as a solver.CostFn. The zone
-// bound is recovered from the table size, so surfaces built for any house
-// layout self-describe.
-func CostFnFromTable(tbl []float64) solver.CostFn {
-	nz := home.ZoneID(len(tbl) / aras.SlotsPerDay)
-	return func(slot int, z home.ZoneID) float64 {
-		if z < 0 || z >= nz {
-			return 0
-		}
-		return tbl[int(z)*aras.SlotsPerDay+slot]
+// at is the surface as a solver.CostFn.
+func (s *costSurface) at(slot int, z home.ZoneID) float64 {
+	if slot < 0 || slot >= aras.SlotsPerDay || z < 0 || int(z) >= s.nz {
+		return 0
 	}
+	c := int(z)*aras.SlotsPerDay + slot
+	if s.stamp[c] != s.epoch {
+		s.val[c] = s.compute(slot, z)
+		s.stamp[c] = s.epoch
+	}
+	return s.val[c]
 }
 
-// surfaceFor resolves the occupant-day cost surrogate: the injected
-// memoized surface when it covers the planner's trace, otherwise a locally
-// tabulated one (tbl is the reusable local buffer).
-func (pl *Planner) surfaceFor(day, occupant int, tbl *[]float64) solver.CostFn {
-	if pl.CostSurface != nil {
-		if fn := pl.CostSurface(pl.Trace, day, occupant); fn != nil {
-			return fn
-		}
+// compute evaluates cell (z, slot) under the intense-or-actual activity
+// rule.
+func (s *costSurface) compute(slot int, z home.ZoneID) float64 {
+	if !z.Conditioned() {
+		return 0
 	}
-	fn, t := pl.costTableFn(day, occupant, *tbl)
-	*tbl = t
-	return fn
+	act := s.house.MostIntenseActivity(z)
+	if s.zone[slot] == z {
+		act = s.act[slot]
+	}
+	return s.cost.SlotCost(s.load(z, act), slot, s.temp[slot])
+}
+
+// load returns the occupant's hoisted load for (z, act), computing it on
+// first use within the occupant-day.
+func (s *costSurface) load(z home.ZoneID, act home.ActivityID) *hvac.OccupantLoad {
+	if act < 0 || act >= home.NumActivities {
+		l := s.cost.OccupantLoad(s.occupant, z, act)
+		return &l
+	}
+	i := int(z)*home.NumActivities + int(act)
+	if s.loadStamp[i] != s.epoch {
+		s.loads[i] = s.cost.OccupantLoad(s.occupant, z, act)
+		s.loadStamp[i] = s.epoch
+	}
+	return &s.loads[i]
 }
 
 // allowedFor builds the capability AllowedFn for one occupant and day. The
@@ -224,13 +224,12 @@ func (pl *Planner) viableTerminal(day, occupant int, end *int, zones []home.Zone
 	}
 }
 
-// CostFnFor exposes the occupant-day surrogate the planner optimises — the
-// memoized surface when one is injected, otherwise a fresh table — for
-// harnesses that score schedules outside the planner (the Table III case
-// study).
+// CostFnFor exposes the occupant-day surrogate the planner optimises, on a
+// fresh surface, for harnesses that score schedules outside the planner
+// (the Table III case study). The returned function fills its surface as
+// it reads, so it is not safe for concurrent use.
 func (pl *Planner) CostFnFor(day, occupant int) solver.CostFn {
-	var tbl []float64
-	return pl.surfaceFor(day, occupant, &tbl)
+	return pl.surfaceFor(new(costSurface), day, occupant)
 }
 
 // actualArrival returns the start slot of the in-progress actual stay at
@@ -283,7 +282,7 @@ func (pl *Planner) PlanSHATTER() (*Plan, error) {
 func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.ZoneID) (infeasible int, err error) {
 	bands := pl.Model.StayBands(o)
 	iLen := pl.windowLen()
-	cost := pl.surfaceFor(d, o, &st.ctbl)
+	cost := pl.surfaceFor(&st.cost, d, o)
 	allowed := pl.allowedFor(st, d, o)
 	// The terminal closures are hoisted out of the window loop (one
 	// allocation per occupant-day instead of per window) and read the
@@ -379,7 +378,7 @@ func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.Z
 // schedule's surrogate value falls below simply not attacking (δ = 0 is
 // always available to the attacker; hull constraints never apply to
 // reality-as-reported). cost is the occupant-day surrogate, supplied by the
-// caller so the tabulated surface is shared with the optimiser.
+// caller so the optimiser's surface, and the cells it computed, are shared.
 func (pl *Planner) applyTruthFloor(p *Plan, day, occupant int, cost solver.CostFn) {
 	var scheduled, truth float64
 	for t := 0; t < aras.SlotsPerDay; t++ {
@@ -453,7 +452,7 @@ func (pl *Planner) PlanGreedy() (*Plan, error) {
 	err := pool.RunIndexed(pl.Workers, cells, func(worker, i int) error {
 		d, o := i/occ, i%occ
 		st := &scratch[worker]
-		cost := pl.surfaceFor(d, o, &st.ctbl)
+		cost := pl.surfaceFor(&st.cost, d, o)
 		pl.greedyDay(p, st, d, o, zones, cost)
 		pl.applyTruthFloor(p, d, o, cost)
 		pl.sanitizeDay(p, d, o)
@@ -539,9 +538,9 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 		maxOcc[z] = house.Zone(z).MaxOccupancy
 	}
 	type biotaScratch struct {
-		counts []int
-		costs  []solver.CostFn
-		ctbls  [][]float64
+		counts   []int
+		costs    []solver.CostFn
+		surfaces []costSurface
 	}
 	days := pl.Trace.NumDays()
 	scratch := make([]biotaScratch, pool.Width(pl.Workers, days))
@@ -550,10 +549,10 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 		if st.counts == nil {
 			st.counts = make([]int, len(house.Zones))
 			st.costs = make([]solver.CostFn, len(house.Occupants))
-			st.ctbls = make([][]float64, len(house.Occupants))
+			st.surfaces = make([]costSurface, len(house.Occupants))
 		}
 		for o := range st.costs {
-			st.costs[o] = pl.surfaceFor(d, o, &st.ctbls[o])
+			st.costs[o] = pl.surfaceFor(&st.surfaces[o], d, o)
 		}
 		for t := 0; t < aras.SlotsPerDay; t++ {
 			counts := st.counts

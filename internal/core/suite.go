@@ -9,9 +9,9 @@
 // grid of {scenario × ADM backend × knowledge level × framework} cells is
 // embarrassingly parallel, so each experiment fans its independent cells
 // across a bounded worker pool (SuiteConfig.Workers), while a suite-level
-// artifact cache (cache.go) memoizes the trained models, benign
-// simulations, splits, and truth plans the cells share, keyed by scenario
-// ID. Results are deterministic: a Workers=1 run and a Workers=N run
+// artifact cache (cache.go) memoizes the trained models, splits, benign
+// simulations, evaluation sets, campaigns and impacts the cells share,
+// keyed by scenario ID. Results are deterministic: a Workers=1 run and a Workers=N run
 // produce identical tables.
 package core
 
@@ -200,20 +200,17 @@ func (s *Suite) trainADM(id string, alg adm.Algorithm, partial bool) (*adm.Model
 }
 
 // planner builds an attack planner against a scenario with the given
-// attacker model and capability. The planner consumes the suite's memoized
-// cost surface and fans its occupant-day cells across the suite's worker
-// width; the surface provider declines traces other than the scenario's
-// full trace, so re-pointing the planner at a sub-trace is safe.
+// attacker model and capability. The planner fans its occupant-day cells
+// across the suite's worker width.
 func (s *Suite) planner(id string, model *adm.Model, capability attack.Capability) *attack.Planner {
 	tr := s.trace(id)
 	return &attack.Planner{
-		Trace:       tr,
-		Model:       model,
-		Cost:        hvac.NewCostModel(tr.House, s.Params, s.pricingFor(id)),
-		Cap:         capability,
-		WindowLen:   s.Config.WindowLen,
-		CostSurface: s.costSurface(id),
-		Workers:     s.Config.Workers,
+		Trace:     tr,
+		Model:     model,
+		Cost:      hvac.NewCostModel(tr.House, s.Params, s.pricingFor(id)),
+		Cap:       capability,
+		WindowLen: s.Config.WindowLen,
+		Workers:   s.Config.Workers,
 	}
 }
 

@@ -3,7 +3,8 @@
 // the whole query surface flattens into per-(zone, arrival) arrays. A
 // trained ADM exports the table once (adm.Model.StayBands) and
 // OptimizeWindowBands consumes it with direct array loads — no interface
-// dispatch, no map lookups — inside the O(T·Z·A·Z) inner loop.
+// dispatch, no map lookups — and expands only the DP states a window
+// reaches.
 
 package solver
 
@@ -94,11 +95,14 @@ func (b *StayBands) inRangeCell(c, stay int) bool {
 }
 
 // OptimizeWindowBands solves the window with the same exact dynamic program
-// as OptimizeWindowWS but reads the tabulated oracle directly — the forward
-// pass below mirrors OptimizeWindowWS statement for statement with every
-// oracle call replaced by an array load, and the two are locked together by
-// cross-validation tests. All of the window's arrival slots must lie inside
-// the table ([0, bands.Slots)), which holds for any day-bounded window.
+// as OptimizeWindowWS but reads the tabulated oracle directly and expands
+// only live states, kept per layer in a frontier in the dense scan's
+// ascending (zone, arrival) order, so every relaxation, tie-break, terminal
+// choice and node count is the same. The forward pass mirrors
+// OptimizeWindowWS statement for statement with every oracle call replaced
+// by an array load, and cross-validation tests lock the two together. All
+// of the window's arrival slots must lie inside the table ([0,
+// bands.Slots)), which holds for any day-bounded window.
 func OptimizeWindowBands(ws *Workspace, w Window, bands *StayBands, cost CostFn, allowed AllowedFn) (Schedule, Stats, error) {
 	var d dp
 	if err := d.start(ws, w); err != nil {
@@ -132,65 +136,76 @@ func OptimizeWindowBands(ws *Workspace, w Window, bands *StayBands, cost CostFn,
 		startCovered = covered[c]
 	}
 
+	layer := d.nZ * d.nA
+	front, next := ws.frontiers(layer)
+	front = append(front, int32(d.startZI*d.nA))
 	for t := 0; t < w.Length; t++ {
 		abs := w.StartSlot + t
+		base, nextBase := t*layer, (t+1)*layer
+		next = next[:0]
+		for _, cell := range front {
+			z, a := int(cell)/d.nA, int(cell)%d.nA
+			v := ws.value[base+int(cell)]
+			st.NodesExpanded++
+			zone := w.Zones[z]
+			arr := d.arrivalSlot(a)
+			dur := abs - arr // completed stay so far
+			c := bandCell(z, arr)
+			// Action 1: stay for slot t (new duration dur+1).
+			canStay := false
+			switch {
+			case c >= 0 && covered[c]:
+				canStay = dur+1 <= int(maxStay[c])
+			case z == d.startZI && a == 0 && !startCovered:
+				canStay = true // lenient inherited stay
+			}
+			if canStay && allowed(abs, zone) {
+				// A stay keeps the cell, and no other cell stays into it:
+				// its successor is unset and goes live here, in ascending
+				// order.
+				ws.set(nextBase+int(cell), v+cost(abs, zone), d.encode(z, a, actStay))
+				next = append(next, cell)
+			}
+			// Action 2: exit now (stay = dur) and occupy z' for slot t.
+			exitOK := c >= 0 && bands.inRangeCell(c, dur)
+			if z == d.startZI && a == 0 && !startCovered {
+				exitOK = true
+			}
+			if !exitOK || dur < 1 {
+				continue
+			}
+			for z2 := 0; z2 < d.nZ; z2++ {
+				if z2 == z {
+					continue
+				}
+				zone2 := w.Zones[z2]
+				if !allowed(abs, zone2) {
+					continue
+				}
+				// The new arrival must have cluster coverage so the
+				// occupant can eventually exit stealthily.
+				if c2 := bandCell(z2, abs); c2 < 0 || !covered[c2] {
+					continue
+				}
+				aIdx := t + 1 // arrival at abs
+				ws.relax(d.idx(t+1, z2, aIdx), v+cost(abs, zone2), d.encode(z, a, actMove))
+			}
+		}
+		// next holds layer t+1's stayed cells in ascending order. A move
+		// lands on (z2, t+1), the last cell of zone z2's row; merge those
+		// in so the next layer expands in the dense scan's order and ties
+		// resolve the same way.
+		front = front[:0]
+		k := 0
 		for z := 0; z < d.nZ; z++ {
-			// Arrival index a first appears in layer a (a move at step
-			// a−1), so indices above t cannot be live at step t.
-			for a := 0; a <= t; a++ {
-				i := d.idx(t, z, a)
-				if !ws.live(i) {
-					continue
-				}
-				v := ws.value[i]
-				st.NodesExpanded++
-				zone := w.Zones[z]
-				arr := d.arrivalSlot(a)
-				dur := abs - arr // completed stay so far
-				c := bandCell(z, arr)
-				// Action 1: stay for slot t (new duration dur+1).
-				canStay := false
-				switch {
-				case c >= 0 && covered[c]:
-					canStay = dur+1 <= int(maxStay[c])
-				case z == d.startZI && a == 0 && !startCovered:
-					canStay = true // lenient inherited stay
-				}
-				if canStay && allowed(abs, zone) {
-					nv := v + cost(abs, zone)
-					if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actStay))
-					}
-				}
-				// Action 2: exit now (stay = dur) and occupy z' for slot t.
-				exitOK := c >= 0 && bands.inRangeCell(c, dur)
-				if z == d.startZI && a == 0 && !startCovered {
-					exitOK = true
-				}
-				if !exitOK || dur < 1 {
-					continue
-				}
-				for z2 := 0; z2 < d.nZ; z2++ {
-					if z2 == z {
-						continue
-					}
-					zone2 := w.Zones[z2]
-					if !allowed(abs, zone2) {
-						continue
-					}
-					// The new arrival must have cluster coverage so the
-					// occupant can eventually exit stealthily.
-					if c2 := bandCell(z2, abs); c2 < 0 || !covered[c2] {
-						continue
-					}
-					nv := v + cost(abs, zone2)
-					aIdx := t + 1 // arrival at abs
-					if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actMove))
-					}
-				}
+			arrived := int32(z*d.nA + t + 1)
+			for ; k < len(next) && next[k] < arrived; k++ {
+				front = append(front, next[k])
+			}
+			if ws.live(nextBase + int(arrived)) {
+				front = append(front, arrived)
 			}
 		}
 	}
-	return d.finish(st)
+	return d.finish(st, front)
 }

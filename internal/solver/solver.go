@@ -118,6 +118,10 @@ type Workspace struct {
 	epoch    uint32
 	zones    []home.ZoneID
 	zoneBase []int
+	// front lists the live cells of the layer being expanded, as
+	// layer-local indices z·nA + a; next collects the cells that stay into
+	// the layer being filled.
+	front, next []int32
 }
 
 // ensure sizes the flattened (t, z, a) tables and opens a new epoch; every
@@ -161,11 +165,30 @@ func (ws *Workspace) zoneBaseBuf(n int) []int {
 	return ws.zoneBase[:n]
 }
 
+// frontiers returns the two empty live-cell lists, each able to hold a
+// whole layer of n cells without growing.
+func (ws *Workspace) frontiers(n int) (front, next []int32) {
+	if cap(ws.front) < n {
+		ws.front = make([]int32, 0, n)
+		ws.next = make([]int32, 0, n)
+	}
+	return ws.front[:0], ws.next[:0]
+}
+
 // set records an improved value for cell i under the current epoch.
 func (ws *Workspace) set(i int, v float64, c int32) {
 	ws.value[i] = v
 	ws.choice[i] = c
 	ws.stamp[i] = ws.epoch
+}
+
+// relax offers value v with choice c to cell i: an unset cell takes it, a
+// live one only when v is strictly greater, so among equal values the
+// first offer wins.
+func (ws *Workspace) relax(i int, v float64, c int32) {
+	if !ws.live(i) || v > ws.value[i] {
+		ws.set(i, v, c)
+	}
 }
 
 // live reports whether cell i holds a value for the current window.
@@ -230,31 +253,40 @@ func (d *dp) decode(c int32) (z, a int) {
 	return rem / d.nA, rem % d.nA
 }
 
-// finish picks the best terminal state (scored with the lookahead bonus,
-// which is excluded from the reported Value) and reconstructs the schedule
-// into the workspace's zones buffer.
-func (d *dp) finish(st Stats) (Schedule, Stats, error) {
+// liveCells lists layer t's live cells in ascending (z, a) order by a dense
+// scan of the layer.
+func (d *dp) liveCells(t int) []int32 {
+	n := d.nZ * d.nA
+	cells, _ := d.ws.frontiers(n)
+	for c := 0; c < n; c++ {
+		if d.ws.live(t*n + c) {
+			cells = append(cells, int32(c))
+		}
+	}
+	return cells
+}
+
+// finish picks the best terminal state among the final layer's live cells,
+// given in ascending (z, a) order (scored with the lookahead bonus, which is
+// excluded from the reported Value) and reconstructs the schedule into the
+// workspace's zones buffer.
+func (d *dp) finish(st Stats, terminals []int32) (Schedule, Stats, error) {
 	w, ws := d.w, d.ws
 	negInf := math.Inf(-1)
 	bestV, bestScore, bestZ, bestA := negInf, negInf, -1, -1
-	for z := 0; z < d.nZ; z++ {
-		for a := 0; a < d.nA; a++ {
-			i := d.idx(w.Length, z, a)
-			if !ws.live(i) {
-				continue
-			}
-			tv := ws.value[i]
-			if w.TerminalOK != nil && !w.TerminalOK(w.Zones[z], d.arrivalSlot(a)) {
-				continue
-			}
-			score := tv
-			if w.TerminalBonus != nil {
-				score += w.TerminalBonus(w.Zones[z], d.arrivalSlot(a))
-			}
-			if score > bestScore {
-				bestScore = score
-				bestV, bestZ, bestA = tv, z, a
-			}
+	for _, c := range terminals {
+		z, a := int(c)/d.nA, int(c)%d.nA
+		tv := ws.value[d.idx(w.Length, z, a)]
+		if w.TerminalOK != nil && !w.TerminalOK(w.Zones[z], d.arrivalSlot(a)) {
+			continue
+		}
+		score := tv
+		if w.TerminalBonus != nil {
+			score += w.TerminalBonus(w.Zones[z], d.arrivalSlot(a))
+		}
+		if score > bestScore {
+			bestScore = score
+			bestV, bestZ, bestA = tv, z, a
 		}
 	}
 	zones := ws.zonesBuf(w.Length)
@@ -295,7 +327,8 @@ func OptimizeWindow(w Window, oracle Oracle, cost CostFn, allowed AllowedFn) (Sc
 }
 
 // OptimizeWindowWS solves the window with an exact dynamic program using the
-// given workspace's state tables.
+// given workspace's state tables. It scans every (z, a) cell of each layer
+// for live states — the dense form OptimizeWindowBands is checked against.
 //
 // State: before slot t the occupant is in zone z having arrived at a.
 // Actions: stay (duration stays within MaxStay(a, z)) or exit (requires
@@ -339,10 +372,7 @@ func OptimizeWindowWS(ws *Workspace, w Window, oracle Oracle, cost CostFn, allow
 					canStay = true // lenient inherited stay
 				}
 				if canStay && allowed(abs, zone) {
-					nv := v + cost(abs, zone)
-					if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actStay))
-					}
+					ws.relax(d.idx(t+1, z, a), v+cost(abs, zone), d.encode(z, a, actStay))
 				}
 				// Action 2: exit now (stay = dur) and occupy z' for slot t.
 				exitOK := oracle.InRangeStay(w.Occupant, zone, arr, dur)
@@ -365,14 +395,11 @@ func OptimizeWindowWS(ws *Workspace, w Window, oracle Oracle, cost CostFn, allow
 					if _, ok := oracle.MaxStay(w.Occupant, zone2, abs); !ok {
 						continue
 					}
-					nv := v + cost(abs, zone2)
 					aIdx := t + 1 // arrival at abs
-					if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actMove))
-					}
+					ws.relax(d.idx(t+1, z2, aIdx), v+cost(abs, zone2), d.encode(z, a, actMove))
 				}
 			}
 		}
 	}
-	return d.finish(st)
+	return d.finish(st, d.liveCells(w.Length))
 }
