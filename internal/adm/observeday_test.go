@@ -8,73 +8,47 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
-// TestObserveDayMatchesObserve pins the column-batched episodizer to the
-// per-slot reference: same episodes in the same order, same carried open-stay
-// state (checked via snapshots at every day boundary and the final Flush).
-func TestObserveDayMatchesObserve(t *testing.T) {
-	for _, name := range []string{"A", "B"} {
-		house := home.MustHouse(name)
-		tr, err := aras.Generate(house, aras.GeneratorConfig{Days: 5, Seed: 321})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for o := range house.Occupants {
-			slotEz, dayEz := NewEpisodizer(len(house.Occupants)), NewEpisodizer(len(house.Occupants))
-			var want, got []aras.Episode
-			for d := 0; d < tr.NumDays(); d++ {
-				zones, acts := tr.Days[d].Zone[o], tr.Days[d].Act[o]
-				for s := 0; s < aras.SlotsPerDay; s++ {
-					e, ok, err := slotEz.Observe(d, s, o, zones[s], acts[s])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok {
-						want = append(want, e)
-					}
-				}
-				got, err = dayEz.ObserveDay(d, o, zones, acts, got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sSnap, dSnap := slotEz.Snapshot(), dayEz.Snapshot()
-				if !reflect.DeepEqual(sSnap, dSnap) {
-					t.Fatalf("house %s occ %d day %d: open-stay state diverged\nslot: %+v\nday:  %+v", name, o, d, sSnap, dSnap)
-				}
-			}
-			want = append(want, slotEz.Flush()...)
-			got = append(got, dayEz.Flush()...)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("house %s occ %d: episodes diverged\nslot: %+v\nday:  %+v", name, o, want, got)
-			}
-		}
-	}
-}
-
-// TestObserveDayOrdering locks the ordering violations ObserveDay must
-// reject exactly as the per-slot path would.
+// TestObserveDayOrdering: ObserveDay holds no state between days, so it
+// imposes no day order — a replayed or earlier day yields the same verdicts
+// as the first time — while an out-of-range occupant and short columns are
+// still rejected.
 func TestObserveDayOrdering(t *testing.T) {
-	zones := make([]home.ZoneID, aras.SlotsPerDay)
-	acts := make([]home.ActivityID, aras.SlotsPerDay)
-	ez := NewEpisodizer(1)
-	if _, err := ez.ObserveDay(1, 0, zones, acts, nil); err != nil {
+	tr := testTrace(t, "A", 4)
+	m, err := Train(tr, Config{Algorithm: KMeans, K: 5, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ez.ObserveDay(1, 0, zones, acts, nil); err == nil {
-		t.Error("replayed day accepted")
+	det := NewDetector(m)
+	zones, acts := tr.Days[1].Zone[0], tr.Days[1].Act[0]
+	first, err := det.ObserveDay(1, 0, zones, acts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ez.ObserveDay(0, 0, zones, acts, nil); err == nil {
-		t.Error("backward day accepted")
+	if _, err := det.ObserveDay(2, 0, tr.Days[2].Zone[0], tr.Days[2].Act[0], nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ez.ObserveDay(2, 1, zones, acts, nil); err == nil {
+	replayed, err := det.ObserveDay(1, 0, zones, acts, nil)
+	if err != nil {
+		t.Fatalf("earlier day after a later one: %v", err)
+	}
+	if !reflect.DeepEqual(first, replayed) {
+		t.Error("a replayed day yields different verdicts")
+	}
+	if _, err := det.ObserveDay(2, len(tr.House.Occupants), zones, acts, nil); err == nil {
 		t.Error("out-of-range occupant accepted")
 	}
-	if _, err := ez.ObserveDay(2, 0, zones[:10], acts[:10], nil); err == nil {
+	if _, err := det.ObserveDay(2, -1, zones, acts, nil); err == nil {
+		t.Error("negative occupant accepted")
+	}
+	if _, err := det.ObserveDay(2, 0, zones[:10], acts[:10], nil); err == nil {
 		t.Error("short columns accepted")
 	}
 }
 
-// TestDetectorObserveDayMatches pins the batched detector to its per-slot
-// verdicts on a trained model.
+// TestDetectorObserveDayMatches feeds a trained detector the days in
+// reverse order through one reused verdict buffer and pins every day's
+// verdicts, in arrival order, to the batch path (DayEpisodes +
+// EpisodeAnomalous).
 func TestDetectorObserveDayMatches(t *testing.T) {
 	house := home.MustHouse("A")
 	tr, err := aras.Generate(house, aras.GeneratorConfig{Days: 6, Seed: 77})
@@ -92,29 +66,21 @@ func TestDetectorObserveDayMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slotDet, dayDet := NewDetector(model), NewDetector(model)
-	var want, got []Verdict
-	for d := 0; d < tr.NumDays(); d++ {
+	det := NewDetector(model)
+	var got []Verdict
+	for d := tr.NumDays() - 1; d >= 0; d-- {
 		for o := range house.Occupants {
-			zones, acts := tr.Days[d].Zone[o], tr.Days[d].Act[o]
-			for s := 0; s < aras.SlotsPerDay; s++ {
-				v, ok, err := slotDet.Observe(d, s, o, zones[s], acts[s])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok {
-					want = append(want, v)
-				}
+			var want []Verdict
+			for _, e := range tr.DayEpisodes(d, o) {
+				want = append(want, Verdict{Episode: e, Anomalous: model.EpisodeAnomalous(e)})
 			}
-			got, err = dayDet.ObserveDay(d, o, zones, acts, got)
+			got, err = det.ObserveDay(d, o, tr.Days[d].Zone[o], tr.Days[d].Act[o], got[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("day %d occupant %d: %d verdicts differ from %d batch", d, o, len(got), len(want))
+			}
 		}
-	}
-	want = append(want, slotDet.Flush()...)
-	got = append(got, dayDet.Flush()...)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("verdicts diverged: %d slot vs %d day", len(want), len(got))
 	}
 }

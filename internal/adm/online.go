@@ -7,234 +7,58 @@ import (
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
-// Episodizer segments an occupancy stream into episodes online: it tracks
-// each occupant's current stay and closes it the moment the occupant moves
-// zones or a day boundary passes. Segmentation replicates the batch
-// extractor (Trace.DayEpisodes) exactly — stays split at midnight and the
-// dominant activity resolves ties toward the smallest ActivityID — so a
-// replayed trace produces identical episodes. Not safe for concurrent use.
-type Episodizer struct {
-	cur []stay
-}
-
-// stay is one occupant's open episode.
-type stay struct {
-	open     bool
-	day      int
-	zone     home.ZoneID
-	start    int // arrival slot (minute of day)
-	last     int // last observed slot
-	actCount map[home.ActivityID]int
-}
-
-// NewEpisodizer tracks the given number of occupants.
-func NewEpisodizer(occupants int) *Episodizer {
-	return &Episodizer{cur: make([]stay, occupants)}
-}
-
-// Observe feeds one occupant-slot of an occupancy stream. Slots must arrive
-// in order per occupant: day-major, then slot 0..aras.SlotsPerDay-1. When
-// the observation closes the previous stay — the occupant moved zones, or a
-// new day began — the closed episode is returned with ok = true.
-func (ez *Episodizer) Observe(day, slot, occupant int, zone home.ZoneID, act home.ActivityID) (e aras.Episode, ok bool, err error) {
-	if occupant < 0 || occupant >= len(ez.cur) {
-		return aras.Episode{}, false, fmt.Errorf("adm: occupant %d out of range", occupant)
-	}
-	if slot < 0 || slot >= aras.SlotsPerDay {
-		return aras.Episode{}, false, fmt.Errorf("adm: slot %d out of range", slot)
-	}
-	st := &ez.cur[occupant]
-	if st.open {
-		if day < st.day || (day == st.day && slot <= st.last) {
-			return aras.Episode{}, false, fmt.Errorf("adm: out-of-order observation day %d slot %d after day %d slot %d",
-				day, slot, st.day, st.last)
-		}
-		if day != st.day {
-			// Day boundary: the batch extractor splits stays at midnight.
-			e, ok = ez.close(occupant, aras.SlotsPerDay), true
-		} else if zone != st.zone {
-			e, ok = ez.close(occupant, slot), true
-		}
-	}
-	if !st.open {
-		*st = stay{open: true, day: day, zone: zone, start: slot, last: slot,
-			actCount: map[home.ActivityID]int{act: 1}}
-		return e, ok, nil
-	}
-	st.last = slot
-	st.actCount[act]++
-	return e, ok, nil
-}
-
-// ObserveDay feeds one occupant's whole-day occupancy columns (zones[t],
-// acts[t] for t = 0..aras.SlotsPerDay-1) and appends every episode the day
-// closes to dst, returning it. It is equivalent to aras.SlotsPerDay ordered
-// Observe calls — the same episodes in the same order — but segments the
-// contiguous columns directly: zone runs are scanned once, dominant
-// activities are counted in a flat per-activity array, and the per-slot
-// activity-count map is materialized only for the day's open tail stay (so
-// checkpoint snapshots and later per-slot Observe calls see identical
-// state). A day already partially observed via Observe cannot be re-fed
-// column-wise; that ordering violation errors exactly as Observe would.
-func (ez *Episodizer) ObserveDay(day, occupant int, zones []home.ZoneID, acts []home.ActivityID, dst []aras.Episode) ([]aras.Episode, error) {
-	if occupant < 0 || occupant >= len(ez.cur) {
-		return dst, fmt.Errorf("adm: occupant %d out of range", occupant)
-	}
-	if len(zones) != aras.SlotsPerDay || len(acts) != aras.SlotsPerDay {
-		return dst, fmt.Errorf("adm: day columns sized %d/%d, want %d", len(zones), len(acts), aras.SlotsPerDay)
-	}
-	st := &ez.cur[occupant]
-	if st.open {
-		if day <= st.day {
-			return dst, fmt.Errorf("adm: out-of-order observation day %d slot 0 after day %d slot %d",
-				day, st.day, st.last)
-		}
-		// Day boundary: the batch extractor splits stays at midnight.
-		dst = append(dst, ez.close(occupant, aras.SlotsPerDay))
-	}
-	var count [home.NumActivities]int
-	start := 0
-	for t := 0; t <= aras.SlotsPerDay; t++ {
-		if t < aras.SlotsPerDay && zones[t] == zones[start] {
-			count[acts[t]]++
-			continue
-		}
-		if t < aras.SlotsPerDay {
-			// Zone changed at t: close [start, t) with its dominant activity
-			// (maximum count, ties toward the smaller ActivityID — scanning
-			// ascending IDs resolves ties identically to close()).
-			dominant, best := home.Other, -1
-			for a := 0; a < home.NumActivities; a++ {
-				if count[a] > best {
-					dominant, best = home.ActivityID(a), count[a]
-				}
-				count[a] = 0
-			}
-			dst = append(dst, aras.Episode{
-				Day:         day,
-				Occupant:    occupant,
-				Zone:        zones[start],
-				ArrivalSlot: start,
-				Duration:    t - start,
-				Activity:    dominant,
-			})
-			start = t
-			count[acts[t]]++
-			continue
-		}
-		// End of the day's columns: the tail run stays open, carrying the
-		// same incremental state per-slot Observe calls would have built.
-		actCount := make(map[home.ActivityID]int)
-		for a := 0; a < home.NumActivities; a++ {
-			if count[a] > 0 {
-				actCount[home.ActivityID(a)] = count[a]
-			}
-		}
-		*st = stay{open: true, day: day, zone: zones[start], start: start,
-			last: aras.SlotsPerDay - 1, actCount: actCount}
-	}
-	return dst, nil
-}
-
-// Flush closes every occupant's open stay and returns the final episodes in
-// occupant order. For whole-day streams this matches the batch extractor's
-// end-of-day close; Flush also seals a stream that stops mid-day (the
-// episode ends after its last observed slot).
-func (ez *Episodizer) Flush() []aras.Episode {
-	var out []aras.Episode
-	for o := range ez.cur {
-		if !ez.cur[o].open {
-			continue
-		}
-		out = append(out, ez.close(o, ez.cur[o].last+1))
-	}
-	return out
-}
-
-// close seals occupant o's stay [start, end) and resets the slot state.
-func (ez *Episodizer) close(o, end int) aras.Episode {
-	st := &ez.cur[o]
-	// Dominant activity: maximum count, ties toward the smaller ActivityID —
-	// the same resolution Trace.DayEpisodes computes.
-	dominant, best := home.Other, -1
-	for a, c := range st.actCount {
-		if c > best || (c == best && a < dominant) {
-			dominant, best = a, c
-		}
-	}
-	e := aras.Episode{
-		Day:         st.day,
-		Occupant:    o,
-		Zone:        st.zone,
-		ArrivalSlot: st.start,
-		Duration:    end - st.start,
-		Activity:    dominant,
-	}
-	*st = stay{}
-	return e
-}
-
-// Verdict is the online detector's judgement of one closed episode — the
-// per-episode event the streaming runtime publishes as soon as a stay ends,
-// instead of waiting for a whole trace to materialize.
+// Verdict is the online detector's judgement of one episode — the
+// per-episode event the streaming runtime publishes with the day block that
+// holds the episode, instead of waiting for a whole trace to materialize.
 type Verdict struct {
 	Episode aras.Episode
-	// Anomalous mirrors Model.EpisodeAnomalous on the closed episode.
+	// Anomalous mirrors Model.EpisodeAnomalous on the episode.
 	Anomalous bool
 }
 
-// Detector scores an occupancy stream online: an Episodizer segments the
-// stream and, the moment a stay closes, the trained model classifies it.
-// Verdicts are identical to what the batch path computes from
-// Trace.DayEpisodes + Model.EpisodeAnomalous on the same stream. A Detector
-// is not safe for concurrent use; run one per home.
+// Detector scores a home's occupancy stream a day at a time: each day's
+// columns are segmented by aras.AppendDayEpisodes and the trained model
+// classifies every episode, the one cut at midnight included. Stays split
+// at midnight, so a day's verdicts depend on that day's columns alone and
+// the detector carries no state from one day to the next. Verdicts are
+// identical to what the batch path computes from Trace.DayEpisodes +
+// Model.EpisodeAnomalous on the same stream. A Detector reuses an episode
+// buffer, so it is not safe for concurrent use; run one per home.
 type Detector struct {
 	model *Model
-	ez    *Episodizer
 	eps   []aras.Episode // ObserveDay scratch
 }
 
 // NewDetector wraps a trained model for online use.
 func NewDetector(m *Model) *Detector {
-	return &Detector{model: m, ez: NewEpisodizer(len(m.house.Occupants))}
+	return &Detector{model: m}
 }
 
 // Model returns the wrapped ADM.
 func (d *Detector) Model() *Model { return d.model }
 
-// Observe feeds one occupant-slot of the (possibly falsified) occupancy
-// stream; see Episodizer.Observe for ordering requirements. When the
-// observation closes a stay, its verdict is returned with ok = true.
-func (d *Detector) Observe(day, slot, occupant int, zone home.ZoneID, act home.ActivityID) (v Verdict, ok bool, err error) {
-	e, ok, err := d.ez.Observe(day, slot, occupant, zone, act)
-	if err != nil || !ok {
-		return Verdict{}, false, err
-	}
-	return Verdict{Episode: e, Anomalous: d.model.EpisodeAnomalous(e)}, true, nil
-}
-
-// ObserveDay feeds one occupant's whole-day occupancy columns and appends a
-// verdict for every episode the day closes to dst, returning it; see
-// Episodizer.ObserveDay for ordering requirements and equivalence.
+// ObserveDay scores one occupant's whole-day occupancy columns (zones[t],
+// acts[t] for t = 0..aras.SlotsPerDay-1): it appends a verdict for every
+// episode of the day to dst, in arrival order, and returns it. Days may be
+// observed in any order, and observing a day again yields the same
+// verdicts.
 func (d *Detector) ObserveDay(day, occupant int, zones []home.ZoneID, acts []home.ActivityID, dst []Verdict) ([]Verdict, error) {
-	eps, err := d.ez.ObserveDay(day, occupant, zones, acts, d.eps[:0])
-	d.eps = eps[:0]
-	if err != nil {
-		return dst, err
+	if occupant < 0 || occupant >= len(d.model.house.Occupants) {
+		return dst, fmt.Errorf("adm: occupant %d out of range", occupant)
 	}
-	for _, e := range eps {
+	if len(zones) != aras.SlotsPerDay || len(acts) != aras.SlotsPerDay {
+		return dst, fmt.Errorf("adm: day columns sized %d/%d, want %d", len(zones), len(acts), aras.SlotsPerDay)
+	}
+	d.eps = aras.AppendDayEpisodes(d.eps[:0], day, occupant, zones, acts)
+	for _, e := range d.eps {
 		dst = append(dst, Verdict{Episode: e, Anomalous: d.model.EpisodeAnomalous(e)})
 	}
 	return dst, nil
 }
 
-// Flush closes every occupant's open stay and returns the final verdicts in
-// occupant order.
-func (d *Detector) Flush() []Verdict {
-	eps := d.ez.Flush()
-	out := make([]Verdict, len(eps))
-	for i, e := range eps {
-		out[i] = Verdict{Episode: e, Anomalous: d.model.EpisodeAnomalous(e)}
-	}
-	return out
-}
+// Flush returns no verdicts: ObserveDay classifies every episode of a day,
+// so no stay is ever left open.
+//
+// Deprecated: every verdict comes from ObserveDay; Flush remains only for
+// callers written against the per-slot detector.
+func (d *Detector) Flush() []Verdict { return nil }

@@ -19,26 +19,22 @@ func testTrace(t *testing.T, name string, days int) *aras.Trace {
 }
 
 // streamVerdicts replays a trace's occupancy stream through the online
-// detector slot-by-slot and returns all verdicts in close order.
+// detector a day at a time and returns all verdicts in (day, occupant,
+// arrival) order.
 func streamVerdicts(t *testing.T, m *Model, tr *aras.Trace) []Verdict {
 	t.Helper()
 	det := NewDetector(m)
 	var out []Verdict
 	for d := 0; d < tr.NumDays(); d++ {
 		day := tr.Days[d]
-		for s := 0; s < aras.SlotsPerDay; s++ {
-			for o := range day.Zone {
-				v, closed, err := det.Observe(d, s, o, day.Zone[o][s], day.Act[o][s])
-				if err != nil {
-					t.Fatalf("Observe(day %d slot %d occ %d): %v", d, s, o, err)
-				}
-				if closed {
-					out = append(out, v)
-				}
+		for o := range day.Zone {
+			var err error
+			if out, err = det.ObserveDay(d, o, day.Zone[o], day.Act[o], out); err != nil {
+				t.Fatalf("ObserveDay(day %d occ %d): %v", d, o, err)
 			}
 		}
 	}
-	return append(out, det.Flush()...)
+	return out
 }
 
 // TestDetectorMatchesBatch pins the online detector's episodes and verdicts
@@ -69,82 +65,32 @@ func TestDetectorMatchesBatch(t *testing.T) {
 			}
 		}
 		streamed := streamVerdicts(t, m, tr)
-		if len(streamed) != len(batch) {
-			t.Fatalf("house %s: %d streamed verdicts, %d batch", name, len(streamed), len(batch))
-		}
-		// Streaming interleaves occupants by close time; compare as sets
-		// keyed by (day, occupant, arrival) — unique per episode — and also
-		// confirm per-occupant close order is monotone.
-		index := make(map[[3]int]Verdict, len(batch))
-		for _, v := range batch {
-			index[[3]int{v.Episode.Day, v.Episode.Occupant, v.Episode.ArrivalSlot}] = v
-		}
-		lastClose := make(map[int][2]int)
-		for _, v := range streamed {
-			want, ok := index[[3]int{v.Episode.Day, v.Episode.Occupant, v.Episode.ArrivalSlot}]
-			if !ok {
-				t.Fatalf("house %s: streamed episode %+v not in batch set", name, v.Episode)
-			}
-			if !reflect.DeepEqual(v, want) {
-				t.Fatalf("house %s: verdict mismatch\nstreamed: %+v\nbatch:    %+v", name, v, want)
-			}
-			o := v.Episode.Occupant
-			at := [2]int{v.Episode.Day, v.Episode.ArrivalSlot}
-			if prev, seen := lastClose[o]; seen && (at[0] < prev[0] || (at[0] == prev[0] && at[1] <= prev[1])) {
-				t.Fatalf("house %s: occupant %d episodes closed out of order", name, o)
-			}
-			lastClose[o] = at
+		if !reflect.DeepEqual(streamed, batch) {
+			t.Fatalf("house %s: %d streamed verdicts differ from %d batch", name, len(streamed), len(batch))
 		}
 	}
 }
 
-// TestDetectorRejectsDisorder covers the stream-hygiene errors.
-func TestDetectorRejectsDisorder(t *testing.T) {
+// TestDetectorFlushIsEmpty: every verdict comes from ObserveDay, the
+// midnight-cut episode included, so the deprecated Flush has nothing left
+// to seal — a caller that still adds Flush's verdicts to ObserveDay's must
+// not count an episode twice.
+func TestDetectorFlushIsEmpty(t *testing.T) {
 	tr := testTrace(t, "A", 4)
 	m, err := Train(tr, Config{Algorithm: KMeans, K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	det := NewDetector(m)
-	if _, _, err := det.Observe(0, 0, 99, home.Bedroom, home.Sleeping); err == nil {
-		t.Error("occupant out of range accepted")
-	}
-	if _, _, err := det.Observe(0, aras.SlotsPerDay, 0, home.Bedroom, home.Sleeping); err == nil {
-		t.Error("slot out of range accepted")
-	}
-	if _, _, err := det.Observe(0, 5, 0, home.Bedroom, home.Sleeping); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := det.Observe(0, 5, 0, home.Bedroom, home.Sleeping); err == nil {
-		t.Error("replayed slot accepted")
-	}
-	if _, _, err := det.Observe(0, 4, 0, home.Bedroom, home.Sleeping); err == nil {
-		t.Error("rewound slot accepted")
-	}
-}
-
-// TestDetectorFlushMidDay seals a stream that stops between day boundaries.
-func TestDetectorFlushMidDay(t *testing.T) {
-	tr := testTrace(t, "A", 4)
-	m, err := Train(tr, Config{Algorithm: KMeans, K: 5, Seed: 1})
+	vs, err := det.ObserveDay(0, 0, tr.Days[0].Zone[0], tr.Days[0].Act[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := NewDetector(m)
-	for s := 0; s < 10; s++ {
-		if _, _, err := det.Observe(0, s, 0, home.Bedroom, home.Sleeping); err != nil {
-			t.Fatal(err)
-		}
+	last := vs[len(vs)-1].Episode
+	if last.ArrivalSlot+last.Duration != aras.SlotsPerDay {
+		t.Fatalf("day's last verdict ends at slot %d, want midnight", last.ArrivalSlot+last.Duration)
 	}
-	vs := det.Flush()
-	if len(vs) != 1 {
-		t.Fatalf("got %d verdicts, want 1", len(vs))
-	}
-	e := vs[0].Episode
-	if e.ArrivalSlot != 0 || e.Duration != 10 || e.Zone != home.Bedroom {
-		t.Fatalf("bad sealed episode: %+v", e)
-	}
-	if len(det.Flush()) != 0 {
-		t.Error("second Flush should be empty")
+	if got := det.Flush(); len(got) != 0 {
+		t.Fatalf("Flush returned %d verdicts after a whole day, want none", len(got))
 	}
 }

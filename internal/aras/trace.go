@@ -88,45 +88,57 @@ type Episode struct {
 // Episodes extracts all stays of one occupant across the whole trace.
 func (tr *Trace) Episodes(occupant int) []Episode {
 	var out []Episode
-	for d := range tr.Days {
-		out = append(out, tr.DayEpisodes(d, occupant)...)
+	for d, day := range tr.Days {
+		out = AppendDayEpisodes(out, d, occupant, day.Zone[occupant], day.Act[occupant])
 	}
 	return out
 }
 
 // DayEpisodes extracts the stays of one occupant on one day.
 func (tr *Trace) DayEpisodes(day, occupant int) []Episode {
-	zones := tr.Days[day].Zone[occupant]
-	acts := tr.Days[day].Act[occupant]
-	var out []Episode
+	return AppendDayEpisodes(nil, day, occupant, tr.Days[day].Zone[occupant], tr.Days[day].Act[occupant])
+}
+
+// AppendDayEpisodes appends one occupant's stays on one day to dst and
+// returns it: one episode per run of equal zones in the day's columns
+// (zones[t], acts[t] for each slot t), in arrival order. The last run ends
+// at the end of the columns, so a stay that spans midnight is split there.
+// A day's episodes therefore depend on that day's columns alone. It is the
+// one zone-run segmenter: the batch extractor, the online detector and the
+// attack's reported-episode pass all call it.
+func AppendDayEpisodes(dst []Episode, day, occupant int, zones []home.ZoneID, acts []home.ActivityID) []Episode {
+	var count [home.NumActivities]int
 	start := 0
-	actCount := make(map[home.ActivityID]int)
-	for t := 0; t <= SlotsPerDay; t++ {
-		if t < SlotsPerDay && zones[t] == zones[start] {
-			actCount[acts[t]]++
-			continue
-		}
-		// Close the episode [start, t).
-		dominant, best := home.Other, -1
-		for a, c := range actCount {
-			if c > best || (c == best && a < dominant) {
-				dominant, best = a, c
-			}
-		}
-		out = append(out, Episode{
-			Day:         day,
-			Occupant:    occupant,
-			Zone:        zones[start],
-			ArrivalSlot: start,
-			Duration:    t - start,
-			Activity:    dominant,
-		})
-		if t < SlotsPerDay {
+	for t, z := range zones {
+		if z != zones[start] {
+			dst = append(dst, Episode{Day: day, Occupant: occupant, Zone: zones[start],
+				ArrivalSlot: start, Duration: t - start, Activity: dominant(&count)})
 			start = t
-			actCount = map[home.ActivityID]int{acts[t]: 1}
+		}
+		if a := acts[t]; a >= 0 && a < home.NumActivities {
+			count[a]++
 		}
 	}
-	return out
+	if len(zones) > 0 {
+		dst = append(dst, Episode{Day: day, Occupant: occupant, Zone: zones[start],
+			ArrivalSlot: start, Duration: len(zones) - start, Activity: dominant(&count)})
+	}
+	return dst
+}
+
+// dominant returns a run's dominant activity from its per-activity slot
+// counts and zeroes them for the next run. The most frequent activity wins
+// and ties go to the smaller ActivityID. IDs outside the activity table are
+// not counted, so a run without a known activity is home.Other.
+func dominant(count *[home.NumActivities]int) home.ActivityID {
+	best, n := home.Other, 0
+	for a, c := range count {
+		if c > n {
+			best, n = home.ActivityID(a), c
+		}
+	}
+	*count = [home.NumActivities]int{}
+	return best
 }
 
 // OccupancyCount returns the number of occupants in zone z at slot t of day.

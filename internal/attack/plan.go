@@ -1,6 +1,9 @@
 package attack
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/hvac"
@@ -119,58 +122,38 @@ func (p *Plan) TriggeredSlots() int {
 	return n
 }
 
-// ReportedEpisodes converts the reported occupancy stream of one day and
-// occupant into episodes (the stream the ADM checks). Injected marks an
-// episode whose (zone, arrival, duration) does not occur in the actual
-// stream — covering both directly falsified stays and stays distorted by
-// neighbouring injections; episodes matching reality exactly are the
-// defender's ordinary false-positive surface, not attack artefacts.
+// ReportedEpisode is one episode of the reported occupancy stream (the
+// stream the ADM checks), labelled by Injected.
 type ReportedEpisode struct {
 	aras.Episode
 	Injected bool
 }
 
-// DayReportedEpisodes extracts episodes from the reported stream.
+// DayReportedEpisodes extracts one occupant-day's episodes from the
+// reported stream and labels each one with Injected.
 func (p *Plan) DayReportedEpisodes(trace *aras.Trace, day, occupant int) []ReportedEpisode {
-	return p.appendDayReportedEpisodes(nil, trace, day, occupant, naturalEpisodeSet(trace, day, occupant))
+	truth := trace.DayEpisodes(day, occupant)
+	reported := aras.AppendDayEpisodes(nil, day, occupant, p.RepZone[day][occupant], p.RepAct[day][occupant])
+	out := make([]ReportedEpisode, len(reported))
+	for i, e := range reported {
+		out[i] = ReportedEpisode{Episode: e, Injected: Injected(e, truth)}
+	}
+	return out
 }
 
-// naturalEpisodeSet indexes the actual stream's (zone, arrival, duration)
-// triples for one occupant-day. Callers that re-extract reported episodes
-// repeatedly (the sanitisation fixpoint) build it once and reuse it.
-func naturalEpisodeSet(trace *aras.Trace, day, occupant int) map[[3]int]bool {
-	natural := make(map[[3]int]bool)
-	for _, e := range trace.DayEpisodes(day, occupant) {
-		natural[[3]int{int(e.Zone), e.ArrivalSlot, e.Duration}] = true
-	}
-	return natural
-}
-
-// appendDayReportedEpisodes appends the day's reported episodes to buf,
-// classifying injection against the prebuilt natural set.
-func (p *Plan) appendDayReportedEpisodes(buf []ReportedEpisode, trace *aras.Trace, day, occupant int, natural map[[3]int]bool) []ReportedEpisode {
-	zones := p.RepZone[day][occupant]
-	start := 0
-	for t := 1; t <= aras.SlotsPerDay; t++ {
-		if t < aras.SlotsPerDay && zones[t] == zones[start] {
-			continue
-		}
-		ep := aras.Episode{
-			Day:         day,
-			Occupant:    occupant,
-			Zone:        zones[start],
-			ArrivalSlot: start,
-			Duration:    t - start,
-		}
-		buf = append(buf, ReportedEpisode{
-			Episode:  ep,
-			Injected: !natural[[3]int{int(ep.Zone), ep.ArrivalSlot, ep.Duration}],
-		})
-		if t < aras.SlotsPerDay {
-			start = t
-		}
-	}
-	return buf
+// Injected is the one rule that labels a reported episode an injection: its
+// (zone, arrival, duration) does not occur among truth, the same
+// occupant's actual episodes for that day. That covers directly falsified
+// stays and stays distorted by neighbouring injections; a reported episode
+// that matches reality exactly is the defender's ordinary false-positive
+// surface, not an attack artefact. truth must be in arrival order with
+// distinct arrivals, as aras.AppendDayEpisodes emits a day, so the lookup
+// is a binary search on the arrival slot.
+func Injected(e aras.Episode, truth []aras.Episode) bool {
+	i, found := slices.BinarySearchFunc(truth, e.ArrivalSlot, func(n aras.Episode, arrival int) int {
+		return cmp.Compare(n.ArrivalSlot, arrival)
+	})
+	return !found || truth[i].Zone != e.Zone || truth[i].Duration != e.Duration
 }
 
 // FalsifyDay rewrites one day of columns in place into the falsified stream

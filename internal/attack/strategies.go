@@ -400,16 +400,16 @@ func (pl *Planner) applyTruthFloor(p *Plan, day, occupant int, cost solver.CostF
 // iteration cap the whole occupant-day reverts to truth — the attacker
 // never knowingly ships a flagged vector.
 func (pl *Planner) sanitizeDay(p *Plan, day, occupant int) {
-	// The natural-episode index and the episode buffer are invariant across
+	// The truth episodes and the episode buffer are invariant across
 	// fixpoint iterations; build/allocate them once.
-	natural := naturalEpisodeSet(pl.Trace, day, occupant)
-	var episodes []ReportedEpisode
+	truth := pl.Trace.DayEpisodes(day, occupant)
+	var episodes []aras.Episode
 	for iter := 0; iter < 64; iter++ {
 		changed := 0
 		anomalous := 0
-		episodes = p.appendDayReportedEpisodes(episodes[:0], pl.Trace, day, occupant, natural)
+		episodes = aras.AppendDayEpisodes(episodes[:0], day, occupant, p.RepZone[day][occupant], p.RepAct[day][occupant])
 		for _, e := range episodes {
-			if !e.Injected || !pl.Model.EpisodeAnomalous(e.Episode) {
+			if !Injected(e, truth) || !pl.Model.EpisodeAnomalous(e) {
 				continue
 			}
 			anomalous++

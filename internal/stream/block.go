@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/acyd-lab/shatter/internal/aras"
@@ -77,6 +78,34 @@ func (b *DayBlock) shapeErr(occupants, appliances int) error {
 	for a := 0; a < appliances; a++ {
 		if len(b.TrueAppliance[a]) != aras.SlotsPerDay || len(b.RepAppliance[a]) != aras.SlotsPerDay {
 			return fmt.Errorf("stream: block appliance %d column not %d slots", a, aras.SlotsPerDay)
+		}
+	}
+	return nil
+}
+
+// ErrBadBlockID is returned by IngestDay for a block whose occupancy
+// columns hold a zone or activity ID outside the home's tables. The block
+// codec checks only a frame's checksum and shape, so such a frame decodes.
+var ErrBadBlockID = errors.New("stream: day block ID out of range")
+
+// idErr verifies every occupancy column holds IDs the home's tables can
+// index: zone IDs in [0, zones) and activity IDs in [0, home.NumActivities).
+// The day kernels index per-zone and per-activity tables by them.
+func (b *DayBlock) idErr(zones int) error {
+	for o := range b.TrueZone {
+		for _, col := range [2][]home.ZoneID{b.TrueZone[o], b.RepZone[o]} {
+			for t, z := range col {
+				if z < 0 || int(z) >= zones {
+					return fmt.Errorf("%w: occupant %d slot %d zone %d, house has %d zones", ErrBadBlockID, o, t, z, zones)
+				}
+			}
+		}
+		for _, col := range [2][]home.ActivityID{b.TrueAct[o], b.RepAct[o]} {
+			for t, a := range col {
+				if a < 0 || a >= home.NumActivities {
+					return fmt.Errorf("%w: occupant %d slot %d activity %d", ErrBadBlockID, o, t, a)
+				}
+			}
 		}
 	}
 	return nil

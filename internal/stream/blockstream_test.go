@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -66,10 +67,10 @@ func homePair(t *testing.T, name string, tr *aras.Trace, model *adm.Model, plan 
 }
 
 // TestIngestDayMatchesIngest pins the day-block path to aras.SlotsPerDay
-// per-slot Ingest calls: identical HomeResult (plant accounting, detection
-// counters, injection ledger) and identical verdict emission order, for
-// benign, defended, and attacked pipelines on both paper houses, over both
-// source kinds.
+// calls of the per-slot reference: identical HomeResult (plant accounting,
+// detection counters, injection labels) and identical verdict emission
+// order, for benign, defended, and attacked pipelines on both paper
+// houses.
 func TestIngestDayMatchesIngest(t *testing.T) {
 	for _, name := range []string{"A", "B"} {
 		const days, trainDays = 6, 4
@@ -185,5 +186,68 @@ func TestIngestDayHygiene(t *testing.T) {
 	}
 	if _, err := h.IngestDay(&blk); err == nil {
 		t.Error("IngestDay after Close accepted")
+	}
+	if _, err := h.Close(); err == nil {
+		t.Error("double Close accepted")
+	}
+}
+
+// TestIngestDayRejectsBadIDs: a day frame passes the codec's checksum and
+// shape checks whatever int16 IDs its occupancy columns hold, and the day
+// kernels index per-zone and per-activity tables by them. IngestDay must
+// reject an ID outside the home's tables with ErrBadBlockID before any
+// kernel runs, and leave the home where it was.
+func TestIngestDayRejectsBadIDs(t *testing.T) {
+	tr, model := testWorld(t, "A", 2, 1)
+	h, err := NewHome(HomeConfig{ID: "A", House: tr.House, Params: hvac.DefaultParams(), Pricing: hvac.DefaultPricing(), Defender: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blk DayBlock
+	if err := NewTraceSource("A", tr).NextBlock(&blk); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendBlockFrame(nil, &blk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const o, slot = 1, 700
+	for _, tc := range []struct {
+		label  string
+		poison func(b *DayBlock)
+	}{
+		{"RepAct 99", func(b *DayBlock) { b.RepAct[o][slot] = 99 }},
+		{"RepAct -1", func(b *DayBlock) { b.RepAct[o][slot] = -1 }},
+		{"RepZone 99", func(b *DayBlock) { b.RepZone[o][slot] = 99 }},
+		{"TrueZone 99", func(b *DayBlock) { b.TrueZone[o][slot] = 99 }},
+		{"TrueAct 27", func(b *DayBlock) { b.TrueAct[o][slot] = home.NumActivities }},
+		{"RepZone -1", func(b *DayBlock) { b.RepZone[o][slot] = -1 }},
+	} {
+		// The poisoned block travels as a frame, as it would over the bus.
+		var bad DayBlock
+		if _, err := DecodeBlockFrame(&bad, frame); err != nil {
+			t.Fatal(err)
+		}
+		tc.poison(&bad)
+		poisoned, err := AppendBlockFrame(nil, &bad, 0)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.label, err)
+		}
+		if _, err := DecodeBlockFrame(&bad, poisoned); err != nil {
+			t.Fatalf("%s: the codec rejects the frame (%v); the home never sees it", tc.label, err)
+		}
+		if _, err := h.IngestDay(&bad); !errors.Is(err, ErrBadBlockID) {
+			t.Fatalf("%s: IngestDay err = %v, want ErrBadBlockID", tc.label, err)
+		}
+		if h.sim.Day() != 0 || h.sim.SlotOfDay() != 0 || h.res.Days != 0 || h.res.Verdicts != 0 {
+			t.Fatalf("%s: rejected block moved the home to (%d,%d), %+v", tc.label, h.sim.Day(), h.sim.SlotOfDay(), h.res)
+		}
+	}
+	var good DayBlock
+	if _, err := DecodeBlockFrame(&good, frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.IngestDay(&good); err != nil {
+		t.Fatalf("intact day after the rejected ones: %v", err)
 	}
 }

@@ -11,35 +11,31 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
-	"github.com/acyd-lab/shatter/internal/adm"
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/hvac"
 )
 
 // Checkpoint is one home's serialized progress at a day boundary: the
-// stream cursor (Days completed; the next frame is (Days, 0)), the
-// incremental HVAC plant state, the online detector's and the truth
-// episodizer's open stays, and the injection-labelling ledger. A home
-// restored from a checkpoint and driven to end-of-stream produces results
-// byte-identical to one that ran uninterrupted — the resilience layer's
-// equivalence lock.
+// stream cursor (Days completed; the next block is day Days), the
+// incremental HVAC plant state, and the accounting so far. Detection holds
+// no state across days — every episode closes and is labelled with its own
+// block — so a defended, attacked home checkpoints no more than a benign
+// one. A home restored from a checkpoint and driven to end-of-stream
+// produces results byte-identical to one that ran uninterrupted — the
+// resilience layer's equivalence lock.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Home    string `json:"home"`
 	// Days counts completed days; the restored stream resumes at (Days, 0).
 	Days int           `json:"days"`
 	Sim  hvac.SimState `json:"sim"`
-	// Detector and Natural carry the reported- and truth-stream episodizer
-	// states; both are nil for undefended homes.
-	Detector *adm.EpisodizerState `json:"detector,omitempty"`
-	Natural  *adm.EpisodizerState `json:"natural,omitempty"`
-	// Verdicts and NaturalLedger are the unresolved per-day injection
-	// labelling ledger (days whose episodes have not all closed yet).
-	Verdicts      map[int][]adm.Verdict `json:"verdicts,omitempty"`
-	NaturalLedger map[int][][4]int      `json:"natural_ledger,omitempty"`
+	// Defended and Labeling record whether the home ran the online detector
+	// and injection labelling; a restore onto a home configured otherwise
+	// is rejected.
+	Defended bool `json:"defended,omitempty"`
+	Labeling bool `json:"labeling,omitempty"`
 	// Result is the accounting through the last completed day (its Sim
 	// field stays zero until Close).
 	Result HomeResult `json:"result"`
@@ -47,7 +43,7 @@ type Checkpoint struct {
 
 // checkpointVersion is bumped when the serialized layout changes; readers
 // reject other versions instead of guessing.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // checkpointMagic prefixes every serialized checkpoint.
 var checkpointMagic = [8]byte{'S', 'H', 'C', 'K', 'P', 'T', '0' + checkpointVersion, '\n'}
@@ -80,35 +76,15 @@ func (h *Home) Checkpoint() (*Checkpoint, error) {
 		return nil, err
 	}
 	ck := &Checkpoint{
-		Version: checkpointVersion,
-		Home:    h.cfg.ID,
-		Days:    sim.Day,
-		Sim:     sim,
-		Result:  h.res,
+		Version:  checkpointVersion,
+		Home:     h.cfg.ID,
+		Days:     sim.Day,
+		Sim:      sim,
+		Defended: h.det != nil,
+		Labeling: h.labeling,
+		Result:   h.res,
 	}
 	ck.Result.Sim = hvac.Result{}
-	if h.det != nil {
-		st := h.det.Snapshot()
-		ck.Detector = &st
-	}
-	if h.nat != nil {
-		st := h.nat.Snapshot()
-		ck.Natural = &st
-		// The in-memory ledger keeps verdicts in close order and natural keys
-		// pre-sorted, so the serialized maps are byte-identical to what the
-		// map-backed ledger produced (JSON sorts the day keys).
-		ck.Verdicts = make(map[int][]adm.Verdict, len(h.led))
-		ck.NaturalLedger = make(map[int][][4]int, len(h.led))
-		for i := range h.led {
-			l := &h.led[i]
-			if len(l.verdicts) > 0 {
-				ck.Verdicts[l.day] = append([]adm.Verdict(nil), l.verdicts...)
-			}
-			if len(l.natural) > 0 {
-				ck.NaturalLedger[l.day] = append([][4]int(nil), l.natural...)
-			}
-		}
-	}
 	return ck, nil
 }
 
@@ -129,46 +105,11 @@ func (h *Home) Restore(ck *Checkpoint) error {
 	if ck.Home != h.cfg.ID {
 		return fmt.Errorf("%w: checkpoint for home %q applied to %q", ErrBadCheckpoint, ck.Home, h.cfg.ID)
 	}
-	if (ck.Detector != nil) != (h.det != nil) || (ck.Natural != nil) != (h.nat != nil) {
-		return fmt.Errorf("%w: defender/ledger configuration mismatch for home %q", ErrBadCheckpoint, h.cfg.ID)
+	if ck.Defended != (h.det != nil) || ck.Labeling != h.labeling {
+		return fmt.Errorf("%w: defender/labelling configuration mismatch for home %q", ErrBadCheckpoint, h.cfg.ID)
 	}
-	// Each component validates its piece fully before mutating, but a
-	// failure partway leaves earlier components restored — callers must
-	// discard the home on error (the fleet supervisor reopens the job).
 	if err := h.sim.Restore(ck.Sim); err != nil {
 		return fmt.Errorf("stream: restore %s plant: %w", h.cfg.ID, err)
-	}
-	if h.det != nil {
-		if err := h.det.Restore(*ck.Detector); err != nil {
-			return fmt.Errorf("stream: restore %s detector: %w", h.cfg.ID, err)
-		}
-	}
-	if h.nat != nil {
-		if err := h.nat.Restore(*ck.Natural); err != nil {
-			return fmt.Errorf("stream: restore %s truth episodizer: %w", h.cfg.ID, err)
-		}
-		days := make([]int, 0, len(ck.Verdicts)+len(ck.NaturalLedger))
-		for d := range ck.Verdicts {
-			days = append(days, d)
-		}
-		for d := range ck.NaturalLedger {
-			if _, dup := ck.Verdicts[d]; !dup {
-				days = append(days, d)
-			}
-		}
-		sort.Ints(days)
-		h.led = h.led[:0]
-		for _, d := range days {
-			l := dayLedger{
-				day:      d,
-				verdicts: append([]adm.Verdict(nil), ck.Verdicts[d]...),
-				natural:  append([][4]int(nil), ck.NaturalLedger[d]...),
-			}
-			// Serialized key order is untrusted input; binary search at
-			// resolution needs it sorted.
-			sort.Slice(l.natural, func(i, j int) bool { return keyLess(l.natural[i], l.natural[j]) })
-			h.led = append(h.led, l)
-		}
 	}
 	h.res = ck.Result
 	h.res.ID = h.cfg.ID
@@ -191,9 +132,9 @@ func validateCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// ckEncPool recycles checkpoint encode buffers: a day-boundary checkpoint
-// is ~10KB of JSON per home per day, and the fleet hot path writes one for
-// every home-day, so the arena is kept warm instead of reallocated.
+// ckEncPool recycles checkpoint encode buffers: the fleet hot path writes a
+// day-boundary checkpoint (about a kilobyte of JSON) for every home-day, so
+// the arena is kept warm instead of reallocated.
 var ckEncPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // WriteCheckpoint serializes a checkpoint: magic, payload length, CRC-32,

@@ -16,8 +16,8 @@ import (
 
 // attackedWorld builds a defended, attacked fixture: the trace carries a
 // SHATTER campaign, and open constructs a fresh (source, home) pair wired
-// with the injector, detector, and truth episodizer — the maximal state a
-// checkpoint must carry.
+// with the injector, the detector and injection labelling — the maximal
+// configuration a checkpoint must carry.
 func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() (slotSource, *Home)) {
 	t.Helper()
 	params := hvac.DefaultParams()
@@ -57,15 +57,17 @@ func attackedWorld(t *testing.T, name string, days, trainDays int) (open func() 
 	}
 }
 
-// ingestDays pulls exactly the first n days through the home.
+// ingestDays pulls exactly the first n days through the home, one slot at
+// a time.
 func ingestDays(t *testing.T, src slotSource, h *Home, n int) {
 	t.Helper()
+	r := newSlotHome(h)
 	var s Slot
 	for i := 0; i < n*aras.SlotsPerDay; i++ {
 		if err := src.Next(&s); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if _, err := h.Ingest(&s); err != nil {
+		if _, err := r.Ingest(&s); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -97,7 +99,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	src, h := open()
 	baseline := drive(t, src, h, nil)
 	if baseline.Injected == 0 || baseline.Verdicts == 0 {
-		t.Fatalf("fixture too quiet to exercise the ledger: %+v", baseline)
+		t.Fatalf("fixture too quiet to exercise injection labelling: %+v", baseline)
 	}
 
 	var firstCutBytes []byte
@@ -247,12 +249,13 @@ func TestCheckpointGuards(t *testing.T) {
 	open := attackedWorld(t, "B", 2, 1)
 
 	src, h := open()
+	r := newSlotHome(h)
 	var s Slot
 	for i := 0; i < 10; i++ {
 		if err := src.Next(&s); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Ingest(&s); err != nil {
+		if _, err := r.Ingest(&s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +286,7 @@ func TestCheckpointGuards(t *testing.T) {
 	if err := other.Restore(ck); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("cross-home restore: %v", err)
 	}
-	// Restore onto a home missing the defender/ledger configuration.
+	// Restore onto a home missing the defender/labelling configuration.
 	if err := restoreFresh(t, "B", ck); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("config-mismatch restore: %v", err)
 	}
@@ -330,6 +333,10 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	bad("empty", nil)
 	bad("short header", valid[:10])
 	bad("bad magic", append([]byte("NOTMAGIC"), valid[8:]...))
+	// Version 1 carried episodizer states and a cross-day injection ledger;
+	// its magic no longer matches, so a fleet restarts such a home from
+	// day 0.
+	bad("version 1 magic", append([]byte("SHCKPT1\n"), valid[8:]...))
 	bad("truncated payload", valid[:len(valid)-5])
 
 	flipped := append([]byte(nil), valid...)
@@ -440,7 +447,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	// Seed: truncated header, bad magic, oversized length, garbage payload.
 	f.Add(valid.Bytes()[:12])
 	f.Add([]byte("NOTMAGIC\x00\x00\x00\x02{}"))
-	f.Add([]byte{'S', 'H', 'C', 'K', 'P', 'T', '1', '\n', 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(append(append([]byte{}, checkpointMagic[:]...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))
 	f.Add(append(append([]byte{}, valid.Bytes()[:16]...), []byte("xxxxxxxx")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,9 +5,13 @@
 // equivalence-locked to its batch counterpart — replaying a house through
 // the stream reproduces the batch trace, controller costs, and ADM verdicts
 // byte-for-byte — so the batch experiment suite and the fleet service are
-// two shells over the same core. The per-slot Slot view (Home.Ingest and
-// the sources' Next) is the reference the day-block kernels are locked
-// against; no transport moves it.
+// two shells over the same core. A day resolves inside its block: stays
+// split at midnight, so the detector classifies, and the injection labels
+// settle, every episode of a day with that day's block, and no detection
+// state crosses a day boundary. The per-slot Slot view (the sources' Next,
+// DayBlock.Slot) remains for callers that need slot granularity; the
+// package's tests keep a per-slot Ingest as the reference the day kernels
+// are locked against. No transport moves slots.
 //
 // The layer stack:
 //
@@ -20,10 +24,7 @@
 // of homes over it.
 package stream
 
-import (
-	"github.com/acyd-lab/shatter/internal/home"
-	"github.com/acyd-lab/shatter/internal/hvac"
-)
+import "github.com/acyd-lab/shatter/internal/home"
 
 // OccupantReading is one occupant's sensed location and activity at a slot.
 type OccupantReading struct {
@@ -55,18 +56,6 @@ type Slot struct {
 	ReportedAppliance []bool            `json:"repAppl"`
 }
 
-// Action is a controller's per-slot decision event: the airflow demands the
-// supervisory controller publishes back to the zone actuators, with the
-// slot's metered energy and cost.
-type Action struct {
-	Home    string        `json:"home,omitempty"`
-	Day     int           `json:"day"`
-	Index   int           `json:"slot"`
-	Demands []hvac.Demand `json:"demands"`
-	KWh     float64       `json:"kWh"`
-	CostUSD float64       `json:"costUSD"`
-}
-
 // ensure sizes the slot's slices for a home with the given occupant and
 // appliance counts, reusing backing storage.
 func (s *Slot) ensure(occupants, appliances int) {
@@ -81,13 +70,6 @@ func (s *Slot) ensure(occupants, appliances int) {
 func (s *Slot) mirrorTruth() {
 	copy(s.Reported, s.True)
 	copy(s.ReportedAppliance, s.TrueAppliance)
-}
-
-// SensorEvents counts the individual sensor measurements the frame carries
-// (occupancy readings plus appliance statuses) — the unit the fleet
-// throughput metrics report.
-func (s *Slot) SensorEvents() int {
-	return len(s.Reported) + len(s.ReportedAppliance)
 }
 
 func growReadings(b []OccupantReading, n int) []OccupantReading {

@@ -38,17 +38,18 @@ func testWorld(t *testing.T, name string, days, trainDays int) (*aras.Trace, *ad
 }
 
 // slotSource is a Source that also serves the per-slot reference view —
-// both repository sources do; the equivalence tests drive it through
-// Home.Ingest.
+// both repository sources do; the equivalence tests drive it through the
+// per-slot reference slotHome.Ingest.
 type slotSource interface {
 	Source
 	Next(dst *Slot) error
 }
 
-// drive pulls src to end-of-stream through h, invoking observe (when
-// non-nil) on each slot after Ingest rewrote it.
+// drive pulls src to end-of-stream through h one slot at a time, invoking
+// observe (when non-nil) on each slot after Ingest rewrote it.
 func drive(t *testing.T, src slotSource, h *Home, observe func(*Slot)) HomeResult {
 	t.Helper()
+	r := newSlotHome(h)
 	var s Slot
 	for {
 		if err := src.Next(&s); err == io.EOF {
@@ -56,7 +57,7 @@ func drive(t *testing.T, src slotSource, h *Home, observe func(*Slot)) HomeResul
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Ingest(&s); err != nil {
+		if _, err := r.Ingest(&s); err != nil {
 			t.Fatal(err)
 		}
 		if observe != nil {
@@ -72,6 +73,25 @@ func drive(t *testing.T, src slotSource, h *Home, observe func(*Slot)) HomeResul
 
 // verdictKey uniquely identifies an episode within a home's stream.
 func verdictKey(e aras.Episode) [3]int { return [3]int{e.Day, e.Occupant, e.ArrivalSlot} }
+
+// checkVerdictOrder asserts the OnVerdict emission order: days never
+// interleave, and within a day verdicts come by ascending close slot
+// (ArrivalSlot+Duration), ties by ascending occupant.
+func checkVerdictOrder(t *testing.T, label string, vs []adm.Verdict) {
+	t.Helper()
+	for i := 1; i < len(vs); i++ {
+		p, c := vs[i-1].Episode, vs[i].Episode
+		pEnd, cEnd := p.ArrivalSlot+p.Duration, c.ArrivalSlot+c.Duration
+		switch {
+		case c.Day < p.Day:
+			t.Fatalf("%s: verdict %d (day %d) after a day-%d verdict", label, i, c.Day, p.Day)
+		case c.Day > p.Day:
+		case cEnd < pEnd || (cEnd == pEnd && c.Occupant <= p.Occupant):
+			t.Fatalf("%s: day %d verdict %d closes at (%d, occupant %d) after (%d, occupant %d)",
+				label, c.Day, i, cEnd, c.Occupant, pEnd, p.Occupant)
+		}
+	}
+}
 
 // TestHomeStreamMatchesBatchBenign replays houses A and B through the full
 // streaming pipeline (incremental generator → online detector → HVAC
@@ -156,7 +176,9 @@ func TestHomeStreamMatchesBatchBenign(t *testing.T) {
 			t.Errorf("house %s: streamed sim result differs from batch\nbatch:    %+v\nstreamed: %+v", name, batchSim, res.Sim)
 		}
 
-		// Detection: every online verdict matches its batch counterpart.
+		// Detection: every online verdict matches its batch counterpart, in
+		// close order.
+		checkVerdictOrder(t, "house "+name, streamed)
 		if len(streamed) != len(batchVerdicts) {
 			t.Fatalf("house %s: %d streamed verdicts, %d batch", name, len(streamed), len(batchVerdicts))
 		}
@@ -188,7 +210,7 @@ func TestHomeStreamMatchesBatchBenign(t *testing.T) {
 // TestHomeStreamMatchesBatchAttacked streams a SHATTER campaign (sensor
 // spoofing + appliance triggering) through the live injector and pins the
 // attacked plant accounting, the per-slot falsified view, and the defender's
-// injection ledger to batch attack.EvaluateImpact.
+// injection labels to batch attack.EvaluateImpact.
 func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 	params := hvac.DefaultParams()
 	pricing := hvac.DefaultPricing()
@@ -233,13 +255,15 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var streamed []adm.Verdict
 		h, err := NewHome(HomeConfig{
-			ID:       name,
-			House:    house,
-			Params:   params,
-			Pricing:  pricing,
-			Defender: model,
-			Injector: inj,
+			ID:        name,
+			House:     house,
+			Params:    params,
+			Pricing:   pricing,
+			Defender:  model,
+			Injector:  inj,
+			OnVerdict: func(v adm.Verdict) { streamed = append(streamed, v) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -262,11 +286,15 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 			}
 		})
 
+		checkVerdictOrder(t, "house "+name, streamed)
+		if int64(len(streamed)) != res.Verdicts {
+			t.Errorf("house %s: OnVerdict saw %d verdicts, result says %d", name, len(streamed), res.Verdicts)
+		}
 		if !reflect.DeepEqual(imp.Attacked, res.Sim) {
 			t.Errorf("house %s: streamed attacked result differs from batch\nbatch:    %+v\nstreamed: %+v", name, imp.Attacked, res.Sim)
 		}
 		if int(res.Injected) != batchInjected || int(res.Flagged) != batchFlagged {
-			t.Errorf("house %s: injection ledger %d/%d, batch %d/%d", name, res.Injected, res.Flagged, batchInjected, batchFlagged)
+			t.Errorf("house %s: injection labels %d/%d, batch %d/%d", name, res.Injected, res.Flagged, batchInjected, batchFlagged)
 		}
 		if res.DetectedDays != imp.DetectedDays {
 			t.Errorf("house %s: %d detected days, batch %d", name, res.DetectedDays, imp.DetectedDays)
@@ -366,107 +394,91 @@ func TestInjectorBeyondHorizon(t *testing.T) {
 	}
 }
 
-// TestHomeIngestHygiene covers the runtime's stream-order cross-checks.
-func TestHomeIngestHygiene(t *testing.T) {
-	house := home.MustHouse("A")
-	gen, err := aras.NewGenerator(house, aras.GeneratorConfig{Days: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHome(HomeConfig{ID: "A", House: house, Params: hvac.DefaultParams(), Pricing: hvac.DefaultPricing()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewGeneratorSource("A", gen)
-	var s Slot
-	if err := src.Next(&s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Ingest(&s); err != nil {
-		t.Fatal(err)
-	}
-	// Replaying the same frame is out of order for the stepper.
-	if _, err := h.Ingest(&s); err == nil {
-		t.Error("replayed frame accepted")
-	}
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Ingest(&s); err == nil {
-		t.Error("Ingest after Close accepted")
-	}
-	if _, err := h.Close(); err == nil {
-		t.Error("double Close accepted")
-	}
-}
-
 // TestInjectionLedgerIsPerOccupant pins the batch DayReportedEpisodes
-// semantics the ledger reproduces: a reported episode is compared against
-// its OWN occupant's truth, so a falsified stay that happens to coincide
-// with another occupant's real stay is still an injection.
+// semantics the day's labelling reproduces: a reported episode is compared
+// against its OWN occupant's truth, so a falsified stay that happens to
+// coincide with another occupant's real stay is still an injection.
 func TestInjectionLedgerIsPerOccupant(t *testing.T) {
-	h := &Home{labeling: true}
-	// Occupant 1 really stayed in zone 2, arrival 480, duration 60.
-	h.recordNatural(aras.Episode{Day: 0, Occupant: 1, Zone: 2, ArrivalSlot: 480, Duration: 60})
-	// Occupant 0 reports the identical (zone, arrival, duration) triple —
-	// absent from occupant 0's truth, hence injected.
-	h.recordVerdict(adm.Verdict{
-		Episode:   aras.Episode{Day: 0, Occupant: 0, Zone: 2, ArrivalSlot: 480, Duration: 60},
-		Anomalous: true,
-	})
-	// Occupant 1 reports their own real stay — ordinary FP surface.
-	h.recordVerdict(adm.Verdict{
-		Episode:   aras.Episode{Day: 0, Occupant: 1, Zone: 2, ArrivalSlot: 480, Duration: 60},
-		Anomalous: true,
-	})
-	h.resolveDaysBelow(1)
+	house := home.MustHouse("A")
+	var b DayBlock
+	b.ensure(len(house.Occupants), len(house.Appliances))
+	// Occupant 1 really stayed in zone 2 over [480, 540); occupant 0 stayed
+	// in zone 1 all day.
+	for t := range b.TrueZone[0] {
+		b.TrueZone[0][t], b.TrueZone[1][t] = 1, 1
+	}
+	for t := 480; t < 540; t++ {
+		b.TrueZone[1][t] = 2
+	}
+	stay := aras.Episode{Zone: 2, ArrivalSlot: 480, Duration: 60}
+	occ0, occ1 := stay, stay
+	occ0.Occupant, occ1.Occupant = 0, 1
+	h := &Home{labeling: true, vcols: [][]adm.Verdict{
+		// Occupant 0 reports the identical (zone, arrival, duration) triple —
+		// absent from occupant 0's truth, hence injected.
+		{{Episode: occ0, Anomalous: true}},
+		// Occupant 1 reports their own real stay — ordinary FP surface.
+		{{Episode: occ1, Anomalous: true}},
+	}}
+	h.labelDay(&b)
 	if h.res.Injected != 1 || h.res.Flagged != 1 || h.res.DetectedDays != 1 {
 		t.Fatalf("ledger %d injected / %d flagged / %d detected days, want 1/1/1: %+v",
 			h.res.Injected, h.res.Flagged, h.res.DetectedDays, h.res)
 	}
 }
 
-// TestStreamSlotZeroAllocsSteadyState is the allocation-regression gate for
-// the per-slot streaming path: once a benign home's pipeline is warm, a
-// TraceSource frame pull plus its Ingest (injector-less, detector-less)
-// allocates nothing, and attaching the online detector stays within a small
-// per-slot budget (episode closes allocate their verdict bookkeeping).
-func TestStreamSlotZeroAllocsSteadyState(t *testing.T) {
-	const days = 3
-	tr, model := testWorld(t, "A", days, 2)
+// TestStreamDayZeroAllocsSteadyState is the allocation-regression gate for
+// the day path: once a home's pipeline is warm (two days on house A), a
+// TraceSource NextBlock plus its IngestDay allocates nothing per day, for
+// benign, defended, and attacked homes alike — no detection state outlives
+// its day.
+func TestStreamDayZeroAllocsSteadyState(t *testing.T) {
+	const warm, runs = 2, 3
+	tr, model := testWorld(t, "A", warm+runs+1, 2)
+	plan := buildAttack(t, tr, model)
 	params := hvac.DefaultParams()
 	pricing := hvac.DefaultPricing()
 
-	measure := func(defender *adm.Model) float64 {
-		h, err := NewHome(HomeConfig{ID: "A", House: tr.House, Params: params, Pricing: pricing, Defender: defender})
+	measure := func(defender *adm.Model, plan *attack.Plan) float64 {
+		cfg := HomeConfig{ID: "A", House: tr.House, Params: params, Pricing: pricing, Defender: defender}
+		if plan != nil {
+			inj, err := NewInjector(tr.House, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Injector = inj
+		}
+		h, err := NewHome(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := NewTraceSource("A", tr)
-		var s Slot
-		// Warm one full day so the frame buffers, controller scratch, and
-		// detector state reach steady state.
-		for i := 0; i < aras.SlotsPerDay; i++ {
-			if err := src.Next(&s); err != nil {
+		var blk DayBlock
+		day := func() {
+			if err := src.NextBlock(&blk); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.Ingest(&s); err != nil {
+			if _, err := h.IngestDay(&blk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(1000, func() {
-			if err := src.Next(&s); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := h.Ingest(&s); err != nil {
-				t.Fatal(err)
-			}
-		})
+		for i := 0; i < warm; i++ {
+			day()
+		}
+		// AllocsPerRun makes one extra warm-up call before its runs.
+		return testing.AllocsPerRun(runs, day)
 	}
-	if allocs := measure(nil); allocs != 0 {
-		t.Errorf("benign slot path: %.2f allocs/slot after warm-up, want 0", allocs)
-	}
-	if allocs := measure(model); allocs > 1 {
-		t.Errorf("defended slot path: %.2f allocs/slot after warm-up, budget 1", allocs)
+	for _, tc := range []struct {
+		label    string
+		defender *adm.Model
+		plan     *attack.Plan
+	}{
+		{"benign", nil, nil},
+		{"defended", model, nil},
+		{"attacked", model, plan},
+	} {
+		if allocs := measure(tc.defender, tc.plan); allocs != 0 {
+			t.Errorf("%s day path: %.2f allocs/day after warm-up, want 0", tc.label, allocs)
+		}
 	}
 }

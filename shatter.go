@@ -250,9 +250,10 @@ type (
 	FleetResult = stream.FleetResult
 	// FleetStats is a fleet run's aggregate accounting and throughput.
 	FleetStats = stream.FleetStats
-	// OnlineDetector scores an occupancy stream episode-by-episode online.
+	// OnlineDetector scores an occupancy stream a day at a time, one
+	// verdict per episode, the episode cut at midnight included.
 	OnlineDetector = adm.Detector
-	// Verdict is the online detector's judgement of one closed episode.
+	// Verdict is the online detector's judgement of one episode.
 	Verdict = adm.Verdict
 )
 
@@ -278,7 +279,8 @@ func NewTraceStream(id string, tr *Trace) StreamSource { return stream.NewTraceS
 // in batch.
 func NewInjector(h *House, plan *Plan) (*stream.Injector, error) { return stream.NewInjector(h, plan) }
 
-// NewOnlineDetector wraps a trained ADM for online, per-episode use.
+// NewOnlineDetector wraps a trained ADM for online use: ObserveDay scores
+// one occupant's day columns and holds no state between days.
 func NewOnlineDetector(m *ADM) *OnlineDetector { return adm.NewDetector(m) }
 
 // RunFleet drives every job's pipeline to end-of-stream on one fleet-service
