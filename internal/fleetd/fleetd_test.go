@@ -3,6 +3,7 @@ package fleetd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -381,6 +382,82 @@ func TestShardRetryAndQuarantine(t *testing.T) {
 	}
 	if res.Stats.Quarantined != 1 || res.Stats.Retries != 3 || res.Stats.Restores < 1 {
 		t.Fatalf("aggregate supervision counters: %+v", res.Stats)
+	}
+}
+
+// poisonSource overwrites one outdoor temperature of one day with a
+// non-finite value, passing everything else through; SeekDay delegates, so
+// every restored attempt meets the same poisoned day.
+type poisonSource struct {
+	stream.Source
+	day int
+}
+
+func (p *poisonSource) NextBlock(dst *stream.DayBlock) error {
+	if err := p.Source.NextBlock(dst); err != nil {
+		return err
+	}
+	if dst.Day == p.day {
+		dst.TempF[700] = math.NaN()
+	}
+	return nil
+}
+
+func (p *poisonSource) SeekDay(day int) error {
+	s, ok := p.Source.(stream.DaySeeker)
+	if !ok {
+		return fmt.Errorf("poison source cannot seek")
+	}
+	return s.SeekDay(day)
+}
+
+// TestRunFleetQuarantinesPoisonedWeather: a home whose source emits a NaN
+// outdoor temperature on day 1 must be quarantined with the weather
+// rejection as its reason, in both checkpoint modes, while the other home
+// completes. Unchecked, the NaN reached the bill: with async checkpoints
+// the home completed with a NaN cost, with synchronous ones it was
+// quarantined as a checkpoint encoding failure.
+func TestRunFleetQuarantinesPoisonedWeather(t *testing.T) {
+	const days = 3
+	specs := scenario.SynthFleet(2, 505)
+	for _, async := range []bool{false, true} {
+		poisoned := specJob(specs[0], days, 21)
+		open := poisoned.Open
+		poisoned.Open = func() (stream.Source, *stream.Home, error) {
+			src, h, err := open()
+			if err != nil {
+				return nil, nil, err
+			}
+			return &poisonSource{Source: src, day: 1}, h, nil
+		}
+		res, err := RunFleet([]stream.Job{poisoned, specJob(specs[1], days, 22)}, ShardOptions{
+			Workers:          2,
+			Recover:          true,
+			MaxRetries:       2,
+			RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+			CheckpointDir:    t.TempDir(),
+			AsyncCheckpoints: async,
+		})
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		byID := map[string]stream.HomeOutcome{}
+		for _, o := range res.Outcomes {
+			byID[o.ID] = o
+		}
+		dead := byID[specs[0].ID]
+		if dead.Status != stream.OutcomeQuarantined || dead.Attempts != 3 || dead.Days != 1 ||
+			!strings.Contains(dead.Err, stream.ErrBadBlockWeather.Error()) {
+			t.Fatalf("async=%v: poisoned home outcome %+v", async, dead)
+		}
+		if clean := byID[specs[1].ID]; clean.Status != stream.OutcomeCompleted || clean.Days != days {
+			t.Fatalf("async=%v: clean home outcome %+v", async, clean)
+		}
+		for _, h := range res.Homes {
+			if h.ID == specs[1].ID && (math.IsNaN(h.Sim.TotalCostUSD) || h.Sim.TotalCostUSD <= 0) {
+				t.Fatalf("async=%v: clean home bill %v", async, h.Sim.TotalCostUSD)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package hvac
 
-import (
-	"math"
-
-	"github.com/acyd-lab/shatter/internal/home"
-)
+import "github.com/acyd-lab/shatter/internal/home"
 
 // OccupantObs is what the control system believes about one occupant at a
 // slot: where they are and what they are doing. Under attack these beliefs
@@ -44,17 +40,23 @@ type Controller interface {
 	Plan(house *home.House, believed []OccupantObs, believedAppliance []bool, cond ZoneConditions) []Demand
 }
 
+// genPPMPerSlot converts a zone's CO2 generation in ft³/min to the ppm it
+// adds in one slot: the gen·Δt/V term of Eq 1.
+func genPPMPerSlot(genFt3PerMin, volumeFt3 float64) float64 {
+	return genFt3PerMin * SlotMinutes / volumeFt3 * 1e6
+}
+
 // freshAirForCO2 solves the Eq 1 mass balance for the minimum fresh airflow
 // holding next-slot CO2 at or below the setpoint:
 //
-//	C_next = (1−r)·C + r·C_out + gen·Δt/V,  r = Qf·Δt/V
+//	C_next = (1−r)·C + r·C_out + genPPM,  r = Qf·Δt/V
 //
-// gen is in ft³/min of CO2; concentrations in ppm (ft³ CO2 per 10⁶ ft³ air).
-func freshAirForCO2(genFt3PerMin, volumeFt3, zoneCO2, outCO2, setpoint float64) float64 {
+// genPPM is the slot's generation from genPPMPerSlot; concentrations in ppm
+// (ft³ CO2 per 10⁶ ft³ air).
+func freshAirForCO2(genPPM, volumeFt3, zoneCO2, outCO2, setpoint float64) float64 {
 	if volumeFt3 <= 0 {
 		return 0
 	}
-	genPPM := genFt3PerMin * SlotMinutes / volumeFt3 * 1e6
 	// Without ventilation the zone would reach:
 	unforced := zoneCO2 + genPPM
 	if unforced <= setpoint {
@@ -67,9 +69,15 @@ func freshAirForCO2(genFt3PerMin, volumeFt3, zoneCO2, outCO2, setpoint float64) 
 		// one air change per hour equivalent.
 		return volumeFt3 / 60
 	}
-	r := (unforced - setpoint) / den
-	r = math.Min(r, 1)
+	r := min((unforced-setpoint)/den, 1)
 	return r * volumeFt3 / SlotMinutes
+}
+
+// nextZoneCO2 is the plant side of Eq 1: a zone's CO2 after one slot of
+// dilution by freshCFM of outdoor air plus the slot's generation genPPM.
+func nextZoneCO2(zoneCO2, freshCFM, volumeFt3, outCO2, genPPM float64) float64 {
+	r := min(freshCFM*SlotMinutes/volumeFt3, 1)
+	return (1-r)*zoneCO2 + r*outCO2 + genPPM
 }
 
 // supplyAirForHeat solves Eq 2 for the supply airflow that removes the
@@ -144,11 +152,11 @@ func (c *SHATTERController) Plan(house *home.House, believed []OccupantObs, beli
 			continue // demand-controlled setback: no occupants, no supply
 		}
 		// Envelope gain while conditioning the zone.
-		heat[zi] += p.EnvelopeUAWPerF2 * z.AreaFt2 * math.Max(0, cond.OutdoorTempF-p.ZoneSetpointF)
+		heat[zi] += p.EnvelopeUAWPerF2 * z.AreaFt2 * max(0, cond.OutdoorTempF-p.ZoneSetpointF)
 		qs := supplyAirForHeat(heat[zi], p.ZoneSetpointF, p.SupplyAirTempF)
-		qf := freshAirForCO2(gen[zi], z.VolumeFt3, cond.ZoneCO2PPM[zi], cond.OutdoorCO2PPM, p.CO2SetpointPPM)
-		q := math.Min(math.Max(qs, qf), p.MaxZoneCFM)
-		demands[zi] = Demand{SupplyCFM: q, FreshCFM: math.Min(qf, q)}
+		qf := freshAirForCO2(genPPMPerSlot(gen[zi], z.VolumeFt3), z.VolumeFt3, cond.ZoneCO2PPM[zi], cond.OutdoorCO2PPM, p.CO2SetpointPPM)
+		q := min(max(qs, qf), p.MaxZoneCFM)
+		demands[zi] = Demand{SupplyCFM: q, FreshCFM: min(qf, q)}
 	}
 	return demands
 }
@@ -236,10 +244,10 @@ func (c *ASHRAEController) Plan(house *home.House, believed []OccupantObs, _ []b
 		// load + design-day envelope, independent of actual activities.
 		heat := float64(counts[zi])*c.DesignMET*home.SensibleHeatWPerMET +
 			c.DesignApplianceW[z.ID] +
-			p.EnvelopeUAWPerF2*z.AreaFt2*math.Max(0, cond.OutdoorTempF-p.ZoneSetpointF)
+			p.EnvelopeUAWPerF2*z.AreaFt2*max(0, cond.OutdoorTempF-p.ZoneSetpointF)
 		qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
-		q := math.Min(math.Max(qs, qf), p.MaxZoneCFM)
-		demands[zi] = Demand{SupplyCFM: q, FreshCFM: math.Min(qf, q)}
+		q := min(max(qs, qf), p.MaxZoneCFM)
+		demands[zi] = Demand{SupplyCFM: q, FreshCFM: min(qf, q)}
 	}
 	return demands
 }

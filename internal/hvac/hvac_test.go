@@ -64,21 +64,21 @@ func TestPricingRateAt(t *testing.T) {
 
 func TestFreshAirForCO2(t *testing.T) {
 	// No generation, already at setpoint: no fresh air needed.
-	if q := freshAirForCO2(0, 1000, 800, 420, 800); q != 0 {
+	if q := freshAirForCO2(genPPMPerSlot(0, 1000), 1000, 800, 420, 800); q != 0 {
 		t.Errorf("no-gen fresh air = %v, want 0", q)
 	}
 	// Generation pushing above setpoint requires positive airflow.
-	q := freshAirForCO2(0.02, 1000, 800, 420, 800)
+	q := freshAirForCO2(genPPMPerSlot(0.02, 1000), 1000, 800, 420, 800)
 	if q <= 0 {
 		t.Errorf("fresh air = %v, want > 0", q)
 	}
 	// More generation needs more air.
-	q2 := freshAirForCO2(0.04, 1000, 800, 420, 800)
+	q2 := freshAirForCO2(genPPMPerSlot(0.04, 1000), 1000, 800, 420, 800)
 	if q2 <= q {
 		t.Errorf("fresh air not monotone in generation: %v vs %v", q, q2)
 	}
 	// Zone already below outdoor CO2 (degenerate): nominal flush.
-	if q := freshAirForCO2(0.2, 1000, 400, 420, 405); q <= 0 {
+	if q := freshAirForCO2(genPPMPerSlot(0.2, 1000), 1000, 400, 420, 405); q <= 0 {
 		t.Error("degenerate dilution should still flush")
 	}
 }
@@ -418,8 +418,8 @@ func TestPropertyFreshAirMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		g1 := float64(seed%100) / 1000
 		g2 := g1 + 0.01
-		q1 := freshAirForCO2(g1, 1000, 700, 420, 800)
-		q2 := freshAirForCO2(g2, 1000, 700, 420, 800)
+		q1 := freshAirForCO2(genPPMPerSlot(g1, 1000), 1000, 700, 420, 800)
+		q2 := freshAirForCO2(genPPMPerSlot(g2, 1000), 1000, 700, 420, 800)
 		return q2 >= q1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

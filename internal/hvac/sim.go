@@ -2,7 +2,6 @@ package hvac
 
 import (
 	"errors"
-	"math"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
@@ -70,6 +69,12 @@ func mixedAirTempF(dem Demand, outdoorF, returnF float64) float64 {
 	frac := dem.FreshCFM / dem.SupplyCFM
 	frac = max(0, min(1, frac))
 	return frac*outdoorF + (1-frac)*returnF
+}
+
+// coilW is Eq 3's sensible coil load in watts: supplyCFM of air cooled
+// from the mixed-air temperature down to the supply temperature.
+func coilW(supplyCFM, mixedF, supplyF float64) float64 {
+	return supplyCFM * max(0, mixedF-supplyF) * SensibleHeatFactor
 }
 
 // CostModel precomputes per-slot marginal costs the attack optimiser uses
@@ -144,7 +149,7 @@ func (m *CostModel) OccupantLoad(occupant int, z home.ZoneID, act home.ActivityI
 	}
 	// Steady-state fresh air to hold the setpoint against this occupant's
 	// generation: r·(set − out) = genPPM.
-	genPPM := a.CO2Ft3PerMin(demo) * SlotMinutes / zone.VolumeFt3 * 1e6
+	genPPM := genPPMPerSlot(a.CO2Ft3PerMin(demo), zone.VolumeFt3)
 	if den := p.CO2SetpointPPM - 420; den > 0 {
 		l.freshCFM = genPPM / den * zone.VolumeFt3 / SlotMinutes
 	}
@@ -166,7 +171,7 @@ func (m *CostModel) SlotCost(l *OccupantLoad, slot int, outdoorF float64) float6
 	q := min(max(qs, l.freshCFM), p.MaxZoneCFM)
 	fresh := min(l.freshCFM, q)
 	tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outdoorF, p.ZoneSetpointF)
-	watts := q*max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
+	watts := coilW(q, tMix, p.SupplyAirTempF) + q*p.FanWPerCFM
 	kwh := watts * SlotMinutes / 60000
 	return kwh * m.rateApprox(slot)
 }
@@ -189,9 +194,9 @@ func (m *CostModel) ApplianceSlotCost(ai, slot int, outdoorF float64) float64 {
 	watts := appl.PowerW
 	if appl.Zone.Conditioned() {
 		qs := supplyAirForHeat(appl.HeatW(), p.ZoneSetpointF, p.SupplyAirTempF)
-		qs = math.Min(qs, p.MaxZoneCFM)
+		qs = min(qs, p.MaxZoneCFM)
 		tMix := mixedAirTempF(Demand{SupplyCFM: qs}, outdoorF, p.ZoneSetpointF)
-		watts += qs*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + qs*p.FanWPerCFM
+		watts += coilW(qs, tMix, p.SupplyAirTempF) + qs*p.FanWPerCFM
 	}
 	kwh := watts * SlotMinutes / 60000
 	return kwh * m.rateApprox(slot)

@@ -1,8 +1,6 @@
 package hvac
 
 import (
-	"math"
-
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
 )
@@ -120,11 +118,11 @@ func (s *Sim) Step(in StepInput) SlotReport {
 			continue
 		}
 		tMix := mixedAirTempF(dem, in.OutdoorTempF, s.params.ZoneSetpointF)
-		coilW := dem.SupplyCFM * math.Max(0, tMix-s.params.SupplyAirTempF) * SensibleHeatFactor
+		coil := coilW(dem.SupplyCFM, tMix, s.params.SupplyAirTempF)
 		fanW := dem.SupplyCFM * s.params.FanWPerCFM
-		slotW += coilW + fanW
-		kwh := (coilW + fanW) * SlotMinutes / 60000
-		s.res.CoilKWh += coilW * SlotMinutes / 60000
+		slotW += coil + fanW
+		kwh := (coil + fanW) * SlotMinutes / 60000
+		s.res.CoilKWh += coil * SlotMinutes / 60000
 		s.res.FanKWh += fanW * SlotMinutes / 60000
 		s.res.ZoneCoilKWh[zi] += kwh
 	}
@@ -181,13 +179,11 @@ func (s *Sim) stepCO2(in StepInput, demands []Demand) {
 		if !z.ID.Conditioned() || z.VolumeFt3 <= 0 {
 			continue
 		}
-		r := 0.0
+		fresh := 0.0
 		if zi < len(demands) {
-			r = demands[zi].FreshCFM * SlotMinutes / z.VolumeFt3
+			fresh = demands[zi].FreshCFM
 		}
-		r = math.Min(r, 1)
-		genPPM := s.gen[zi] * SlotMinutes / z.VolumeFt3 * 1e6
-		s.zoneCO2[zi] = (1-r)*s.zoneCO2[zi] + r*in.OutdoorCO2PPM + genPPM
+		s.zoneCO2[zi] = nextZoneCO2(s.zoneCO2[zi], fresh, z.VolumeFt3, in.OutdoorCO2PPM, genPPMPerSlot(s.gen[zi], z.VolumeFt3))
 	}
 }
 

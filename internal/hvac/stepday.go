@@ -3,7 +3,6 @@ package hvac
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
@@ -69,17 +68,19 @@ func (in *DayInput) validate(house *home.House) error {
 	return nil
 }
 
-// dayScratch holds StepDay's reusable per-zone/per-appliance working state.
+// dayScratch holds StepDay's reusable working state.
 type dayScratch struct {
-	heatBase []float64 // believed occupant+appliance heat, before envelope
-	genBel   []float64 // believed CO2 generation (controller's qf input)
-	genAct   []float64 // ground-truth CO2 generation (plant mass balance)
-	genPPM   []float64 // genAct converted to ppm per slot, per zone
-	fresh    []float64 // delivered fresh CFM this slot, per zone
-	occupied []bool
-	zonesBel []int // conditioned zones with believed occupancy, ascending
-	zonesCO2 []int // conditioned zones needing a CO2 update, ascending
-	onAppl   []int // actually-on appliances, ascending
+	// change[t] marks a slot where some believed or actual column differs
+	// from slot t−1: the start of a segment whose loads must be re-derived.
+	// change[0] is always set.
+	change [aras.SlotsPerDay]bool
+	zones  []zoneDay
+	appls  []applianceDay
+	// Per-segment active sets, ascending so skipped entries match the zero
+	// entries the per-slot loops skip.
+	zonesBel []int // conditioned zones with believed occupancy
+	zonesCO2 []int // conditioned zones needing a CO2 update
+	onAppl   []int // actually-on appliances
 
 	// Generic-controller fallback: per-slot StepInput views over the columns.
 	believed    []OccupantObs
@@ -88,18 +89,46 @@ type dayScratch struct {
 	actualApp   []bool
 }
 
+// zoneDay is one zone's StepDay working state.
+type zoneDay struct {
+	// Per day.
+	conditioned bool
+	volumeFt3   float64
+	envelopeUA  float64 // UA·area, W/°F
+	// Per segment.
+	occupied  bool
+	heatBase  float64 // believed occupant+appliance heat, before envelope
+	genBel    float64 // believed CO2 generation, ft³/min
+	genBelPPM float64 // genBel as ppm per slot (the controller's qf input)
+	genAct    float64 // ground-truth CO2 generation, ft³/min
+	genActPPM float64 // genAct as ppm per slot (the plant mass balance)
+	// Per slot.
+	fresh float64 // delivered fresh CFM
+}
+
+// applianceDay is one appliance's StepDay constants.
+type applianceDay struct {
+	zone    home.ZoneID
+	heatW   float64 // believed-load heat when reported on
+	powerW  float64 // electrical draw when actually on
+	slotKWh float64 // powerW over one slot
+}
+
 func (sc *dayScratch) ensure(house *home.House) {
-	nz, occ, appl := len(house.Zones), len(house.Occupants), len(house.Appliances)
-	if len(sc.heatBase) != nz {
-		sc.heatBase = make([]float64, nz)
-		sc.genBel = make([]float64, nz)
-		sc.genAct = make([]float64, nz)
-		sc.genPPM = make([]float64, nz)
-		sc.fresh = make([]float64, nz)
-		sc.occupied = make([]bool, nz)
+	nz, appl := len(house.Zones), len(house.Appliances)
+	if len(sc.zones) != nz {
+		sc.zones = make([]zoneDay, nz)
 		sc.zonesBel = make([]int, 0, nz)
 		sc.zonesCO2 = make([]int, 0, nz)
 	}
+	if len(sc.appls) != appl {
+		sc.appls = make([]applianceDay, appl)
+		sc.onAppl = make([]int, 0, appl)
+	}
+}
+
+// ensureSlotViews sizes the generic-controller fallback's per-slot views.
+func (sc *dayScratch) ensureSlotViews(occ, appl int) {
 	if len(sc.believed) != occ {
 		sc.believed = make([]OccupantObs, occ)
 		sc.actual = make([]OccupantObs, occ)
@@ -107,19 +136,19 @@ func (sc *dayScratch) ensure(house *home.House) {
 	if len(sc.believedApp) != appl {
 		sc.believedApp = make([]bool, appl)
 		sc.actualApp = make([]bool, appl)
-		sc.onAppl = make([]int, 0, appl)
 	}
 }
 
 // StepDay advances the plant and the accounting by one whole day over the
 // struct-of-arrays columns. Results are bit-identical to aras.SlotsPerDay
-// sequential Step calls over the same data: the paper-controller fast path
-// re-derives per-zone loads only at slots where some believed or actual
-// column changes value (occupancy and appliance schedules are piecewise-
-// constant, so a day has ~10² segments rather than 1440 independent slots)
-// while keeping every floating-point accumulation in the per-slot order.
-// Controllers other than SHATTERController fall back to per-slot Step calls
-// over reused scratch, which is the equivalence definition itself.
+// sequential Step calls over the same data. The paper-controller fast path
+// scans every believed and actual column once to mark the slots where any
+// of them changes value, and re-derives the per-zone loads only there
+// (occupancy and appliance schedules are piecewise-constant, so a day has
+// ~10² segments rather than 1440 independent slots), while keeping every
+// floating-point accumulation in the per-slot order. Controllers other
+// than SHATTERController fall back to per-slot Step calls over reused
+// scratch, which is the equivalence definition itself.
 func (s *Sim) StepDay(in *DayInput) error {
 	if s.slot != 0 {
 		return fmt.Errorf("%w (day %d slot %d)", ErrNotDayBoundary, s.day, s.slot)
@@ -127,12 +156,12 @@ func (s *Sim) StepDay(in *DayInput) error {
 	if err := in.validate(s.house); err != nil {
 		return err
 	}
-	s.scratch.ensure(s.house)
 	if c, ok := s.ctrl.(*SHATTERController); ok {
 		s.stepDaySHATTER(c, in)
 		return nil
 	}
 	sc := &s.scratch
+	sc.ensureSlotViews(len(s.house.Occupants), len(s.house.Appliances))
 	for t := 0; t < aras.SlotsPerDay; t++ {
 		for o := range sc.believed {
 			sc.believed[o] = OccupantObs{Zone: in.BelievedZone[o][t], Activity: in.BelievedAct[o][t]}
@@ -160,161 +189,203 @@ func (s *Sim) StepDay(in *DayInput) error {
 // active-zone sets, and the plant's CO2 generation terms are fixed, so they
 // are derived once (with additions in exactly the per-slot order, keeping
 // the floating-point results bit-identical) and only the weather-, CO2- and
-// pricing-dependent terms run per slot.
+// pricing-dependent terms run per slot. The day's energy and cost sums
+// accumulate in locals, in Step's order, and are written back once.
 func (s *Sim) stepDaySHATTER(c *SHATTERController, in *DayInput) {
 	cp := c.Params // the controller's planning parameters
 	sp := s.params // the plant's metering parameters
+	pr := s.pricing
 	sc := &s.scratch
-	d := s.day
+	sc.ensure(s.house)
+	sc.markChanges(in)
+	for zi := range sc.zones {
+		z, hz := &sc.zones[zi], &s.house.Zones[zi]
+		z.conditioned = hz.ID.Conditioned()
+		z.volumeFt3 = hz.VolumeFt3
+		z.envelopeUA = cp.EnvelopeUAWPerF2 * hz.AreaFt2
+	}
+	for ai := range sc.appls {
+		a, ha := &sc.appls[ai], &s.house.Appliances[ai]
+		a.zone, a.heatW, a.powerW = ha.Zone, ha.HeatW(), ha.PowerW
+		a.slotKWh = ha.PowerW * SlotMinutes / 60000
+	}
+	baseSlotKWh := sp.BaseLoadW * SlotMinutes / 60000
+
 	// Day-boundary bookkeeping, exactly as Step's slot-0 branch.
 	for zi := range s.zoneCO2 {
 		if s.zoneCO2[zi] == 0 {
 			s.zoneCO2[zi] = in.OutdoorCO2PPM[0]
 		}
 	}
-	s.peakKWh = 0
-	s.res.DailyCostUSD = append(s.res.DailyCostUSD, 0)
-	s.res.DailyKWh = append(s.res.DailyKWh, 0)
+	var peakKWh, dayKWh, dayCost float64
+	coilKWh, fanKWh := s.res.CoilKWh, s.res.FanKWh
+	applKWh, baseKWh := s.res.ApplianceKWh, s.res.BaseKWh
+	zoneCO2, zoneCoilKWh := s.zoneCO2, s.res.ZoneCoilKWh
+	outTemp, outCO2 := in.OutdoorTempF[:aras.SlotsPerDay], in.OutdoorCO2PPM[:aras.SlotsPerDay]
 
-	for t0 := 0; t0 < aras.SlotsPerDay; {
-		t1 := segmentEnd(in, t0)
-		// Per-zone believed loads, occupant adds then appliance adds — the
-		// accumulation order SHATTERController.Plan uses.
-		for zi := range sc.heatBase {
-			sc.heatBase[zi], sc.genBel[zi], sc.genAct[zi], sc.fresh[zi] = 0, 0, 0, 0
-			sc.occupied[zi] = false
+	for t := range sc.change {
+		if sc.change[t] {
+			s.loadSegment(in, t)
 		}
-		for o := range in.BelievedZone {
-			z := in.BelievedZone[o][t0]
-			if !z.Conditioned() {
+		outT, outC := outTemp[t], outCO2[t]
+		envelopeDT := max(0, outT-cp.ZoneSetpointF)
+		var slotW float64
+		for _, zi := range sc.zonesBel {
+			z := &sc.zones[zi]
+			// Plan: envelope gain on top of the segment's base load.
+			heat := z.heatBase + z.envelopeUA*envelopeDT
+			qs := supplyAirForHeat(heat, cp.ZoneSetpointF, cp.SupplyAirTempF)
+			qf := freshAirForCO2(z.genBelPPM, z.volumeFt3, zoneCO2[zi], outC, cp.CO2SetpointPPM)
+			q := min(max(qs, qf), cp.MaxZoneCFM)
+			fresh := min(qf, q)
+			z.fresh = fresh
+			if q <= 0 {
 				continue
 			}
-			demo := s.house.Occupants[o].Demographics
-			act := home.ActivityByID(in.BelievedAct[o][t0])
-			sc.heatBase[z] += act.HeatW(demo)
-			sc.genBel[z] += act.CO2Ft3PerMin(demo)
-			sc.occupied[z] = true
+			// Meter: Step's energy loop over the demanded zones.
+			tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outT, sp.ZoneSetpointF)
+			coil := coilW(q, tMix, sp.SupplyAirTempF)
+			fanW := q * sp.FanWPerCFM
+			slotW += coil + fanW
+			coilKWh += coil * SlotMinutes / 60000
+			fanKWh += fanW * SlotMinutes / 60000
+			zoneCoilKWh[zi] += (coil + fanW) * SlotMinutes / 60000
 		}
-		for ai := range s.house.Appliances {
-			if in.BelievedAppliance[ai][t0] {
-				appl := &s.house.Appliances[ai]
-				sc.heatBase[appl.Zone] += appl.HeatW()
-			}
+		for _, ai := range sc.onAppl {
+			a := &sc.appls[ai]
+			slotW += a.powerW
+			applKWh += a.slotKWh
 		}
-		// Ground-truth CO2 generation (occupant adds in o order, as stepCO2).
-		for o := range in.ActualZone {
-			z := in.ActualZone[o][t0]
-			if !z.Conditioned() {
-				continue
-			}
-			demo := s.house.Occupants[o].Demographics
-			act := home.ActivityByID(in.ActualAct[o][t0])
-			sc.genAct[z] += act.CO2Ft3PerMin(demo)
-		}
-		// Active sets, ascending zone/appliance index so skipped entries
-		// match the zero entries the per-slot loops skip.
-		sc.zonesBel, sc.zonesCO2, sc.onAppl = sc.zonesBel[:0], sc.zonesCO2[:0], sc.onAppl[:0]
-		for zi := range s.house.Zones {
-			z := &s.house.Zones[zi]
-			if !z.ID.Conditioned() {
-				continue
-			}
-			if sc.occupied[zi] {
-				sc.zonesBel = append(sc.zonesBel, zi)
-			}
-			// Zones with neither delivered fresh air nor generation keep
-			// their CO2 unchanged ((1-0)·C + 0·out + 0 = C), so only zones
-			// with a possible demand or positive generation need the update.
-			if z.VolumeFt3 > 0 && (sc.occupied[zi] || sc.genAct[zi] != 0) {
-				sc.zonesCO2 = append(sc.zonesCO2, zi)
-				sc.genPPM[zi] = sc.genAct[zi] * SlotMinutes / z.VolumeFt3 * 1e6
-			}
-		}
-		for ai := range s.house.Appliances {
-			if in.ActualAppliance[ai][t0] {
-				sc.onAppl = append(sc.onAppl, ai)
-			}
-		}
+		slotW += sp.BaseLoadW
+		baseKWh += baseSlotKWh
 
-		for t := t0; t < t1; t++ {
-			outT, outC := in.OutdoorTempF[t], in.OutdoorCO2PPM[t]
-			var slotW float64
-			for _, zi := range sc.zonesBel {
-				z := &s.house.Zones[zi]
-				// Plan: envelope gain on top of the segment's base load.
-				heat := sc.heatBase[zi] + cp.EnvelopeUAWPerF2*z.AreaFt2*math.Max(0, outT-cp.ZoneSetpointF)
-				qs := supplyAirForHeat(heat, cp.ZoneSetpointF, cp.SupplyAirTempF)
-				qf := freshAirForCO2(sc.genBel[zi], z.VolumeFt3, s.zoneCO2[zi], outC, cp.CO2SetpointPPM)
-				q := math.Min(math.Max(qs, qf), cp.MaxZoneCFM)
-				fresh := math.Min(qf, q)
-				sc.fresh[zi] = fresh
-				if q <= 0 {
-					continue
-				}
-				// Meter: Step's energy loop over the demanded zones.
-				tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outT, sp.ZoneSetpointF)
-				coilW := q * math.Max(0, tMix-sp.SupplyAirTempF) * SensibleHeatFactor
-				fanW := q * sp.FanWPerCFM
-				slotW += coilW + fanW
-				kwh := (coilW + fanW) * SlotMinutes / 60000
-				s.res.CoilKWh += coilW * SlotMinutes / 60000
-				s.res.FanKWh += fanW * SlotMinutes / 60000
-				s.res.ZoneCoilKWh[zi] += kwh
-			}
-			for _, ai := range sc.onAppl {
-				appl := &s.house.Appliances[ai]
-				slotW += appl.PowerW
-				s.res.ApplianceKWh += appl.PowerW * SlotMinutes / 60000
-			}
-			slotW += sp.BaseLoadW
-			s.res.BaseKWh += sp.BaseLoadW * SlotMinutes / 60000
-
-			slotKWh := slotW * SlotMinutes / 60000
-			rate := s.pricing.RateAt(t, s.peakKWh)
-			if s.pricing.InPeak(t) {
-				s.peakKWh += slotKWh
-			}
-			s.res.DailyKWh[d] += slotKWh
-			s.res.DailyCostUSD[d] += slotKWh * rate
-
-			for _, zi := range sc.zonesCO2 {
-				z := &s.house.Zones[zi]
-				r := math.Min(sc.fresh[zi]*SlotMinutes/z.VolumeFt3, 1)
-				s.zoneCO2[zi] = (1-r)*s.zoneCO2[zi] + r*outC + sc.genPPM[zi]
-			}
+		slotKWh := slotW * SlotMinutes / 60000
+		rate := pr.RateAt(t, peakKWh)
+		if pr.InPeak(t) {
+			peakKWh += slotKWh
 		}
-		t0 = t1
+		dayKWh += slotKWh
+		dayCost += slotKWh * rate
+
+		for _, zi := range sc.zonesCO2 {
+			z := &sc.zones[zi]
+			zoneCO2[zi] = nextZoneCO2(zoneCO2[zi], z.fresh, z.volumeFt3, outC, z.genActPPM)
+		}
 	}
-	s.res.TotalCostUSD += s.res.DailyCostUSD[d]
-	s.res.TotalKWh += s.res.DailyKWh[d]
+	s.peakKWh = peakKWh
+	s.res.CoilKWh, s.res.FanKWh = coilKWh, fanKWh
+	s.res.ApplianceKWh, s.res.BaseKWh = applKWh, baseKWh
+	s.res.DailyCostUSD = append(s.res.DailyCostUSD, dayCost)
+	s.res.DailyKWh = append(s.res.DailyKWh, dayKWh)
+	s.res.TotalCostUSD += dayCost
+	s.res.TotalKWh += dayKWh
 	s.day++
 }
 
-// segmentEnd returns the end (exclusive) of the maximal run starting at t0
-// over which every believed and actual column holds its t0 value.
-func segmentEnd(in *DayInput, t0 int) int {
-	t1 := aras.SlotsPerDay
+// loadSegment derives the loads of the segment starting at slot t from the
+// columns' values there: per-zone believed heat and CO2 generation
+// (occupant adds, then appliance adds — the order SHATTERController.Plan
+// accumulates in), ground-truth generation (occupant adds in o order, as
+// stepCO2), and the active zone and appliance sets.
+func (s *Sim) loadSegment(in *DayInput, t int) {
+	sc := &s.scratch
+	for zi := range sc.zones {
+		z := &sc.zones[zi]
+		z.occupied = false
+		z.heatBase, z.genBel, z.genAct, z.fresh = 0, 0, 0, 0
+	}
 	for o := range in.BelievedZone {
-		t1 = runEnd(in.BelievedZone[o], t0, t1)
-		t1 = runEnd(in.BelievedAct[o], t0, t1)
-		t1 = runEnd(in.ActualZone[o], t0, t1)
-		t1 = runEnd(in.ActualAct[o], t0, t1)
+		zid := in.BelievedZone[o][t]
+		if !zid.Conditioned() {
+			continue
+		}
+		demo := s.house.Occupants[o].Demographics
+		act := home.ActivityByID(in.BelievedAct[o][t])
+		z := &sc.zones[zid]
+		z.heatBase += act.HeatW(demo)
+		z.genBel += act.CO2Ft3PerMin(demo)
+		z.occupied = true
 	}
-	for a := range in.BelievedAppliance {
-		t1 = runEnd(in.BelievedAppliance[a], t0, t1)
-		t1 = runEnd(in.ActualAppliance[a], t0, t1)
-	}
-	return t1
-}
-
-// runEnd narrows bound to the first index in (t0, bound) where col departs
-// from its t0 value.
-func runEnd[T comparable](col []T, t0, bound int) int {
-	v := col[t0]
-	for t := t0 + 1; t < bound; t++ {
-		if col[t] != v {
-			return t
+	for ai := range sc.appls {
+		if in.BelievedAppliance[ai][t] {
+			a := &sc.appls[ai]
+			sc.zones[a.zone].heatBase += a.heatW
 		}
 	}
-	return bound
+	for o := range in.ActualZone {
+		zid := in.ActualZone[o][t]
+		if !zid.Conditioned() {
+			continue
+		}
+		demo := s.house.Occupants[o].Demographics
+		sc.zones[zid].genAct += home.ActivityByID(in.ActualAct[o][t]).CO2Ft3PerMin(demo)
+	}
+	sc.zonesBel, sc.zonesCO2, sc.onAppl = sc.zonesBel[:0], sc.zonesCO2[:0], sc.onAppl[:0]
+	for zi := range sc.zones {
+		z := &sc.zones[zi]
+		if !z.conditioned {
+			continue
+		}
+		if z.occupied {
+			sc.zonesBel = append(sc.zonesBel, zi)
+			z.genBelPPM = genPPMPerSlot(z.genBel, z.volumeFt3)
+		}
+		// Zones with neither delivered fresh air nor generation keep their
+		// CO2 unchanged ((1-0)·C + 0·out + 0 = C), so only zones with a
+		// possible demand or positive generation need the update.
+		if z.volumeFt3 > 0 && (z.occupied || z.genAct != 0) {
+			sc.zonesCO2 = append(sc.zonesCO2, zi)
+			z.genActPPM = genPPMPerSlot(z.genAct, z.volumeFt3)
+		}
+	}
+	for ai := range sc.appls {
+		if in.ActualAppliance[ai][t] {
+			sc.onAppl = append(sc.onAppl, ai)
+		}
+	}
+}
+
+// markChanges fills the change mask from one pass over every column.
+func (sc *dayScratch) markChanges(in *DayInput) {
+	sc.change = [aras.SlotsPerDay]bool{0: true}
+	for o := range in.BelievedZone {
+		markColumn(&sc.change, in.BelievedZone[o])
+		markColumn(&sc.change, in.BelievedAct[o])
+		markColumn(&sc.change, in.ActualZone[o])
+		markColumn(&sc.change, in.ActualAct[o])
+	}
+	for a := range in.BelievedAppliance {
+		markColumn(&sc.change, in.BelievedAppliance[a])
+		markColumn(&sc.change, in.ActualAppliance[a])
+	}
+}
+
+// markColumn sets mask[t] at every slot t where col[t] differs from
+// col[t−1]. Columns are piecewise-constant, so it tests eight slots at a
+// time against the running value and looks at single slots only inside a
+// block that holds a change; the 1439 slots after slot 0 are 179 blocks
+// and a 7-slot tail.
+func markColumn[T comparable](mask *[aras.SlotsPerDay]bool, col []T) {
+	col = col[:aras.SlotsPerDay]
+	v := col[0]
+	t := 1
+	for ; t+8 <= aras.SlotsPerDay; t += 8 {
+		b := col[t : t+8 : t+8]
+		if b[0] == v && b[1] == v && b[2] == v && b[3] == v &&
+			b[4] == v && b[5] == v && b[6] == v && b[7] == v {
+			continue
+		}
+		for i, x := range b {
+			if x != v {
+				mask[t+i] = true
+				v = x
+			}
+		}
+	}
+	for ; t < aras.SlotsPerDay; t++ {
+		if col[t] != v {
+			mask[t] = true
+			v = col[t]
+		}
+	}
 }

@@ -111,6 +111,36 @@ func (b *DayBlock) idErr(zones int) error {
 	return nil
 }
 
+// ErrBadBlockWeather is returned by IngestDay for a block whose weather
+// columns hold a value that is not finite or lies outside physical bounds.
+// The block codec carries any float64, and one such value would make the
+// home's bill NaN or Inf.
+var ErrBadBlockWeather = errors.New("stream: day block weather out of range")
+
+// Physical bounds on a block's outdoor weather: temperature from absolute
+// zero to 1,000 °F, CO2 from 0 to 10⁶ ppm. Generated weather stays within
+// 35 °F of its 84 °F summer mean and 13 ppm of 420.
+const (
+	minTempF, maxTempF   = -459.67, 1000
+	minCO2PPM, maxCO2PPM = 0, 1e6
+)
+
+// weatherErr verifies every weather value is finite and within the
+// physical bounds; the comparisons also reject NaN.
+func (b *DayBlock) weatherErr() error {
+	for t, v := range b.TempF {
+		if !(v >= minTempF && v <= maxTempF) {
+			return fmt.Errorf("%w: slot %d outdoor temperature %v °F", ErrBadBlockWeather, t, v)
+		}
+	}
+	for t, v := range b.CO2PPM {
+		if !(v >= minCO2PPM && v <= maxCO2PPM) {
+			return fmt.Errorf("%w: slot %d outdoor CO2 %v ppm", ErrBadBlockWeather, t, v)
+		}
+	}
+	return nil
+}
+
 // mirrorTruth copies the ground-truth columns into the reported view (the
 // benign state an Injector then perturbs).
 func (b *DayBlock) mirrorTruth() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
@@ -29,7 +30,8 @@ import (
 //	TempF          slots x u64 (IEEE-754 bits)
 //	CO2PPM         slots x u64
 //	per occupant   TrueZone, TrueAct, RepZone, RepAct: slots x i16 each
-//	per appliance  TrueAppliance, RepAppliance: packed bitset, (slots+7)/8 bytes each
+//	per appliance  TrueAppliance, RepAppliance: packed bitset, (slots+7)/8 bytes
+//	               each, LSB first: slot t is bit t%8 (value 1<<(t%8)) of byte t/8
 const blockFrameVersion = 1
 
 // blockMagic prefixes every binary day-block frame; its first byte also
@@ -82,6 +84,7 @@ func AppendBlockFrame(dst []byte, b *DayBlock, epoch int) ([]byte, error) {
 	}
 
 	base := len(dst)
+	dst = slices.Grow(dst, 16+payloadLen)
 	dst = append(dst, blockMagic[:]...)
 	dst = appendU32(dst, uint32(payloadLen))
 	dst = appendU32(dst, 0) // CRC backfilled below
@@ -239,21 +242,29 @@ func appendActCol(dst []byte, col []home.ActivityID) ([]byte, error) {
 	return dst, nil
 }
 
+// appendBitset packs a bool column LSB-first: slot t is bit t%8 of byte
+// t/8. Whole bytes are packed eight slots at a time.
 func appendBitset(dst []byte, col []bool) []byte {
-	var acc byte
-	for t, on := range col {
-		if on {
-			acc |= 1 << (t & 7)
-		}
-		if t&7 == 7 {
-			dst = append(dst, acc)
-			acc = 0
-		}
+	for ; len(col) >= 8; col = col[8:] {
+		c := col[:8:8]
+		dst = append(dst, bit(c[0])|bit(c[1])<<1|bit(c[2])<<2|bit(c[3])<<3|
+			bit(c[4])<<4|bit(c[5])<<5|bit(c[6])<<6|bit(c[7])<<7)
 	}
-	if len(col)&7 != 0 {
+	if len(col) > 0 {
+		var acc byte
+		for i, on := range col {
+			acc |= bit(on) << i
+		}
 		dst = append(dst, acc)
 	}
 	return dst
+}
+
+func bit(on bool) byte {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // reader is a bounds-checked big-endian cursor; any overrun latches bad
@@ -320,12 +331,18 @@ func (r *reader) actCol(col []home.ActivityID) {
 	}
 }
 
+// bitset unpacks an appendBitset column, a byte into eight slots at a time.
 func (r *reader) bitset(col []bool) {
 	b := r.take((len(col) + 7) / 8)
 	if b == nil {
 		return
 	}
+	for i := 0; len(col) >= 8; i, col = i+1, col[8:] {
+		x, c := b[i], col[:8:8]
+		c[0], c[1], c[2], c[3] = x&1 != 0, x&2 != 0, x&4 != 0, x&8 != 0
+		c[4], c[5], c[6], c[7] = x&16 != 0, x&32 != 0, x&64 != 0, x&128 != 0
+	}
 	for t := range col {
-		col[t] = b[t>>3]&(1<<(t&7)) != 0
+		col[t] = b[len(b)-1]&(1<<t) != 0
 	}
 }

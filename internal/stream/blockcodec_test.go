@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -13,7 +16,7 @@ import (
 // codecBlocks materializes every day-block of a generated world — realistic
 // column content (weather floats, zone/activity IDs, appliance bitsets) for
 // the round-trip cases.
-func codecBlocks(t *testing.T, house string, days int) []*DayBlock {
+func codecBlocks(t testing.TB, house string, days int) []*DayBlock {
 	t.Helper()
 	h := home.MustHouse(house)
 	gen, err := aras.NewGenerator(h, aras.GeneratorConfig{Days: days, Seed: 99})
@@ -64,6 +67,83 @@ func TestBlockFrameRoundTrip(t *testing.T) {
 				t.Fatalf("house %s day %d: decoded block differs from original", house, blk.Day)
 			}
 		}
+	}
+}
+
+// TestBlockFrameGolden pins the frame's bytes, not just the round trip: an
+// encoder and decoder that changed the layout together (the bitset bit
+// order, say) would still round-trip. The digests are SHA-256 over the
+// concatenated frames of days 0-2 (seed 99, epoch 7) of each paper house.
+func TestBlockFrameGolden(t *testing.T) {
+	for _, tc := range []struct{ house, sha256 string }{
+		{"A", goldenFrameA},
+		{"B", goldenFrameB},
+	} {
+		h := sha256.New()
+		var buf []byte
+		for _, blk := range codecBlocks(t, tc.house, 3) {
+			var err error
+			if buf, err = AppendBlockFrame(buf[:0], blk, 7); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
+			t.Errorf("house %s frames sha256 %s, want %s", tc.house, got, tc.sha256)
+		}
+	}
+}
+
+const (
+	goldenFrameA = "24713626822cc459f62f1c6a677881e1c281bacc3be47dc434df9a7e10475895"
+	goldenFrameB = "79b9b5a5e53641c965a3ccf21fbda641dccf90090fe142fe02f434c09fbf50ea"
+)
+
+// TestBlockFrameBitOrder pins the appliance bitset layout on a hand-built
+// block: slot t of a column is bit t%8 (value 1<<(t%8)) of byte t/8 of its
+// (slots+7)/8-byte run, LSB first.
+func TestBlockFrameBitOrder(t *testing.T) {
+	var blk DayBlock
+	blk.ensure(1, 2)
+	blk.Home = "bits"
+	on := map[int][]int{
+		0: {0, 1, 7, 8, 9, 100, 1432, 1439}, // TrueAppliance[0]
+		1: {3, 15, 16, 1000},                // RepAppliance[0]
+		2: {1438},                           // TrueAppliance[1]
+	}
+	cols := [][]bool{blk.TrueAppliance[0], blk.RepAppliance[0], blk.TrueAppliance[1], blk.RepAppliance[1]}
+	for c, slots := range on {
+		for _, slot := range slots {
+			cols[c][slot] = true
+		}
+	}
+	frame, err := AppendBlockFrame(nil, &blk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const colBytes = (aras.SlotsPerDay + 7) / 8
+	bits := frame[len(frame)-len(cols)*colBytes:] // appliance columns close the frame
+	for c := range cols {
+		want := make([]byte, colBytes)
+		for _, slot := range on[c] {
+			want[slot/8] |= 1 << (slot % 8)
+		}
+		if got := bits[c*colBytes : (c+1)*colBytes]; !bytes.Equal(got, want) {
+			t.Errorf("column %d bytes % x, want % x", c, got, want)
+		}
+	}
+	// Slots 0, 1 and 7 share byte 0; 8 and 9 are bits 0 and 1 of byte 1;
+	// 1432 and 1439 are the ends of the last byte.
+	if bits[0] != 0x83 || bits[1] != 0x03 || bits[colBytes-1] != 0x81 {
+		t.Errorf("TrueAppliance[0] bytes 0, 1, %d = %#02x %#02x %#02x, want 0x83 0x03 0x81",
+			colBytes-1, bits[0], bits[1], bits[colBytes-1])
+	}
+	var back DayBlock
+	if _, err := DecodeBlockFrame(&back, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, &blk) {
+		t.Fatal("hand-built block does not round-trip")
 	}
 }
 
@@ -158,6 +238,37 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 		}
 		if string(re) != string(data) {
 			t.Fatalf("accepted frame does not re-encode identically (%d vs %d bytes)", len(re), len(data))
+		}
+	})
+}
+
+// BenchmarkBlockFrame times the day-block codec on one house-A frame (seed
+// 99, day 0): encode appends into a reused buffer, decode fills a reused
+// block.
+func BenchmarkBlockFrame(b *testing.B) {
+	blk := codecBlocks(b, "A", 1)[0]
+	frame, err := AppendBlockFrame(nil, blk, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame))
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if buf, err = AppendBlockFrame(buf[:0], blk, 7); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		var dst DayBlock
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if _, err := DecodeBlockFrame(&dst, frame); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -249,5 +250,80 @@ func TestIngestDayRejectsBadIDs(t *testing.T) {
 	}
 	if _, err := h.IngestDay(&good); err != nil {
 		t.Fatalf("intact day after the rejected ones: %v", err)
+	}
+}
+
+// TestIngestDayRejectsBadWeather: the codec carries any float64 in the
+// weather columns, and one NaN, infinite or unphysical value at one slot
+// made the home's bill NaN or Inf (and every later checkpoint unencodable).
+// IngestDay must reject such a frame with ErrBadBlockWeather before any
+// kernel runs and leave the home at day 0, and must accept the bounds
+// themselves.
+func TestIngestDayRejectsBadWeather(t *testing.T) {
+	tr, model := testWorld(t, "A", 2, 1)
+	h, err := NewHome(HomeConfig{ID: "A", House: tr.House, Params: hvac.DefaultParams(), Pricing: hvac.DefaultPricing(), Defender: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blk DayBlock
+	if err := NewTraceSource("A", tr).NextBlock(&blk); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendBlockFrame(nil, &blk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slot = 700
+	for _, tc := range []struct {
+		label  string
+		poison func(b *DayBlock)
+	}{
+		{"TempF NaN", func(b *DayBlock) { b.TempF[slot] = math.NaN() }},
+		{"TempF +Inf", func(b *DayBlock) { b.TempF[slot] = math.Inf(1) }},
+		{"TempF -Inf", func(b *DayBlock) { b.TempF[slot] = math.Inf(-1) }},
+		{"TempF 1e308", func(b *DayBlock) { b.TempF[slot] = 1e308 }},
+		{"TempF below absolute zero", func(b *DayBlock) { b.TempF[0] = -460 }},
+		{"TempF 1000.5", func(b *DayBlock) { b.TempF[aras.SlotsPerDay-1] = 1000.5 }},
+		{"CO2 NaN", func(b *DayBlock) { b.CO2PPM[slot] = math.NaN() }},
+		{"CO2 +Inf", func(b *DayBlock) { b.CO2PPM[slot] = math.Inf(1) }},
+		{"CO2 -Inf", func(b *DayBlock) { b.CO2PPM[slot] = math.Inf(-1) }},
+		{"CO2 negative", func(b *DayBlock) { b.CO2PPM[0] = -1 }},
+		{"CO2 above 1e6", func(b *DayBlock) { b.CO2PPM[aras.SlotsPerDay-1] = 1.5e6 }},
+	} {
+		// The poisoned block travels as a frame, as it would over the bus.
+		var bad DayBlock
+		if _, err := DecodeBlockFrame(&bad, frame); err != nil {
+			t.Fatal(err)
+		}
+		tc.poison(&bad)
+		poisoned, err := AppendBlockFrame(nil, &bad, 0)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.label, err)
+		}
+		if _, err := DecodeBlockFrame(&bad, poisoned); err != nil {
+			t.Fatalf("%s: the codec rejects the frame (%v); the home never sees it", tc.label, err)
+		}
+		if _, err := h.IngestDay(&bad); !errors.Is(err, ErrBadBlockWeather) {
+			t.Fatalf("%s: IngestDay err = %v, want ErrBadBlockWeather", tc.label, err)
+		}
+		if h.sim.Day() != 0 || h.sim.SlotOfDay() != 0 || h.res.Days != 0 || h.res.Verdicts != 0 {
+			t.Fatalf("%s: rejected block moved the home to (%d,%d), %+v", tc.label, h.sim.Day(), h.sim.SlotOfDay(), h.res)
+		}
+	}
+	var edge DayBlock
+	if _, err := DecodeBlockFrame(&edge, frame); err != nil {
+		t.Fatal(err)
+	}
+	edge.TempF[0], edge.TempF[1] = -459.67, 1000
+	edge.CO2PPM[0], edge.CO2PPM[1] = 0, 1e6
+	if _, err := h.IngestDay(&edge); err != nil {
+		t.Fatalf("day at the weather bounds: %v", err)
+	}
+	res, err := h.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost := res.Sim.TotalCostUSD; math.IsNaN(cost) || math.IsInf(cost, 0) || cost <= 0 {
+		t.Fatalf("bill at the weather bounds = %v", cost)
 	}
 }

@@ -135,7 +135,8 @@ type DayStats struct {
 // injector is attached; detection classifies every episode of the day and
 // emits the verdicts in close order (see scoreDay); the plant advances via
 // the segment-amortized hvac day stepper. A block with IDs outside the
-// home's zone or activity tables is rejected with ErrBadBlockID before any
+// home's zone or activity tables is rejected with ErrBadBlockID, and one
+// with non-finite or unphysical weather with ErrBadBlockWeather, before any
 // of that runs, leaving the home where it was.
 func (h *Home) IngestDay(b *DayBlock) (DayStats, error) {
 	if h.closed {
@@ -151,6 +152,9 @@ func (h *Home) IngestDay(b *DayBlock) (DayStats, error) {
 		return DayStats{}, fmt.Errorf("stream: home %s: %w", h.cfg.ID, err)
 	}
 	if err := b.idErr(len(house.Zones)); err != nil {
+		return DayStats{}, fmt.Errorf("stream: home %s: %w", h.cfg.ID, err)
+	}
+	if err := b.weatherErr(); err != nil {
 		return DayStats{}, fmt.Errorf("stream: home %s: %w", h.cfg.ID, err)
 	}
 	if h.cfg.Injector != nil {
