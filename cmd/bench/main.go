@@ -260,23 +260,16 @@ func run(args []string) error {
 		{"stream_fleet_chaos", func() error {
 			// The same fleet under the supervised fault path: a seeded chaos
 			// schedule perturbs every home's day-frame transport, failed
-			// homes retry from day-boundary checkpoints (written through the
-			// async sink), and delay faults plus retry backoff burn virtual
-			// time instead of wall-clock. The stats record how much
-			// resilience work (retries, restores) the faults induced; the
-			// delta against stream_fleet prices the supervision layer.
-			dir, err := os.MkdirTemp("", "shatter-bench-ckpt-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
+			// homes retry from their in-memory day-boundary checkpoints, and
+			// delay faults plus retry backoff burn virtual time instead of
+			// wall-clock. The stats record how much resilience work
+			// (retries, restores) the faults induced; the delta against
+			// stream_fleet prices the supervision layer.
 			res, err := s.Stream(scenario.SynthFleet(*fleetHomes, cfg.Seed), core.StreamOptions{
 				Days: *fleetDays,
 				ShardOptions: fleetd.ShardOptions{
-					Recover:          true,
-					CheckpointDir:    dir,
-					AsyncCheckpoints: true,
-					Clock:            stream.NewVirtualClock(),
+					Recover: true,
+					Clock:   stream.NewVirtualClock(),
 					// Block-scale probabilities: the transport moves one
 					// frame per home-day, so per-frame rates are ~1000x the
 					// per-slot rates earlier baselines used.

@@ -7,9 +7,8 @@
 //	            [-only fig3,tableV,...] [-suite A,B,...] [-scenarios list]
 //	            [-stream list|N] [-stream-days N] [-stream-mqtt]
 //	            [-stream-defend] [-stream-attack]
-//	            [-stream-chaos spec] [-stream-checkpoint-dir D]
-//	            [-stream-retries N] [-stream-failfast]
-//	            [-stream-virtual-clock] [-stream-async-ckpt]
+//	            [-stream-chaos spec] [-stream-retries N] [-stream-failfast]
+//	            [-stream-virtual-clock]
 //	            [-cpuprofile F] [-memprofile F]
 //
 // -quick runs a reduced 12-day configuration for a fast smoke pass.
@@ -36,9 +35,10 @@
 // summing to at most 1); seed picks the schedule; maxdelay bounds injected
 // latency (non-negative, duration syntax); clean is the first fault-free
 // attempt (e.g. "drop=0.3,dup=0.2,seed=7,maxdelay=1ms"). Failed homes
-// retry from their last checkpoint (-stream-checkpoint-dir persists the
-// checkpoints) up to -stream-retries attempts before quarantine;
-// -stream-failfast aborts the fleet on the first quarantine instead.
+// retry from their last day-boundary checkpoint, held in memory, up to
+// -stream-retries attempts before quarantine; -stream-failfast aborts the
+// fleet on the first quarantine instead. -stream-virtual-clock runs chaos
+// delays and retry backoff on a virtual clock.
 // -cpuprofile / -memprofile write pprof profiles of the selected
 // experiments, so performance work on the suite starts from a profile.
 package main
@@ -82,11 +82,9 @@ func run(args []string) error {
 	streamDefend := fs.Bool("stream-defend", false, "attach the online ADM detector to every fleet home")
 	streamAttack := fs.Bool("stream-attack", false, "inject a live SHATTER campaign into every fleet home")
 	streamChaos := fs.String("stream-chaos", "", "supervised fleet under injected faults: k=v list (drop,dup,delay,corrupt,trunc,disc,seed,maxdelay,clean)")
-	streamCkptDir := fs.String("stream-checkpoint-dir", "", "persist per-home day-boundary checkpoints in this directory")
 	streamRetries := fs.Int("stream-retries", 0, "retry budget per failed home (0 = default, negative = no retries)")
 	streamFailFast := fs.Bool("stream-failfast", false, "abort the fleet on the first quarantined home")
 	streamVirtualClock := fs.Bool("stream-virtual-clock", false, "run chaos delays and retry backoff on a virtual clock (compute-bound, byte-identical results)")
-	streamAsyncCkpt := fs.Bool("stream-async-ckpt", false, "write day-boundary checkpoints through the async sink instead of inline")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -214,7 +212,6 @@ func run(args []string) error {
 			Days: *streamDays, Defend: *streamDefend, Attack: *streamAttack,
 			ShardOptions: fleetd.ShardOptions{
 				MaxRetries: *streamRetries, FailFast: *streamFailFast,
-				CheckpointDir: *streamCkptDir, AsyncCheckpoints: *streamAsyncCkpt,
 			},
 		}
 		if *streamVirtualClock {
@@ -223,7 +220,7 @@ func run(args []string) error {
 		if chaos != nil {
 			opts.Chaos, opts.Recover = chaos, true
 		}
-		if opts.CheckpointDir != "" || opts.MaxRetries != 0 {
+		if opts.MaxRetries != 0 {
 			opts.Recover = true
 		}
 		if err := printStream(s, streamSpecs, opts, *streamMQTT); err != nil {

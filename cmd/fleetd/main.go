@@ -8,17 +8,18 @@
 // snapshots until an admin stop request (or SIGINT/SIGTERM) shuts it down:
 //
 //	fleetd serve [-listen addr] [-shards N] [-workers N] [-max-resident N]
-//	             [-checkpoint-dir D] [-state-dir D] [-mqtt-frames] [-retries N]
+//	             [-state-dir D] [-mqtt-frames] [-retries N]
 //	             [-synth N] [-scenarios list] [-stream-days N]
 //	             [-days N] [-train N] [-seed S] [-defend] [-attack]
 //	             [-metrics-every D] [-print-every D] [-exit-when-idle]
 //	             [-result-json F] [-broker-chaos SCHED] [-progress-deadline D]
 //
-// With -state-dir the service keeps a durable manifest of every admitted
-// fleet and admin mutation alongside day-boundary checkpoints; restarting
-// the same command after a crash (even kill -9) replays the manifest and
-// resumes the fleet from its checkpoints, producing the same per-home
-// results as an uninterrupted run.
+// With -state-dir the service keeps one durable store, D/fleet.manifest: a
+// journal of every admitted fleet, admin mutation, day-boundary checkpoint
+// and finished home. Restarting the same command after a crash (even
+// kill -9) replays the manifest and resumes every in-flight home from its
+// newest checkpoint, producing the same per-home results as an
+// uninterrupted run.
 //
 // The admin verbs speak to a running service over its broker:
 //
@@ -79,8 +80,7 @@ func serve(args []string) error {
 	workers := fs.Int("workers", 0, "workers per shard (0 = one per CPU)")
 	maxResident := fs.Int("max-resident", 0, "admission window: live pipelines per shard (0 = default 4096)")
 	quantum := fs.Int("quantum-days", 0, "days per scheduling turn (0 = 1)")
-	ckptDir := fs.String("checkpoint-dir", "", "persist day-boundary checkpoints in this directory")
-	stateDir := fs.String("state-dir", "", "durable state directory: fleet manifest + checkpoints; a restart with the same flags resumes the fleet")
+	stateDir := fs.String("state-dir", "", "durable state directory holding the fleet manifest (admissions, mutations, checkpoints, results); a restart with the same flags resumes the fleet")
 	resultJSON := fs.String("result-json", "", "write per-home fleet results to this file (JSON) at shutdown")
 	brokerChaos := fs.String("broker-chaos", "", "broker outage schedule: every=DUR,down=DUR[,count=N][,seed=S]")
 	progressDeadline := fs.Duration("progress-deadline", 0, "liveness watchdog: force-fail a home with no day-boundary progress within this window (0 disables)")
@@ -121,8 +121,7 @@ func serve(args []string) error {
 			Workers:          *workers,
 			MaxResident:      *maxResident,
 			QuantumDays:      *quantum,
-			CheckpointDir:    *ckptDir,
-			Recover:          *retries > 0 || *ckptDir != "" || *stateDir != "",
+			Recover:          *retries > 0 || *stateDir != "",
 			MaxRetries:       *retries,
 			ProgressDeadline: *progressDeadline,
 		},
@@ -139,7 +138,7 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	persist := *ckptDir != "" || *stateDir != ""
+	persist := *stateDir != ""
 	defer svc.Close(persist)
 
 	if resumedDone, resumedLive := svc.Resumed(); resumedDone+resumedLive > 0 {
@@ -380,9 +379,9 @@ func printSnapshot(s fleetd.Snapshot) {
 		fmt.Printf("  detection: %d verdicts (%d anomalous), latency mean %.1f / max %d slots\n",
 			s.Verdicts, s.Anomalies, s.DetectionLatencyMeanSlots, s.DetectionLatencyMaxSlots)
 	}
-	if s.Retries > 0 || s.Restores > 0 || s.Checkpoints > 0 || s.WatchdogTrips > 0 {
-		fmt.Printf("  resilience: %d retries, %d restores, %d checkpoints, %d watchdog trips\n",
-			s.Retries, s.Restores, s.Checkpoints, s.WatchdogTrips)
+	if s.Retries > 0 || s.Restores > 0 || s.Checkpoints > 0 || s.WatchdogTrips > 0 || s.JournalErrors > 0 {
+		fmt.Printf("  resilience: %d retries, %d restores, %d checkpoints, %d watchdog trips, %d journal errors\n",
+			s.Retries, s.Restores, s.Checkpoints, s.WatchdogTrips, s.JournalErrors)
 	}
 	for _, sh := range s.Shards {
 		fmt.Printf("  shard %d: %d pending, %d resident (%d ready, %d running, %d paused), %d done, %d failed, ~%.1f MiB%s\n",

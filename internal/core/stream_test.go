@@ -135,8 +135,7 @@ func TestStreamChaosSupervisedMatchesClean(t *testing.T) {
 	got, err := s.Stream(specs, StreamOptions{
 		Defend: true, Attack: true,
 		ShardOptions: fleetd.ShardOptions{
-			Recover:       true,
-			CheckpointDir: t.TempDir(),
+			Recover: true,
 			// Block-scale probabilities: the default transport moves one
 			// frame per home-day, so per-frame rates sit near the day
 			// count's inverse.

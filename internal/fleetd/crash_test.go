@@ -41,7 +41,7 @@ func waitIdleTimeout(t *testing.T, svc *Service, d time.Duration) {
 // TestServiceCrashRestartMatchesUninterrupted is the crash-injection gate:
 // a service killed without drain (Close(false) drops every in-flight home
 // exactly as a kill -9 would — no persistence pass, only the day-boundary
-// checkpoints already on disk) and restarted on the same state dir must
+// checkpoints already journaled) and restarted on the same state dir must
 // finish with per-home results byte-identical to an uninterrupted run.
 func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 	run := func(t *testing.T, homes, days int, mqttFrames bool) {
@@ -255,8 +255,8 @@ func TestServiceBrokerOutageChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer broker.Close()
-	svc, err := NewService(Config{Shards: 2, Shard: ShardOptions{
-		Workers: 2, Recover: true, MaxRetries: 1000, CheckpointDir: t.TempDir(),
+	svc, err := NewService(Config{Shards: 2, StateDir: t.TempDir(), Shard: ShardOptions{
+		Workers: 2, Recover: true, MaxRetries: 1000,
 		Broker:         broker.Addr(),
 		Dial:           mqtt.DialOptions{Redial: true, Backoff: mqtt.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}},
 		RetryBackoff:   mqtt.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},

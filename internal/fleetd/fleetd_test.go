@@ -141,15 +141,16 @@ func TestServiceMatchesRunFleet(t *testing.T) {
 // TestServiceDrainRehydrateMatchesUninterrupted stops a shard mid-run,
 // verifies it holds no live pipelines, rehydrates it from the checkpoints,
 // and requires the finished fleet to be byte-identical to an uninterrupted
-// run — with in-memory checkpoints, on-disk checkpoints, and over MQTT.
+// run — in memory, with checkpoints journaled to a state dir's manifest,
+// and over MQTT.
 func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 	const homes, days = 16, 6
-	run := func(t *testing.T, jobs []stream.Job, opts ShardOptions) {
+	run := func(t *testing.T, jobs []stream.Job, opts ShardOptions, stateDir string) {
 		want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc, err := NewService(Config{Shards: 2, Shard: opts})
+		svc, err := NewService(Config{Shards: 2, Shard: opts, StateDir: stateDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +191,10 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 	}
 	jobs := synthJobs(homes, days, 77)
 	t.Run("memory", func(t *testing.T) {
-		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4})
+		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4}, "")
 	})
 	t.Run("disk", func(t *testing.T) {
-		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4, CheckpointDir: t.TempDir()})
+		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4}, t.TempDir())
 	})
 	t.Run("mqtt", func(t *testing.T) {
 		broker, err := mqtt.NewBroker("127.0.0.1:0")
@@ -204,18 +205,37 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 		// Day-block pipes move whole home-days per frame, so the MQTT variant
 		// keeps pace with the direct ones and the full fleet stays fast even
 		// race-instrumented; the full size keeps the drain landing mid-run.
-		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4, Broker: broker.Addr(), CheckpointDir: t.TempDir()})
+		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4, Broker: broker.Addr()}, t.TempDir())
 	})
 }
 
+// heldSource holds its first block until the test closes gate.
+type heldSource struct {
+	src  stream.Source
+	gate chan struct{}
+}
+
+func (s *heldSource) NextBlock(dst *stream.DayBlock) error {
+	<-s.gate // a closed gate never blocks again
+	return s.src.NextBlock(dst)
+}
+
 // TestServicePauseResume parks one home, lets the rest of the fleet finish,
-// and checks the paused home completes identically after Resume.
+// and checks the paused home completes identically after Resume. The
+// target streams through a gate that holds its first block until Pause has
+// returned, so it cannot finish before the pause lands.
 func TestServicePauseResume(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := synthJobs(homes, days, 55)
 	want, err := RunFleet(jobs, ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	open := jobs[homes-1].Open
+	jobs[homes-1].Open = func() (stream.Source, *stream.Home, error) {
+		src, h, err := open()
+		return &heldSource{src: src, gate: gate}, h, err
 	}
 	svc, err := NewService(Config{Shards: 1, Shard: ShardOptions{Workers: 1}})
 	if err != nil {
@@ -229,6 +249,7 @@ func TestServicePauseResume(t *testing.T) {
 	if err := svc.Pause(target); err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 	// The paused home must not finish while the rest of the fleet does.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -250,6 +271,78 @@ func TestServicePauseResume(t *testing.T) {
 	svc.WaitIdle()
 	got := svc.Result()
 	checkHomesEqual(t, got.Homes, want.Homes)
+	if err := svc.Resume(target); err == nil {
+		t.Fatal("resuming a finished home should error")
+	}
+}
+
+// TestServiceJournalErrorsReachOutcomes: a record the manifest cannot take
+// is never dropped. With the journal closed under a running service, a
+// done record's failed append lands in the home's outcome, and a
+// checkpoint's fails the attempt; the snapshot counts both as journal
+// errors.
+func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
+	const homes, days = 3, 2
+	run := func(t *testing.T, opts ShardOptions) (stream.FleetResult, Snapshot) {
+		t.Helper()
+		release := make(chan struct{})
+		factory := func(req AddRequest) ([]stream.Job, error) {
+			jobs, err := synthFactory(req)
+			for i := range jobs {
+				open := jobs[i].Open
+				jobs[i].Open = func() (stream.Source, *stream.Home, error) {
+					<-release
+					return open()
+				}
+			}
+			return jobs, err
+		}
+		svc, err := NewService(Config{Shard: opts, StateDir: t.TempDir(), Jobs: factory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(false)
+		if _, err := svc.AddSpec(AddRequest{Synth: homes, Seed: 19, Days: days}); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.man.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		waitIdleTimeout(t, svc, time.Minute)
+		// A quarantine is journaled after its home turns terminal, so the
+		// counters are final once the shards have stopped.
+		svc.Close(false)
+		return svc.Result(), svc.Snapshot()
+	}
+	t.Run("done", func(t *testing.T) {
+		// Homes shorter than the checkpoint cadence journal only their done
+		// record.
+		res, snap := run(t, ShardOptions{Workers: 2, CheckpointEvery: days + 1})
+		for _, o := range res.Outcomes {
+			if o.Status != stream.OutcomeCompleted || !strings.Contains(o.Err, errManifestClosed.Error()) {
+				t.Fatalf("outcome %+v does not carry the append error", o)
+			}
+		}
+		if snap.JournalErrors != homes {
+			t.Fatalf("journal errors = %d, want %d", snap.JournalErrors, homes)
+		}
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		res, snap := run(t, ShardOptions{Workers: 2, Recover: true, MaxRetries: 1,
+			RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond}})
+		for _, o := range res.Outcomes {
+			// A checkpoint the journal refused is not restored from either.
+			if o.Status != stream.OutcomeQuarantined || o.Attempts != 2 || o.Restores != 0 || o.Days != 1 ||
+				!strings.Contains(o.Err, errManifestClosed.Error()) {
+				t.Fatalf("outcome %+v: want quarantined after two attempts failed their day-1 checkpoint", o)
+			}
+		}
+		// Two failed checkpoints and one failed done record per home.
+		if snap.JournalErrors != 3*homes || snap.Checkpoints != 0 {
+			t.Fatalf("journal errors = %d, checkpoints = %d; want %d and 0", snap.JournalErrors, snap.Checkpoints, 3*homes)
+		}
+	})
 }
 
 // TestShardAdmissionWindow checks backpressure: live pipelines never exceed
@@ -413,10 +506,11 @@ func (p *poisonSource) SeekDay(day int) error {
 
 // TestRunFleetQuarantinesPoisonedWeather: a home whose source emits a NaN
 // outdoor temperature on day 1 must be quarantined with the weather
-// rejection as its reason, in both checkpoint modes, while the other home
-// completes. Unchecked, the NaN reached the bill: with async checkpoints
-// the home completed with a NaN cost, with synchronous ones it was
-// quarantined as a checkpoint encoding failure.
+// rejection as its reason, while the other home completes — also with the
+// deprecated AsyncCheckpoints option set, which must change nothing.
+// Unchecked, the NaN reached the bill: with the old async checkpoint sink
+// the home completed with a NaN cost, with synchronous checkpoint files it
+// was quarantined as a checkpoint encoding failure.
 func TestRunFleetQuarantinesPoisonedWeather(t *testing.T) {
 	const days = 3
 	specs := scenario.SynthFleet(2, 505)
@@ -435,7 +529,6 @@ func TestRunFleetQuarantinesPoisonedWeather(t *testing.T) {
 			Recover:          true,
 			MaxRetries:       2,
 			RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-			CheckpointDir:    t.TempDir(),
 			AsyncCheckpoints: async,
 		})
 		if err != nil {
@@ -462,8 +555,9 @@ func TestRunFleetQuarantinesPoisonedWeather(t *testing.T) {
 }
 
 // TestServiceChaosMatchesRunFleet locks the service's supervised chaos path
-// to RunFleet's: same seeded fault schedule, same disk checkpoints, so the
-// retry sequence — and therefore every result and outcome counter — must
+// to RunFleet's: same seeded fault schedule, checkpoints in memory for
+// RunFleet and journaled to a state dir for the service, so the retry
+// sequence — and therefore every result and outcome counter — must
 // coincide exactly.
 func TestServiceChaosMatchesRunFleet(t *testing.T) {
 	const homes, days = 6, 2
@@ -475,14 +569,14 @@ func TestServiceChaosMatchesRunFleet(t *testing.T) {
 		Disconnect: 0.1, MaxDelay: time.Microsecond,
 	}
 	want, err := RunFleet(jobs, ShardOptions{
-		Workers: 2, Recover: true, CheckpointDir: t.TempDir(), Chaos: chaos,
+		Workers: 2, Recover: true, Chaos: chaos,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(Config{Shards: 2, Shard: ShardOptions{
-		Workers: 2, Recover: true, CheckpointDir: t.TempDir(), Chaos: chaos,
+	svc, err := NewService(Config{Shards: 2, StateDir: t.TempDir(), Shard: ShardOptions{
+		Workers: 2, Recover: true, Chaos: chaos,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}})
 	if err != nil {
@@ -509,9 +603,10 @@ func TestServiceChaosMatchesRunFleet(t *testing.T) {
 }
 
 // TestServiceChaosVirtualClockAsyncCheckpoints: the service's fast chaos
-// configuration — virtual clock for delay faults and retry timers, async
-// day-boundary checkpoint writes — must produce results byte-identical to
-// the plain wall-clock, synchronous-checkpoint run.
+// configuration — virtual clock for delay faults and retry timers, with the
+// deprecated AsyncCheckpoints option set — must produce results
+// byte-identical to the plain wall-clock run. Both journal their
+// checkpoints to a state dir.
 func TestServiceChaosVirtualClockAsyncCheckpoints(t *testing.T) {
 	const homes, days = 6, 2
 	jobs := synthJobs(homes, days, 909)
@@ -521,8 +616,8 @@ func TestServiceChaosVirtualClockAsyncCheckpoints(t *testing.T) {
 	}
 	run := func(clock stream.Clock, async bool) stream.FleetResult {
 		t.Helper()
-		svc, err := NewService(Config{Shards: 2, Shard: ShardOptions{
-			Workers: 2, Recover: true, CheckpointDir: t.TempDir(), Chaos: chaos,
+		svc, err := NewService(Config{Shards: 2, StateDir: t.TempDir(), Shard: ShardOptions{
+			Workers: 2, Recover: true, Chaos: chaos,
 			Clock: clock, AsyncCheckpoints: async,
 			RetryBackoff: mqtt.Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond},
 		}})

@@ -28,6 +28,7 @@ type Metrics struct {
 	restores       atomic.Int64
 	checkpoints    atomic.Int64
 	watchdogTrips  atomic.Int64
+	journalErrors  atomic.Int64
 
 	// Detection latency: stream-time distance (in slots, i.e. minutes of
 	// simulated time) between an episode's last slot and the last slot of
@@ -104,6 +105,9 @@ type Snapshot struct {
 	// WatchdogTrips counts homes whose transport the liveness watchdog
 	// force-closed after ProgressDeadline elapsed with no day boundary.
 	WatchdogTrips int64 `json:"watchdog_trips"`
+	// JournalErrors counts checkpoint and done records the manifest failed
+	// to append; each one failed a checkpoint or marked a home's outcome.
+	JournalErrors int64 `json:"journal_errors"`
 
 	HomesPerSec  float64 `json:"homes_per_sec"` // completed homes / uptime
 	DaysPerSec   float64 `json:"days_per_sec"`
@@ -147,6 +151,7 @@ func (m *Metrics) Snapshot(shards []ShardStatus) Snapshot {
 		Restores:       m.restores.Load(),
 		Checkpoints:    m.checkpoints.Load(),
 		WatchdogTrips:  m.watchdogTrips.Load(),
+		JournalErrors:  m.journalErrors.Load(),
 		HeapAllocBytes: ms.HeapAlloc,
 		Goroutines:     runtime.NumGoroutine(),
 		Shards:         shards,

@@ -44,10 +44,11 @@ func RunFleet(jobs []stream.Job, opts ShardOptions) (stream.FleetResult, error) 
 	abort := make(chan struct{})
 	var once sync.Once
 	if abortOnQuarantine {
-		opts.onDone = func(_ stream.HomeResult, out stream.HomeOutcome) {
+		opts.onDone = func(_ stream.HomeResult, out stream.HomeOutcome) error {
 			if out.Status == stream.OutcomeQuarantined {
 				once.Do(func() { close(abort) })
 			}
+			return nil
 		}
 	}
 	svc, err := NewService(Config{Shard: opts})

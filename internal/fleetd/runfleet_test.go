@@ -1,8 +1,11 @@
 package fleetd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -99,7 +102,7 @@ func TestFleetMonitorDrainLostSentinel(t *testing.T) {
 	}
 }
 
-// TestRunFleetRetryResumesFromMemory: with Recover and no CheckpointDir, a
+// TestRunFleetRetryResumesFromMemory: with Recover and no state dir, a
 // home whose first attempt dies mid-day-1 resumes from the shard's
 // in-memory day-boundary checkpoint and finishes byte-identical to a clean
 // run.
@@ -208,7 +211,7 @@ func TestRunFleetNoGoroutineLeak(t *testing.T) {
 func TestShardDurationFinalAtIdle(t *testing.T) {
 	req := AddRequest{Synth: 6, Seed: 88, Days: 2}
 	stateDir := t.TempDir()
-	svc, err := NewService(Config{Shard: ShardOptions{Workers: 2, Recover: true, AsyncCheckpoints: true},
+	svc, err := NewService(Config{Shard: ShardOptions{Workers: 2, Recover: true},
 		StateDir: stateDir, Jobs: synthFactory})
 	if err != nil {
 		t.Fatal(err)
@@ -257,22 +260,15 @@ func (g *gatedSource) NextBlock(dst *stream.DayBlock) error {
 	return g.src.NextBlock(dst)
 }
 
-// TestShardStopKeepsRetryableHomeLive: a home that fails while its shard is
-// stopping, with retries left, stays non-terminal and unjournaled — the
-// restarted service resumes it from its day-boundary checkpoint instead of
-// serving a quarantine.
-func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
-	const days = 2
-	req := AddRequest{Synth: 1, Seed: 71, Days: days}
-	clean, err := synthFactory(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunFleet(clean, ShardOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := &gatedSource{at: 1, reached: make(chan struct{}), gate: make(chan struct{})}
+// stopAtGate admits req's one home to a durable single-worker service and
+// streams it through a gatedSource held at block at — by then the home has
+// journaled its day-at checkpoint — then stops the service with
+// Close(persist) and fails the held block only once the shard is stopping.
+// It returns a boot function that restarts the service on the same state
+// dir; only the first process lifetime streams through the gate.
+func stopAtGate(t *testing.T, req AddRequest, at int, persist bool) (boot func() *Service, stateDir string) {
+	t.Helper()
+	gated := &gatedSource{at: at, reached: make(chan struct{}), gate: make(chan struct{})}
 	var mu sync.Mutex
 	first := true
 	factory := func(req AddRequest) ([]stream.Job, error) {
@@ -283,7 +279,6 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if first {
-			// Only the first process lifetime streams through the gate.
 			first = false
 			base := jobs[0]
 			jobs[0].Open = func() (stream.Source, *stream.Home, error) {
@@ -294,8 +289,8 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 		}
 		return jobs, nil
 	}
-	stateDir := t.TempDir()
-	boot := func() *Service {
+	stateDir = t.TempDir()
+	boot = func() *Service {
 		t.Helper()
 		svc, err := NewService(Config{Shard: ShardOptions{Workers: 1, Recover: true, MaxRetries: 3},
 			StateDir: stateDir, Jobs: factory})
@@ -315,7 +310,7 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	go func() {
-		svc.Close(true)
+		svc.Close(persist)
 		close(closed)
 	}()
 	// Fail the home only once the shard is stopping.
@@ -329,12 +324,125 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 	}
 	close(gated.gate)
 	<-closed
+	return boot, stateDir
+}
 
-	svc = boot()
+// cleanRun is req's fleet run uninterrupted, in memory.
+func cleanRun(t *testing.T, req AddRequest) stream.FleetResult {
+	t.Helper()
+	jobs, err := synthFactory(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunFleet(jobs, ShardOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestShardStopKeepsRetryableHomeLive: a home that fails while its shard is
+// stopping, with retries left, stays non-terminal and unjournaled — the
+// restarted service resumes it from its day-boundary checkpoint instead of
+// serving a quarantine.
+func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
+	const days = 2
+	req := AddRequest{Synth: 1, Seed: 71, Days: days}
+	want := cleanRun(t, req)
+	boot, _ := stopAtGate(t, req, 1, true)
+
+	svc := boot()
 	defer svc.Close(false)
 	if done, live := svc.Resumed(); done != 0 || live != 1 {
 		t.Fatalf("restart resumed %d done / %d live, want the home live", done, live)
 	}
+	waitIdleTimeout(t, svc, time.Minute)
+	got := svc.Result()
+	out := got.Outcomes[0]
+	if out.Status != stream.OutcomeCompleted || out.Restores != 1 || out.Days != days {
+		t.Fatalf("resumed outcome: %+v", out)
+	}
+	if !reflect.DeepEqual(got.Homes, want.Homes) {
+		t.Fatalf("resumed home diverges:\n%+v\nvs\n%+v", got.Homes, want.Homes)
+	}
+}
+
+// TestServiceKillRestartResumesFromJournaledCheckpoint: Close(false) is a
+// kill — no persistence pass — so a home stopped after day k resumes from
+// the checkpoint its drive path journaled at day k, and the state dir holds
+// nothing but the manifest.
+func TestServiceKillRestartResumesFromJournaledCheckpoint(t *testing.T) {
+	const days, k = 4, 2
+	req := AddRequest{Synth: 1, Seed: 73, Days: days}
+	want := cleanRun(t, req)
+	boot, stateDir := stopAtGate(t, req, k, false)
+
+	svc := boot()
+	defer svc.Close(false)
+	if done, live := svc.Resumed(); done != 0 || live != 1 {
+		t.Fatalf("restart resumed %d done / %d live, want the home live", done, live)
+	}
+	waitIdleTimeout(t, svc, time.Minute)
+	got := svc.Result()
+	out := got.Outcomes[0]
+	if out.Status != stream.OutcomeCompleted || out.Restores != 1 || out.CheckpointDay < k || out.Days != days {
+		t.Fatalf("resumed outcome: %+v", out)
+	}
+	if !reflect.DeepEqual(got.Homes, want.Homes) {
+		t.Fatalf("resumed home diverges:\n%+v\nvs\n%+v", got.Homes, want.Homes)
+	}
+	entries, err := os.ReadDir(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != manifestName {
+		t.Fatalf("state dir holds %v, want only %s", entries, manifestName)
+	}
+}
+
+// TestServiceTornCheckpointRecordResumesFromPrevious: a kill that tears the
+// journal inside its last record — the day-k checkpoint — costs one day of
+// progress, not the home: replay drops the torn tail, and the home resumes
+// from its day k-1 checkpoint with the same results.
+func TestServiceTornCheckpointRecordResumesFromPrevious(t *testing.T) {
+	const days, k = 4, 3
+	req := AddRequest{Synth: 1, Seed: 74, Days: days}
+	want := cleanRun(t, req)
+	boot, stateDir := stopAtGate(t, req, k, false)
+
+	path := ManifestPath(stateDir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for off := 0; off < len(data); off += 16 + int(binary.BigEndian.Uint32(data[off+8:off+12])) {
+		last = off
+	}
+	tail, err := ReadManifest(bytes.NewReader(data[last:]))
+	if err != nil || len(tail) != 1 || tail[0].Op != manifestOpCheckpoint || tail[0].Checkpoint.Days != k {
+		t.Fatalf("last journal record is %+v (%v), want the day-%d checkpoint", tail, err, k)
+	}
+	if err := os.WriteFile(path, data[:last+(len(data)-last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, recs, err := OpenManifest(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+	resumeDay := -1
+	for _, rec := range recs {
+		if rec.Op == manifestOpCheckpoint {
+			resumeDay = rec.Checkpoint.Days
+		}
+	}
+	if resumeDay != k-1 {
+		t.Fatalf("torn journal replays the day-%d checkpoint, want day %d", resumeDay, k-1)
+	}
+
+	svc := boot()
+	defer svc.Close(false)
 	waitIdleTimeout(t, svc, time.Minute)
 	got := svc.Result()
 	out := got.Outcomes[0]

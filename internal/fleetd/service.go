@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -41,16 +40,16 @@ type Config struct {
 	// still be added programmatically via Add).
 	Jobs JobFactory
 
-	// StateDir enables the durable fleet manifest: admissions through
-	// AddSpec and the control plane, admin mutations (pause/resume/remove),
-	// and per-home completions are journaled to <StateDir>/fleet.manifest,
-	// and day-boundary checkpoints default to <StateDir>/checkpoints (unless
-	// Shard.CheckpointDir overrides). NewService replays the manifest:
-	// finished homes are restored from their journaled results without
-	// re-running, in-flight homes are re-admitted (paused ones still paused)
-	// and resume from their checkpoints — so a service killed without drain
-	// and restarted produces results byte-identical to an uninterrupted run.
-	// Requires Jobs (replay re-resolves specs through the factory).
+	// StateDir enables the durable fleet manifest, <StateDir>/fleet.manifest,
+	// the service's only durable store: admissions through AddSpec and the
+	// control plane, admin mutations (pause/resume/remove), day-boundary
+	// checkpoints and per-home completions are journaled to it. NewService
+	// replays the manifest: finished homes are restored from their journaled
+	// results without re-running, in-flight homes are re-admitted (paused
+	// ones still paused) and resume from their newest checkpoint — so a
+	// service killed without drain and restarted produces results
+	// byte-identical to an uninterrupted run. Replaying a non-empty manifest
+	// requires Jobs (replay re-resolves specs through the factory).
 	// Programmatic Add is NOT journaled; durable fleets admit via AddSpec.
 	StateDir string
 }
@@ -102,9 +101,6 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.MetricsEvery <= 0 {
 		cfg.MetricsEvery = 2 * time.Second
 	}
-	if cfg.StateDir != "" && cfg.Shard.CheckpointDir == "" {
-		cfg.Shard.CheckpointDir = filepath.Join(cfg.StateDir, "checkpoints")
-	}
 	s := &Service{
 		cfg:   cfg,
 		met:   NewMetrics(),
@@ -113,8 +109,9 @@ func NewService(cfg Config) (*Service, error) {
 		done:  make(chan struct{}),
 	}
 	if cfg.StateDir != "" {
-		// The completion hook journals terminal homes; it must be wired
-		// before any shard worker can finish one.
+		// The shard hooks journal checkpoints and terminal homes; they must be
+		// wired before any shard worker can reach either.
+		s.cfg.Shard.onCheckpoint = s.noteCheckpoint
 		s.cfg.Shard.onDone = s.noteDone
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -147,7 +144,7 @@ func NewService(cfg Config) (*Service, error) {
 // through the job factory, mutations collapse to final per-home state, and
 // each job lands either in the ended map (done/removed, with its journaled
 // outcome) or back on a shard (in-flight, paused when a pause was in
-// effect) to resume from its day-boundary checkpoint.
+// effect) to resume from its newest journaled checkpoint.
 func (s *Service) replay(recs []ManifestRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -160,6 +157,7 @@ func (s *Service) replay(recs []ManifestRecord) error {
 	paused := make(map[string]bool)
 	removed := make(map[string]bool)
 	finished := make(map[string]*ManifestRecord)
+	cks := make(map[string]*stream.Checkpoint)
 	for i := range recs {
 		rec := &recs[i]
 		switch rec.Op {
@@ -183,6 +181,8 @@ func (s *Service) replay(recs []ManifestRecord) error {
 			removed[rec.Home] = true
 		case manifestOpDone:
 			finished[rec.Home] = rec
+		case manifestOpCheckpoint:
+			cks[rec.Home] = rec.Checkpoint
 		}
 	}
 	var live []stream.Job
@@ -204,7 +204,7 @@ func (s *Service) replay(recs []ManifestRecord) error {
 			live = append(live, j)
 		}
 	}
-	if err := s.admit(live, paused); err != nil {
+	if err := s.admit(live, paused, cks); err != nil {
 		return err
 	}
 	// end() and admit() each appended their subset; Result order must be
@@ -222,8 +222,7 @@ func (s *Service) replay(recs []ManifestRecord) error {
 }
 
 // end registers a manifest-restored terminal home and accounts it in the
-// lifetime counters. A stale checkpoint (crash between the done record and
-// checkpoint removal) is cleaned up here — replay is its tombstone.
+// lifetime counters.
 func (s *Service) end(id string, e endedHome) {
 	s.mu.Lock()
 	s.order = append(s.order, id)
@@ -239,22 +238,35 @@ func (s *Service) end(id string, e endedHome) {
 	default:
 		s.met.homesCompleted.Add(1)
 	}
-	if dir := s.cfg.Shard.CheckpointDir; dir != "" {
-		_ = stream.RemoveCheckpoint(dir, id)
-	}
+}
+
+// noteCheckpoint is the shard checkpoint hook (StateDir only): journal the
+// home's day-boundary checkpoint, so a restart resumes it there.
+func (s *Service) noteCheckpoint(ck *stream.Checkpoint) error {
+	return s.record(ManifestRecord{Op: manifestOpCheckpoint, Home: ck.Home, Checkpoint: ck})
 }
 
 // noteDone is the shard completion hook (StateDir only): journal the
-// terminal home so a restart restores it instead of re-running. Appends are
-// deliberately not fsynced on this hot path; a lost record only means the
-// home replays from its checkpoint — deterministically — on restart.
-func (s *Service) noteDone(res stream.HomeResult, out stream.HomeOutcome) {
+// terminal home so a restart restores it instead of re-running.
+func (s *Service) noteDone(res stream.HomeResult, out stream.HomeOutcome) error {
 	rec := ManifestRecord{Op: manifestOpDone, Home: out.ID, Outcome: &out}
 	switch out.Status {
 	case stream.OutcomeCompleted, stream.OutcomeRetried:
 		rec.Result = &res
 	}
-	_ = s.man.Append(rec)
+	return s.record(rec)
+}
+
+// record appends a record from a shard worker. These appends are
+// deliberately not fsynced on the hot path (see Manifest.Append); a failed
+// one is counted in journal_errors and returned to the shard, which fails
+// the checkpoint or keeps the error in the home's outcome.
+func (s *Service) record(rec ManifestRecord) error {
+	err := s.man.Append(rec)
+	if err != nil {
+		s.met.journalErrors.Add(1)
+	}
+	return err
 }
 
 // journal appends one admin mutation record and syncs it to disk. Called
@@ -270,15 +282,15 @@ func (s *Service) journal(rec ManifestRecord) error {
 }
 
 // Add admits jobs to the fleet, round-robin across shards in add order.
-// IDs must be unique fleet-wide (they key checkpoints and MQTT topics).
+// IDs must be unique fleet-wide (they key journal records and MQTT topics).
 // Add is NOT journaled — a durable fleet admits via AddSpec so the spec
 // can be replayed through the job factory on restart.
 func (s *Service) Add(jobs []stream.Job) error {
-	return s.admit(jobs, nil)
+	return s.admit(jobs, nil, nil)
 }
 
-// admit is Add plus the replay path's pre-paused set.
-func (s *Service) admit(jobs []stream.Job, paused map[string]bool) error {
+// admit is Add plus the replay path's pre-paused set and checkpoints.
+func (s *Service) admit(jobs []stream.Job, paused map[string]bool, cks map[string]*stream.Checkpoint) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -301,7 +313,7 @@ func (s *Service) admit(jobs []stream.Job, paused map[string]bool) error {
 		if len(batch) == 0 {
 			continue
 		}
-		if err := s.shards[sh].add(batch, paused); err != nil {
+		if err := s.shards[sh].add(batch, paused, cks); err != nil {
 			return err
 		}
 	}
@@ -354,7 +366,7 @@ func (s *Service) AddSpec(req AddRequest) (int, error) {
 	if err := s.journal(ManifestRecord{Op: manifestOpAdd, Add: &req}); err != nil {
 		return 0, err
 	}
-	if err := s.admit(jobs, nil); err != nil {
+	if err := s.admit(jobs, nil, nil); err != nil {
 		return 0, err
 	}
 	return len(jobs), nil
@@ -425,7 +437,7 @@ func (s *Service) shard(i int) (*Shard, error) {
 	return s.shards[i], nil
 }
 
-// DrainShard quiesces one shard and persists its homes to checkpoints.
+// DrainShard quiesces one shard and checkpoints its homes.
 func (s *Service) DrainShard(i int) error {
 	sh, err := s.shard(i)
 	if err != nil {
@@ -503,10 +515,10 @@ func (s *Service) Outcomes() []stream.HomeOutcome {
 func (s *Service) Done() <-chan struct{} { return s.done }
 
 // Close shuts the service down: the control plane detaches, every shard
-// stops (persisting still-resident homes to checkpoints when persist is set
-// and a checkpoint dir is configured), and finally the manifest takes a
-// last sync and closes — after the shards, so late completion records from
-// finishing workers still land. Idempotent.
+// stops (journaling a checkpoint of every still-resident home when persist
+// is set and a state dir is configured), and finally the manifest takes a
+// last sync and closes — after the shards, so late checkpoint and
+// completion records from finishing workers still land. Idempotent.
 func (s *Service) Close(persist bool) {
 	s.stop.Do(func() { close(s.done) })
 	if s.ctl != nil {
@@ -514,7 +526,7 @@ func (s *Service) Close(persist bool) {
 		s.ctl = nil
 	}
 	for _, sh := range s.shards {
-		sh.Stop(persist && s.cfg.Shard.CheckpointDir != "")
+		sh.Stop(persist && s.man != nil)
 	}
 	if s.man != nil {
 		_ = s.man.Close()

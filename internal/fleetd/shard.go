@@ -49,16 +49,14 @@ type ShardOptions struct {
 	// RetryBackoff schedules the pause before each retry; retries wait on a
 	// timer, never on a worker.
 	RetryBackoff mqtt.Backoff
-	// CheckpointDir persists day-boundary checkpoints (cadence
-	// CheckpointEvery, default 1) so drains and retries survive the
-	// process; empty keeps checkpoints in memory, which still supports
-	// in-process drain/rehydrate and retry.
-	CheckpointDir   string
+	// CheckpointEvery is the cadence, in days, of the day-boundary
+	// checkpoints a supervised home keeps (0 defaults to 1). Retries, drains
+	// and rehydrates restore from the newest one, held in memory; a service
+	// with a StateDir also journals each one to its manifest, so a restarted
+	// process resumes there.
 	CheckpointEvery int
-	// AsyncCheckpoints moves day-boundary disk writes onto a background
-	// sink; drain, stop, restore, and completion barrier the sink before
-	// they read or finalize disk state, which is when staleness would be
-	// observable.
+	// Deprecated: checkpoints are journaled synchronously to the service's
+	// manifest, and this option is ignored.
 	AsyncCheckpoints bool
 	// Chaos injects the seeded fault schedule into every home's transport.
 	Chaos *stream.FaultConfig
@@ -93,8 +91,13 @@ type ShardOptions struct {
 	// onDone, when set, observes every home reaching a terminal state on
 	// this shard with its final result and supervision record — the
 	// service's manifest hook. Called off the shard lock, on the worker (or
-	// failing goroutine) that finished the home.
-	onDone func(res stream.HomeResult, out stream.HomeOutcome)
+	// failing goroutine) that finished the home; an error lands in the
+	// home's outcome when it has none.
+	onDone func(res stream.HomeResult, out stream.HomeOutcome) error
+	// onCheckpoint, when set, journals every day-boundary checkpoint — the
+	// service's manifest hook. Called on the worker that owns the home; an
+	// error fails the checkpoint.
+	onCheckpoint func(ck *stream.Checkpoint) error
 }
 
 // withDefaults resolves the documented option defaults.
@@ -124,8 +127,8 @@ func (o ShardOptions) withDefaults() ShardOptions {
 }
 
 // supervised reports whether the shard keeps day-boundary checkpoints as
-// it runs (for retries and/or persistence).
-func (o ShardOptions) supervised() bool { return o.Recover || o.CheckpointDir != "" }
+// it runs (for retries and/or the journal).
+func (o ShardOptions) supervised() bool { return o.Recover || o.onCheckpoint != nil }
 
 // homeState is a home's position in the shard lifecycle.
 type homeState uint8
@@ -214,9 +217,6 @@ type Shard struct {
 	id   int
 	opts ShardOptions
 	met  *Metrics
-	// ckSink is the async checkpoint writer (nil unless CheckpointDir and
-	// AsyncCheckpoints are both set).
-	ckSink *stream.CheckpointSink
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -245,9 +245,6 @@ func newShard(id int, opts ShardOptions, met *Metrics) *Shard {
 		met:   met,
 		homes: make(map[string]*homeRun),
 	}
-	if sh.opts.CheckpointDir != "" && sh.opts.AsyncCheckpoints {
-		sh.ckSink = stream.NewCheckpointSink(sh.opts.CheckpointDir)
-	}
 	sh.cond = sync.NewCond(&sh.mu)
 	for w := 0; w < sh.opts.Workers; w++ {
 		sh.wg.Add(1)
@@ -257,11 +254,12 @@ func newShard(id int, opts ShardOptions, met *Metrics) *Shard {
 }
 
 // add admits jobs to the shard's pending queue. Duplicate IDs (including
-// completed ones) are rejected — they would collide on checkpoint files
-// and MQTT topics. Homes in paused (the manifest replay's pre-paused set)
-// are admitted with their pause request already standing, so a fast worker
-// cannot race them past the pause a prior process lifetime recorded.
-func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
+// completed ones) are rejected — they would collide on journal records and
+// MQTT topics. Homes in paused (the manifest replay's pre-paused set) are
+// admitted with their pause request already standing, so a fast worker
+// cannot race them past the pause a prior process lifetime recorded; homes
+// in cks (the replay's newest journaled checkpoints) resume from theirs.
+func (sh *Shard) add(jobs []stream.Job, paused map[string]bool, cks map[string]*stream.Checkpoint) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.stopped {
@@ -274,6 +272,9 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
 	}
 	for _, j := range jobs {
 		h := &homeRun{job: j, state: statePending, pauseReq: paused[j.ID]}
+		if ck := cks[j.ID]; ck != nil {
+			h.lastCk, h.ckDay = ck, ck.Days
+		}
 		sh.homes[j.ID] = h
 		sh.pending = append(sh.pending, h)
 		sh.outstanding++
@@ -412,7 +413,7 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 		sh.met.days.Add(1)
 		h.wd.feed()
 		if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
-			if err := sh.checkpoint(h, false); err != nil {
+			if err := sh.checkpoint(h); err != nil {
 				flush()
 				sh.fail(h, err)
 				return
@@ -432,24 +433,7 @@ func (sh *Shard) open(h *homeRun) error {
 		return err
 	}
 	sh.wireVerdicts(h, home)
-	ck := h.lastCk
-	if sh.opts.CheckpointDir != "" {
-		if sh.ckSink != nil {
-			// The restore decision reads the disk; queued async writes must
-			// land first, and a recorded write failure fails this attempt
-			// (retrying re-runs the flush) instead of resuming stale.
-			if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil {
-				closeSource(src)
-				return ferr
-			}
-		}
-		if disk, lerr := stream.LoadCheckpoint(sh.opts.CheckpointDir, h.job.ID); lerr == nil && disk != nil {
-			ck = disk
-		}
-		// Load errors (corrupt file) fall back to the in-memory checkpoint
-		// or a fresh start; the next save overwrites the bad file.
-	}
-	if ck != nil && ck.Days > 0 {
+	if ck := h.lastCk; ck != nil && ck.Days > 0 {
 		if rerr := stream.RestoreFrom(src, home, ck); rerr == nil {
 			h.days = ck.Days
 			h.restores++
@@ -500,36 +484,24 @@ func (sh *Shard) wireVerdicts(h *homeRun, home *stream.Home) {
 	})
 }
 
-// checkpoint snapshots a home at its current day boundary: always into
-// memory (the retry path), and onto disk when a checkpoint dir is set.
-// Drive-path saves (direct=false) may route through the async sink;
-// finalizing saves (drain, stop) pass direct=true, which barriers the sink
-// first — so a stale queued write can never land after the newer
-// synchronous one — and then writes in place.
-func (sh *Shard) checkpoint(h *homeRun, direct bool) error {
+// checkpoint snapshots a home at its current day boundary. On a service
+// with a state dir it is first journaled to the manifest, synchronously, so
+// a restarted process resumes the home here; only then does it become the
+// in-memory checkpoint that retries, drains and rehydrates restore from —
+// which therefore always equals the journal's newest.
+func (sh *Shard) checkpoint(h *homeRun) error {
 	ck, err := h.home.Checkpoint()
 	if err != nil {
 		return err
 	}
+	if sh.opts.onCheckpoint != nil {
+		if err := sh.opts.onCheckpoint(ck); err != nil {
+			return err
+		}
+	}
 	h.lastCk = ck
 	if ck.Days > h.ckDay {
 		h.ckDay = ck.Days
-	}
-	if sh.opts.CheckpointDir != "" {
-		if sh.ckSink != nil && !direct {
-			if err := sh.ckSink.Save(ck); err != nil {
-				return err
-			}
-		} else {
-			if sh.ckSink != nil {
-				if err := sh.ckSink.Flush(h.job.ID); err != nil {
-					return err
-				}
-			}
-			if err := stream.SaveCheckpoint(sh.opts.CheckpointDir, ck); err != nil {
-				return err
-			}
-		}
 	}
 	sh.met.checkpoints.Add(1)
 	return nil
@@ -685,35 +657,18 @@ func (sh *Shard) yield(h *homeRun) {
 }
 
 // complete finishes a home successfully. The duration is final before the
-// home is journaled: it covers the last quantum through the checkpoint
-// barrier. The completion hook runs before the checkpoint is removed: if
-// the process dies between them, the replayed manifest both restores the
-// result and deletes the now-stale checkpoint — whereas the reverse order
-// could lose a finished home's result entirely.
+// home is journaled: it covers the last quantum. The done record supersedes
+// the home's journaled checkpoints, so a restart serves the result instead
+// of resuming the home.
 func (sh *Shard) complete(h *homeRun) {
 	h.wd.disarm()
 	h.teardown()
-	if sh.ckSink != nil {
-		// Barrier any queued async write before the removal below.
-		if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil && h.err == nil {
-			h.err = ferr
-		}
-	}
 	h.elapsed += time.Since(h.began)
-	if sh.opts.onDone != nil {
-		status := stream.OutcomeCompleted
-		if h.failures > 0 {
-			status = stream.OutcomeRetried
-		}
-		sh.opts.onDone(h.result, h.outcome(status))
+	status := stream.OutcomeCompleted
+	if h.failures > 0 {
+		status = stream.OutcomeRetried
 	}
-	if sh.opts.CheckpointDir != "" {
-		// The checkpoint served its purpose, and a later fresh run must not
-		// resume from it.
-		if rerr := stream.RemoveCheckpoint(sh.opts.CheckpointDir, h.job.ID); rerr != nil && h.err == nil {
-			h.err = rerr
-		}
-	}
+	sh.noteDone(h, h.result, status)
 	h.lastCk = nil
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -769,10 +724,20 @@ func (sh *Shard) fail(h *homeRun, err error) {
 	sh.met.homesFailed.Add(1)
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
-	if sh.opts.onDone != nil {
-		// Quarantine is terminal: journal it (off the shard lock) so a
-		// restart does not resurrect a home the supervisor gave up on.
-		sh.opts.onDone(stream.HomeResult{ID: h.job.ID}, h.outcome(stream.OutcomeQuarantined))
+	// Quarantine is terminal: journal it (off the shard lock) so a restart
+	// does not resurrect a home the supervisor gave up on.
+	sh.noteDone(h, stream.HomeResult{ID: h.job.ID}, stream.OutcomeQuarantined)
+}
+
+// noteDone runs the completion hook for a home reaching a terminal state.
+// A hook error (a done record the journal did not take) is kept as the
+// home's Err when it has none.
+func (sh *Shard) noteDone(h *homeRun, res stream.HomeResult, status stream.OutcomeStatus) {
+	if sh.opts.onDone == nil {
+		return
+	}
+	if err := sh.opts.onDone(res, h.outcome(status)); err != nil && h.err == nil {
+		h.err = err
 	}
 }
 
@@ -831,13 +796,18 @@ func (sh *Shard) pauseLocked(h *homeRun) error {
 	return nil
 }
 
-// Resume lifts a pause; the home requeues where it left off.
+// Resume lifts a pause; the home requeues where it left off. A terminal
+// home has nothing to resume.
 func (sh *Shard) Resume(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	h, ok := sh.homes[homeID]
 	if !ok {
 		return fmt.Errorf("fleetd: unknown home %q", homeID)
+	}
+	switch h.state {
+	case stateDone, stateFailed, stateRemoved:
+		return fmt.Errorf("fleetd: home %q cannot resume (terminal)", homeID)
 	}
 	sh.resumeLocked(h)
 	return nil
@@ -887,8 +857,8 @@ func (sh *Shard) Remove(homeID string) error {
 
 // Drain quiesces the shard and persists it: dispatch stops, running quanta
 // finish at their day boundaries, and then every resident home is
-// checkpointed (to CheckpointDir when set, in memory otherwise) and its
-// pipeline released. A drained shard holds no live state; Rehydrate
+// checkpointed (in memory, and into the manifest on a service with a state
+// dir) and its pipeline released. A drained shard holds no live state; Rehydrate
 // rebuilds it byte-identically from the checkpoints. Homes that fail to
 // checkpoint are quarantined rather than silently lost.
 func (sh *Shard) Drain() error {
@@ -919,7 +889,7 @@ func (sh *Shard) Drain() error {
 		if h.home == nil {
 			continue
 		}
-		err := sh.checkpoint(h, true)
+		err := sh.checkpoint(h)
 		h.teardown()
 		sh.resident--
 		if err != nil {
@@ -993,7 +963,7 @@ func (sh *Shard) Stop(persist bool) {
 			continue
 		}
 		if persist {
-			if err := sh.checkpoint(h, true); err != nil && h.err == nil {
+			if err := sh.checkpoint(h); err != nil && h.err == nil {
 				h.err = err
 			}
 		}
@@ -1001,10 +971,6 @@ func (sh *Shard) Stop(persist bool) {
 		sh.resident--
 	}
 	sh.mu.Unlock()
-	if sh.ckSink != nil {
-		// Final barrier: every queued write lands before Stop returns.
-		sh.ckSink.Close()
-	}
 }
 
 // Status reports the shard's gauges.

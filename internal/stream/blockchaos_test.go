@@ -46,8 +46,7 @@ func TestFleetChaosThreeLegEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 				Workers: 2, Recover: true, Chaos: &cfg,
-				CheckpointDir: t.TempDir(),
-				RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +80,6 @@ func TestFleetChaosThreeLegEquivalenceMQTT(t *testing.T) {
 	cfg := blockChaosClasses()["mixed"]
 	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 2, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-		CheckpointDir:  t.TempDir(),
 		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		ReceiveTimeout: 2 * time.Second,
 	})
@@ -111,8 +109,7 @@ func TestFleetChaosVirtualClock(t *testing.T) {
 		t.Helper()
 		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 			Workers: workers, Recover: true, Chaos: &cfg, Clock: clock,
-			CheckpointDir: t.TempDir(),
-			RetryBackoff:  backoff,
+			RetryBackoff: backoff,
 		})
 		if err != nil {
 			t.Fatal(err)

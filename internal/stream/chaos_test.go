@@ -95,8 +95,7 @@ func TestFleetChaosMatrix(t *testing.T) {
 		t.Run("block/"+name+"/direct", func(t *testing.T) {
 			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 				Workers: 3, Recover: true, Chaos: &cfg,
-				CheckpointDir: t.TempDir(),
-				RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +123,6 @@ func TestFleetChaosMatrix(t *testing.T) {
 			defer broker.Close()
 			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 				Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-				CheckpointDir:  t.TempDir(),
 				RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 				ReceiveTimeout: 2 * time.Second,
 			})
@@ -168,8 +166,7 @@ func TestFleetChaosWorkerDeterminism(t *testing.T) {
 		t.Helper()
 		got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 			Workers: workers, Recover: true, Chaos: &cfg,
-			CheckpointDir: t.TempDir(),
-			RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+			RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +212,6 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 		Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01, MaxDelay: 100 * time.Microsecond}
 	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 0, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-		CheckpointDir:  t.TempDir(),
 		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		ReceiveTimeout: 5 * time.Second,
 	})
@@ -386,13 +382,13 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 		calls++
 		if calls == 1 {
 			// First attempt dies on day 1, after the day-0 checkpoint was
-			// persisted.
+			// taken.
 			return &flakyAtSource{src: src, day: 1}, h, nil
 		}
 		return src, h, nil
 	}}
 	res, err := fleetd.RunFleet([]stream.Job{job}, fleetd.ShardOptions{
-		Workers: 1, Recover: true, CheckpointDir: t.TempDir(),
+		Workers: 1, Recover: true,
 		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
 	if err != nil {

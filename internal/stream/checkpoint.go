@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/hvac"
@@ -132,38 +130,24 @@ func validateCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// ckEncPool recycles checkpoint encode buffers: the fleet hot path writes a
-// day-boundary checkpoint (about a kilobyte of JSON) for every home-day, so
-// the arena is kept warm instead of reallocated.
-var ckEncPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // WriteCheckpoint serializes a checkpoint: magic, payload length, CRC-32,
 // then the JSON payload. The trailer-free fixed header lets a reader
-// reject truncated or corrupted files before decoding anything. Encoding
-// goes through a pooled buffer and reaches w as a single Write.
+// reject truncated or corrupted files before decoding anything. The frame
+// reaches w as a single Write.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
-	buf := ckEncPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxCheckpoint {
-			buf.Reset()
-			ckEncPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	var zero [16]byte
-	buf.Write(zero[:]) // header placeholder, patched below
-	if err := json.NewEncoder(buf).Encode(ck); err != nil {
+	payload, err := json.Marshal(ck)
+	if err != nil {
 		return fmt.Errorf("stream: encode checkpoint: %w", err)
 	}
-	frame := buf.Bytes()
-	payload := frame[16 : len(frame)-1] // Encode appends '\n'; the payload is Marshal's bytes
 	if len(payload) > maxCheckpoint {
 		return fmt.Errorf("stream: checkpoint payload %d bytes exceeds limit", len(payload))
 	}
+	frame := make([]byte, 16+len(payload))
 	copy(frame[:8], checkpointMagic[:])
 	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(frame[:len(frame)-1])
+	copy(frame[16:], payload)
+	_, err = w.Write(frame)
 	return err
 }
 
@@ -200,20 +184,22 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// CheckpointPath names a home's checkpoint file inside dir; home IDs are
+// checkpointPath names a home's checkpoint file inside dir; home IDs are
 // percent-escaped so procedural IDs ("synth:12x4@55") stay filesystem-safe.
-func CheckpointPath(dir, homeID string) string {
+func checkpointPath(dir, homeID string) string {
 	return filepath.Join(dir, url.PathEscape(homeID)+".ckpt")
 }
 
-// SaveCheckpoint atomically writes a home's checkpoint under dir (write to
-// a temp file, fsync-free rename), so a crash mid-write leaves the previous
-// checkpoint intact instead of a torn file.
+// SaveCheckpoint atomically writes a home's checkpoint to its own file
+// under dir (write to a temp file, fsync-free rename).
+//
+// Deprecated: the fleet journals checkpoints as records of its manifest,
+// and nothing in the fleet reads these files.
 func SaveCheckpoint(dir string, ck *Checkpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := CheckpointPath(dir, ck.Home)
+	path := checkpointPath(dir, ck.Home)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
@@ -230,31 +216,12 @@ func SaveCheckpoint(dir string, ck *Checkpoint) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadCheckpoint reads a home's checkpoint from dir. A missing file is not
-// an error — it returns (nil, nil), the "start from scratch" signal — while
-// a present-but-corrupt file returns ErrBadCheckpoint.
-func LoadCheckpoint(dir, homeID string) (*Checkpoint, error) {
-	f, err := os.Open(CheckpointPath(dir, homeID))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ck, err := ReadCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if ck.Home != homeID {
-		return nil, fmt.Errorf("%w: file for %q holds checkpoint of %q", ErrBadCheckpoint, homeID, ck.Home)
-	}
-	return ck, nil
-}
-
-// RemoveCheckpoint deletes a home's checkpoint; missing files are fine.
+// RemoveCheckpoint deletes the file SaveCheckpoint wrote; a missing file
+// is fine.
+//
+// Deprecated: see SaveCheckpoint.
 func RemoveCheckpoint(dir, homeID string) error {
-	err := os.Remove(CheckpointPath(dir, homeID))
+	err := os.Remove(checkpointPath(dir, homeID))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

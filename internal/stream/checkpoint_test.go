@@ -369,8 +369,10 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	bad("cursor mismatch", tbuf.Bytes())
 }
 
-// TestCheckpointFileStore covers the on-disk lifecycle: save/load roundtrip,
-// missing-as-nil, corrupt-file error, home-ID mismatch, and removal.
+// TestCheckpointFileStore covers the deprecated per-home file shims:
+// SaveCheckpoint writes a file ReadCheckpoint decodes back to the same
+// checkpoint and leaves no temp file behind, and RemoveCheckpoint deletes
+// it and tolerates a missing file.
 func TestCheckpointFileStore(t *testing.T) {
 	dir := t.TempDir()
 	open := attackedWorld(t, "B", 2, 1)
@@ -381,38 +383,26 @@ func TestCheckpointFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, err := LoadCheckpoint(dir, "B"); err != nil || got != nil {
-		t.Fatalf("missing checkpoint: %v, %v", got, err)
-	}
 	if err := SaveCheckpoint(dir, ck); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(dir, "B")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "B.ckpt" {
+		t.Fatalf("save left %v, want only B.ckpt", entries)
+	}
+	data, err := os.ReadFile(checkpointPath(dir, "B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ck) {
-		t.Fatal("loaded checkpoint differs from saved")
-	}
-
-	// A file whose contents belong to another home is rejected.
-	data, err := os.ReadFile(CheckpointPath(dir, "B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(CheckpointPath(dir, "impostor"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(dir, "impostor"); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("home mismatch: %v", err)
-	}
-
-	// Corrupt bytes on disk surface as ErrBadCheckpoint.
-	if err := os.WriteFile(CheckpointPath(dir, "B"), data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(dir, "B"); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("corrupt file: %v", err)
+		t.Fatal("saved checkpoint differs from the original")
 	}
 
 	if err := RemoveCheckpoint(dir, "B"); err != nil {
@@ -421,8 +411,8 @@ func TestCheckpointFileStore(t *testing.T) {
 	if err := RemoveCheckpoint(dir, "B"); err != nil {
 		t.Fatalf("second remove: %v", err)
 	}
-	if got, err := LoadCheckpoint(dir, "B"); err != nil || got != nil {
-		t.Fatalf("after remove: %v, %v", got, err)
+	if _, err := os.Stat(checkpointPath(dir, "B")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("after remove: %v", err)
 	}
 }
 
