@@ -26,10 +26,11 @@
 // home advances one day block at a time through the incremental event core;
 // -stream-defend attaches the online detector, -stream-attack injects a
 // live SHATTER campaign, and -stream-mqtt routes every home's frames
-// through an in-process MQTT broker with a fleet-wide home/+/sensor
-// monitor.
+// through an in-process MQTT broker, where each home's receiver counts the
+// frames it takes off the bus.
 // -stream-chaos turns on the fault-tolerant supervisor and injects a
-// deterministic fault schedule into every home's transport. The spec is a
+// deterministic fault schedule into every home's stream, the same faults
+// on the direct path and over the broker. The spec is a
 // comma-separated k=v list: drop, dup, delay, corrupt, trunc and disc set
 // per-frame fault probabilities (a frame is one home-day; each in [0, 1],
 // summing to at most 1); seed picks the schedule; maxdelay bounds injected
@@ -322,7 +323,7 @@ func printStream(s *core.Suite, specs []scenario.Spec, opts core.StreamOptions, 
 		}
 		defer broker.Close()
 		opts.Broker = broker.Addr()
-		fmt.Printf("transport: MQTT broker %s (per-home topics, home/+/sensor monitor)\n", broker.Addr())
+		fmt.Printf("transport: MQTT broker %s (per-home topics, receivers count bus frames)\n", broker.Addr())
 	} else {
 		fmt.Println("transport: direct (in-process sources, no broker)")
 	}

@@ -19,7 +19,9 @@
 // and finished home. Restarting the same command after a crash (even
 // kill -9) replays the manifest and resumes every in-flight home from its
 // newest checkpoint, producing the same per-home results as an
-// uninterrupted run.
+// uninterrupted run. While it runs the service holds a lock on
+// D/fleet.lock, so a second serve on the same D fails at once; the kernel
+// drops the lock when the process dies.
 //
 // The admin verbs speak to a running service over its broker:
 //
@@ -375,6 +377,9 @@ func printSnapshot(s fleetd.Snapshot) {
 		up, s.HomesActive, s.HomesCompleted, s.HomesFailed, s.HomesRemoved, s.HomesAdded, s.Days, s.Slots)
 	fmt.Printf("  throughput: %.1f homes/s, %.1f days/s, %.0f events/s; heap %.1f MiB, %d goroutines\n",
 		s.HomesPerSec, s.DaysPerSec, s.EventsPerSec, float64(s.HeapAllocBytes)/(1<<20), s.Goroutines)
+	if s.BusFrames > 0 {
+		fmt.Printf("  bus: %d day frames received\n", s.BusFrames)
+	}
 	if s.Verdicts > 0 {
 		fmt.Printf("  detection: %d verdicts (%d anomalous), latency mean %.1f / max %d slots\n",
 			s.Verdicts, s.Anomalies, s.DetectionLatencyMeanSlots, s.DetectionLatencyMaxSlots)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +208,146 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 		// race-instrumented; the full size keeps the drain landing mid-run.
 		run(t, jobs, ShardOptions{Workers: 2, MaxResident: 4, Broker: broker.Addr()}, t.TempDir())
 	})
+}
+
+// TestServiceSnapshotCountsBusFrames: each pipe counts the frames its
+// receiver takes off the bus into the registry, so a clean MQTT-framed
+// service reports one per home-day once idle; the direct path reports none.
+func TestServiceSnapshotCountsBusFrames(t *testing.T) {
+	const homes, days = 3, 2
+	jobs := synthJobs(homes, days, 88)
+	run := func(t *testing.T, opts ShardOptions) Snapshot {
+		t.Helper()
+		svc, err := NewService(Config{Shards: 2, Shard: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(false)
+		if err := svc.Add(jobs); err != nil {
+			t.Fatal(err)
+		}
+		svc.WaitIdle()
+		snap := svc.Snapshot()
+		if snap.Days != homes*days {
+			t.Fatalf("%d days streamed, want %d", snap.Days, homes*days)
+		}
+		return snap
+	}
+	t.Run("mqtt", func(t *testing.T) {
+		broker, err := mqtt.NewBroker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer broker.Close()
+		if snap := run(t, ShardOptions{Workers: 2, Broker: broker.Addr()}); snap.BusFrames != snap.Days {
+			t.Fatalf("%d bus frames for %d home-days", snap.BusFrames, snap.Days)
+		}
+	})
+	t.Run("direct", func(t *testing.T) {
+		if snap := run(t, ShardOptions{Workers: 2}); snap.BusFrames != 0 {
+			t.Fatalf("direct path reported %d bus frames", snap.BusFrames)
+		}
+	})
+}
+
+// countingSource counts the day blocks read from it.
+type countingSource struct {
+	stream.Source
+	n *atomic.Int64
+}
+
+func (c countingSource) NextBlock(dst *stream.DayBlock) error {
+	c.n.Add(1)
+	return c.Source.NextBlock(dst)
+}
+
+// eventually polls cond until it holds, failing the test after d.
+func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// within runs f and fails the test if it does not return within d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %s", what, d)
+	}
+}
+
+// TestServiceReleasesBackedUpPausedPipe: a paused MQTT-framed home stops
+// reading, but its pump keeps publishing until the subscription backs up
+// and the publish blocks in a socket write. Draining the shard and closing
+// the service must still tear the pipe down promptly.
+func TestServiceReleasesBackedUpPausedPipe(t *testing.T) {
+	for _, drain := range []bool{true, false} {
+		name := "close"
+		if drain {
+			name = "drain"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := synthJobs(1, 100000, 91)[0]
+			var read atomic.Int64
+			job := stream.Job{ID: base.ID, Open: func() (stream.Source, *stream.Home, error) {
+				src, h, err := base.Open()
+				return countingSource{Source: src, n: &read}, h, err
+			}}
+			broker, err := mqtt.NewBroker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewService(Config{Shard: ShardOptions{Workers: 1, Broker: broker.Addr()}})
+			if err != nil {
+				broker.Close()
+				t.Fatal(err)
+			}
+			// On a hang, closing the broker first fails the blocked write, so
+			// the failing test still ends.
+			defer svc.Close(false)
+			defer broker.Close()
+			if err := svc.Add([]stream.Job{job}); err != nil {
+				t.Fatal(err)
+			}
+			// Pause once a day has streamed, so the home's pipe is open.
+			eventually(t, 10*time.Second, "the first day", func() bool { return svc.Snapshot().Days > 0 })
+			if err := svc.Pause(job.ID); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, 10*time.Second, "the pause", func() bool { return svc.Snapshot().Shards[0].Paused == 1 })
+			// The pump reads ahead until the bus backs up: wait for it to stall.
+			last, still := int64(-1), 0
+			eventually(t, 10*time.Second, "the pump to stall", func() bool {
+				time.Sleep(50 * time.Millisecond)
+				if n := read.Load(); n != last {
+					last, still = n, 0
+					return false
+				}
+				still++
+				return still >= 6
+			})
+			if drain {
+				within(t, 5*time.Second, "DrainShard", func() {
+					if err := svc.DrainShard(0); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			within(t, 5*time.Second, "Close(false)", func() { svc.Close(false) })
+		})
+	}
 }
 
 // heldSource holds its first block until the test closes gate.

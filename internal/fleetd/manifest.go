@@ -209,8 +209,17 @@ func ReadManifest(r io.Reader) ([]ManifestRecord, error) {
 	}
 }
 
-// manifestName is the journal file inside the state dir.
-const manifestName = "fleet.manifest"
+// manifestName is the journal file inside the state dir; lockName is the
+// file whose flock marks the dir as owned by a live process. The lock needs
+// its own file because compaction replaces the journal by rename.
+const (
+	manifestName = "fleet.manifest"
+	lockName     = "fleet.lock"
+)
+
+// ErrStateDirLocked is OpenManifest's error when another live manifest
+// (in this process or another) holds the state dir.
+var ErrStateDirLocked = errors.New("fleetd: state dir is locked by another fleet manifest")
 
 // ManifestPath names the journal inside a state dir.
 func ManifestPath(dir string) string { return filepath.Join(dir, manifestName) }
@@ -238,6 +247,7 @@ type Manifest struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	lock *os.File    // holds the state dir's flock until Close
 	refs []recordRef // every record in the file, in order
 	size int64       // the file's length
 	// limit is the size past which Append compacts: twice the size after
@@ -253,30 +263,50 @@ type Manifest struct {
 // torn tail or superseded records. Any other corruption is an error: the
 // journal is the fleet's source of truth, and a scribbled-on one must not
 // silently replay a subset.
+//
+// The manifest holds an exclusive lock on the state dir until Close: a
+// second opener, while this one lives, fails at once with
+// ErrStateDirLocked instead of appending to and compacting the same
+// journal.
 func OpenManifest(dir string) (*Manifest, []ManifestRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	m := &Manifest{path: ManifestPath(dir)}
+	lock, err := lockStateDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &Manifest{path: ManifestPath(dir), lock: lock}
+	recs, err := m.open()
+	if err != nil {
+		lock.Close()
+		return nil, nil, err
+	}
+	return m, recs, nil
+}
+
+// open replays the journal, compacts it when needed and opens the append
+// handle.
+func (m *Manifest) open() ([]ManifestRecord, error) {
 	os.Remove(m.path + ".tmp") // a rewrite a crash interrupted; the journal is intact
 	recs, torn, err := m.load()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	keep := compactKeep(m.refs)
 	if torn || len(keep) != len(recs) {
 		if err := m.rewrite(keep); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		recs = pick(recs, keep)
 	}
 	f, err := os.OpenFile(m.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.f = f
 	m.limit = 2*m.size + compactFloor
-	return m, recs, nil
+	return recs, nil
 }
 
 // load reads the journal leniently, indexing every record: a torn tail
@@ -480,10 +510,12 @@ func (m *Manifest) Sync() error {
 	return m.f.Sync()
 }
 
-// Close syncs and closes the journal. Idempotent.
+// Close syncs and closes the journal and releases the state dir's lock.
+// Idempotent.
 func (m *Manifest) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.lock.Close() // nil-safe; closing twice is harmless
 	return m.closeLocked()
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,6 +229,39 @@ func TestOpenManifestTornTail(t *testing.T) {
 				t.Fatalf("appended record lost: %+v", replayed2)
 			}
 		})
+	}
+}
+
+// TestOpenManifestLocksStateDir: while one manifest is open on a state dir,
+// a second OpenManifest on it fails at once with ErrStateDirLocked naming
+// the dir, instead of appending to and compacting the same journal; once
+// the first closes, the dir opens again.
+func TestOpenManifestLocksStateDir(t *testing.T) {
+	dir := t.TempDir()
+	first, _, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Append(ManifestRecord{Op: manifestOpPause, Home: "h1"}); err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := OpenManifest(dir)
+	if !errors.Is(err, ErrStateDirLocked) || !strings.Contains(err.Error(), dir) {
+		if second != nil {
+			second.Close()
+		}
+		t.Fatalf("second open: err = %v, want ErrStateDirLocked naming %s", err, dir)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, recs, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatalf("open after close: %v", err)
+	}
+	defer again.Close()
+	if len(recs) != 1 || recs[0].Home != "h1" {
+		t.Fatalf("replay after relock: %+v", recs)
 	}
 }
 

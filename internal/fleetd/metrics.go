@@ -20,6 +20,7 @@ type Metrics struct {
 	homesRemoved   atomic.Int64
 	days           atomic.Int64
 	slots          atomic.Int64
+	busFrames      atomic.Int64
 	sensorEvents   atomic.Int64
 	actionEvents   atomic.Int64
 	verdicts       atomic.Int64
@@ -102,6 +103,10 @@ type Snapshot struct {
 	Retries        int64 `json:"retries"`
 	Restores       int64 `json:"restores"`
 	Checkpoints    int64 `json:"checkpoints"`
+	// BusFrames counts the binary day frames the homes' MQTT pipes took off
+	// the bus, duplicates and foreign-epoch stragglers included; 0 on the
+	// direct path. A clean fleet moves one frame per home-day.
+	BusFrames int64 `json:"bus_frames"`
 	// WatchdogTrips counts homes whose transport the liveness watchdog
 	// force-closed after ProgressDeadline elapsed with no day boundary.
 	WatchdogTrips int64 `json:"watchdog_trips"`
@@ -150,6 +155,7 @@ func (m *Metrics) Snapshot(shards []ShardStatus) Snapshot {
 		Retries:        m.retries.Load(),
 		Restores:       m.restores.Load(),
 		Checkpoints:    m.checkpoints.Load(),
+		BusFrames:      m.busFrames.Load(),
 		WatchdogTrips:  m.watchdogTrips.Load(),
 		JournalErrors:  m.journalErrors.Load(),
 		HeapAllocBytes: ms.HeapAlloc,

@@ -59,49 +59,6 @@ func TestShardOpenClosesSourceOnPipeFailure(t *testing.T) {
 	}
 }
 
-// TestFleetMonitorDrainLostSentinel: when end-of-stream sentinels never
-// arrive, drain falls back to bounded quiescence — it returns the frame
-// count within the drain deadline instead of hanging.
-func TestFleetMonitorDrainLostSentinel(t *testing.T) {
-	broker, err := mqtt.NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
-	m, err := newBusMonitor(broker.Addr(), mqtt.DialOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.close()
-	m.drainTimeout, m.quiet = 300*time.Millisecond, 10*time.Millisecond
-
-	pub, err := mqtt.Dial(broker.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	const frames = 5
-	for i := 0; i < frames; i++ {
-		if err := pub.Publish(stream.SensorTopic("ghost"), stream.Slot{Home: "ghost", Day: 0, Index: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No sentinel is ever published: the expected-sentinel wait must time
-	// out and the quiescence fallback must return the observed frames.
-	start := time.Now()
-	n := m.drain(1)
-	elapsed := time.Since(start)
-	if n != frames {
-		t.Fatalf("drain counted %d frames, want %d", n, frames)
-	}
-	if elapsed < m.drainTimeout {
-		t.Fatalf("drain returned in %s, before the %s sentinel deadline", elapsed, m.drainTimeout)
-	}
-	if elapsed > m.drainTimeout+2*time.Second {
-		t.Fatalf("drain took %s — quiescence loop not bounded", elapsed)
-	}
-}
-
 // TestRunFleetRetryResumesFromMemory: with Recover and no state dir, a
 // home whose first attempt dies mid-day-1 resumes from the shard's
 // in-memory day-boundary checkpoint and finishes byte-identical to a clean
@@ -142,9 +99,8 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestRunFleetNoGoroutineLeak: RunFleet owns every goroutine it starts —
-// shard workers, retry timers, transports, the bus monitor — and none
-// outlive it, whether the run is clean, chaotic on virtual time, or
-// aborted by FailFast.
+// shard workers, retry timers, transports — and none outlive it, whether
+// the run is clean, chaotic on virtual time, or aborted by FailFast.
 func TestRunFleetNoGoroutineLeak(t *testing.T) {
 	backoff := mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	t.Run("clean", func(t *testing.T) {
@@ -168,7 +124,7 @@ func TestRunFleetNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Stats.BusFrames != res.Stats.Days {
-			t.Fatalf("monitor saw %d frames for %d home-days", res.Stats.BusFrames, res.Stats.Days)
+			t.Fatalf("pipes took %d frames off the bus for %d home-days", res.Stats.BusFrames, res.Stats.Days)
 		}
 		settleGoroutines(t, base)
 	})
@@ -370,7 +326,7 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 // TestServiceKillRestartResumesFromJournaledCheckpoint: Close(false) is a
 // kill — no persistence pass — so a home stopped after day k resumes from
 // the checkpoint its drive path journaled at day k, and the state dir holds
-// nothing but the manifest.
+// nothing but the manifest and its lock file.
 func TestServiceKillRestartResumesFromJournaledCheckpoint(t *testing.T) {
 	const days, k = 4, 2
 	req := AddRequest{Synth: 1, Seed: 73, Days: days}
@@ -395,8 +351,8 @@ func TestServiceKillRestartResumesFromJournaledCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != manifestName {
-		t.Fatalf("state dir holds %v, want only %s", entries, manifestName)
+	if len(entries) != 2 || entries[0].Name() != lockName || entries[1].Name() != manifestName {
+		t.Fatalf("state dir holds %v, want only %s and %s", entries, lockName, manifestName)
 	}
 }
 

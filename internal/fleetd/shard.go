@@ -75,8 +75,9 @@ type ShardOptions struct {
 	ProgressDeadline time.Duration
 
 	// Broker, when non-empty, routes every home's frames through the MQTT
-	// broker at this address (per-home home/<id>/sensor topics); RunFleet
-	// also tallies the bus traffic through a home/+/sensor monitor.
+	// broker at this address (per-home home/<id>/sensor topics). Each
+	// home's pipe counts the frames its receiver takes off the bus into the
+	// registry's bus_frames.
 	Broker string
 	// Dial configures every broker connection (dial deadline, redial with
 	// backoff, per-frame write deadline). ProbeTimeout bounds each
@@ -375,11 +376,18 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	// sits at a day boundary waiting for a worker, and scheduler latency is
 	// not a stall. Every exit path (yield/complete/fail) disarms it.
 	sh.armWatchdog(h)
-	var slots, sensor, action int64
+	var slots, sensor, action, framesAt int64
+	pipe, _ := h.drive.(*stream.Pipe) // nil on the direct path
+	if pipe != nil {
+		framesAt = pipe.Frames()
+	}
 	flush := func() {
 		sh.met.slots.Add(slots)
 		sh.met.sensorEvents.Add(sensor)
 		sh.met.actionEvents.Add(action)
+		if pipe != nil {
+			sh.met.busFrames.Add(pipe.Frames() - framesAt)
+		}
 	}
 	for d := 0; d < sh.opts.QuantumDays; d++ {
 		err := h.drive.NextBlock(blk)
@@ -450,25 +458,21 @@ func (sh *Shard) open(h *homeRun) error {
 		}
 	}
 	// Chaos perturbs whole day frames on the (home, attempt, day)-keyed
-	// schedule, on the bus and on the direct path alike.
-	plan := sh.opts.Chaos.Plan(h.job.ID, h.opens-1)
-	var drive stream.Source
+	// schedule. The one wrapper serves both framings: a pipe pumps onto the
+	// bus exactly what the direct path would read.
+	drive := stream.NewFaultSource(src, sh.opts.Chaos.Plan(h.job.ID, h.opens-1), sh.opts.Clock)
 	if sh.opts.Broker != "" {
-		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), src, stream.PipeOptions{
+		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), drive, stream.PipeOptions{
 			Dial:           sh.opts.Dial,
 			ProbeTimeout:   sh.opts.ProbeTimeout,
 			ReceiveTimeout: sh.opts.ReceiveTimeout,
-			Faults:         plan,
 			Epoch:          h.opens - 1,
-			Clock:          sh.opts.Clock,
 		})
 		if perr != nil {
 			closeSource(src)
 			return perr
 		}
 		drive = pipe
-	} else {
-		drive = stream.NewFaultSource(src, plan, sh.opts.Clock)
 	}
 	h.src, h.drive, h.home = src, drive, home
 	return nil

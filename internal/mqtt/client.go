@@ -84,6 +84,9 @@ type Client struct {
 	writeTimeout time.Duration
 	epoch        atomic.Int64
 
+	// wmu serializes writes. conn is replaced only under both wmu and mu,
+	// so Close can read it under mu alone, without waiting behind a write
+	// blocked on a peer that stopped reading.
 	wmu  sync.Mutex
 	conn net.Conn
 	w    *bufio.Writer
@@ -251,25 +254,27 @@ func (c *Client) resume() *bufio.Reader {
 		if err != nil {
 			continue
 		}
+		// The swap checks closed in the same critical section Close sets it
+		// in, so a connection Close did not see is never installed.
+		c.wmu.Lock()
 		c.mu.Lock()
 		filters := make([]string, 0, len(c.subs))
 		for f := range c.subs {
 			filters = append(filters, f)
 		}
 		closed := c.closed
+		old := c.conn
+		if !closed {
+			c.conn, c.w = conn, bufio.NewWriter(conn)
+			c.down = false
+		}
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		if closed {
 			conn.Close()
 			return nil
 		}
-		c.wmu.Lock()
-		old := c.conn
-		c.conn, c.w = conn, bufio.NewWriter(conn)
-		c.down = false
-		c.wmu.Unlock()
-		if old != nil {
-			old.Close()
-		}
+		old.Close()
 		// Re-register every active subscription on the new connection; a
 		// failure here is just a failed attempt — mark the session down
 		// again and keep redialing.
@@ -371,7 +376,10 @@ func (c *Client) Subscribe(topic string) (<-chan Message, error) {
 	return ch, nil
 }
 
-// Close disconnects and waits for the reader goroutine.
+// Close disconnects and waits for the reader goroutine. It closes the live
+// connection before anything else: a publish blocked in a socket write
+// holds the write lock until the write fails, and the write never finishes
+// while the subscribers downstream are not reading.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -379,16 +387,13 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	conn := c.conn
 	c.mu.Unlock()
 	close(c.done)
-	// The connection is swapped under wmu during session resume, so take
-	// the same lock to close whichever connection is current.
-	c.wmu.Lock()
-	var err error
-	if c.conn != nil {
-		err = c.conn.Close()
+	err := conn.Close()
+	if errors.Is(err, net.ErrClosed) {
+		err = nil // a failed resume already closed it
 	}
-	c.wmu.Unlock()
 	c.wg.Wait()
 	return err
 }

@@ -52,8 +52,8 @@ const maxBlockCols = 1 << 12
 var ErrBadBlockFrame = errors.New("stream: corrupt day-block frame")
 
 // IsBlockFrame reports whether a payload opens with the day-block magic —
-// the cheap classification receivers and the fleet monitor use to tell
-// block frames from JSON control frames.
+// the cheap classification receivers use to tell block frames from JSON
+// control frames.
 func IsBlockFrame(p []byte) bool {
 	return len(p) >= len(blockMagic) && string(p[:len(blockMagic)]) == string(blockMagic[:])
 }

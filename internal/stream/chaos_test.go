@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -153,6 +154,50 @@ func TestFleetChaosMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetChaosOutcomesMatchAcrossFramings: one fault applier serves both
+// framings, so a chaos schedule of drops, delays, corruption, truncation
+// and disconnects gives the same per-home results and the same supervision
+// records — attempts, restores, checkpoint days and error strings — on the
+// direct path and over a broker. Duplicates are left out: the pipe absorbs
+// them by design, while the direct path retries.
+func TestFleetChaosOutcomesMatchAcrossFramings(t *testing.T) {
+	jobs := chaosJobs(8, 3)
+	cfg := stream.FaultConfig{Seed: 208, Drop: 0.12, Delay: 0.1, Corrupt: 0.1, Truncate: 0.1,
+		Disconnect: 0.1, MaxDelay: 100 * time.Microsecond}
+	opts := fleetd.ShardOptions{
+		Workers: 3, Recover: true, Chaos: &cfg,
+		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+		ReceiveTimeout: 2 * time.Second,
+	}
+	direct, err := fleetd.RunFleet(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	opts.Broker = broker.Addr()
+	piped, err := fleetd.RunFleet(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Stats.Retries == 0 || direct.Stats.Quarantined != 0 {
+		t.Fatalf("fixture: %+v", direct.Stats)
+	}
+	if !reflect.DeepEqual(direct.Homes, piped.Homes) {
+		t.Fatalf("home results diverge across framings:\n%+v\nvs\n%+v", direct.Homes, piped.Homes)
+	}
+	for i := range direct.Outcomes {
+		d, p := direct.Outcomes[i], piped.Outcomes[i]
+		d.Duration, p.Duration = 0, 0
+		if d != p {
+			t.Fatalf("outcome %d diverges across framings:\ndirect %+v\nmqtt   %+v", i, d, p)
+		}
 	}
 }
 

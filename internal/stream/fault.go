@@ -29,14 +29,16 @@ const (
 	// FaultDelay stalls a frame briefly; ordering is preserved so only
 	// latency changes.
 	FaultDelay
-	// FaultCorrupt mangles the frame's payload: on the direct path the
-	// read errors outright, on the bus the frame arrives flagged as
-	// failing its integrity check and errors at the receiver.
+	// FaultCorrupt fails the frame's integrity check: the read of that day
+	// errors and the stream ends there. On the bus the pump publishes its
+	// end-of-stream sentinel and the receiver returns the same error.
 	FaultCorrupt
 	// FaultTruncate cuts a column pair off the frame; the frame decodes
 	// but fails the home's structural check.
 	FaultTruncate
-	// FaultDisconnect force-closes the publishing connection mid-stream.
+	// FaultDisconnect kills the home's link at that day: the read errors,
+	// and so does every read after it. On the bus the pump publishes its
+	// end-of-stream sentinel and the receiver returns the same error.
 	FaultDisconnect
 )
 
@@ -162,14 +164,15 @@ func (p *FaultPlan) RollDay(day int) (FaultClass, time.Duration) {
 	return class, stall
 }
 
-// faultSource wraps a Source with the chaos schedule for the direct
-// (brokerless) path: one RollDay-keyed fault per home-day frame,
-// manufacturing the same observable failures the MQTT transport would.
-// Dropped frames surface as sequence gaps (or, when the tail is lost, as a
-// short-stream error at EOF), corruption as read errors, disconnects as a
-// dead stream. Duplicates re-deliver the previous frame (the direct path
-// has no dedup layer, so the home's ordering check trips and the supervisor
-// retries).
+// faultSource wraps a Source with the chaos schedule: one RollDay-keyed
+// fault per home-day frame. It is the only fault applier. The direct path
+// reads it straight, and an MQTT pipe pumps what it reads onto the bus, so
+// both framings see the same faults. Dropped frames surface as sequence
+// gaps (or, when the tail is lost, as a short-stream error at EOF),
+// corruption as read errors, disconnects as a dead stream. Duplicates
+// re-deliver the previous frame: the direct path has no dedup layer, so the
+// home's ordering check trips and the supervisor retries, while the pipe's
+// day tracking absorbs the second copy.
 type faultSource struct {
 	src   Source
 	plan  *FaultPlan
@@ -181,9 +184,10 @@ type faultSource struct {
 	gap  bool // a frame was dropped; EOF before it surfaces is a tail loss
 }
 
-// NewFaultSource wraps a source with a chaos schedule on the direct (no
-// broker) path — the fleet shard's transport wiring. A nil plan returns src
-// unchanged; a nil clock waits on real time.
+// NewFaultSource wraps a source with a chaos schedule — the fleet shard's
+// fault wiring for both framings (a brokered shard hands the wrapped source
+// to its pipe). A nil plan returns src unchanged; a nil clock waits on real
+// time.
 func NewFaultSource(src Source, plan *FaultPlan, clock Clock) Source {
 	if plan == nil {
 		return src

@@ -66,11 +66,12 @@ type FleetStats struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 	HomesPerSec  float64       `json:"homes_per_sec"`
 	EventsPerSec float64       `json:"events_per_sec"`
-	// BusFrames counts the data frames the fleet-wide home/+/sensor monitor
-	// saw (zero without a broker). Each home-day is one binary frame, so a
-	// clean fleet tallies its Days here and a chaos fleet an at-least-once
-	// count of Days (retried attempts republish, and a corrupted frame's
-	// stand-in counts too).
+	// BusFrames counts the binary day frames the homes' MQTT pipes took off
+	// the bus (zero without a broker), duplicates and foreign-epoch
+	// stragglers included. Each home-day is one frame, so a clean fleet
+	// tallies its Days here. Under chaos it counts what receivers took, not
+	// what was published: retried attempts add frames, while frames a
+	// failed attempt published but never read do not count.
 	BusFrames int64 `json:"bus_frames"`
 	// Retries counts extra attempts across the fleet; Restores counts the
 	// attempts that resumed from a checkpoint; Quarantined counts homes

@@ -153,7 +153,7 @@ func TestRunFleetHundredSynthHomes(t *testing.T) {
 // TestFleetBrokerTransport routes a small fleet through a real MQTT broker
 // over loopback TCP and checks (a) per-home results are bit-identical
 // between the direct run and the binary day-block transport, and (b) the
-// fleet-wide home/+/sensor monitor tallied one frame per home-day.
+// pipes took one frame per home-day off the bus.
 func TestFleetBrokerTransport(t *testing.T) {
 	broker, err := mqtt.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -176,7 +176,7 @@ func TestFleetBrokerTransport(t *testing.T) {
 	}
 	checkDeterministic(t, direct, piped)
 	if piped.Stats.BusFrames != piped.Stats.Days {
-		t.Fatalf("block monitor saw %d bus frames, want %d (one per home-day)", piped.Stats.BusFrames, piped.Stats.Days)
+		t.Fatalf("pipes took %d bus frames, want %d (one per home-day)", piped.Stats.BusFrames, piped.Stats.Days)
 	}
 	if direct.Stats.BusFrames != 0 {
 		t.Fatalf("direct run reported %d bus frames", direct.Stats.BusFrames)

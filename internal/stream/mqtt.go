@@ -18,49 +18,19 @@ const (
 	dayProbe = -2 // subscription-registration handshake
 )
 
-// controlFrame is the JSON envelope of a sensor topic's control traffic: the
-// handshake probe (day -2), an end-of-stream sentinel (day -1), or the
-// stand-in for a day frame that failed its integrity check (Corrupt, with
-// the frame's day). Epoch names the publishing attempt, so a stale control
-// frame from a dead attempt can be discarded instead of failing or ending
-// the current one.
+// controlFrame is the JSON envelope of a sensor topic's control traffic:
+// the handshake probe (day -2) or an end-of-stream sentinel (day -1). Epoch
+// names the publishing attempt, so a stale sentinel from a dead attempt can
+// be discarded instead of ending the current one.
 type controlFrame struct {
-	Day     int  `json:"day"`
-	Epoch   int  `json:"epoch"`
-	Corrupt bool `json:"corrupt,omitempty"`
+	Day   int `json:"day"`
+	Epoch int `json:"epoch"`
 	// Final, set only on end-of-stream sentinels, is one past the last day
 	// the publisher generated. The consumer compares it against the last
 	// day it actually delivered: a mismatch means the stream's tail was
 	// lost in transit — the one loss no sequence-gap check can see, because
 	// nothing follows it.
 	Final int `json:"final,omitempty"`
-}
-
-// encode marshals the envelope as a pre-encoded publish payload.
-func (c controlFrame) encode() json.RawMessage {
-	raw, _ := json.Marshal(c) // ints and a bool always encode
-	return raw
-}
-
-// ProbeFrame is the handshake frame a subscriber publishes to its own topic
-// to confirm the broker registered the subscription (the broker processes
-// frames of one connection in order, so the probe's delivery proves the
-// subscription precedes any other publisher's traffic).
-func ProbeFrame() json.RawMessage { return controlFrame{Day: dayProbe}.encode() }
-
-// ClassifyBusFrame sorts a payload seen on a sensor topic: data frames are
-// binary day blocks and the corrupt stand-ins for them, eof marks an
-// end-of-stream sentinel. Handshake probes and malformed traffic are
-// neither.
-func ClassifyBusFrame(payload []byte) (data, eof bool) {
-	if IsBlockFrame(payload) {
-		return true, false
-	}
-	var hdr controlFrame
-	if json.Unmarshal(payload, &hdr) != nil {
-		return false, false
-	}
-	return hdr.Day >= 0, hdr.Day == dayEOF
 }
 
 // ErrReceiveTimeout is returned when a pipe waits longer than its
@@ -70,7 +40,9 @@ var ErrReceiveTimeout = errors.New("stream: pipe receive timeout")
 
 // PipeOptions configures a pipe's transport behaviour. The zero value
 // reproduces the historical defaults: a 5s handshake deadline, unbounded
-// receive waits, default dial behaviour, and no injected faults.
+// receive waits and default dial behaviour. A pipe injects no faults of its
+// own: a chaos run hands it a source wrapped by NewFaultSource, the same
+// wrapper the direct path reads.
 type PipeOptions struct {
 	// Dial configures the pipe's two broker connections (dial deadline,
 	// redial attempts with exponential backoff, per-frame write deadline).
@@ -82,10 +54,6 @@ type PipeOptions struct {
 	// waits forever. Supervised fleets set it so a lost end-of-stream sentinel
 	// surfaces as ErrReceiveTimeout instead of a hang.
 	ReceiveTimeout time.Duration
-	// Faults, when non-nil, applies the (home, attempt, day)-keyed chaos
-	// schedule to the publishing side — the deterministic stand-in for a
-	// lossy network.
-	Faults *FaultPlan
 	// Epoch tags every published frame with the attempt number. A retry
 	// reuses its home's topic, and the broker may still be flushing the
 	// previous attempt's tail when the new subscription registers; the
@@ -98,19 +66,6 @@ type PipeOptions struct {
 	//
 	// Deprecated: day blocks are the only framing.
 	Blocks bool
-	// Clock times chaos delay faults; nil uses real wall-clock time.
-	Clock Clock
-}
-
-// txRec is one publish queued from a chaos pump's reader to its publisher
-// goroutine: a pre-encoded payload (binary block frame or JSON control
-// envelope), an optional injected delay served before the publish, or a
-// kill order that force-closes the publishing connection.
-type txRec struct {
-	payload []byte
-	binary  bool
-	delay   time.Duration
-	kill    bool
 }
 
 // Pipe routes a source through an MQTT broker: a pump goroutine publishes
@@ -127,9 +82,9 @@ type Pipe struct {
 
 	recvTimeout time.Duration
 	timer       *time.Timer
-	clock       Clock // times chaos delay faults
 	epoch       int   // attempt tag; frames from other epochs are discarded
 	last        int   // highest delivered day; -1 before any
+	frames      int64 // binary day frames NextBlock took off the bus
 
 	mu      sync.Mutex
 	pumpErr error
@@ -139,9 +94,11 @@ type Pipe struct {
 }
 
 // OpenPipeOptions subscribes to topic on the broker, confirms registration
-// with a loopback probe, and starts pumping src. The returned Pipe is the
-// transport-side Source; callers must Close it. Closing the pipe does not
-// close src itself.
+// with a loopback probe, and starts pumping src. The broker processes one
+// connection's frames in order, so the probe's delivery on the subscribing
+// connection proves the subscription precedes any other publisher's
+// traffic. The returned Pipe is the transport-side Source; callers must
+// Close it. Closing the pipe does not close src itself.
 func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe, error) {
 	probeTimeout := opts.ProbeTimeout
 	if probeTimeout <= 0 {
@@ -156,7 +113,7 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 		rcv.Close()
 		return nil, fmt.Errorf("stream: pipe subscribe: %w", err)
 	}
-	if err := rcv.Publish(topic, ProbeFrame()); err != nil {
+	if err := rcv.Publish(topic, controlFrame{Day: dayProbe}); err != nil {
 		rcv.Close()
 		return nil, fmt.Errorf("stream: pipe probe: %w", err)
 	}
@@ -171,121 +128,18 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 		rcv.Close()
 		return nil, fmt.Errorf("stream: pipe dial: %w", err)
 	}
-	p := &Pipe{pub: pub, rcv: rcv, ch: ch, recvTimeout: opts.ReceiveTimeout, clock: clockOrReal(opts.Clock), epoch: opts.Epoch, last: -1}
-	if opts.Faults != nil {
-		// Chaos pumps split into a reader and a publisher joined by a
-		// bounded queue, so an injected delay stalls only the publishing
-		// side — the reader keeps draining its source, and Close never
-		// waits behind a sleeping frame.
-		txq := make(chan txRec, 64)
-		p.wg.Add(2)
-		go p.pumpBlocksChaos(topic, src, opts.Faults, txq)
-		go p.publisher(topic, txq)
-	} else {
-		p.wg.Add(1)
-		go p.pumpBlocks(topic, src)
-	}
+	p := &Pipe{pub: pub, rcv: rcv, ch: ch, recvTimeout: opts.ReceiveTimeout, epoch: opts.Epoch, last: -1}
+	p.wg.Add(1)
+	go p.pumpBlocks(topic, src)
 	return p, nil
-}
-
-// publisher drains a chaos pump's transmit queue: serve each record's
-// injected delay on the pipe's clock, then publish. Records keep queue
-// order, so delays stall the bus the way a slow link would without ever
-// blocking the reader. After a publish failure (or a kill record) the
-// remaining queue is discarded so the reader's sends never block.
-func (p *Pipe) publisher(topic string, txq <-chan txRec) {
-	defer p.wg.Done()
-	failed := false
-	for rec := range txq {
-		if failed {
-			continue
-		}
-		if rec.delay > 0 {
-			p.clock.Sleep(rec.delay)
-		}
-		if rec.kill {
-			// Force-close the publishing connection mid-stream; the
-			// consumer sees a dead pipe, not a sentinel.
-			p.pub.Close()
-			p.publishFailed(fmt.Errorf("%w: connection force-closed", ErrInjectedFault))
-			failed = true
-			continue
-		}
-		var err error
-		if rec.binary {
-			err = p.pub.PublishRaw(topic, rec.payload)
-		} else {
-			// A pre-encoded control envelope: RawMessage round-trips the
-			// bytes as-is.
-			err = p.pub.Publish(topic, json.RawMessage(rec.payload))
-		}
-		if err != nil {
-			p.publishFailed(err)
-			failed = true
-		}
-	}
-}
-
-// pumpBlocksChaos reads day-blocks and queues binary wire frames under the
-// (home, attempt, day)-keyed fault schedule: one roll per home-day. Every
-// manufactured failure eventually surfaces to the consumer as a decode
-// error, a day gap, a short stream, or a dead connection.
-func (p *Pipe) pumpBlocksChaos(topic string, src Source, faults *FaultPlan, txq chan<- txRec) {
-	defer p.wg.Done()
-	defer close(txq)
-	var blk DayBlock
-	final := 0
-	for {
-		err := src.NextBlock(&blk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.setErr(err)
-			break
-		}
-		final = blk.Day + 1
-		class, stall := faults.RollDay(blk.Day)
-		switch class {
-		case FaultDrop:
-			continue // the whole day frame never reaches the bus
-		case FaultCorrupt:
-			// Publish the frame's integrity-failure stand-in — the transport
-			// analogue of a payload that fails its checksum on receipt.
-			txq <- txRec{payload: controlFrame{Day: blk.Day, Epoch: p.epoch, Corrupt: true}.encode()}
-			continue
-		case FaultTruncate:
-			// Slice a column pair off in place; the generator's ensure
-			// restores the backing storage on the next read.
-			truncateBlock(&blk)
-		case FaultDisconnect:
-			txq <- txRec{kill: true}
-			return // no sentinel: the connection died mid-stream
-		}
-		raw, err := AppendBlockFrame(nil, &blk, p.epoch)
-		if err != nil {
-			p.setErr(fmt.Errorf("stream: pipe encode day %d: %w", blk.Day, err))
-			return
-		}
-		rec := txRec{payload: raw, binary: true}
-		if class == FaultDelay {
-			rec.delay = stall
-		}
-		txq <- rec
-		if class == FaultDuplicate {
-			txq <- txRec{payload: raw, binary: true}
-		}
-	}
-	txq <- txRec{payload: controlFrame{Day: dayEOF, Epoch: p.epoch, Final: final}.encode()}
 }
 
 // pumpBlocks publishes src's day-blocks as binary wire frames — one raw
 // publish per home-day through a reused encode buffer, so a warm pump runs
 // the whole transport path (encode, frame, fan-out) allocation-free. The
-// end-of-stream sentinel is a JSON control frame: the fleet monitor
-// classifies it without the block decoder. The sentinel is published after
-// a source error too; it carries the stream's final day so the consumer
-// can detect a lost tail.
+// end-of-stream sentinel is a JSON control frame, published after a source
+// error too (the consumer then returns that error); it carries the
+// stream's final day so the consumer can detect a lost tail.
 func (p *Pipe) pumpBlocks(topic string, src Source) {
 	defer p.wg.Done()
 	var blk DayBlock
@@ -363,10 +217,10 @@ func (p *Pipe) receive() (mqtt.Message, bool, error) {
 }
 
 // NextBlock implements Source: binary frames decode into dst, JSON frames
-// are the control plane (probes, foreign-epoch stragglers, corrupt
-// stand-ins, the end-of-stream sentinel). The pump's sentinel yields io.EOF
-// (or the pump's error). Duplicate and stale frames are skipped so each day
-// is delivered at most once.
+// are the control plane (probes, foreign-epoch stragglers, the
+// end-of-stream sentinel). The pump's sentinel yields io.EOF (or the pump's
+// error). Duplicate and stale frames are skipped so each day is delivered
+// at most once.
 func (p *Pipe) NextBlock(dst *DayBlock) error {
 	for {
 		m, ok, err := p.receive()
@@ -380,6 +234,7 @@ func (p *Pipe) NextBlock(dst *DayBlock) error {
 			return fmt.Errorf("stream: pipe connection lost: %w", io.ErrUnexpectedEOF)
 		}
 		if IsBlockFrame(m.Payload) {
+			p.frames++
 			epoch, err := DecodeBlockFrame(dst, m.Payload)
 			if err != nil {
 				return fmt.Errorf("stream: pipe decode: %w", err)
@@ -401,12 +256,9 @@ func (p *Pipe) NextBlock(dst *DayBlock) error {
 		case c.Day == dayProbe:
 			continue // stray handshake frame
 		case c.Epoch != p.epoch:
-			// A dead attempt's tail (corrupt stand-in or sentinel) still
-			// flushing out of the broker; it must not fail or end this
-			// stream.
+			// A dead attempt's sentinel still flushing out of the broker; it
+			// must not end this stream.
 			continue
-		case c.Corrupt:
-			return fmt.Errorf("stream: pipe day frame %d failed integrity check: %w", c.Day, ErrInjectedFault)
 		case c.Day == dayEOF:
 			if err := p.err(); err != nil {
 				return err
@@ -421,6 +273,12 @@ func (p *Pipe) NextBlock(dst *DayBlock) error {
 		return fmt.Errorf("stream: unexpected control frame for day %d", c.Day)
 	}
 }
+
+// Frames reports how many binary day frames NextBlock has taken off the
+// subscription, duplicates and foreign-epoch stragglers included: the
+// pipe's share of the fleet's bus traffic. Read it from the goroutine that
+// calls NextBlock.
+func (p *Pipe) Frames() int64 { return p.frames }
 
 // Close tears the transport down and waits for the pump. A pipe that was
 // Severed skips the wait: its pump may be wedged inside the source, and

@@ -31,9 +31,6 @@ type BrokerOutages struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-
-	mu      sync.Mutex
-	outages int
 }
 
 // StartBrokerOutages launches a background schedule of Suspend/Resume cycles
@@ -75,9 +72,6 @@ func (o *BrokerOutages) run(b *mqtt.Broker, sched OutageSchedule, clock Clock) {
 			return
 		}
 		b.Suspend()
-		o.mu.Lock()
-		o.outages++
-		o.mu.Unlock()
 		stopped := !o.wait(sched.Down, clock)
 		if err := b.Resume(); err != nil {
 			return // broker closed underneath the campaign
@@ -107,13 +101,6 @@ func (o *BrokerOutages) wait(d time.Duration, clock Clock) bool {
 	default:
 		return true
 	}
-}
-
-// Outages reports how many Suspend cycles have fired so far.
-func (o *BrokerOutages) Outages() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.outages
 }
 
 // Stop ends the campaign and blocks until the broker is resumed. Safe to
