@@ -23,6 +23,10 @@
 // D/fleet.lock, so a second serve on the same D fails at once; the kernel
 // drops the lock when the process dies.
 //
+// -progress-deadline D bounds each -mqtt-frames home's wait for its next
+// day frame: a longer wait fails the attempt (a watchdog trip) and the home
+// retries from its last checkpoint. Supervised services default it to 10s.
+//
 // The admin verbs speak to a running service over its broker:
 //
 //	fleetd status    -broker addr             live metrics + shard gauges
@@ -81,11 +85,10 @@ func serve(args []string) error {
 	shards := fs.Int("shards", 2, "shard count")
 	workers := fs.Int("workers", 0, "workers per shard (0 = one per CPU)")
 	maxResident := fs.Int("max-resident", 0, "admission window: live pipelines per shard (0 = default 4096)")
-	quantum := fs.Int("quantum-days", 0, "days per scheduling turn (0 = 1)")
 	stateDir := fs.String("state-dir", "", "durable state directory holding the fleet manifest (admissions, mutations, checkpoints, results); a restart with the same flags resumes the fleet")
 	resultJSON := fs.String("result-json", "", "write per-home fleet results to this file (JSON) at shutdown")
 	brokerChaos := fs.String("broker-chaos", "", "broker outage schedule: every=DUR,down=DUR[,count=N][,seed=S]")
-	progressDeadline := fs.Duration("progress-deadline", 0, "liveness watchdog: force-fail a home with no day-boundary progress within this window (0 disables)")
+	progressDeadline := fs.Duration("progress-deadline", 0, "stall bound for -mqtt-frames homes: fail an attempt that waits longer than this for its next day frame (0 = 10s when supervised, else forever)")
 	mqttFrames := fs.Bool("mqtt-frames", false, "route every home's sensor frames through the broker too")
 	retries := fs.Int("retries", 0, "per-home retry budget (enables supervision when > 0)")
 	synth := fs.Int("synth", 0, "admit this many synthetic homes at startup")
@@ -122,7 +125,6 @@ func serve(args []string) error {
 		Shard: fleetd.ShardOptions{
 			Workers:          *workers,
 			MaxResident:      *maxResident,
-			QuantumDays:      *quantum,
 			Recover:          *retries > 0 || *stateDir != "",
 			MaxRetries:       *retries,
 			ProgressDeadline: *progressDeadline,

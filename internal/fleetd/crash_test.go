@@ -257,10 +257,10 @@ func TestServiceBrokerOutageChaos(t *testing.T) {
 	defer broker.Close()
 	svc, err := NewService(Config{Shards: 2, StateDir: t.TempDir(), Shard: ShardOptions{
 		Workers: 2, Recover: true, MaxRetries: 1000,
-		Broker:         broker.Addr(),
-		Dial:           mqtt.DialOptions{Redial: true, Backoff: mqtt.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}},
-		RetryBackoff:   mqtt.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
-		ReceiveTimeout: 500 * time.Millisecond,
+		Broker:           broker.Addr(),
+		Dial:             mqtt.DialOptions{Redial: true, Backoff: mqtt.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}},
+		RetryBackoff:     mqtt.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+		ProgressDeadline: 500 * time.Millisecond,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -388,8 +388,8 @@ func TestAdminRidesBrokerRestart(t *testing.T) {
 }
 
 // stallSource streams normally until an absolute day, then blocks until
-// the test releases it — the wedged-transport fixture for the liveness
-// watchdog. SeekDay keeps the counter absolute, so every restored attempt
+// the test releases it — the wedged-transport fixture for the progress
+// deadline. SeekDay keeps the counter absolute, so every restored attempt
 // wedges at the same place.
 type stallSource struct {
 	src     stream.Source
@@ -420,9 +420,9 @@ func (s *stallSource) SeekDay(day int) error {
 }
 
 // TestShardWatchdogQuarantinesStalledHome: a home whose transport stops
-// producing day boundaries is force-failed by the progress watchdog, retried
-// from its checkpoint, and — still wedged — quarantined, while the rest of
-// the fleet finishes untouched.
+// producing day frames fails each attempt on the progress deadline (a
+// watchdog trip), is retried from its checkpoint, and — still wedged — is
+// quarantined, while the rest of the fleet finishes untouched.
 func TestShardWatchdogQuarantinesStalledHome(t *testing.T) {
 	const days = 2
 	broker, err := mqtt.NewBroker("127.0.0.1:0")

@@ -107,8 +107,9 @@ type Snapshot struct {
 	// the bus, duplicates and foreign-epoch stragglers included; 0 on the
 	// direct path. A clean fleet moves one frame per home-day.
 	BusFrames int64 `json:"bus_frames"`
-	// WatchdogTrips counts homes whose transport the liveness watchdog
-	// force-closed after ProgressDeadline elapsed with no day boundary.
+	// WatchdogTrips counts attempts that failed because a brokered home's
+	// pipe waited longer than ProgressDeadline for its next day frame
+	// (stream.ErrReceiveTimeout).
 	WatchdogTrips int64 `json:"watchdog_trips"`
 	// JournalErrors counts checkpoint and done records the manifest failed
 	// to append; each one failed a checkpoint or marked a home's outcome.

@@ -84,6 +84,65 @@ func TestRunFleetRetryResumesFromMemory(t *testing.T) {
 	checkHomesEqual(t, res.Homes, clean.Homes)
 }
 
+// TestRunFleetVirtualClockProgressDeadline: the progress deadline runs on
+// real time, so a virtual-clock run over a broker — whose clock skips every
+// wait it schedules — completes healthy homes on their first attempt,
+// identical to a direct run. Every home making one attempt means no attempt
+// failed, so the deadline never tripped.
+func TestRunFleetVirtualClockProgressDeadline(t *testing.T) {
+	jobs := synthJobs(4, 3, 31)
+	direct, err := RunFleet(jobs, ShardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	got, err := RunFleet(jobs, ShardOptions{
+		Workers: 2, Broker: broker.Addr(), Recover: true,
+		Clock:            stream.NewVirtualClock(),
+		ProgressDeadline: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Retries != 0 || got.Stats.Quarantined != 0 {
+		t.Fatalf("healthy homes failed under a virtual clock: %+v", got.Outcomes)
+	}
+	for _, o := range got.Outcomes {
+		if o.Attempts != 1 {
+			t.Fatalf("home %s took %d attempts: %s", o.ID, o.Attempts, o.Err)
+		}
+	}
+	if got.Stats.BusFrames != got.Stats.Days {
+		t.Fatalf("bus moved %d frames for %d home-days", got.Stats.BusFrames, got.Stats.Days)
+	}
+	checkHomesEqual(t, got.Homes, direct.Homes)
+	checkStatsEqual(t, got.Stats, direct.Stats, false)
+}
+
+// TestShardOptionsProgressDeadlineDefault: a supervised brokered shard
+// bounds each wait for a frame at 10s unless told otherwise; unsupervised
+// and direct shards wait forever.
+func TestShardOptionsProgressDeadlineDefault(t *testing.T) {
+	for _, c := range []struct {
+		opts ShardOptions
+		want time.Duration
+	}{
+		{ShardOptions{Recover: true, Broker: "127.0.0.1:1883"}, 10 * time.Second},
+		{ShardOptions{Recover: true, Broker: "127.0.0.1:1883", ProgressDeadline: time.Minute}, time.Minute},
+		{ShardOptions{Broker: "127.0.0.1:1883"}, 0},
+		{ShardOptions{Recover: true}, 0},
+	} {
+		if got := c.opts.withDefaults().ProgressDeadline; got != c.want {
+			t.Errorf("Recover=%v Broker=%q ProgressDeadline=%s: resolved %s, want %s",
+				c.opts.Recover, c.opts.Broker, c.opts.ProgressDeadline, got, c.want)
+		}
+	}
+}
+
 // settleGoroutines waits for the goroutine count to fall back to base.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()

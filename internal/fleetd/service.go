@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -499,14 +498,6 @@ func (s *Service) Result() stream.FleetResult {
 		results[i], outcomes[i], _ = sh.Outcome(id)
 	}
 	return stream.AggregateFleet(results, outcomes)
-}
-
-// Outcomes returns the supervision records sorted by home ID — the shape
-// the control plane's status verb reports.
-func (s *Service) Outcomes() []stream.HomeOutcome {
-	fr := s.Result()
-	sort.Slice(fr.Outcomes, func(i, j int) bool { return fr.Outcomes[i].ID < fr.Outcomes[j].ID })
-	return fr.Outcomes
 }
 
 // Done is closed when the control plane receives a stop request (or Close

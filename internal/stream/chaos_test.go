@@ -124,8 +124,8 @@ func TestFleetChaosMatrix(t *testing.T) {
 			defer broker.Close()
 			got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 				Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-				RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-				ReceiveTimeout: 2 * time.Second,
+				RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+				ProgressDeadline: 2 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -169,8 +169,8 @@ func TestFleetChaosOutcomesMatchAcrossFramings(t *testing.T) {
 		Disconnect: 0.1, MaxDelay: 100 * time.Microsecond}
 	opts := fleetd.ShardOptions{
 		Workers: 3, Recover: true, Chaos: &cfg,
-		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-		ReceiveTimeout: 2 * time.Second,
+		RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+		ProgressDeadline: 2 * time.Second,
 	}
 	direct, err := fleetd.RunFleet(jobs, opts)
 	if err != nil {
@@ -257,8 +257,8 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 		Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01, MaxDelay: 100 * time.Microsecond}
 	got, err := fleetd.RunFleet(jobs, fleetd.ShardOptions{
 		Workers: 0, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
-		RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-		ReceiveTimeout: 5 * time.Second,
+		RetryBackoff:     mqtt.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		ProgressDeadline: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

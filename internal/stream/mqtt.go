@@ -33,26 +33,28 @@ type controlFrame struct {
 	Final int `json:"final,omitempty"`
 }
 
-// ErrReceiveTimeout is returned when a pipe waits longer than its
-// configured ReceiveTimeout for the next frame — the signal that the
-// publisher died without delivering its end-of-stream sentinel.
+// ErrReceiveTimeout is returned when a pipe's NextBlock call outlives its
+// ReceiveTimeout without delivering a day or the end of the stream — the
+// signal that the publisher died without delivering its end-of-stream
+// sentinel, or that the transport stopped making progress.
 var ErrReceiveTimeout = errors.New("stream: pipe receive timeout")
 
+// probeTimeout bounds the subscription-registration handshake.
+const probeTimeout = 5 * time.Second
+
 // PipeOptions configures a pipe's transport behaviour. The zero value
-// reproduces the historical defaults: a 5s handshake deadline, unbounded
-// receive waits and default dial behaviour. A pipe injects no faults of its
-// own: a chaos run hands it a source wrapped by NewFaultSource, the same
-// wrapper the direct path reads.
+// reproduces the historical defaults: unbounded receive waits and default
+// dial behaviour. A pipe injects no faults of its own: a chaos run hands it
+// a source wrapped by NewFaultSource, the same wrapper the direct path
+// reads.
 type PipeOptions struct {
 	// Dial configures the pipe's two broker connections (dial deadline,
 	// redial attempts with exponential backoff, per-frame write deadline).
 	Dial mqtt.DialOptions
-	// ProbeTimeout bounds the subscription-registration handshake; 0
-	// defaults to 5s.
-	ProbeTimeout time.Duration
-	// ReceiveTimeout bounds each wait for the next frame in NextBlock; 0
-	// waits forever. Supervised fleets set it so a lost end-of-stream sentinel
-	// surfaces as ErrReceiveTimeout instead of a hang.
+	// ReceiveTimeout bounds each NextBlock call as a whole, on real time:
+	// stale and duplicate frames do not restart it. 0 waits forever.
+	// Supervised fleets set it so a lost end-of-stream sentinel or a wedged
+	// publisher surfaces as ErrReceiveTimeout instead of a hang.
 	ReceiveTimeout time.Duration
 	// Epoch tags every published frame with the attempt number. A retry
 	// reuses its home's topic, and the broker may still be flushing the
@@ -82,13 +84,16 @@ type Pipe struct {
 
 	recvTimeout time.Duration
 	timer       *time.Timer
-	epoch       int   // attempt tag; frames from other epochs are discarded
-	last        int   // highest delivered day; -1 before any
-	frames      int64 // binary day frames NextBlock took off the bus
+	// stalled is set when a NextBlock call timed out. Only the pipe's one
+	// consumer calls NextBlock and Close, never both at once, so it needs
+	// no lock.
+	stalled bool
+	epoch   int   // attempt tag; frames from other epochs are discarded
+	last    int   // highest delivered day; -1 before any
+	frames  int64 // binary day frames NextBlock took off the bus
 
 	mu      sync.Mutex
 	pumpErr error
-	severed bool
 
 	wg sync.WaitGroup
 }
@@ -100,10 +105,6 @@ type Pipe struct {
 // traffic. The returned Pipe is the transport-side Source; callers must
 // Close it. Closing the pipe does not close src itself.
 func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe, error) {
-	probeTimeout := opts.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 5 * time.Second
-	}
 	rcv, err := mqtt.DialWithOptions(broker, opts.Dial)
 	if err != nil {
 		return nil, fmt.Errorf("stream: pipe dial: %w", err)
@@ -190,42 +191,37 @@ func (p *Pipe) err() error {
 	return p.pumpErr
 }
 
-// receive waits for the next bus message, bounded by the configured
-// receive timeout.
-func (p *Pipe) receive() (mqtt.Message, bool, error) {
+// NextBlock implements Source: binary frames decode into dst, JSON frames
+// are the control plane (probes, foreign-epoch stragglers, the
+// end-of-stream sentinel). The pump's sentinel yields io.EOF (or the pump's
+// error). Duplicate and stale frames are skipped so each day is delivered
+// at most once. With a ReceiveTimeout the whole call is bounded: it returns
+// ErrReceiveTimeout and marks the pipe stalled once the deadline passes.
+func (p *Pipe) NextBlock(dst *DayBlock) error {
 	if p.recvTimeout <= 0 {
-		m, ok := <-p.ch
-		return m, ok, nil
+		return p.next(dst, nil)
 	}
 	if p.timer == nil {
 		p.timer = time.NewTimer(p.recvTimeout)
 	} else {
 		p.timer.Reset(p.recvTimeout)
 	}
-	select {
-	case m, ok := <-p.ch:
-		if !p.timer.Stop() {
-			select {
-			case <-p.timer.C:
-			default:
-			}
-		}
-		return m, ok, nil
-	case <-p.timer.C:
-		return mqtt.Message{}, false, fmt.Errorf("%w after %s", ErrReceiveTimeout, p.recvTimeout)
-	}
+	err := p.next(dst, p.timer.C)
+	p.timer.Stop()
+	return err
 }
 
-// NextBlock implements Source: binary frames decode into dst, JSON frames
-// are the control plane (probes, foreign-epoch stragglers, the
-// end-of-stream sentinel). The pump's sentinel yields io.EOF (or the pump's
-// error). Duplicate and stale frames are skipped so each day is delivered
-// at most once.
-func (p *Pipe) NextBlock(dst *DayBlock) error {
+// next receives until it can deliver a day or end the stream, or until
+// expired fires (nil: never).
+func (p *Pipe) next(dst *DayBlock, expired <-chan time.Time) error {
 	for {
-		m, ok, err := p.receive()
-		if err != nil {
-			return err
+		var m mqtt.Message
+		var ok bool
+		select {
+		case m, ok = <-p.ch:
+		case <-expired:
+			p.stalled = true
+			return fmt.Errorf("%w after %s", ErrReceiveTimeout, p.recvTimeout)
 		}
 		if !ok {
 			if err := p.err(); err != nil {
@@ -280,33 +276,16 @@ func (p *Pipe) NextBlock(dst *DayBlock) error {
 // calls NextBlock.
 func (p *Pipe) Frames() int64 { return p.frames }
 
-// Close tears the transport down and waits for the pump. A pipe that was
-// Severed skips the wait: its pump may be wedged inside the source, and
-// waiting for it would turn a stalled transport into a stalled caller.
+// Close tears the transport down and waits for the pump. A pipe whose
+// NextBlock timed out skips the wait: its pump may be wedged inside the
+// source, and waiting for it would turn a stalled transport into a stalled
+// caller. Closing the publisher makes such a pump's next Publish fail, so it
+// winds down whenever the source returns.
 func (p *Pipe) Close() error {
 	p.pub.Close()
 	p.rcv.Close()
-	p.mu.Lock()
-	severed := p.severed
-	p.mu.Unlock()
-	if !severed {
+	if !p.stalled {
 		p.wg.Wait()
 	}
 	return nil
-}
-
-// Sever force-closes both bus connections without waiting for the pump —
-// the watchdog's lever against a transport that stopped making progress.
-// Closing the receiver ends the subscription channel, so a consumer blocked
-// in NextBlock unblocks into its failure path immediately; closing the
-// publisher makes the pump's next Publish fail so it winds down on its own.
-// A pump wedged inside src.NextBlock cannot be interrupted from outside —
-// it is abandoned and exits whenever that call returns. After Sever, Close no
-// longer waits for the pump.
-func (p *Pipe) Sever() {
-	p.mu.Lock()
-	p.severed = true
-	p.mu.Unlock()
-	p.pub.Close()
-	p.rcv.Close()
 }

@@ -302,7 +302,7 @@ type (
 	// metrics cadence.
 	FleetServiceConfig = fleetd.Config
 	// FleetShardOptions tunes one shard's scheduler (workers, admission
-	// window, quantum, supervision, frame transport); the same type as
+	// window, supervision, frame transport); the same type as
 	// FleetOptions.
 	FleetShardOptions = fleetd.ShardOptions
 	// FleetAdmin is an MQTT control-plane client for a running service.
