@@ -75,7 +75,8 @@ type key struct {
 	zone     home.ZoneID
 }
 
-// Model is a trained ADM for one house.
+// Model is a trained ADM for one house. It is immutable once Train
+// returns, so a trained Model is safe for concurrent readers.
 type Model struct {
 	Algorithm Algorithm
 	house     *home.House
@@ -83,12 +84,9 @@ type Model struct {
 	hulls map[key][]geometry.Hull
 	// trainingPoints retains the raw points for reporting (Fig 6).
 	trainingPoints map[key][]geometry.Point
-	// memo tabulates the stay queries per occupant/zone over the integer
-	// arrival slots of a day — the attack solver's hot path. Built once at
-	// Train time, so a trained Model is safe for concurrent readers.
-	memo map[key]*zoneMemo
-	// bands flattens each occupant's memos into the solver's tabulated
-	// oracle (StayBands), also built once at Train time.
+	// bands[o] tabulates occupant o's stay queries over every zone and
+	// integer arrival slot of a day (see bands.go): the Model's one stay
+	// table, read by its own queries and by the attack solver's hot path.
 	bands []*solver.StayBands
 }
 
@@ -102,7 +100,6 @@ func Train(trace *aras.Trace, cfg Config) (*Model, error) {
 		house:          trace.House,
 		hulls:          make(map[key][]geometry.Hull),
 		trainingPoints: make(map[key][]geometry.Point),
-		memo:           make(map[key]*zoneMemo),
 	}
 	if cfg.Eps == 0 {
 		cfg.Eps = 20
@@ -135,7 +132,6 @@ func Train(trace *aras.Trace, cfg Config) (*Model, error) {
 				return nil, fmt.Errorf("adm: occupant %d zone %v: %w", o, z, err)
 			}
 			m.hulls[k] = hulls
-			m.memo[k] = buildZoneMemo(hulls)
 			trained = true
 		}
 	}
@@ -144,7 +140,7 @@ func Train(trace *aras.Trace, cfg Config) (*Model, error) {
 	}
 	m.bands = make([]*solver.StayBands, len(trace.House.Occupants))
 	for o := range m.bands {
-		m.bands[o] = m.buildStayBands(o, len(trace.House.Zones))
+		m.bands[o] = buildStayBands(m.hulls, o, len(trace.House.Zones))
 	}
 	return m, nil
 }
@@ -188,25 +184,31 @@ func clusterHulls(pts []geometry.Point, cfg Config) ([]geometry.Hull, error) {
 	return hulls, nil
 }
 
-// Hulls returns the cluster hulls for an occupant/zone (nil when the zone
-// was never visited in training).
-func (m *Model) Hulls(occupant int, zone home.ZoneID) []geometry.Hull {
-	return m.hulls[key{occupant: occupant, zone: zone}]
-}
-
-// TrainingPoints returns the raw training points for an occupant/zone.
-func (m *Model) TrainingPoints(occupant int, zone home.ZoneID) []geometry.Point {
-	return m.trainingPoints[key{occupant: occupant, zone: zone}]
+// cell returns the occupant's stay table and the (zone, arrival) cell in
+// it; ok=false when the query lies outside the table (an arrival beyond
+// the day, an unknown occupant or zone), where hull geometry answers.
+func (m *Model) cell(occupant int, zone home.ZoneID, arrivalSlot int) (*solver.StayBands, int, bool) {
+	if occupant < 0 || occupant >= len(m.bands) {
+		return nil, 0, false
+	}
+	b := m.bands[occupant]
+	c, ok := b.Cell(zone, arrivalSlot)
+	return b, c, ok
 }
 
 // WithinCluster reports whether the (arrival, stay) pair falls inside any
 // learned cluster hull for the occupant/zone (Eq 9).
 func (m *Model) WithinCluster(occupant int, zone home.ZoneID, arrivalSlot, stayMinutes int) bool {
-	if zm, ok := m.memoFor(occupant, zone, arrivalSlot); ok {
-		return zm.stayWithin(arrivalSlot, stayMinutes)
+	if b, _, ok := m.cell(occupant, zone, arrivalSlot); ok {
+		return b.InRange(zone, arrivalSlot, stayMinutes)
 	}
+	return hullsContain(m.hulls[key{occupant: occupant, zone: zone}], arrivalSlot, stayMinutes)
+}
+
+// hullsContain is WithinCluster by hull geometry.
+func hullsContain(hulls []geometry.Hull, arrivalSlot, stayMinutes int) bool {
 	p := geometry.Point{X: float64(arrivalSlot), Y: float64(stayMinutes)}
-	for _, h := range m.hulls[key{occupant: occupant, zone: zone}] {
+	for _, h := range hulls {
 		if h.Contains(p) {
 			return true
 		}
@@ -214,31 +216,26 @@ func (m *Model) WithinCluster(occupant int, zone home.ZoneID, arrivalSlot, stayM
 	return false
 }
 
-// memoFor returns the stay-query table for the occupant/zone when the
-// arrival slot is within its tabulated day range. Out-of-range arrivals
-// (callers probing beyond a day boundary) fall back to hull geometry.
-func (m *Model) memoFor(occupant int, zone home.ZoneID, arrivalSlot int) (*zoneMemo, bool) {
-	if arrivalSlot < 0 || arrivalSlot >= aras.SlotsPerDay {
-		return nil, false
-	}
-	zm := m.memo[key{occupant: occupant, zone: zone}]
-	return zm, zm != nil
-}
-
 // StayRange returns the union [min, max] of stealthy stay durations for an
 // arrival time, and ok=false when no cluster covers the arrival time at
 // all. The range may contain gaps between clusters; use InRangeStay to test
 // a specific duration.
 func (m *Model) StayRange(occupant int, zone home.ZoneID, arrivalSlot int) (minStay, maxStay int, ok bool) {
-	if zm, memoOK := m.memoFor(occupant, zone, arrivalSlot); memoOK {
-		if !zm.covered[arrivalSlot] {
+	if b, c, in := m.cell(occupant, zone, arrivalSlot); in {
+		if !b.Covered[c] {
 			return 0, 0, false
 		}
-		return int(zm.minStay[arrivalSlot]), int(zm.maxStay[arrivalSlot]), true
+		return int(b.MinStay[c]), int(b.MaxStay[c]), true
 	}
+	return hullStayRange(m.hulls[key{occupant: occupant, zone: zone}], arrivalSlot)
+}
+
+// hullStayRange is StayRange by hull geometry: the union of the hulls'
+// stay intervals at the arrival.
+func hullStayRange(hulls []geometry.Hull, arrivalSlot int) (minStay, maxStay int, ok bool) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	found := false
-	for _, h := range m.hulls[key{occupant: occupant, zone: zone}] {
+	for _, h := range hulls {
 		l, u, in := h.YRangeAtX(float64(arrivalSlot))
 		if !in {
 			continue
@@ -279,17 +276,6 @@ func (m *Model) InRangeStay(occupant int, zone home.ZoneID, arrivalSlot, stayMin
 // clusters trained like any zone).
 func (m *Model) EpisodeAnomalous(e aras.Episode) bool {
 	return !m.WithinCluster(e.Occupant, e.Zone, e.ArrivalSlot, e.Duration)
-}
-
-// Consistent checks a whole day's occupancy stream for one occupant (Eq 8):
-// every episode must fall within a cluster.
-func (m *Model) Consistent(episodes []aras.Episode) bool {
-	for _, e := range episodes {
-		if m.EpisodeAnomalous(e) {
-			return false
-		}
-	}
-	return true
 }
 
 // HullStats summarises the learned geometry for Fig 6's comparison.

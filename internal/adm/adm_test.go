@@ -154,10 +154,20 @@ func TestStayRangeAnomalousArrival(t *testing.T) {
 	}
 }
 
+// TestConsistent checks Eq 8 on whole days: a day is consistent when none
+// of its episodes is anomalous.
 func TestConsistent(t *testing.T) {
 	m, tr := trainedModel(t, KMeans, 20)
+	consistent := func(eps []aras.Episode) bool {
+		for _, e := range eps {
+			if m.EpisodeAnomalous(e) {
+				return false
+			}
+		}
+		return true
+	}
 	eps := tr.DayEpisodes(5, 0)
-	if !m.Consistent(eps) {
+	if !consistent(eps) {
 		t.Error("K-Means model should accept a training day wholesale")
 	}
 	// Corrupt one episode.
@@ -166,7 +176,7 @@ func TestConsistent(t *testing.T) {
 	bad[0].Zone = home.Bathroom
 	bad[0].ArrivalSlot = 200
 	bad[0].Duration = 400
-	if m.Consistent(bad) {
+	if consistent(bad) {
 		t.Error("corrupted day should be inconsistent")
 	}
 }
@@ -230,23 +240,15 @@ func TestTuneSweeps(t *testing.T) {
 	}
 }
 
-func TestZoneCoverage(t *testing.T) {
-	m, _ := trainedModel(t, KMeans, 20)
-	cov := m.ZoneCoverage(0, 19*60) // 7 PM
-	if len(cov) == 0 {
-		t.Error("evening coverage should be non-empty")
-	}
-}
-
 func TestHullsAccessors(t *testing.T) {
 	m, _ := trainedModel(t, DBSCAN, 15)
-	if len(m.Hulls(0, home.Bedroom)) == 0 {
+	if len(m.hulls[key{occupant: 0, zone: home.Bedroom}]) == 0 {
 		t.Error("bedroom should have hulls")
 	}
-	if m.Hulls(0, home.ZoneID(99)) != nil {
+	if m.hulls[key{occupant: 0, zone: home.ZoneID(99)}] != nil {
 		t.Error("unknown zone should have no hulls")
 	}
-	if len(m.TrainingPoints(0, home.Bedroom)) == 0 {
+	if len(m.trainingPoints[key{occupant: 0, zone: home.Bedroom}]) == 0 {
 		t.Error("bedroom should have training points")
 	}
 }

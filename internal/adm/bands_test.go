@@ -2,36 +2,26 @@ package adm
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/acyd-lab/shatter/internal/aras"
-	"github.com/acyd-lab/shatter/internal/geometry"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/solver"
 )
 
-// geometryWithin is the pre-memo reference implementation of WithinCluster:
-// a direct hull-membership test.
+// geometryWithin is the direct hull-membership reference for WithinCluster.
 func geometryWithin(m *Model, occupant int, zone home.ZoneID, arrival, stay int) bool {
-	p := geometry.Point{X: float64(arrival), Y: float64(stay)}
-	for _, h := range m.hulls[key{occupant: occupant, zone: zone}] {
-		if h.Contains(p) {
-			return true
-		}
-	}
-	return false
+	return hullsContain(m.hulls[key{occupant: occupant, zone: zone}], arrival, stay)
 }
 
-// geometryStayRange is the pre-memo reference implementation of StayRange.
+// geometryStayRange is the direct hull-geometry reference for StayRange.
 func geometryStayRange(m *Model, occupant int, zone home.ZoneID, arrival int) (int, int, bool) {
-	save := m.memo
-	m.memo = nil
-	defer func() { m.memo = save }()
-	return m.StayRange(occupant, zone, arrival)
+	return hullStayRange(m.hulls[key{occupant: occupant, zone: zone}], arrival)
 }
 
-// TestMemoMatchesGeometry asserts the tabulated stay queries agree with the
-// direct hull geometry across the full integer query surface the attack
+// TestMemoMatchesGeometry asserts the Model's tabulated stay queries agree
+// with the direct hull geometry across the integer query surface the attack
 // solver exercises.
 func TestMemoMatchesGeometry(t *testing.T) {
 	for _, alg := range []Algorithm{DBSCAN, KMeans} {
@@ -42,7 +32,7 @@ func TestMemoMatchesGeometry(t *testing.T) {
 					gMin, gMax, gOK := geometryStayRange(m, o, z, arr)
 					mMin, mMax, mOK := m.StayRange(o, z, arr)
 					if gOK != mOK || gMin != mMin || gMax != mMax {
-						t.Fatalf("%v o=%d z=%v arr=%d: StayRange memo (%d,%d,%v) != geometry (%d,%d,%v)",
+						t.Fatalf("%v o=%d z=%v arr=%d: StayRange table (%d,%d,%v) != geometry (%d,%d,%v)",
 							alg, o, z, arr, mMin, mMax, mOK, gMin, gMax, gOK)
 					}
 					if !gOK {
@@ -53,7 +43,7 @@ func TestMemoMatchesGeometry(t *testing.T) {
 							continue
 						}
 						if got, want := m.WithinCluster(o, z, arr, stay), geometryWithin(m, o, z, arr, stay); got != want {
-							t.Fatalf("%v o=%d z=%v arr=%d stay=%d: memo %v != geometry %v",
+							t.Fatalf("%v o=%d z=%v arr=%d stay=%d: table %v != geometry %v",
 								alg, o, z, arr, stay, got, want)
 						}
 					}
@@ -64,7 +54,7 @@ func TestMemoMatchesGeometry(t *testing.T) {
 }
 
 // TestMemoOutOfRangeArrival checks the geometry fallback for arrivals
-// outside the tabulated day range.
+// outside the stay table's day range.
 func TestMemoOutOfRangeArrival(t *testing.T) {
 	m, _ := trainedModel(t, KMeans, 20)
 	if _, _, ok := m.StayRange(0, home.Bedroom, -5); ok {
@@ -75,10 +65,11 @@ func TestMemoOutOfRangeArrival(t *testing.T) {
 	}
 }
 
-// TestStayBandsMatchModel locks the exported flattened table to the Model's
-// own oracle across the full in-day query surface: identical coverage,
-// stay-range bounds, and gap-aware in-range decisions for every occupant,
-// zone, and arrival slot.
+// TestStayBandsMatchModel is the stay table's oracle test: since the Model
+// answers in-day queries from its StayBands, every cell is held to the
+// direct hull geometry over the whole in-day surface — every occupant, zone
+// and arrival slot, with coverage, stay-range bounds and gap-aware in-range
+// decisions at and around the bounds.
 func TestStayBandsMatchModel(t *testing.T) {
 	for _, alg := range []Algorithm{DBSCAN, KMeans} {
 		m, tr := trainedModel(t, alg, 20)
@@ -88,25 +79,20 @@ func TestStayBandsMatchModel(t *testing.T) {
 				t.Fatalf("%v: no bands for occupant %d", alg, o)
 			}
 			for z := home.ZoneID(0); int(z) < len(tr.House.Zones); z++ {
-				for arr := 0; arr < aras.SlotsPerDay; arr += 11 {
-					wantMax, wantOK := m.MaxStay(o, z, arr)
+				for arr := 0; arr < aras.SlotsPerDay; arr++ {
+					wantMin, wantMax, wantOK := geometryStayRange(m, o, z, arr)
 					gotMax, gotOK := b.MaxStayAt(z, arr)
-					if gotOK != wantOK || (wantOK && gotMax != wantMax) {
-						t.Fatalf("%v o=%d z=%v arr=%d: bands MaxStay (%d,%v) != model (%d,%v)",
-							alg, o, z, arr, gotMax, gotOK, wantMax, wantOK)
+					gotMin, _ := b.MinStayAt(z, arr)
+					if gotOK != wantOK || (wantOK && (gotMin != wantMin || gotMax != wantMax)) {
+						t.Fatalf("%v o=%d z=%v arr=%d: bands (%d,%d,%v) != geometry (%d,%d,%v)",
+							alg, o, z, arr, gotMin, gotMax, gotOK, wantMin, wantMax, wantOK)
 					}
-					wantMin, wantMinOK := m.MinStay(o, z, arr)
-					gotMin, gotMinOK := b.MinStayAt(z, arr)
-					if gotMinOK != wantMinOK || (wantMinOK && gotMin != wantMin) {
-						t.Fatalf("%v o=%d z=%v arr=%d: bands MinStay (%d,%v) != model (%d,%v)",
-							alg, o, z, arr, gotMin, gotMinOK, wantMin, wantMinOK)
-					}
-					for _, stay := range []int{0, 1, gotMin, (gotMin + gotMax) / 2, gotMax, gotMax + 1, gotMax + 45} {
+					for _, stay := range []int{0, 1, wantMin - 1, wantMin, (wantMin + wantMax) / 2, wantMax, wantMax + 1, wantMax + 45} {
 						if stay < 0 {
 							continue
 						}
-						if got, want := b.InRange(z, arr, stay), m.InRangeStay(o, z, arr, stay); got != want {
-							t.Fatalf("%v o=%d z=%v arr=%d stay=%d: bands InRange %v != model %v",
+						if got, want := b.InRange(z, arr, stay), geometryWithin(m, o, z, arr, stay); got != want {
+							t.Fatalf("%v o=%d z=%v arr=%d stay=%d: bands InRange %v != geometry %v",
 								alg, o, z, arr, stay, got, want)
 						}
 					}
@@ -162,4 +148,62 @@ func TestBandsDPMatchesModelDP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestModelConcurrentQueries shares one trained Model, and so its stay
+// tables, among 8 goroutines: each walks the query surface (StayRange,
+// EpisodeAnomalous and the StayBands reads, beyond-the-day arrivals
+// included) and every answer must equal a sequential reference taken
+// first. Run under -race it checks that the table is read-only after Train.
+func TestModelConcurrentQueries(t *testing.T) {
+	m, tr := trainedModel(t, DBSCAN, 12)
+	type answer struct {
+		minStay, maxStay int
+		ok, anomalous    bool
+		bandMax          int
+		bandOK, inRange  bool
+	}
+	query := func(o int, z home.ZoneID, arr int) answer {
+		var a answer
+		a.minStay, a.maxStay, a.ok = m.StayRange(o, z, arr)
+		a.anomalous = m.EpisodeAnomalous(aras.Episode{Occupant: o, Zone: z, ArrivalSlot: arr, Duration: a.maxStay})
+		b := m.StayBands(o)
+		a.bandMax, a.bandOK = b.MaxStayAt(z, arr)
+		a.inRange = b.InRange(z, arr, a.minStay)
+		return a
+	}
+	type probe struct {
+		o   int
+		z   home.ZoneID
+		arr int
+	}
+	var probes []probe
+	for o := range tr.House.Occupants {
+		for z := home.ZoneID(0); int(z) < len(tr.House.Zones); z++ {
+			for arr := -3; arr < aras.SlotsPerDay+3; arr += 5 {
+				probes = append(probes, probe{o, z, arr})
+			}
+		}
+	}
+	want := make([]answer, len(probes))
+	for i, p := range probes {
+		want[i] = query(p.o, p.z, p.arr)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine starts at a different probe, so reads of one
+			// cell overlap across goroutines.
+			for k := range probes {
+				i := (k + g*len(probes)/8) % len(probes)
+				if got := query(probes[i].o, probes[i].z, probes[i].arr); got != want[i] {
+					t.Errorf("goroutine %d probe %+v: %+v, sequential %+v", g, probes[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

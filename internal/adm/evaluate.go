@@ -4,7 +4,6 @@ import (
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/cluster"
 	"github.com/acyd-lab/shatter/internal/geometry"
-	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/stats"
 )
 
@@ -105,18 +104,4 @@ func pooledPoints(trace *aras.Trace, occupant int) []geometry.Point {
 		pts = append(pts, geometry.Point{X: float64(e.ArrivalSlot), Y: float64(e.Duration)})
 	}
 	return pts
-}
-
-// ZoneCoverage reports, per zone, how many stealthy minutes of stay the
-// model admits at a given arrival slot — a defender-facing summary of the
-// attack surface each zone exposes.
-func (m *Model) ZoneCoverage(occupant int, arrivalSlot int) map[home.ZoneID]int {
-	out := make(map[home.ZoneID]int)
-	for z := range m.house.Zones {
-		minS, maxS, ok := m.StayRange(occupant, home.ZoneID(z), arrivalSlot)
-		if ok {
-			out[home.ZoneID(z)] = maxS - minS
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package aras
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -284,6 +285,34 @@ func TestCSVRejectsGarbage(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(c), h); err == nil {
 			t.Errorf("case %d: want error for malformed CSV", i)
 		}
+	}
+}
+
+// TestCSVRejectsOutOfRangeIDs holds ReadCSV to the house's tables: a zone
+// outside the house or an activity outside [0, home.NumActivities) fails
+// with the CSV error instead of being stored (or wrapped into a byte-wide
+// ID), and the largest valid IDs decode as written.
+func TestCSVRejectsOutOfRangeIDs(t *testing.T) {
+	h := home.MustHouse("A")
+	const header = "house,A,days,1,occupants,2,appliances,13\n"
+	for _, row := range []string{
+		"0,0,300,9,2,10,0", // zone 300 wraps to 44 in an int8
+		"0,0,5,9,2,10,0",   // house A's zones are 0-4
+		"0,0,-1,9,2,10,0",
+		"0,0,1,9,2,283,0", // activity 283 wraps to 27
+		"0,0,1,27,2,10,0",
+		"0,0,1,-1,2,10,0",
+	} {
+		if _, err := ReadCSV(strings.NewReader(header+row+"\n"), h); !errors.Is(err, errCSV) {
+			t.Errorf("row %q: got %v, want the CSV error", row, err)
+		}
+	}
+	tr, err := ReadCSV(strings.NewReader(header+"0,7,4,26,0,0,0\n"), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z, a := tr.Days[0].Zone[0][7], tr.Days[0].Act[0][7]; z != 4 || a != 26 {
+		t.Errorf("decoded zone %d activity %d, want 4 and 26", z, a)
 	}
 }
 

@@ -40,6 +40,9 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("house,A,days,2,occupants,2,appliances,13\n0,0,z,9,2,10,0\n")
 	f.Add("house,A,days,2,occupants,2,appliances,13\n0,0,1,9,2,10,zz\n")
 	f.Add("house,A,days,1,occupants,2,appliances,13\n0,0,1,9,2,10,1fff\n")
+	// IDs outside the house's tables, which a byte-wide ID would wrap.
+	f.Add("house,A,days,1,occupants,2,appliances,13\n0,0,300,9,2,10,0\n")
+	f.Add("house,A,days,1,occupants,2,appliances,13\n0,0,1,9,2,283,0\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, h := range []*home.House{houseA, houseB} {
@@ -58,6 +61,11 @@ func FuzzReadCSV(f *testing.F) {
 				for o := range got.Days[d].Zone {
 					if len(got.Days[d].Zone[o]) != SlotsPerDay || len(got.Days[d].Act[o]) != SlotsPerDay {
 						t.Fatalf("day %d occupant %d: short slot arrays", d, o)
+					}
+					for s, z := range got.Days[d].Zone[o] {
+						if a := got.Days[d].Act[o][s]; z < 0 || int(z) >= len(h.Zones) || a < 0 || a >= home.NumActivities {
+							t.Fatalf("day %d occupant %d slot %d: zone %d, activity %d outside the house's tables", d, o, s, z, a)
+						}
 					}
 				}
 			}

@@ -202,7 +202,9 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV decodes a trace previously written by WriteCSV. The house must be
-// supplied by the caller (the CSV stores only its name for validation).
+// supplied by the caller (the CSV stores only its name for validation). A
+// zone outside the house or an activity outside [0, home.NumActivities)
+// fails the decode.
 func ReadCSV(r io.Reader, house *home.House) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -253,6 +255,9 @@ func ReadCSV(r io.Reader, house *home.House) (*Trace, error) {
 			a, err2 := strconv.Atoi(row[2+2*o+1])
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("%w: bad zone/activity", errCSV)
+			}
+			if z < 0 || z >= len(house.Zones) || a < 0 || a >= home.NumActivities {
+				return nil, fmt.Errorf("%w: day %d slot %d occupant %d: zone %d or activity %d outside the house's tables", errCSV, d, t, o, z, a)
 			}
 			tr.Days[d].Zone[o][t] = home.ZoneID(z)
 			tr.Days[d].Act[o][t] = home.ActivityID(a)

@@ -3,6 +3,7 @@ package attack
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/acyd-lab/shatter/internal/adm"
@@ -417,9 +418,9 @@ func TestPlannerWorkersDeterministic(t *testing.T) {
 
 // TestPlannerOccupantDayAllocBounds is the allocation-regression gate for
 // the planning hot path: a warm re-plan must stay within a fixed allocation
-// budget per occupant-day (the residue is the plan skeleton, the per-cell
-// closures, and the sanitisation ledger — the ~144 DP windows themselves
-// allocate nothing).
+// budget and a fixed byte budget per occupant-day (the residue is the plan
+// skeleton, the per-cell closures, and the sanitisation ledger — the ~144 DP
+// windows themselves allocate nothing).
 func TestPlannerOccupantDayAllocBounds(t *testing.T) {
 	f := newFixture(t, "A", 8)
 	pl := f.planner(Full(f.trace.House))
@@ -429,20 +430,32 @@ func TestPlannerOccupantDayAllocBounds(t *testing.T) {
 		name   string
 		plan   func() error
 		budget float64 // allocs per occupant-day, ~2x measured headroom
+		bytes  float64 // bytes per occupant-day, ~1.25x measured
 	}{
-		{"SHATTER", func() error { _, err := pl.PlanSHATTER(); return err }, 120},
-		{"Greedy", func() error { _, err := pl.PlanGreedy(); return err }, 110},
+		{"SHATTER", func() error { _, err := pl.PlanSHATTER(); return err }, 42, 18300},
+		{"Greedy", func() error { _, err := pl.PlanGreedy(); return err }, 110, 16800},
 	} {
 		if err := tc.plan(); err != nil { // warm-up
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
+		run := func() {
 			if err := tc.plan(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(3, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / 3
 		if perCell := allocs / cells; perCell > tc.budget {
 			t.Errorf("%s: %.1f allocs per occupant-day, budget %.0f", tc.name, perCell, tc.budget)
+		}
+		if perCell := bytes / cells; perCell > tc.bytes {
+			t.Errorf("%s: %.0f bytes per occupant-day, budget %.0f", tc.name, perCell, tc.bytes)
 		}
 	}
 }
@@ -450,7 +463,7 @@ func TestPlannerOccupantDayAllocBounds(t *testing.T) {
 // oracleActualApplianceOn is the per-slot reference for an appliance's true
 // electrical state under attack: its trace status, or really triggered.
 func oracleActualApplianceOn(trace *aras.Trace, plan *Plan, day, slot, a int) bool {
-	return trace.Days[day].Appliance[a][slot] || plan.Triggered[day][a][slot]
+	return trace.Days[day].Appliance[a][slot] || plan.TriggeredAt(day, a, slot)
 }
 
 // oracleApplianceOn is the per-slot reference for the δ^D rule FalsifyDay
@@ -518,8 +531,11 @@ func overlayPlan(trace *aras.Trace, p *Plan) *Plan {
 			copy(out.RepZone[d][o], p.RepZone[d][o])
 			copy(out.RepAct[d][o], p.RepAct[d][o])
 		}
-		for a := range p.Triggered[d] {
-			copy(out.Triggered[d][a], p.Triggered[d][a])
+		if p.Triggered[d] != nil {
+			out.Triggered[d] = newTriggerGrid(len(p.Triggered[d]))
+			for a := range p.Triggered[d] {
+				copy(out.Triggered[d][a], p.Triggered[d][a])
+			}
 		}
 	}
 	return out
@@ -727,6 +743,100 @@ func TestEvaluateImpactBeyondHorizon(t *testing.T) {
 		plan.FalsifyDay(f.trace.House, d, &in)
 		if !reflect.DeepEqual(in, before) {
 			t.Errorf("day %d: FalsifyDay rewrote a day outside the plan's horizon", d)
+		}
+	}
+}
+
+// TestLazyTriggerGrid holds Plan.Triggered to its nil-day rule: an
+// untriggered plan and its triggering clone carry no grid, TriggerAppliances
+// gives a grid only to the days it triggers, and TriggeredSlots, FalsifyDay
+// and ClearTriggers answer as they do on an eager all-false grid.
+func TestLazyTriggerGrid(t *testing.T) {
+	f := newFixture(t, "A", 6)
+	cap := Full(f.trace.House)
+	shatter, err := f.planner(cap).PlanSHATTER()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd days tell the truth, so Algorithm 1 has nothing to trigger there:
+	// a truthful occupant occupies the zone it reports.
+	plan := newPlan(f.trace, "mixed")
+	for d := 0; d < f.trace.NumDays(); d += 2 {
+		plan.RepZone[d], plan.RepAct[d] = shatter.RepZone[d], shatter.RepAct[d]
+	}
+	for _, p := range []*Plan{shatter, plan, plan.CloneForTriggering()} {
+		for d, grid := range p.Triggered {
+			if grid != nil {
+				t.Fatalf("%s: untriggered plan has a grid on day %d", p.Strategy, d)
+			}
+		}
+	}
+
+	lazy := plan.CloneForTriggering()
+	eager := plan.CloneForTriggering() // every day's grid allocated up front
+	for d := range eager.Triggered {
+		eager.Triggered[d] = newTriggerGrid(len(f.trace.House.Appliances))
+	}
+	n := TriggerAppliances(f.trace, lazy, f.model, cap)
+	if m := TriggerAppliances(f.trace, eager, f.model, cap); m != n || n == 0 {
+		t.Fatalf("triggered %d slots lazily, %d on an eager grid; want equal and positive", n, m)
+	}
+	allocated := 0
+	for d, grid := range lazy.Triggered {
+		onDay := 0
+		for a := range grid {
+			for _, on := range grid[a] {
+				if on {
+					onDay++
+				}
+			}
+		}
+		if (grid != nil) != (onDay > 0) {
+			t.Errorf("day %d: grid allocated %v with %d triggers", d, grid != nil, onDay)
+		}
+		if grid != nil {
+			allocated++
+		}
+		if d%2 == 1 && grid != nil {
+			t.Errorf("truthful day %d has a grid", d)
+		}
+	}
+	if allocated == 0 {
+		t.Fatal("no day triggered")
+	}
+
+	same := func(stage string) {
+		t.Helper()
+		if got, want := lazy.TriggeredSlots(), eager.TriggeredSlots(); got != want {
+			t.Fatalf("%s: TriggeredSlots %d lazily, %d eagerly", stage, got, want)
+		}
+		for d := 0; d < f.trace.NumDays(); d++ {
+			for a := range f.trace.House.Appliances {
+				for s := 0; s < aras.SlotsPerDay; s++ {
+					if lazy.TriggeredAt(d, a, s) != eager.Triggered[d][a][s] {
+						t.Fatalf("%s: day %d appliance %d slot %d differs", stage, d, a, s)
+					}
+				}
+			}
+			got, want := truthDayInput(f.trace, d), truthDayInput(f.trace, d)
+			lazy.FalsifyDay(f.trace.House, d, &got)
+			eager.FalsifyDay(f.trace.House, d, &want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: FalsifyDay differs on day %d", stage, d)
+			}
+		}
+	}
+	same("triggered")
+	// Clearing drops every grid; an eager plan cleared cell by cell holds
+	// all-false grids.
+	lazy.ClearTriggers()
+	for d := range eager.Triggered {
+		eager.Triggered[d] = newTriggerGrid(len(f.trace.House.Appliances))
+	}
+	same("cleared")
+	for d, grid := range lazy.Triggered {
+		if grid != nil {
+			t.Errorf("ClearTriggers kept day %d's grid", d)
 		}
 	}
 }

@@ -20,7 +20,9 @@ type Plan struct {
 	// RepAct[d][o][t] is the reported activity.
 	RepAct [][][]home.ActivityID
 	// Triggered[d][a][t] marks appliance a really switched on by the
-	// attacker at slot t of day d (Algorithm 1).
+	// attacker at slot t of day d (Algorithm 1). A day without a trigger
+	// holds no grid: Triggered[d] stays nil until TriggerAppliances marks a
+	// trigger on day d, so read single slots through TriggeredAt.
 	Triggered [][][]bool
 	// InfeasibleWindows counts optimisation windows that fell back to
 	// truth-telling because no stealthy schedule existed.
@@ -45,33 +47,29 @@ func newPlan(trace *aras.Trace, strategy string) *Plan {
 			p.RepZone[d][o] = append([]home.ZoneID(nil), trace.Days[d].Zone[o]...)
 			p.RepAct[d][o] = append([]home.ActivityID(nil), trace.Days[d].Act[o]...)
 		}
-		p.Triggered[d] = make([][]bool, len(trace.House.Appliances))
-		for a := range p.Triggered[d] {
-			p.Triggered[d][a] = make([]bool, aras.SlotsPerDay)
-		}
 	}
 	return p
 }
 
 // CloneForTriggering returns a copy of the plan that shares the reported
 // occupancy/activity streams (immutable once planning completes) but
-// carries fresh, empty Triggered grids. Algorithm 1 can then mark triggers
-// on the copy while the original remains a cacheable untriggered campaign.
+// carries no triggers. Algorithm 1 can then mark triggers on the copy
+// while the original remains a cacheable untriggered campaign.
 func (p *Plan) CloneForTriggering() *Plan {
-	out := &Plan{
+	return &Plan{
 		Strategy:          p.Strategy,
 		RepZone:           p.RepZone,
 		RepAct:            p.RepAct,
 		Triggered:         make([][][]bool, len(p.Triggered)),
 		InfeasibleWindows: p.InfeasibleWindows,
 	}
-	for d := range p.Triggered {
-		out.Triggered[d] = make([][]bool, len(p.Triggered[d]))
-		for a := range p.Triggered[d] {
-			out.Triggered[d][a] = make([]bool, len(p.Triggered[d][a]))
-		}
-	}
-	return out
+}
+
+// TriggeredAt reports whether the attacker really switched appliance a on
+// at slot t of day d; days beyond the plan and days without a trigger read
+// false.
+func (p *Plan) TriggeredAt(d, a, t int) bool {
+	return d >= 0 && d < len(p.Triggered) && p.Triggered[d] != nil && p.Triggered[d][a][t]
 }
 
 // setReport records a falsified observation, choosing the activity: the
@@ -183,10 +181,12 @@ func (p *Plan) FalsifyDay(house *home.House, day int, in *hvac.DayInput) {
 		copy(in.BelievedZone[o], p.RepZone[day][o])
 		copy(in.BelievedAct[o], p.RepAct[day][o])
 	}
-	for a, col := range in.ActualAppliance {
-		for t, on := range p.Triggered[day][a] {
-			if on {
-				col[t] = true
+	if grid := p.Triggered[day]; grid != nil {
+		for a, col := range in.ActualAppliance {
+			for t, on := range grid[a] {
+				if on {
+					col[t] = true
+				}
 			}
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // "on", so the controller also supplies extra cooling for their heat.
 //
 // It returns the number of appliance-slots triggered and mutates
-// plan.Triggered in place.
+// plan.Triggered in place, giving a day its grid when it marks the day's
+// first trigger.
 func TriggerAppliances(trace *aras.Trace, plan *Plan, model *adm.Model, cap Capability) int {
 	if model == nil {
 		return 0
@@ -48,8 +49,11 @@ func TriggerAppliances(trace *aras.Trace, plan *Plan, model *adm.Model, cap Capa
 					if !cap.CanTrigger(ai, t) {
 						continue
 					}
-					if trace.Days[d].Appliance[ai][t] || plan.Triggered[d][ai][t] {
+					if trace.Days[d].Appliance[ai][t] || plan.TriggeredAt(d, ai, t) {
 						continue
+					}
+					if plan.Triggered[d] == nil {
+						plan.Triggered[d] = newTriggerGrid(len(trace.House.Appliances))
 					}
 					plan.Triggered[d][ai][t] = true
 					total++
@@ -70,14 +74,20 @@ func zoneActuallyOccupied(trace *aras.Trace, day, slot int, z home.ZoneID) bool 
 	return false
 }
 
-// ClearTriggers resets all triggered appliances (used by evaluation to
-// compare with/without triggering on the same schedule, Fig 10).
-func (p *Plan) ClearTriggers() {
-	for d := range p.Triggered {
-		for a := range p.Triggered[d] {
-			for t := range p.Triggered[d][a] {
-				p.Triggered[d][a][t] = false
-			}
-		}
+// newTriggerGrid allocates one day's all-false trigger grid, one
+// aras.SlotsPerDay row per appliance in a single backing array.
+func newTriggerGrid(appliances int) [][]bool {
+	cells := make([]bool, appliances*aras.SlotsPerDay)
+	grid := make([][]bool, appliances)
+	for a := range grid {
+		grid[a] = cells[a*aras.SlotsPerDay : (a+1)*aras.SlotsPerDay : (a+1)*aras.SlotsPerDay]
 	}
+	return grid
+}
+
+// ClearTriggers resets all triggered appliances (used by evaluation to
+// compare with/without triggering on the same schedule, Fig 10): every day
+// drops its grid.
+func (p *Plan) ClearTriggers() {
+	clear(p.Triggered)
 }

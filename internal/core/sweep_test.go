@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/acyd-lab/shatter/internal/scenario"
@@ -140,4 +141,43 @@ func TestScenarioSweepReusesArtifacts(t *testing.T) {
 	if s.Trace("studio") == nil {
 		t.Error("swept world not reachable via Trace")
 	}
+}
+
+// TestSweepRetainedHeap bounds what an analysed home keeps resident: a
+// ScenarioSweep over SynthFleet(24, seed) × 12 days, measured as the
+// post-GC heap with the suite alive minus the same with the suite dropped.
+// The bound is about 1.25× the measured 99 KiB per home-day (byte-wide
+// IDs, one stay table per ADM, trigger grids only on triggered days); with
+// 8-byte IDs, per-ADM zone memos and eager all-false grids the same sweep
+// kept 234 KiB per home-day.
+func TestSweepRetainedHeap(t *testing.T) {
+	const homes, days = 24, 12
+	const boundPerHomeDay = 124 << 10
+	for _, seed := range []uint64{1, 5} {
+		s, err := NewSuite(SuiteConfig{Days: days, TrainDays: 9, Seed: seed, WindowLen: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ScenarioSweep(scenario.SynthFleet(homes, seed)); err != nil {
+			t.Fatal(err)
+		}
+		alive := postGCHeap()
+		runtime.KeepAlive(s)
+		s = nil
+		retained := float64(alive) - float64(postGCHeap())
+		perHomeDay := retained / (homes * days)
+		t.Logf("seed %d: %.1f MiB retained, %.0f KiB per home-day", seed, retained/(1<<20), perHomeDay/(1<<10))
+		if perHomeDay > boundPerHomeDay {
+			t.Errorf("seed %d: sweep retains %.0f KiB per analysed home-day, bound %d KiB", seed, perHomeDay/(1<<10), boundPerHomeDay>>10)
+		}
+	}
+}
+
+// postGCHeap returns the live heap after two forced collections.
+func postGCHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -256,7 +256,7 @@ func (h Hull) YRangeAtX(x float64) (minY, maxY float64, ok bool) {
 // ScanYRangesAtIntegerX reports the hull's y-interval at every integer x in
 // [loX, hiX] that the hull intersects, with the same tolerance semantics as
 // YRangeAtX — but walking the vertex ring directly, so a full scan performs
-// no per-x allocation. Tabulation layers (the ADM's stay-range memo) use
+// no per-x allocation. Tabulation layers (the ADM's stay table) use
 // this to precompute YRangeAtX over a dense integer domain.
 func (h Hull) ScanYRangesAtIntegerX(loX, hiX int, emit func(x int, minY, maxY float64)) {
 	n := len(h.Vertices)

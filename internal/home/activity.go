@@ -3,8 +3,8 @@ package home
 import "fmt"
 
 // ActivityID indexes the 27 ARAS activities. Activity 0 (GoingOut) means
-// the occupant is outside the home.
-type ActivityID int
+// the occupant is outside the home. Like ZoneID it is a signed byte.
+type ActivityID int8
 
 // The 27 ARAS activity labels (Alemdar et al., paper reference [5]).
 const (

@@ -159,3 +159,37 @@ func TestZoneAssignmentPinning(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildHouseZoneBound pins the byte-wide ZoneID's limit: MaxZones
+// zones, Outside included, build with every ID and the zone count intact,
+// and one more zone fails with ErrBadBlueprint instead of wrapping.
+func TestBuildHouseZoneBound(t *testing.T) {
+	withZones := func(n int) Blueprint {
+		bp := eightZone()
+		for len(bp.Zones) < n {
+			bp.Zones = append(bp.Zones, Zone{Name: "Extra", Kind: Bedroom, VolumeFt3: 900, AreaFt2: 100, MaxOccupancy: 2})
+		}
+		return bp
+	}
+	h, err := BuildHouse(withZones(MaxZones - 1))
+	if err != nil {
+		t.Fatalf("%d conditioned zones: %v", MaxZones-1, err)
+	}
+	if len(h.Zones) != MaxZones || int(ZoneID(len(h.Zones))) != MaxZones {
+		t.Fatalf("house has %d zones, ZoneID(len) = %d; want %d", len(h.Zones), ZoneID(len(h.Zones)), MaxZones)
+	}
+	for i, z := range h.Zones {
+		if int(z.ID) != i {
+			t.Fatalf("zone %d has ID %d", i, z.ID)
+		}
+	}
+	if _, err := BuildHouse(withZones(MaxZones)); !errors.Is(err, ErrBadBlueprint) {
+		t.Errorf("%d conditioned zones plus Outside: got %v, want ErrBadBlueprint", MaxZones, err)
+	}
+	bp := withZones(MaxZones - 1)
+	bp.Zones = append([]Zone{{Name: "Outside", MaxOccupancy: 1}}, bp.Zones...)
+	bp.Zones = append(bp.Zones, Zone{Name: "Extra", Kind: Bedroom, VolumeFt3: 900, AreaFt2: 100, MaxOccupancy: 2})
+	if _, err := BuildHouse(bp); !errors.Is(err, ErrBadBlueprint) {
+		t.Errorf("explicit Outside plus %d zones: got %v, want ErrBadBlueprint", MaxZones, err)
+	}
+}

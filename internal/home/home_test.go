@@ -106,7 +106,7 @@ func TestActivityRates(t *testing.T) {
 }
 
 func TestActivityByIDOutOfRange(t *testing.T) {
-	a := ActivityByID(ActivityID(999))
+	a := ActivityByID(ActivityID(127))
 	if a.MET <= 0 {
 		t.Error("fallback activity should have positive MET")
 	}

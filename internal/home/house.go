@@ -61,7 +61,8 @@ type Blueprint struct {
 	// Zones lists the zones in ID order. A leading Outside zone is optional;
 	// BuildHouse inserts the canonical one when absent. Conditioned zones
 	// must carry a Kind (canonical zones may leave it zero; it normalises to
-	// the zone's own ID).
+	// the zone's own ID). A house has at most MaxZones zones, Outside
+	// included.
 	Zones []Zone
 	// Occupants lists the residents; IDs are normalised to slice order.
 	Occupants []Occupant
@@ -158,6 +159,9 @@ func BuildHouse(bp Blueprint) (*House, error) {
 	zones = append(zones, bp.Zones...)
 	if len(zones) < 2 {
 		return nil, fmt.Errorf("%w: house %q has no conditioned zones", ErrBadBlueprint, bp.Name)
+	}
+	if len(zones) > MaxZones {
+		return nil, fmt.Errorf("%w: house %q has %d zones, Outside included; at most %d fit a ZoneID", ErrBadBlueprint, bp.Name, len(zones), MaxZones)
 	}
 	for i := range zones {
 		z := &zones[i]

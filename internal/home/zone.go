@@ -9,8 +9,15 @@ import "fmt"
 
 // ZoneID indexes the zones of an ARAS-style home. Zone 0 is "outside the
 // home" (no conditioning); zones 1-4 are the conditioned spaces, matching
-// the paper's case-study numbering (Z-1 Bedroom … Z-4 Bathroom).
-type ZoneID int
+// the paper's case-study numbering (Z-1 Bedroom … Z-4 Bathroom). It is a
+// byte wide, so a house has at most MaxZones zones; it is signed so that
+// ZoneID(-1) can mark "no zone" and JSON holds it as a number.
+type ZoneID int8
+
+// MaxZones bounds a house's zone count, Outside included: BuildHouse
+// rejects a larger blueprint, so every zone ID and the zone count itself
+// fit a ZoneID.
+const MaxZones = 127
 
 // The canonical ARAS zone layout.
 const (

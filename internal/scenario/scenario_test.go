@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -180,6 +181,32 @@ func TestSynthShapes(t *testing.T) {
 	}
 	if Synth(0, 0, 1).ID != SynthID(0, 0, 1) {
 		t.Errorf("SynthID clamp mismatch: %q vs %q", Synth(0, 0, 1).ID, SynthID(0, 0, 1))
+	}
+}
+
+// TestSynthZoneBound holds procedural homes to the byte-wide ZoneID: a
+// synth home with home.MaxZones zones, Outside included, builds with every
+// zone ID in order, and "synth:200x2" fails with home.ErrBadBlueprint when
+// its house is built instead of wrapping its zone IDs.
+func TestSynthZoneBound(t *testing.T) {
+	h, err := Synth(home.MaxZones-1, 2, 1).Build()
+	if err != nil {
+		t.Fatalf("%d conditioned zones: %v", home.MaxZones-1, err)
+	}
+	for i, z := range h.Zones {
+		if int(z.ID) != i {
+			t.Fatalf("zone %d has ID %d", i, z.ID)
+		}
+	}
+	sp, err := Parse("synth:200x2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Build(); !errors.Is(err, home.ErrBadBlueprint) {
+		t.Errorf("synth:200x2 Build: got %v, want home.ErrBadBlueprint", err)
+	}
+	if err := sp.Validate(); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("synth:200x2 Validate: got %v, want ErrBadSpec", err)
 	}
 }
 

@@ -43,9 +43,9 @@ type StayBands struct {
 	Tol float64
 }
 
-// cell resolves a (zone, arrival) query to a table index; ok=false for
+// Cell resolves a (zone, arrival) query to a table index; ok=false for
 // queries outside the tabulated surface.
-func (b *StayBands) cell(z home.ZoneID, arrival int) (int, bool) {
+func (b *StayBands) Cell(z home.ZoneID, arrival int) (int, bool) {
 	if arrival < 0 || arrival >= b.Slots || z < 0 {
 		return 0, false
 	}
@@ -58,7 +58,7 @@ func (b *StayBands) cell(z home.ZoneID, arrival int) (int, bool) {
 
 // MaxStayAt mirrors Oracle.MaxStay for the table's occupant.
 func (b *StayBands) MaxStayAt(z home.ZoneID, arrival int) (int, bool) {
-	c, ok := b.cell(z, arrival)
+	c, ok := b.Cell(z, arrival)
 	if !ok || !b.Covered[c] {
 		return 0, false
 	}
@@ -67,7 +67,7 @@ func (b *StayBands) MaxStayAt(z home.ZoneID, arrival int) (int, bool) {
 
 // MinStayAt mirrors adm.Model.MinStay (Algorithm 1's threshold).
 func (b *StayBands) MinStayAt(z home.ZoneID, arrival int) (int, bool) {
-	c, ok := b.cell(z, arrival)
+	c, ok := b.Cell(z, arrival)
 	if !ok || !b.Covered[c] {
 		return 0, false
 	}
@@ -77,7 +77,7 @@ func (b *StayBands) MinStayAt(z home.ZoneID, arrival int) (int, bool) {
 // InRange mirrors Oracle.InRangeStay: whether exiting after stay minutes is
 // stealthy for the arrival, gap-aware across the cell's hull intervals.
 func (b *StayBands) InRange(z home.ZoneID, arrival, stay int) bool {
-	c, ok := b.cell(z, arrival)
+	c, ok := b.Cell(z, arrival)
 	if !ok {
 		return false
 	}
@@ -132,7 +132,7 @@ func OptimizeWindowBands(ws *Workspace, w Window, bands *StayBands, cost CostFn,
 
 	// startLenient: see OptimizeWindowWS.
 	startCovered := false
-	if c, ok := bands.cell(w.StartZone, w.StartArrival); ok {
+	if c, ok := bands.Cell(w.StartZone, w.StartArrival); ok {
 		startCovered = covered[c]
 	}
 

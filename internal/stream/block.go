@@ -47,12 +47,12 @@ type BlockSource = Source
 func (b *DayBlock) ensure(occupants, appliances int) {
 	b.TempF = growFloats(b.TempF)
 	b.CO2PPM = growFloats(b.CO2PPM)
-	b.TrueZone = growZoneCols(b.TrueZone, occupants)
-	b.RepZone = growZoneCols(b.RepZone, occupants)
-	b.TrueAct = growActCols(b.TrueAct, occupants)
-	b.RepAct = growActCols(b.RepAct, occupants)
-	b.TrueAppliance = growBoolCols(b.TrueAppliance, appliances)
-	b.RepAppliance = growBoolCols(b.RepAppliance, appliances)
+	b.TrueZone = growCols(b.TrueZone, occupants)
+	b.RepZone = growCols(b.RepZone, occupants)
+	b.TrueAct = growCols(b.TrueAct, occupants)
+	b.RepAct = growCols(b.RepAct, occupants)
+	b.TrueAppliance = growCols(b.TrueAppliance, appliances)
+	b.RepAppliance = growCols(b.RepAppliance, appliances)
 }
 
 // shapeErr verifies the block matches a home's occupant/appliance shape with
@@ -85,7 +85,8 @@ func (b *DayBlock) shapeErr(occupants, appliances int) error {
 
 // ErrBadBlockID is returned by IngestDay for a block whose occupancy
 // columns hold a zone or activity ID outside the home's tables. The block
-// codec checks only a frame's checksum and shape, so such a frame decodes.
+// codec checks a frame's checksum, its shape and that every ID fits int8,
+// so a frame with such an ID decodes.
 var ErrBadBlockID = errors.New("stream: day block ID out of range")
 
 // idErr verifies every occupancy column holds IDs the home's tables can
@@ -194,44 +195,14 @@ func growFloats(b []float64) []float64 {
 	return b[:aras.SlotsPerDay]
 }
 
-func growZoneCols(cols [][]home.ZoneID, n int) [][]home.ZoneID {
+func growCols[T any](cols [][]T, n int) [][]T {
 	if cap(cols) < n {
-		cols = make([][]home.ZoneID, n)
+		cols = make([][]T, n)
 	}
 	cols = cols[:n]
 	for i := range cols {
 		if cap(cols[i]) < aras.SlotsPerDay {
-			cols[i] = make([]home.ZoneID, aras.SlotsPerDay)
-		} else {
-			cols[i] = cols[i][:aras.SlotsPerDay]
-		}
-	}
-	return cols
-}
-
-func growActCols(cols [][]home.ActivityID, n int) [][]home.ActivityID {
-	if cap(cols) < n {
-		cols = make([][]home.ActivityID, n)
-	}
-	cols = cols[:n]
-	for i := range cols {
-		if cap(cols[i]) < aras.SlotsPerDay {
-			cols[i] = make([]home.ActivityID, aras.SlotsPerDay)
-		} else {
-			cols[i] = cols[i][:aras.SlotsPerDay]
-		}
-	}
-	return cols
-}
-
-func growBoolCols(cols [][]bool, n int) [][]bool {
-	if cap(cols) < n {
-		cols = make([][]bool, n)
-	}
-	cols = cols[:n]
-	for i := range cols {
-		if cap(cols[i]) < aras.SlotsPerDay {
-			cols[i] = make([]bool, aras.SlotsPerDay)
+			cols[i] = make([]T, aras.SlotsPerDay)
 		} else {
 			cols[i] = cols[i][:aras.SlotsPerDay]
 		}

@@ -29,7 +29,9 @@ import (
 //	u16 slots      must equal aras.SlotsPerDay
 //	TempF          slots x u64 (IEEE-754 bits)
 //	CO2PPM         slots x u64
-//	per occupant   TrueZone, TrueAct, RepZone, RepAct: slots x i16 each
+//	per occupant   TrueZone, TrueAct, RepZone, RepAct: slots x i16 each; the
+//	               IDs are int8 in memory, so the decoder rejects any value
+//	               outside int8
 //	per appliance  TrueAppliance, RepAppliance: packed bitset, (slots+7)/8 bytes
 //	               each, LSB first: slot t is bit t%8 (value 1<<(t%8)) of byte t/8
 const blockFrameVersion = 1
@@ -104,19 +106,10 @@ func AppendBlockFrame(dst []byte, b *DayBlock, epoch int) ([]byte, error) {
 		dst = appendU64(dst, math.Float64bits(v))
 	}
 	for o := 0; o < occ; o++ {
-		var err error
-		if dst, err = appendZoneCol(dst, b.TrueZone[o]); err != nil {
-			return dst[:base], err
-		}
-		if dst, err = appendActCol(dst, b.TrueAct[o]); err != nil {
-			return dst[:base], err
-		}
-		if dst, err = appendZoneCol(dst, b.RepZone[o]); err != nil {
-			return dst[:base], err
-		}
-		if dst, err = appendActCol(dst, b.RepAct[o]); err != nil {
-			return dst[:base], err
-		}
+		dst = appendIDCol(dst, b.TrueZone[o])
+		dst = appendIDCol(dst, b.TrueAct[o])
+		dst = appendIDCol(dst, b.RepZone[o])
+		dst = appendIDCol(dst, b.RepAct[o])
 	}
 	for a := 0; a < appl; a++ {
 		dst = appendBitset(dst, b.TrueAppliance[a])
@@ -132,8 +125,9 @@ func AppendBlockFrame(dst []byte, b *DayBlock, epoch int) ([]byte, error) {
 // DecodeBlockFrame decodes a binary day-block frame into dst (reusing its
 // column storage) and returns the frame's publishing epoch. Every
 // structural defect — bad magic, truncation, trailing bytes, checksum
-// mismatch, out-of-range fields — errors with ErrBadBlockFrame; the decoder
-// never panics and never returns a half-filled block as valid.
+// mismatch, out-of-range fields, a zone or activity ID outside int8 —
+// errors with ErrBadBlockFrame; the decoder never panics and never returns
+// a half-filled block as valid.
 func DecodeBlockFrame(dst *DayBlock, data []byte) (int, error) {
 	if len(data) < 16 {
 		return 0, fmt.Errorf("%w: %d-byte frame", ErrBadBlockFrame, len(data))
@@ -184,10 +178,10 @@ func DecodeBlockFrame(dst *DayBlock, data []byte) (int, error) {
 		dst.CO2PPM[t] = math.Float64frombits(cur.u64())
 	}
 	for o := 0; o < occ; o++ {
-		cur.zoneCol(dst.TrueZone[o])
-		cur.actCol(dst.TrueAct[o])
-		cur.zoneCol(dst.RepZone[o])
-		cur.actCol(dst.RepAct[o])
+		idCol(&cur, dst.TrueZone[o])
+		idCol(&cur, dst.TrueAct[o])
+		idCol(&cur, dst.RepZone[o])
+		idCol(&cur, dst.RepAct[o])
 	}
 	for a := 0; a < appl; a++ {
 		cur.bitset(dst.TrueAppliance[a])
@@ -195,6 +189,9 @@ func DecodeBlockFrame(dst *DayBlock, data []byte) (int, error) {
 	}
 	if cur.bad || len(cur.buf) != cur.off {
 		return 0, fmt.Errorf("%w: truncated or trailing column data", ErrBadBlockFrame)
+	}
+	if cur.wideID {
+		return 0, fmt.Errorf("%w: zone or activity ID outside int8", ErrBadBlockFrame)
 	}
 	return epoch, nil
 }
@@ -222,24 +219,12 @@ func appendU64(dst []byte, v uint64) []byte {
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendZoneCol(dst []byte, col []home.ZoneID) ([]byte, error) {
-	for _, z := range col {
-		if z < math.MinInt16 || z > math.MaxInt16 {
-			return dst, fmt.Errorf("stream: zone ID %d out of frame range", z)
-		}
-		dst = appendU16(dst, uint16(int16(z)))
+// appendIDCol writes a zone or activity column as i16s.
+func appendIDCol[ID home.ZoneID | home.ActivityID](dst []byte, col []ID) []byte {
+	for _, v := range col {
+		dst = appendU16(dst, uint16(int16(v)))
 	}
-	return dst, nil
-}
-
-func appendActCol(dst []byte, col []home.ActivityID) ([]byte, error) {
-	for _, a := range col {
-		if a < math.MinInt16 || a > math.MaxInt16 {
-			return dst, fmt.Errorf("stream: activity ID %d out of frame range", a)
-		}
-		dst = appendU16(dst, uint16(int16(a)))
-	}
-	return dst, nil
+	return dst
 }
 
 // appendBitset packs a bool column LSB-first: slot t is bit t%8 of byte
@@ -267,12 +252,14 @@ func bit(on bool) byte {
 	return 0
 }
 
-// reader is a bounds-checked big-endian cursor; any overrun latches bad
-// instead of panicking, so the decoder validates once at the end.
+// reader is a bounds-checked big-endian cursor; any overrun latches bad,
+// and an i16 ID outside int8 latches wideID, instead of panicking, so the
+// decoder validates once at the end.
 type reader struct {
-	buf []byte
-	off int
-	bad bool
+	buf    []byte
+	off    int
+	bad    bool
+	wideID bool
 }
 
 func (r *reader) take(n int) []byte {
@@ -311,23 +298,18 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) bytes(n int) []byte { return r.take(n) }
 
-func (r *reader) zoneCol(col []home.ZoneID) {
+// idCol reads an appendIDCol column.
+func idCol[ID home.ZoneID | home.ActivityID](r *reader, col []ID) {
 	b := r.take(2 * len(col))
 	if b == nil {
 		return
 	}
 	for t := range col {
-		col[t] = home.ZoneID(int16(binary.BigEndian.Uint16(b[2*t:])))
-	}
-}
-
-func (r *reader) actCol(col []home.ActivityID) {
-	b := r.take(2 * len(col))
-	if b == nil {
-		return
-	}
-	for t := range col {
-		col[t] = home.ActivityID(int16(binary.BigEndian.Uint16(b[2*t:])))
+		v := int16(binary.BigEndian.Uint16(b[2*t:]))
+		if int16(int8(v)) != v {
+			r.wideID = true
+		}
+		col[t] = ID(v)
 	}
 }
 

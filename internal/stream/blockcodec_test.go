@@ -3,8 +3,10 @@ package stream
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
@@ -188,14 +190,47 @@ func TestBlockFrameEncodeRejects(t *testing.T) {
 		t.Error("negative day accepted")
 	}
 	blk.Day = 0
-	blk.TrueZone[0][5] = 1 << 20
-	if _, err := AppendBlockFrame(nil, blk, 0); err == nil {
-		t.Error("zone ID beyond int16 accepted")
-	}
-	blk.TrueZone[0][5] = 0
 	short := &DayBlock{Home: "A"}
 	if _, err := AppendBlockFrame(nil, short, 0); err == nil {
 		t.Error("short-column block accepted")
+	}
+}
+
+// wideIDFrame returns a valid house-A frame whose occupant-0 column col
+// (0 TrueZone, 1 TrueAct, 2 RepZone, 3 RepAct) holds the i16 v at slot 5,
+// under a recomputed CRC: a frame no encoder of byte-wide IDs produces.
+func wideIDFrame(t testing.TB, col int, v int16) []byte {
+	t.Helper()
+	blk := codecBlocks(t, "A", 1)[0]
+	frame, err := AppendBlockFrame(nil, blk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 16 + 4 + 4 + 2 // frame header, epoch, day, homeLen
+	off := header + len(blk.Home) + 3*2 + 2*aras.SlotsPerDay*8 + (col*aras.SlotsPerDay+5)*2
+	binary.BigEndian.PutUint16(frame[off:], uint16(v))
+	binary.BigEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(frame[16:]))
+	return frame
+}
+
+// TestBlockFrameDecodeRejectsWideID holds the decoder to the byte-wide ID
+// columns: an i16 zone or activity outside int8 under a valid CRC fails
+// with ErrBadBlockFrame instead of wrapping, and the int8 extremes decode.
+func TestBlockFrameDecodeRejectsWideID(t *testing.T) {
+	var dst DayBlock
+	for _, c := range []struct {
+		col int
+		v   int16
+	}{{0, 300}, {1, 128}, {2, -129}, {3, -200}} {
+		if _, err := DecodeBlockFrame(&dst, wideIDFrame(t, c.col, c.v)); !errors.Is(err, ErrBadBlockFrame) {
+			t.Errorf("column %d ID %d: got %v, want ErrBadBlockFrame", c.col, c.v, err)
+		}
+	}
+	if _, err := DecodeBlockFrame(&dst, wideIDFrame(t, 0, 127)); err != nil || dst.TrueZone[0][5] != 127 {
+		t.Errorf("zone 127: got %v, zone %d", err, dst.TrueZone[0][5])
+	}
+	if _, err := DecodeBlockFrame(&dst, wideIDFrame(t, 1, -128)); err != nil || dst.TrueAct[0][5] != -128 {
+		t.Errorf("activity -128: got %v, activity %d", err, dst.TrueAct[0][5])
 	}
 }
 
@@ -222,6 +257,7 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add([]byte("SHBLOK1\n"))
 	f.Add([]byte{})
+	f.Add(wideIDFrame(f, 0, 300))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dst DayBlock

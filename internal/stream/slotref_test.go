@@ -133,7 +133,7 @@ func (inj *Injector) Rewrite(s *Slot) {
 	// Really-triggered appliances are actually on: they draw power and
 	// their status sensors read "on" honestly.
 	for a := range s.TrueAppliance {
-		if inj.plan.Triggered[d][a][t] {
+		if inj.plan.TriggeredAt(d, a, t) {
 			s.TrueAppliance[a] = true
 		}
 	}

@@ -312,7 +312,7 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 // actualApplianceOn is the per-slot reference for an appliance's true
 // electrical state under attack: its trace status, or really triggered.
 func actualApplianceOn(tr *aras.Trace, plan *attack.Plan, day, slot, a int) bool {
-	return tr.Days[day].Appliance[a][slot] || plan.Triggered[day][a][slot]
+	return tr.Days[day].Appliance[a][slot] || plan.TriggeredAt(day, a, slot)
 }
 
 // believedApplianceOn is the per-slot reference for the δ^D rule: appliance
