@@ -134,9 +134,8 @@ func serve(args []string) error {
 		MetricsEvery: *metricsEvery,
 	}
 	if *mqttFrames {
+		// A broker restart fails a home's attempt; supervision retries it.
 		fcfg.Shard.Broker = broker.Addr()
-		// Home pipes ride broker restarts via session resume.
-		fcfg.Shard.Dial = mqtt.DialOptions{Redial: true}
 	}
 	svc, err := core.NewFleetService(suite, fcfg)
 	if err != nil {

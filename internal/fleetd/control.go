@@ -87,12 +87,11 @@ type controlPlane struct {
 	wg     sync.WaitGroup
 }
 
-func newControlPlane(svc *Service, broker string, dial mqtt.DialOptions, every time.Duration) (*controlPlane, error) {
+func newControlPlane(svc *Service, broker string, every time.Duration) (*controlPlane, error) {
 	// The control plane rides through broker restarts: the client redials
-	// with the data path's backoff schedule and re-registers the admin
-	// subscription itself, so the serve loop below survives an outage.
-	dial.Redial = true
-	client, err := mqtt.DialWithOptions(broker, dial)
+	// with the default backoff and re-registers the admin subscription
+	// itself, so the serve loop below survives an outage.
+	client, err := mqtt.DialWithOptions(broker, mqtt.DialOptions{Redial: true})
 	if err != nil {
 		return nil, err
 	}
@@ -256,10 +255,12 @@ type Admin struct {
 }
 
 // NewAdmin connects an admin client to the service's broker. The
-// connection redials with the same backoff DialOptions the data path uses,
-// re-establishing the private reply-topic subscription (and any Watch
-// feed) after a broker restart — requests issued while the broker is down
-// fail fast with a disconnected error and succeed again after resume.
+// connection redials with dial's backoff, re-establishing the private
+// reply-topic subscription (and any Watch feed) after a broker restart —
+// requests issued while the broker is down fail fast with a disconnected
+// error and succeed again after resume. The reply subscription and every
+// request travel on this one connection, which the broker serves in order,
+// so the subscription is registered before the first request is routed.
 func NewAdmin(broker string, dial mqtt.DialOptions) (*Admin, error) {
 	dial.Redial = true
 	client, err := mqtt.DialWithOptions(broker, dial)
@@ -276,36 +277,15 @@ func NewAdmin(broker string, dial mqtt.DialOptions) (*Admin, error) {
 		client.Close()
 		return nil, err
 	}
-	ready := make(chan struct{})
-	go a.dispatch(ch, ready)
-	// Same loopback-probe handshake as the service side: prove the reply
-	// subscription is registered before the first request goes out.
-	if err := client.Publish(a.reply, Response{ID: verbProbe}); err != nil {
-		client.Close()
-		return nil, err
-	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		client.Close()
-		return nil, fmt.Errorf("fleetd: admin reply probe lost")
-	}
+	go a.dispatch(ch)
 	return a, nil
 }
 
 // dispatch routes responses to their waiting requests.
-func (a *Admin) dispatch(ch <-chan mqtt.Message, ready chan<- struct{}) {
-	probed := false
+func (a *Admin) dispatch(ch <-chan mqtt.Message) {
 	for msg := range ch {
 		var resp Response
 		if err := json.Unmarshal(msg.Payload, &resp); err != nil {
-			continue
-		}
-		if resp.ID == verbProbe {
-			if !probed {
-				probed = true
-				close(ready)
-			}
 			continue
 		}
 		a.mu.Lock()

@@ -70,7 +70,6 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}
 			if mqttFrames {
 				opts.Broker = broker.Addr()
-				opts.Dial = mqtt.DialOptions{Redial: true}
 			}
 			svc, err := NewService(Config{Shards: 2, Shard: opts, StateDir: stateDir, Jobs: synthFactory})
 			if err != nil {
@@ -237,8 +236,9 @@ func TestServiceRemovedAndFinishedSurviveRestart(t *testing.T) {
 }
 
 // TestServiceBrokerOutageChaos runs the fleet's MQTT frame transport through
-// repeated broker crash/restart cycles: session-resume pipes plus supervised
-// retries must land every home, byte-identical to an undisturbed run.
+// repeated broker crash/restart cycles: each restart fails the attempts of
+// the homes it cuts off, and supervised retries from their checkpoints must
+// land every home, byte-identical to an undisturbed run.
 func TestServiceBrokerOutageChaos(t *testing.T) {
 	const homes, days = 6, 5
 	req := AddRequest{Synth: homes, Seed: 77, Days: days}
@@ -258,7 +258,6 @@ func TestServiceBrokerOutageChaos(t *testing.T) {
 	svc, err := NewService(Config{Shards: 2, StateDir: t.TempDir(), Shard: ShardOptions{
 		Workers: 2, Recover: true, MaxRetries: 1000,
 		Broker:           broker.Addr(),
-		Dial:             mqtt.DialOptions{Redial: true, Backoff: mqtt.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}},
 		RetryBackoff:     mqtt.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
 		ProgressDeadline: 500 * time.Millisecond,
 	}})

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -424,7 +425,9 @@ func TestServicePauseResume(t *testing.T) {
 // errors.
 func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
 	const homes, days = 3, 2
-	run := func(t *testing.T, opts ShardOptions) (stream.FleetResult, Snapshot) {
+	// run streams the homes with the journal closed; empty homes end their
+	// stream before day 0.
+	run := func(t *testing.T, opts ShardOptions, empty bool) (stream.FleetResult, Snapshot) {
 		t.Helper()
 		release := make(chan struct{})
 		factory := func(req AddRequest) ([]stream.Job, error) {
@@ -433,7 +436,11 @@ func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
 				open := jobs[i].Open
 				jobs[i].Open = func() (stream.Source, *stream.Home, error) {
 					<-release
-					return open()
+					src, h, err := open()
+					if empty {
+						src = emptySource{}
+					}
+					return src, h, err
 				}
 			}
 			return jobs, err
@@ -457,9 +464,8 @@ func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
 		return svc.Result(), svc.Snapshot()
 	}
 	t.Run("done", func(t *testing.T) {
-		// Homes shorter than the checkpoint cadence journal only their done
-		// record.
-		res, snap := run(t, ShardOptions{Workers: 2, CheckpointEvery: days + 1})
+		// Homes that stream no day journal only their done record.
+		res, snap := run(t, ShardOptions{Workers: 2}, true)
 		for _, o := range res.Outcomes {
 			if o.Status != stream.OutcomeCompleted || !strings.Contains(o.Err, errManifestClosed.Error()) {
 				t.Fatalf("outcome %+v does not carry the append error", o)
@@ -471,7 +477,7 @@ func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
 	})
 	t.Run("checkpoint", func(t *testing.T) {
 		res, snap := run(t, ShardOptions{Workers: 2, Recover: true, MaxRetries: 1,
-			RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond}})
+			RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond}}, false)
 		for _, o := range res.Outcomes {
 			// A checkpoint the journal refused is not restored from either.
 			if o.Status != stream.OutcomeQuarantined || o.Attempts != 2 || o.Restores != 0 || o.Days != 1 ||
@@ -485,6 +491,11 @@ func TestServiceJournalErrorsReachOutcomes(t *testing.T) {
 		}
 	})
 }
+
+// emptySource ends its stream before the first day.
+type emptySource struct{}
+
+func (emptySource) NextBlock(*stream.DayBlock) error { return io.EOF }
 
 // TestShardAdmissionWindow checks backpressure: live pipelines never exceed
 // MaxResident even with the whole fleet admitted at once.

@@ -47,7 +47,7 @@ func TestShardOpenClosesSourceOnPipeFailure(t *testing.T) {
 	}
 	src := &closableSource{Source: bsrc}
 	sh := &Shard{
-		opts: ShardOptions{Broker: dead, Dial: mqtt.DialOptions{Timeout: 200 * time.Millisecond}}.withDefaults(),
+		opts: ShardOptions{Broker: dead}.withDefaults(),
 		met:  NewMetrics(),
 	}
 	hr := &homeRun{job: stream.Job{ID: "x", Open: func() (stream.Source, *stream.Home, error) { return src, h, nil }}}

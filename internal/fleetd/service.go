@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/stream"
 )
 
@@ -32,8 +31,6 @@ type Config struct {
 	Broker string
 	// MetricsEvery is the metrics publishing cadence; 0 defaults to 2s.
 	MetricsEvery time.Duration
-	// Dial configures the control-plane connections.
-	Dial mqtt.DialOptions
 
 	// Jobs resolves control-plane add requests; nil rejects them (homes can
 	// still be added programmatically via Add).
@@ -129,7 +126,7 @@ func NewService(cfg Config) (*Service, error) {
 		}
 	}
 	if cfg.Broker != "" {
-		ctl, err := newControlPlane(s, cfg.Broker, cfg.Dial, cfg.MetricsEvery)
+		ctl, err := newControlPlane(s, cfg.Broker, cfg.MetricsEvery)
 		if err != nil {
 			s.Close(false)
 			return nil, err

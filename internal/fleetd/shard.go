@@ -44,12 +44,6 @@ type ShardOptions struct {
 	// RetryBackoff schedules the pause before each retry; retries wait on a
 	// timer, never on a worker.
 	RetryBackoff mqtt.Backoff
-	// CheckpointEvery is the cadence, in days, of the day-boundary
-	// checkpoints a supervised home keeps (0 defaults to 1). Retries, drains
-	// and rehydrates restore from the newest one, held in memory; a service
-	// with a StateDir also journals each one to its manifest, so a restarted
-	// process resumes there.
-	CheckpointEvery int
 	// Deprecated: checkpoints are journaled synchronously to the service's
 	// manifest, and this option is ignored.
 	AsyncCheckpoints bool
@@ -74,11 +68,10 @@ type ShardOptions struct {
 	// Broker, when non-empty, routes every home's frames through the MQTT
 	// broker at this address (per-home home/<id>/sensor topics). Each
 	// home's pipe counts the frames its receiver takes off the bus into the
-	// registry's bus_frames.
+	// registry's bus_frames. A pipe's connection never resumes: a broker
+	// restart fails the attempt, and a supervised home retries from its
+	// last checkpoint.
 	Broker string
-	// Dial configures every broker connection (dial deadline, redial with
-	// backoff, per-frame write deadline).
-	Dial mqtt.DialOptions
 
 	// onDone, when set, observes every home reaching a terminal state on
 	// this shard with its final result and supervision record — the
@@ -105,9 +98,6 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	}
 	if o.Recover && o.ProgressDeadline == 0 && o.Broker != "" {
 		o.ProgressDeadline = 10 * time.Second
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	if o.Clock == nil {
 		o.Clock = stream.RealClock
@@ -345,9 +335,10 @@ func (sh *Shard) claimLocked() *homeRun {
 }
 
 // drive advances one home by one day (or to end-of-stream) and hands it
-// back to the scheduler, with a day-boundary checkpoint every
-// CheckpointEvery days and event metrics from IngestDay's accounting. The verdict-latency position advances to the day's last slot
-// before ingesting — a whole day arrives at once, so the latency metric is
+// back to the scheduler, with a day-boundary checkpoint when the shard is
+// supervised and event metrics from IngestDay's accounting. The
+// verdict-latency position advances to the day's last slot before
+// ingesting — a whole day arrives at once, so the latency metric is
 // day-granular.
 func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	h.began = time.Now()
@@ -390,7 +381,7 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	sh.met.actionEvents.Add(st.ActionEvents)
 	h.days = blk.Day + 1
 	sh.met.days.Add(1)
-	if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
+	if sh.opts.supervised() {
 		if err := sh.checkpoint(h); err != nil {
 			sh.fail(h, err)
 			return
@@ -430,7 +421,6 @@ func (sh *Shard) open(h *homeRun) error {
 	drive := stream.NewFaultSource(src, sh.opts.Chaos.Plan(h.job.ID, h.opens-1), sh.opts.Clock)
 	if sh.opts.Broker != "" {
 		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), drive, stream.PipeOptions{
-			Dial:           sh.opts.Dial,
 			ReceiveTimeout: sh.opts.ProgressDeadline,
 			Epoch:          h.opens - 1,
 		})

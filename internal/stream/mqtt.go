@@ -11,17 +11,14 @@ import (
 	"github.com/acyd-lab/shatter/internal/mqtt"
 )
 
-// Sentinel day values for transport control frames; real frames always
-// carry Day >= 0.
-const (
-	dayEOF   = -1 // end of the home's stream
-	dayProbe = -2 // subscription-registration handshake
-)
+// dayEOF is the Day of the end-of-stream sentinel; real frames always carry
+// Day >= 0.
+const dayEOF = -1
 
-// controlFrame is the JSON envelope of a sensor topic's control traffic:
-// the handshake probe (day -2) or an end-of-stream sentinel (day -1). Epoch
-// names the publishing attempt, so a stale sentinel from a dead attempt can
-// be discarded instead of ending the current one.
+// controlFrame is the JSON envelope of a sensor topic's one control frame,
+// the end-of-stream sentinel (day -1). Epoch names the publishing attempt,
+// so a stale sentinel from a dead attempt can be discarded instead of
+// ending the current one.
 type controlFrame struct {
 	Day   int `json:"day"`
 	Epoch int `json:"epoch"`
@@ -39,18 +36,11 @@ type controlFrame struct {
 // sentinel, or that the transport stopped making progress.
 var ErrReceiveTimeout = errors.New("stream: pipe receive timeout")
 
-// probeTimeout bounds the subscription-registration handshake.
-const probeTimeout = 5 * time.Second
-
-// PipeOptions configures a pipe's transport behaviour. The zero value
-// reproduces the historical defaults: unbounded receive waits and default
-// dial behaviour. A pipe injects no faults of its own: a chaos run hands it
-// a source wrapped by NewFaultSource, the same wrapper the direct path
-// reads.
+// PipeOptions configures a pipe's transport behaviour. The zero value waits
+// forever for each frame. A pipe injects no faults of its own: a chaos run
+// hands it a source wrapped by NewFaultSource, the same wrapper the direct
+// path reads.
 type PipeOptions struct {
-	// Dial configures the pipe's two broker connections (dial deadline,
-	// redial attempts with exponential backoff, per-frame write deadline).
-	Dial mqtt.DialOptions
 	// ReceiveTimeout bounds each NextBlock call as a whole, on real time:
 	// stale and duplicate frames do not restart it. 0 waits forever.
 	// Supervised fleets set it so a lost end-of-stream sentinel or a wedged
@@ -72,15 +62,18 @@ type PipeOptions struct {
 
 // Pipe routes a source through an MQTT broker: a pump goroutine publishes
 // every day block on the topic as one binary frame, and NextBlock
-// re-receives them from a subscription — the wiring a real deployment has
-// between in-home sensor nodes and the supervisory service. Backpressure is
-// per home: the subscription buffer is bounded and TCP flow control stalls
-// the pump when the consumer lags. Duplicate and stale frames on the bus
-// (retransmissions, chaos-injected duplicates) are absorbed by day tracking
-// in NextBlock, so the consumer sees each day at most once, in order.
+// re-receives them from a subscription on the same connection — the wiring
+// a real deployment has between in-home sensor nodes and the supervisory
+// service. Backpressure is per home: the subscription buffer is bounded and
+// TCP flow control stalls the pump when the consumer lags. Duplicate and
+// stale frames on the bus (retransmissions, chaos-injected duplicates) are
+// absorbed by day tracking in NextBlock, so the consumer sees each day at
+// most once, in order. The connection never resumes: when it is lost (a
+// broker restart) the subscription closes and NextBlock fails at once
+// instead of waiting for frames the restarted broker dropped.
 type Pipe struct {
-	pub, rcv *mqtt.Client
-	ch       <-chan mqtt.Message
+	client *mqtt.Client
+	ch     <-chan mqtt.Message
 
 	recvTimeout time.Duration
 	timer       *time.Timer
@@ -98,38 +91,23 @@ type Pipe struct {
 	wg sync.WaitGroup
 }
 
-// OpenPipeOptions subscribes to topic on the broker, confirms registration
-// with a loopback probe, and starts pumping src. The broker processes one
-// connection's frames in order, so the probe's delivery on the subscribing
-// connection proves the subscription precedes any other publisher's
-// traffic. The returned Pipe is the transport-side Source; callers must
-// Close it. Closing the pipe does not close src itself.
+// OpenPipeOptions dials the broker, subscribes to topic, and starts
+// pumping src onto it over the same connection. The broker processes one
+// connection's frames in order, so the subscription is registered before
+// the first frame the pump publishes. The returned Pipe is the
+// transport-side Source; callers must Close it. Closing the pipe does not
+// close src itself.
 func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe, error) {
-	rcv, err := mqtt.DialWithOptions(broker, opts.Dial)
+	client, err := mqtt.Dial(broker)
 	if err != nil {
 		return nil, fmt.Errorf("stream: pipe dial: %w", err)
 	}
-	ch, err := rcv.Subscribe(topic)
+	ch, err := client.Subscribe(topic)
 	if err != nil {
-		rcv.Close()
+		client.Close()
 		return nil, fmt.Errorf("stream: pipe subscribe: %w", err)
 	}
-	if err := rcv.Publish(topic, controlFrame{Day: dayProbe}); err != nil {
-		rcv.Close()
-		return nil, fmt.Errorf("stream: pipe probe: %w", err)
-	}
-	select {
-	case <-ch: // probe delivered: subscription is live
-	case <-time.After(probeTimeout):
-		rcv.Close()
-		return nil, fmt.Errorf("stream: pipe probe lost on %s", topic)
-	}
-	pub, err := mqtt.DialWithOptions(broker, opts.Dial)
-	if err != nil {
-		rcv.Close()
-		return nil, fmt.Errorf("stream: pipe dial: %w", err)
-	}
-	p := &Pipe{pub: pub, rcv: rcv, ch: ch, recvTimeout: opts.ReceiveTimeout, epoch: opts.Epoch, last: -1}
+	p := &Pipe{client: client, ch: ch, recvTimeout: opts.ReceiveTimeout, epoch: opts.Epoch, last: -1}
 	p.wg.Add(1)
 	go p.pumpBlocks(topic, src)
 	return p, nil
@@ -161,20 +139,20 @@ func (p *Pipe) pumpBlocks(topic string, src Source) {
 			p.setErr(fmt.Errorf("stream: pipe encode day %d: %w", blk.Day, err))
 			break
 		}
-		if err := p.pub.PublishRaw(topic, buf); err != nil {
+		if err := p.client.PublishRaw(topic, buf); err != nil {
 			p.publishFailed(err)
 			return
 		}
 	}
-	p.pub.Publish(topic, controlFrame{Day: dayEOF, Epoch: p.epoch, Final: final})
+	p.client.Publish(topic, controlFrame{Day: dayEOF, Epoch: p.epoch, Final: final})
 }
 
-// publishFailed records a dead publisher and tears the receive side down —
-// the sentinel cannot be delivered, so the closed subscription channel is
-// what unblocks NextBlock, which then surfaces the pump error.
+// publishFailed records a dead publisher and closes the connection — the
+// sentinel cannot be delivered, so the closed subscription channel is what
+// unblocks NextBlock, which then surfaces the pump error.
 func (p *Pipe) publishFailed(err error) {
 	p.setErr(fmt.Errorf("stream: pipe publish: %w", err))
-	p.rcv.Close()
+	p.client.Close()
 }
 
 func (p *Pipe) setErr(err error) {
@@ -191,12 +169,13 @@ func (p *Pipe) err() error {
 	return p.pumpErr
 }
 
-// NextBlock implements Source: binary frames decode into dst, JSON frames
-// are the control plane (probes, foreign-epoch stragglers, the
-// end-of-stream sentinel). The pump's sentinel yields io.EOF (or the pump's
-// error). Duplicate and stale frames are skipped so each day is delivered
-// at most once. With a ReceiveTimeout the whole call is bounded: it returns
-// ErrReceiveTimeout and marks the pipe stalled once the deadline passes.
+// NextBlock implements Source: binary frames decode into dst, and a JSON
+// frame is an end-of-stream sentinel, this attempt's or a foreign epoch's
+// straggler. The pump's sentinel yields io.EOF (or the pump's error).
+// Duplicate and stale frames are skipped so each day is delivered at most
+// once. A lost connection fails the call at once. With a ReceiveTimeout the
+// whole call is bounded: it returns ErrReceiveTimeout and marks the pipe
+// stalled once the deadline passes.
 func (p *Pipe) NextBlock(dst *DayBlock) error {
 	if p.recvTimeout <= 0 {
 		return p.next(dst, nil)
@@ -249,8 +228,6 @@ func (p *Pipe) next(dst *DayBlock, expired <-chan time.Time) error {
 			return fmt.Errorf("stream: pipe decode: %w", err)
 		}
 		switch {
-		case c.Day == dayProbe:
-			continue // stray handshake frame
 		case c.Epoch != p.epoch:
 			// A dead attempt's sentinel still flushing out of the broker; it
 			// must not end this stream.
@@ -279,11 +256,10 @@ func (p *Pipe) Frames() int64 { return p.frames }
 // Close tears the transport down and waits for the pump. A pipe whose
 // NextBlock timed out skips the wait: its pump may be wedged inside the
 // source, and waiting for it would turn a stalled transport into a stalled
-// caller. Closing the publisher makes such a pump's next Publish fail, so it
-// winds down whenever the source returns.
+// caller. Closing the connection makes such a pump's next Publish fail, so
+// it winds down whenever the source returns.
 func (p *Pipe) Close() error {
-	p.pub.Close()
-	p.rcv.Close()
+	p.client.Close()
 	if !p.stalled {
 		p.wg.Wait()
 	}

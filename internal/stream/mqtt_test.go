@@ -110,6 +110,44 @@ func TestPipeDeadlineCoversStaleFrames(t *testing.T) {
 	}
 }
 
+// TestPipeFailsFastOnBrokerRestart: a pipe's connection never resumes, so a
+// broker restart fails the next NextBlock at once instead of leaving it to
+// wait out its receive deadline for frames the restarted broker dropped.
+func TestPipeFailsFastOnBrokerRestart(t *testing.T) {
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	stall := &stallingSource{src: traceSrc(t, 1), after: 1, release: make(chan struct{})}
+	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("restart"), stall, PipeOptions{
+		ReceiveTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(stall.release)
+		pipe.Close()
+	}()
+	var b DayBlock
+	if err := pipe.NextBlock(&b); err != nil {
+		t.Fatal(err)
+	}
+	broker.Suspend()
+	if err := broker.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = pipe.NextBlock(&b)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("NextBlock took %v after a broker restart (err %v)", took, err)
+	}
+	if err == nil || errors.Is(err, ErrReceiveTimeout) {
+		t.Fatalf("err = %v, want a lost connection", err)
+	}
+}
+
 // stallingSource delivers `after` day frames then blocks until released.
 type stallingSource struct {
 	src     Source
