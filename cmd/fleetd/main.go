@@ -382,8 +382,7 @@ func printSnapshot(s fleetd.Snapshot) {
 		fmt.Printf("  bus: %d day frames received\n", s.BusFrames)
 	}
 	if s.Verdicts > 0 {
-		fmt.Printf("  detection: %d verdicts (%d anomalous), latency mean %.1f / max %d slots\n",
-			s.Verdicts, s.Anomalies, s.DetectionLatencyMeanSlots, s.DetectionLatencyMaxSlots)
+		fmt.Printf("  detection: %d verdicts (%d anomalous)\n", s.Verdicts, s.Anomalies)
 	}
 	if s.Retries > 0 || s.Restores > 0 || s.Checkpoints > 0 || s.WatchdogTrips > 0 || s.JournalErrors > 0 {
 		fmt.Printf("  resilience: %d retries, %d restores, %d checkpoints, %d watchdog trips, %d journal errors\n",

@@ -351,21 +351,53 @@ func TestServiceReleasesBackedUpPausedPipe(t *testing.T) {
 	}
 }
 
-// heldSource holds its first block until the test closes gate.
+// readHold holds the first read of a job's first attempt.
+type readHold struct {
+	reading chan struct{} // closed when the read starts
+	release chan struct{} // the test closes it to let the read go on
+	fail    error         // when set, the released read returns it
+}
+
+// holdFirstRead wraps job so the first read of its first attempt signals on
+// the returned hold and blocks until the test releases it; later reads and
+// attempts pass straight through.
+func holdFirstRead(job *stream.Job, fail error) *readHold {
+	hold := &readHold{reading: make(chan struct{}), release: make(chan struct{}), fail: fail}
+	open, first := job.Open, true
+	job.Open = func() (stream.Source, *stream.Home, error) {
+		src, h, err := open()
+		if err != nil || !first {
+			return src, h, err
+		}
+		first = false
+		return &heldSource{Source: src, hold: hold}, h, nil
+	}
+	return hold
+}
+
+// heldSource is a first attempt's source under a readHold.
 type heldSource struct {
-	src  stream.Source
-	gate chan struct{}
+	stream.Source
+	hold *readHold
+	held bool
 }
 
 func (s *heldSource) NextBlock(dst *stream.DayBlock) error {
-	<-s.gate // a closed gate never blocks again
-	return s.src.NextBlock(dst)
+	if !s.held {
+		s.held = true
+		close(s.hold.reading)
+		<-s.hold.release
+		if s.hold.fail != nil {
+			return s.hold.fail
+		}
+	}
+	return s.Source.NextBlock(dst)
 }
 
 // TestServicePauseResume parks one home, lets the rest of the fleet finish,
 // and checks the paused home completes identically after Resume. The
-// target streams through a gate that holds its first block until Pause has
-// returned, so it cannot finish before the pause lands.
+// target holds its first read until Pause has returned, so it cannot
+// finish before the pause lands.
 func TestServicePauseResume(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := synthJobs(homes, days, 55)
@@ -373,12 +405,7 @@ func TestServicePauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	open := jobs[homes-1].Open
-	jobs[homes-1].Open = func() (stream.Source, *stream.Home, error) {
-		src, h, err := open()
-		return &heldSource{src: src, gate: gate}, h, err
-	}
+	hold := holdFirstRead(&jobs[homes-1], nil)
 	svc, err := NewService(Config{Shards: 1, Shard: ShardOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +418,7 @@ func TestServicePauseResume(t *testing.T) {
 	if err := svc.Pause(target); err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
+	close(hold.release)
 	// The paused home must not finish while the rest of the fleet does.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -416,6 +443,69 @@ func TestServicePauseResume(t *testing.T) {
 	if err := svc.Resume(target); err == nil {
 		t.Fatal("resuming a finished home should error")
 	}
+}
+
+// TestServiceDrainKeepsPauses: a drain only stops dispatch. It releases a
+// paused home's pipeline without lifting the pause, so the shard's gauges
+// still show the home paused; a home whose day ran into the drain is
+// released to the pending queue and can be paused there. After Rehydrate
+// and Resume both reopen from their drain checkpoints and finish as an
+// uninterrupted run does.
+func TestServiceDrainKeepsPauses(t *testing.T) {
+	const homes, days = 3, 3
+	jobs := synthJobs(homes, days, 66)
+	want, err := RunFleet(jobs, ShardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds := []*readHold{holdFirstRead(&jobs[0], nil), holdFirstRead(&jobs[1], nil)}
+	svc, err := NewService(Config{Shard: ShardOptions{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(false)
+	if err := svc.Add(jobs); err != nil {
+		t.Fatal(err)
+	}
+	sh := svc.shards[0]
+	// Home 0 pauses at the end of its first day and keeps its pipeline.
+	within(t, 10*time.Second, "home 0's first read", func() { <-holds[0].reading })
+	if err := svc.Pause(jobs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	close(holds[0].release)
+	eventually(t, 10*time.Second, "home 0's pause", func() bool { return sh.Status().Paused == 1 })
+	// Home 1's first day is still running when the drain starts.
+	within(t, 10*time.Second, "home 1's first read", func() { <-holds[1].reading })
+	drained := make(chan error, 1)
+	go func() { drained <- svc.DrainShard(0) }()
+	eventually(t, 10*time.Second, "the drain to start", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.draining
+	})
+	close(holds[1].release)
+	within(t, 10*time.Second, "DrainShard", func() {
+		if err := <-drained; err != nil {
+			t.Error(err)
+		}
+	})
+	if st := sh.Status(); st.Paused != 1 || st.Resident != 0 {
+		t.Fatalf("after the drain: %d paused, %d resident; want 1, 0", st.Paused, st.Resident)
+	}
+	if err := svc.Pause(jobs[1].ID); err != nil {
+		t.Fatalf("pausing a home the drain released: %v", err)
+	}
+	if err := svc.RehydrateShard(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs[:2] {
+		if err := svc.Resume(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIdleTimeout(t, svc, time.Minute)
+	checkHomesEqual(t, svc.Result().Homes, want.Homes)
 }
 
 // TestServiceJournalErrorsReachOutcomes: a record the manifest cannot take
@@ -837,6 +927,35 @@ func TestServiceRemove(t *testing.T) {
 	}
 	if err := svc.Remove(jobs[0].ID); err == nil {
 		t.Fatalf("removing a finished home should error")
+	}
+}
+
+// TestServiceRemoveRunningHomeThatFails: a home removed while its day runs
+// ends removed even when that day fails. It is neither retried nor
+// quarantined, so its outcome agrees with the remove an admin journaled.
+func TestServiceRemoveRunningHomeThatFails(t *testing.T) {
+	jobs := synthJobs(1, 2, 42)
+	hold := holdFirstRead(&jobs[0], errors.New("transport lost"))
+	svc, err := NewService(Config{Shard: ShardOptions{Workers: 1, Recover: true,
+		RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: time.Millisecond}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(false)
+	if err := svc.Add(jobs); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 10*time.Second, "the first read", func() { <-hold.reading })
+	if err := svc.Remove(jobs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	close(hold.release)
+	waitIdleTimeout(t, svc, time.Minute)
+	if o := svc.Result().Outcomes[0]; o.Status != OutcomeRemoved {
+		t.Fatalf("outcome %q, want %q", o.Status, OutcomeRemoved)
+	}
+	if snap := svc.Snapshot(); snap.HomesRemoved != 1 || snap.HomesFailed != 0 || snap.Retries != 0 {
+		t.Fatalf("%d removed, %d failed, %d retries; want 1, 0, 0", snap.HomesRemoved, snap.HomesFailed, snap.Retries)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"github.com/acyd-lab/shatter/internal/aras"
 )
 
 // Metrics is the service's live counter registry. Every shard worker bumps
@@ -19,7 +21,6 @@ type Metrics struct {
 	homesFailed    atomic.Int64
 	homesRemoved   atomic.Int64
 	days           atomic.Int64
-	slots          atomic.Int64
 	busFrames      atomic.Int64
 	sensorEvents   atomic.Int64
 	actionEvents   atomic.Int64
@@ -30,14 +31,6 @@ type Metrics struct {
 	checkpoints    atomic.Int64
 	watchdogTrips  atomic.Int64
 	journalErrors  atomic.Int64
-
-	// Detection latency: stream-time distance (in slots, i.e. minutes of
-	// simulated time) between an episode's last slot and the last slot of
-	// the day block whose ingestion produced its verdict. Sum/count/max
-	// give the mean and worst case without storing a histogram.
-	latencySumSlots atomic.Int64
-	latencyCount    atomic.Int64
-	latencyMaxSlots atomic.Int64
 }
 
 // NewMetrics returns a registry with its rate epoch set to now.
@@ -45,29 +38,16 @@ func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now()}
 }
 
-// observeVerdict records a verdict and its stream-time detection latency.
-func (m *Metrics) observeVerdict(lagSlots int64, anomalous bool) {
-	m.verdicts.Add(1)
-	if anomalous {
-		m.anomalies.Add(1)
-	}
-	m.latencySumSlots.Add(lagSlots)
-	m.latencyCount.Add(1)
-	for {
-		cur := m.latencyMaxSlots.Load()
-		if lagSlots <= cur || m.latencyMaxSlots.CompareAndSwap(cur, lagSlots) {
-			return
-		}
-	}
-}
-
 // ShardStatus is one shard's gauge set at snapshot time.
 type ShardStatus struct {
 	Shard int `json:"shard"`
-	// Pending homes are admitted but not yet opened (the admission window
-	// is the fleet's backpressure valve); Resident homes hold live pipeline
+	// Pending homes hold no pipeline state: not yet opened (the admission
+	// window is the fleet's backpressure valve), waiting out a retry
+	// backoff, or released by a drain. Resident homes hold live pipeline
 	// state; Ready homes sit on the run queue at a day boundary; Running
-	// homes are on a worker right now; Paused homes are parked.
+	// homes are on a worker right now; Paused homes are held off the queues,
+	// and a paused home may hold no pipeline (a drain releases it without
+	// lifting the pause).
 	Pending  int `json:"pending"`
 	Resident int `json:"resident"`
 	Ready    int `json:"ready"`
@@ -77,7 +57,8 @@ type ShardStatus struct {
 	Done   int `json:"done"`
 	Failed int `json:"failed"`
 	// Drained reports whether the shard is currently drained (state
-	// persisted to checkpoints, no live pipelines).
+	// persisted to checkpoints, no live pipelines, dispatch off until
+	// Rehydrate).
 	Drained bool `json:"drained"`
 	// ApproxHeapBytes is the service heap prorated by this shard's share of
 	// resident homes — an approximation (Go's heap is global), but it tracks
@@ -119,17 +100,6 @@ type Snapshot struct {
 	DaysPerSec   float64 `json:"days_per_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
-	// DetectionLatencyMeanSlots / MaxSlots are stream-time (simulated
-	// minutes) from an episode's end to the end of the day block that
-	// carried its verdict: a property of the day framing, not of the
-	// detector. Every episode is scored with its own day's block, so a
-	// stay cut at midnight lags 0 slots. `fleetd serve -shards 1 -workers 2
-	// -synth 6 -stream-days 3 -defend -attack` reports a mean of 578.7 and
-	// a max of 1153 slots over 466 verdicts; scoring a day's last episodes
-	// with the next day's block gave 652.9 and 1440.
-	DetectionLatencyMeanSlots float64 `json:"detection_latency_mean_slots"`
-	DetectionLatencyMaxSlots  int64   `json:"detection_latency_max_slots"`
-
 	HeapAllocBytes uint64        `json:"heap_alloc_bytes"`
 	Goroutines     int           `json:"goroutines"`
 	Shards         []ShardStatus `json:"shards"`
@@ -148,7 +118,6 @@ func (m *Metrics) Snapshot(shards []ShardStatus) Snapshot {
 		HomesFailed:    m.homesFailed.Load(),
 		HomesRemoved:   m.homesRemoved.Load(),
 		Days:           m.days.Load(),
-		Slots:          m.slots.Load(),
 		SensorEvents:   m.sensorEvents.Load(),
 		ActionEvents:   m.actionEvents.Load(),
 		Verdicts:       m.verdicts.Load(),
@@ -164,14 +133,11 @@ func (m *Metrics) Snapshot(shards []ShardStatus) Snapshot {
 		Shards:         shards,
 	}
 	s.HomesActive = s.HomesAdded - s.HomesCompleted - s.HomesFailed - s.HomesRemoved
+	s.Slots = s.Days * aras.SlotsPerDay // shards only count whole days
 	if secs := up.Seconds(); secs > 0 {
 		s.HomesPerSec = float64(s.HomesCompleted) / secs
 		s.DaysPerSec = float64(s.Days) / secs
 		s.EventsPerSec = float64(s.SensorEvents+s.ActionEvents+s.Verdicts) / secs
-	}
-	if n := m.latencyCount.Load(); n > 0 {
-		s.DetectionLatencyMeanSlots = float64(m.latencySumSlots.Load()) / float64(n)
-		s.DetectionLatencyMaxSlots = m.latencyMaxSlots.Load()
 	}
 	// Prorate the (global) heap across shards by resident share so the
 	// per-shard figure reflects who holds the live pipelines.

@@ -442,7 +442,8 @@ func (s *Service) DrainShard(i int) error {
 	return sh.Drain()
 }
 
-// RehydrateShard readmits a drained shard's homes from their checkpoints.
+// RehydrateShard restarts a drained shard's dispatch; its released homes
+// reopen from their drain checkpoints.
 func (s *Service) RehydrateShard(i int) error {
 	sh, err := s.shard(i)
 	if err != nil {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/adm"
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/stream"
 )
@@ -114,21 +112,16 @@ type homeState uint8
 
 const (
 	// statePending: admitted to the shard but holding no pipeline state —
-	// freshly added, awaiting a retry timer, or waiting out the admission
-	// window.
+	// freshly added, awaiting a retry timer, waiting out the admission
+	// window, or released by a drain.
 	statePending homeState = iota
 	// stateReady: resident at a day boundary, queued for a worker.
 	stateReady
 	// stateRunning: a worker is driving the home's next day.
 	stateRunning
-	// stateParked: resident at a day boundary, held off the run queue by a
-	// drain in progress.
-	stateParked
-	// statePaused: resident (or pending) and explicitly paused.
+	// statePaused: explicitly paused, resident or not (a drain releases a
+	// paused home's pipeline and keeps the pause).
 	statePaused
-	// stateDrained: progress persisted to a checkpoint, pipeline released;
-	// Rehydrate readmits the home.
-	stateDrained
 	// stateDone, stateFailed, stateRemoved are terminal.
 	stateDone
 	stateFailed
@@ -136,9 +129,9 @@ const (
 )
 
 // homeRun is one home's scheduling record. Pipeline fields (src, drive,
-// home, pos, days, …) are only touched by the worker currently driving the
-// home or, for parked/drained homes, under the shard lock with no worker
-// attached — a home is never on two workers at once.
+// home, days, …) are only touched by the worker currently driving the home
+// or, for idle homes, under the shard lock with no worker attached — a home
+// is never on two workers at once.
 type homeRun struct {
 	job   stream.Job
 	state homeState
@@ -147,7 +140,6 @@ type homeRun struct {
 	drive stream.Source // transport-wrapped source the scheduler pulls
 
 	home *stream.Home
-	pos  int // last ingested absolute slot, for verdict latency
 	days int // completed days
 
 	opens    int // pipeline openings (attempt epoch for the MQTT pipe)
@@ -295,8 +287,8 @@ func (sh *Shard) next() *homeRun {
 }
 
 // claimLocked pops the next runnable home under the shard lock. Queue
-// entries whose state moved on since they were enqueued (removed, drained)
-// are stale and skipped.
+// entries whose state moved on since they were enqueued (removed) are stale
+// and skipped.
 func (sh *Shard) claimLocked() *homeRun {
 	for len(sh.ready) > 0 {
 		h := sh.ready[0]
@@ -304,8 +296,6 @@ func (sh *Shard) claimLocked() *homeRun {
 		switch {
 		case h.state != stateReady:
 			// stale entry
-		case h.removeReq:
-			sh.discardLocked(h)
 		case h.pauseReq:
 			h.state = statePaused
 		default:
@@ -320,8 +310,6 @@ func (sh *Shard) claimLocked() *homeRun {
 		switch {
 		case h.state != statePending:
 			// stale entry
-		case h.removeReq:
-			sh.discardLocked(h)
 		case h.pauseReq:
 			h.state = statePaused
 		default:
@@ -336,10 +324,7 @@ func (sh *Shard) claimLocked() *homeRun {
 
 // drive advances one home by one day (or to end-of-stream) and hands it
 // back to the scheduler, with a day-boundary checkpoint when the shard is
-// supervised and event metrics from IngestDay's accounting. The
-// verdict-latency position advances to the day's last slot before
-// ingesting — a whole day arrives at once, so the latency metric is
-// day-granular.
+// supervised and event metrics from IngestDay's accounting.
 func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	h.began = time.Now()
 	if h.home == nil {
@@ -370,15 +355,15 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 		sh.fail(h, err)
 		return
 	}
-	h.pos = blk.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1
 	st, err := h.home.IngestDay(blk)
 	if err != nil {
 		sh.fail(h, err)
 		return
 	}
-	sh.met.slots.Add(int64(aras.SlotsPerDay))
 	sh.met.sensorEvents.Add(st.SensorEvents)
 	sh.met.actionEvents.Add(st.ActionEvents)
+	sh.met.verdicts.Add(st.Verdicts)
+	sh.met.anomalies.Add(st.Anomalies)
 	h.days = blk.Day + 1
 	sh.met.days.Add(1)
 	if sh.opts.supervised() {
@@ -398,7 +383,6 @@ func (sh *Shard) open(h *homeRun) error {
 	if err != nil {
 		return err
 	}
-	sh.wireVerdicts(h, home)
 	if ck := h.lastCk; ck != nil && ck.Days > 0 {
 		if rerr := stream.RestoreFrom(src, home, ck); rerr == nil {
 			h.days = ck.Days
@@ -411,7 +395,6 @@ func (sh *Shard) open(h *homeRun) error {
 			if src, home, err = h.job.Open(); err != nil {
 				return err
 			}
-			sh.wireVerdicts(h, home)
 			h.days = 0
 		}
 	}
@@ -432,16 +415,6 @@ func (sh *Shard) open(h *homeRun) error {
 	}
 	h.src, h.drive, h.home = src, drive, home
 	return nil
-}
-
-// wireVerdicts chains the shard metrics after the home's own verdict hook.
-// Must run before any restore (the hook cannot be installed on a home that
-// has already streamed).
-func (sh *Shard) wireVerdicts(h *homeRun, home *stream.Home) {
-	_ = home.AddOnVerdict(func(v adm.Verdict) {
-		end := v.Episode.Day*aras.SlotsPerDay + v.Episode.ArrivalSlot + v.Episode.Duration - 1
-		sh.met.observeVerdict(int64(h.pos-end), v.Anomalous)
-	})
 }
 
 // checkpoint snapshots a home at its current day boundary. On a service
@@ -484,7 +457,8 @@ func closeSource(src stream.Source) {
 	}
 }
 
-// yield hands a home back to the scheduler at a day boundary.
+// yield hands a home back to the scheduler at a day boundary. During a
+// drain it still joins the ready queue: the drain only stops dispatch.
 func (sh *Shard) yield(h *homeRun) {
 	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
@@ -495,8 +469,6 @@ func (sh *Shard) yield(h *homeRun) {
 		sh.discardLocked(h)
 	case h.pauseReq:
 		h.state = statePaused
-	case sh.draining:
-		h.state = stateParked
 	default:
 		h.state = stateReady
 		sh.ready = append(sh.ready, h)
@@ -530,8 +502,9 @@ func (sh *Shard) complete(h *homeRun) {
 
 // fail handles an attempt failure: tear the pipeline down, then either
 // schedule a retry (off-worker, on a backoff timer) or quarantine the home.
-// A pipe that outlived ProgressDeadline is counted as a watchdog trip, and
-// its error is wrapped so the outcome names the stall.
+// A home removed while its day ran ends removed instead, as it would had
+// the day succeeded. A pipe that outlived ProgressDeadline is counted as a
+// watchdog trip, and its error is wrapped so the outcome names the stall.
 func (sh *Shard) fail(h *homeRun, err error) {
 	if errors.Is(err, stream.ErrReceiveTimeout) {
 		sh.met.watchdogTrips.Add(1)
@@ -543,13 +516,19 @@ func (sh *Shard) fail(h *homeRun, err error) {
 	sh.mu.Lock()
 	sh.running--
 	sh.resident--
+	if h.removeReq {
+		sh.discardLocked(h)
+		sh.cond.Broadcast()
+		sh.mu.Unlock()
+		return
+	}
 	h.failures++
 	h.err = err
 	retries := 0
 	if sh.opts.Recover && sh.opts.MaxRetries > 0 {
 		retries = sh.opts.MaxRetries
 	}
-	if h.failures <= retries && !h.removeReq {
+	if h.failures <= retries {
 		h.state = statePending
 		// A stopping shard schedules nothing and journals nothing: the home
 		// stays non-terminal, so a restart resumes it from its checkpoint.
@@ -595,22 +574,13 @@ func (sh *Shard) requeue(h *homeRun) {
 	if sh.stopped || h.state != statePending {
 		return
 	}
-	if h.removeReq {
-		sh.discardLocked(h)
-		sh.cond.Broadcast()
-		return
-	}
 	sh.pending = append(sh.pending, h)
 	sh.cond.Broadcast()
 }
 
-// discardLocked finalizes a removal. The home holds no pipeline state on
-// every path that reaches here (pending homes never opened; ready/parked
-// homes are torn down by the caller that observed removeReq… see Remove).
+// discardLocked finalizes a removal, releasing the pipeline of a home that
+// still holds one (a ready or paused resident home).
 func (sh *Shard) discardLocked(h *homeRun) {
-	if h.state == stateRemoved {
-		return
-	}
 	if h.home != nil {
 		h.teardown()
 		sh.resident--
@@ -620,8 +590,9 @@ func (sh *Shard) discardLocked(h *homeRun) {
 	sh.met.homesRemoved.Add(1)
 }
 
-// Pause parks a home at its next day boundary (immediately when it is not
-// running). Paused homes stay resident; Resume requeues them.
+// Pause holds a home at its next day boundary (immediately when it is not
+// running). A paused home keeps its pipeline unless a drain releases it;
+// Resume requeues it.
 func (sh *Shard) Pause(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -634,12 +605,12 @@ func (sh *Shard) Pause(homeID string) error {
 
 func (sh *Shard) pauseLocked(h *homeRun) error {
 	switch h.state {
-	case stateDone, stateFailed, stateRemoved, stateDrained:
-		return fmt.Errorf("fleetd: home %q cannot pause (terminal or drained)", h.job.ID)
+	case stateDone, stateFailed, stateRemoved:
+		return fmt.Errorf("fleetd: home %q cannot pause (terminal)", h.job.ID)
 	}
 	h.pauseReq = true
 	// Ready/pending homes flip lazily when the dispatcher pops them;
-	// running homes park at the end of their day.
+	// running homes pause at the end of their day.
 	return nil
 }
 
@@ -665,23 +636,18 @@ func (sh *Shard) resumeLocked(h *homeRun) {
 	if h.state != statePaused {
 		return
 	}
-	switch {
-	case h.home != nil && sh.draining:
-		// Mid-drain a resumed resident home parks like every other one, so
-		// the drain finalizer checkpoints it instead of racing dispatch.
-		h.state = stateParked
-	case h.home != nil:
+	if h.home != nil {
 		h.state = stateReady
 		sh.ready = append(sh.ready, h)
-	default:
+	} else {
 		h.state = statePending
 		sh.pending = append(sh.pending, h)
 	}
 	sh.cond.Broadcast()
 }
 
-// Remove evicts a home from the shard: pending homes are dropped, resident
-// ones are torn down at their next safe point.
+// Remove evicts a home from the shard: an idle home is dropped at once, a
+// running one when its day ends, whether that day succeeds or fails.
 func (sh *Shard) Remove(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -695,19 +661,20 @@ func (sh *Shard) Remove(homeID string) error {
 	case stateRunning:
 		h.removeReq = true // the worker discards it at yield/fail
 	default:
-		h.removeReq = true
 		sh.discardLocked(h)
 		sh.cond.Broadcast()
 	}
 	return nil
 }
 
-// Drain quiesces the shard and persists it: dispatch stops, running homes
-// finish their day, and then every resident home is checkpointed (in
-// memory, and into the manifest on a service with a state dir) and its
-// pipeline released. A drained shard holds no live state; Rehydrate
-// rebuilds it byte-identically from the checkpoints. Homes that fail to
-// checkpoint are quarantined rather than silently lost.
+// Drain quiesces the shard and persists it. It only stops dispatch: running
+// homes finish their day and yield as usual, and then every resident home
+// is checkpointed (in memory, and into the manifest on a service with a
+// state dir) and its pipeline released. A released ready home joins the
+// pending queue; a paused one stays paused. A drained shard holds no live
+// state; after Rehydrate each released home reopens from its drain
+// checkpoint, byte-identically. Homes that fail to checkpoint are
+// quarantined rather than silently lost.
 func (sh *Shard) Drain() error {
 	sh.mu.Lock()
 	if sh.stopped {
@@ -723,30 +690,27 @@ func (sh *Shard) Drain() error {
 	for sh.running > 0 {
 		sh.cond.Wait()
 	}
-	// All resident homes are now parked at day boundaries (ready-queue
-	// entries included — dispatch is off), so checkpointing them is safe.
-	// The lock is held across the finalize: the shard is quiesced anyway,
-	// and it keeps concurrent admin verbs from mutating a home mid-teardown.
+	// Every resident home now sits at a day boundary, ready or paused
+	// (dispatch is off), so checkpointing it is safe. The lock is held
+	// across the finalize: the shard is quiesced anyway, and it keeps
+	// concurrent admin verbs from mutating a home mid-teardown.
 	for _, h := range sh.homes {
-		switch h.state {
-		case stateReady, stateParked, statePaused:
-		default:
-			continue
-		}
 		if h.home == nil {
 			continue
 		}
 		err := sh.checkpoint(h)
 		h.teardown()
 		sh.resident--
-		if err != nil {
+		switch {
+		case err != nil:
 			h.err = fmt.Errorf("fleetd: drain checkpoint: %w", err)
 			h.state = stateFailed
 			sh.failed++
 			sh.outstanding--
 			sh.met.homesFailed.Add(1)
-		} else {
-			h.state = stateDrained
+		case h.state == stateReady:
+			h.state = statePending
+			sh.pending = append(sh.pending, h)
 		}
 	}
 	sh.ready = nil
@@ -756,9 +720,9 @@ func (sh *Shard) Drain() error {
 	return nil
 }
 
-// Rehydrate readmits a drained shard's homes: each reopens on a worker and
-// restores from its drain checkpoint, resuming exactly where Drain stopped
-// it.
+// Rehydrate restarts a drained shard's dispatch: each released home
+// reopens on a worker and restores from its drain checkpoint, resuming
+// exactly where Drain stopped it.
 func (sh *Shard) Rehydrate() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -768,20 +732,14 @@ func (sh *Shard) Rehydrate() error {
 	if !sh.drained {
 		return fmt.Errorf("fleetd: shard %d is not drained", sh.id)
 	}
-	for _, h := range sh.homes {
-		if h.state == stateDrained {
-			h.state = statePending
-			sh.pending = append(sh.pending, h)
-		}
-	}
 	sh.draining, sh.drained = false, false
 	sh.cond.Broadcast()
 	return nil
 }
 
 // WaitIdle blocks until every admitted home reached a terminal state (or
-// the shard stops). Paused and drained homes keep the shard busy — they
-// have not finished.
+// the shard stops). Paused homes and a drained shard's homes keep the shard
+// busy — they have not finished.
 func (sh *Shard) WaitIdle() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

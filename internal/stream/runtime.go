@@ -30,8 +30,8 @@ type HomeConfig struct {
 	// flight.
 	Injector *Injector
 	// OnVerdict, when non-nil, observes every detector verdict, called
-	// synchronously from IngestDay with the block that holds its episode —
-	// the hook a fleet service publishes verdict events from.
+	// synchronously from IngestDay with the block that holds its episode, in
+	// close order (see scoreDay). A fleet counts verdicts from DayStats.
 	OnVerdict func(adm.Verdict)
 }
 
@@ -105,29 +105,15 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 	return h, nil
 }
 
-// AddOnVerdict chains a verdict observer after the home's own
-// cfg.OnVerdict — the hook a fleet service uses to attach its metrics to a
-// home another layer assembled, without displacing that layer's observer.
-// It must be called before the first IngestDay; the callback runs
-// synchronously from IngestDay like cfg.OnVerdict.
-func (h *Home) AddOnVerdict(fn func(adm.Verdict)) error {
-	if h.res.Slots != 0 || h.closed {
-		return errors.New("stream: AddOnVerdict after streaming began")
-	}
-	if prev := h.cfg.OnVerdict; prev != nil {
-		h.cfg.OnVerdict = func(v adm.Verdict) { prev(v); fn(v) }
-		return nil
-	}
-	h.cfg.OnVerdict = fn
-	return nil
-}
-
 // DayStats is the per-block event accounting IngestDay reports back to its
 // driver, so the fleet keeps its metrics without reaching into the home's
 // internals.
 type DayStats struct {
 	SensorEvents int64
 	ActionEvents int64
+	// Verdicts and Anomalies are the day's share of HomeResult's counts.
+	Verdicts  int64
+	Anomalies int64
 }
 
 // IngestDay advances the pipeline by one whole day block. The block's
@@ -160,6 +146,7 @@ func (h *Home) IngestDay(b *DayBlock) (DayStats, error) {
 	if h.cfg.Injector != nil {
 		h.cfg.Injector.RewriteBlock(b)
 	}
+	verdicts, anomalies := h.res.Verdicts, h.res.Anomalies
 	if err := h.scoreDay(b); err != nil {
 		return DayStats{}, err
 	}
@@ -170,6 +157,8 @@ func (h *Home) IngestDay(b *DayBlock) (DayStats, error) {
 	st := DayStats{
 		SensorEvents: int64(aras.SlotsPerDay) * int64(occ+appl),
 		ActionEvents: int64(aras.SlotsPerDay) * int64(len(house.Zones)),
+		Verdicts:     h.res.Verdicts - verdicts,
+		Anomalies:    h.res.Anomalies - anomalies,
 	}
 	h.res.Days++
 	h.res.Slots += int64(aras.SlotsPerDay)

@@ -95,15 +95,6 @@ func DemoScenario(cfg Config, house *home.House, attacked bool) Scenario {
 	return sc
 }
 
-// Fig8Scenario reproduces the paper's demonstration hour on the canonical
-// house: Alice showers in the bathroom then relaxes in the living room
-// while Bob naps in the bedroom; under attack, the controller is told both
-// are cooking in the kitchen and the kitchen appliance bulbs are really
-// triggered.
-func Fig8Scenario(cfg Config, attacked bool) Scenario {
-	return DemoScenario(cfg, home.MustHouse("A"), attacked)
-}
-
 // RunResult summarises a testbed run.
 type RunResult struct {
 	// EnergyWh is the total electrical energy over the run.

@@ -202,15 +202,6 @@ func (s *Simulator) ReadTempF(zone home.ZoneID) (float64, error) {
 	return s.TempF[i] + s.noise.Norm(0, s.cfg.SensorNoiseF), nil
 }
 
-// TrueTempF returns the noiseless zone temperature (for assertions).
-func (s *Simulator) TrueTempF(zone home.ZoneID) (float64, error) {
-	i, err := s.zoneIndex(zone)
-	if err != nil {
-		return 0, err
-	}
-	return s.TempF[i], nil
-}
-
 // Reset returns all zones to ambient.
 func (s *Simulator) Reset() {
 	for i := range s.TempF {
