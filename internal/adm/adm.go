@@ -184,22 +184,21 @@ func clusterHulls(pts []geometry.Point, cfg Config) ([]geometry.Hull, error) {
 	return hulls, nil
 }
 
-// cell returns the occupant's stay table and the (zone, arrival) cell in
-// it; ok=false when the query lies outside the table (an arrival beyond
-// the day, an unknown occupant or zone), where hull geometry answers.
-func (m *Model) cell(occupant int, zone home.ZoneID, arrivalSlot int) (*solver.StayBands, int, bool) {
-	if occupant < 0 || occupant >= len(m.bands) {
-		return nil, 0, false
+// table returns the occupant's stay table when it answers the query: an
+// in-day arrival of a known occupant, in any zone (the table reads a zone
+// or arrival its hulls do not cover as uncovered). ok=false for an arrival
+// beyond the day or an unknown occupant, where hull geometry answers.
+func (m *Model) table(occupant, arrivalSlot int) (*solver.StayBands, bool) {
+	if occupant < 0 || occupant >= len(m.bands) || arrivalSlot < 0 || arrivalSlot >= aras.SlotsPerDay {
+		return nil, false
 	}
-	b := m.bands[occupant]
-	c, ok := b.Cell(zone, arrivalSlot)
-	return b, c, ok
+	return m.bands[occupant], true
 }
 
 // WithinCluster reports whether the (arrival, stay) pair falls inside any
 // learned cluster hull for the occupant/zone (Eq 9).
 func (m *Model) WithinCluster(occupant int, zone home.ZoneID, arrivalSlot, stayMinutes int) bool {
-	if b, _, ok := m.cell(occupant, zone, arrivalSlot); ok {
+	if b, ok := m.table(occupant, arrivalSlot); ok {
 		return b.InRange(zone, arrivalSlot, stayMinutes)
 	}
 	return hullsContain(m.hulls[key{occupant: occupant, zone: zone}], arrivalSlot, stayMinutes)
@@ -221,11 +220,8 @@ func hullsContain(hulls []geometry.Hull, arrivalSlot, stayMinutes int) bool {
 // all. The range may contain gaps between clusters; use InRangeStay to test
 // a specific duration.
 func (m *Model) StayRange(occupant int, zone home.ZoneID, arrivalSlot int) (minStay, maxStay int, ok bool) {
-	if b, c, in := m.cell(occupant, zone, arrivalSlot); in {
-		if !b.Covered[c] {
-			return 0, 0, false
-		}
-		return int(b.MinStay[c]), int(b.MaxStay[c]), true
+	if b, ok := m.table(occupant, arrivalSlot); ok {
+		return b.StayRangeAt(zone, arrivalSlot)
 	}
 	return hullStayRange(m.hulls[key{occupant: occupant, zone: zone}], arrivalSlot)
 }
@@ -247,7 +243,7 @@ func hullStayRange(hulls []geometry.Hull, arrivalSlot int) (minStay, maxStay int
 	if !found {
 		return 0, 0, false
 	}
-	minStay, maxStay = clampStayRange(lo, hi)
+	minStay, maxStay = solver.IntegerStayRange(lo, hi)
 	return minStay, maxStay, true
 }
 

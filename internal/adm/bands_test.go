@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/geometry"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/solver"
 )
@@ -69,17 +70,36 @@ func TestMemoOutOfRangeArrival(t *testing.T) {
 // answers in-day queries from its StayBands, every cell is held to the
 // direct hull geometry over the whole in-day surface — every occupant, zone
 // and arrival slot, with coverage, stay-range bounds and gap-aware in-range
-// decisions at and around the bounds.
+// decisions at and around the bounds. The surface includes zones an
+// occupant has no hull in and arrivals outside a zone's covered span (the
+// table stores neither), and the test requires both to occur.
 func TestStayBandsMatchModel(t *testing.T) {
 	for _, alg := range []Algorithm{DBSCAN, KMeans} {
 		m, tr := trainedModel(t, alg, 20)
+		noHull, outsideSpan := 0, 0
 		for o := range tr.House.Occupants {
 			b := m.StayBands(o)
 			if b == nil {
 				t.Fatalf("%v: no bands for occupant %d", alg, o)
 			}
 			for z := home.ZoneID(0); int(z) < len(tr.House.Zones); z++ {
+				if len(m.hulls[key{occupant: o, zone: z}]) == 0 {
+					noHull++
+				}
+				// The zone's span: its first and last covered arrival.
+				first, last := aras.SlotsPerDay, -1
 				for arr := 0; arr < aras.SlotsPerDay; arr++ {
+					if _, _, ok := geometryStayRange(m, o, z, arr); ok {
+						first, last = min(first, arr), arr
+					}
+				}
+				for arr := 0; arr < aras.SlotsPerDay; arr++ {
+					if arr < first || arr > last {
+						outsideSpan++
+						if _, _, ok := m.StayRange(o, z, arr); ok || b.InRange(z, arr, 0) {
+							t.Fatalf("%v o=%d z=%v arr=%d: arrival outside the span [%d, %d] reads covered", alg, o, z, arr, first, last)
+						}
+					}
 					wantMin, wantMax, wantOK := geometryStayRange(m, o, z, arr)
 					gotMax, gotOK := b.MaxStayAt(z, arr)
 					gotMin, _ := b.MinStayAt(z, arr)
@@ -99,10 +119,48 @@ func TestStayBandsMatchModel(t *testing.T) {
 				}
 			}
 		}
+		if noHull == 0 || outsideSpan == 0 {
+			t.Fatalf("%v: %d rows without a hull and %d arrivals outside a span; the test needs both", alg, noHull, outsideSpan)
+		}
 	}
 	m, _ := trainedModel(t, KMeans, 12)
 	if m.StayBands(-1) != nil || m.StayBands(99) != nil {
 		t.Error("out-of-range occupants should have nil bands")
+	}
+}
+
+// TestInDayQueriesReadTheTable holds the Model's query routing: an in-day
+// arrival is answered by the stay table alone, a zone or arrival the table
+// does not cover included, and only an arrival beyond the day falls back to
+// hull geometry. A hull added after training covers the whole plane; the
+// table, built from the trained hulls, must not see it.
+func TestInDayQueriesReadTheTable(t *testing.T) {
+	m, tr := trainedModel(t, DBSCAN, 12)
+	o, z := -1, home.ZoneID(-1)
+	for oc := range tr.House.Occupants {
+		for zc := home.ZoneID(0); int(zc) < len(tr.House.Zones); zc++ {
+			if len(m.hulls[key{occupant: oc, zone: zc}]) == 0 {
+				o, z = oc, zc
+			}
+		}
+	}
+	if o < 0 {
+		t.Fatal("every (occupant, zone) row has a hull; the test needs one without")
+	}
+	everywhere, err := geometry.ConvexHull([]geometry.Point{{X: -100, Y: 0}, {X: 2000, Y: 0}, {X: 2000, Y: 5000}, {X: -100, Y: 5000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.hulls[key{occupant: o, zone: z}] = []geometry.Hull{everywhere}
+	for _, arr := range []int{0, 1, 700, aras.SlotsPerDay - 1} {
+		if _, _, ok := m.StayRange(o, z, arr); ok || m.WithinCluster(o, z, arr, 10) {
+			t.Errorf("o=%d z=%v arrival %d: in-day query fell through to hull geometry", o, z, arr)
+		}
+	}
+	for _, arr := range []int{-5, aras.SlotsPerDay + 5} {
+		if _, _, ok := m.StayRange(o, z, arr); !ok || !m.WithinCluster(o, z, arr, 10) {
+			t.Errorf("o=%d z=%v arrival %d: out-of-day query did not reach hull geometry", o, z, arr)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func TestAppliancesFollowActivities(t *testing.T) {
 			for s := 0; s < SlotsPerDay; s++ {
 				if tr.Days[d].Act[o][s] == home.WashingDishes {
 					blocks++
-					if tr.Days[d].Appliance[2][s] { // dishwasher
+					if Bit(tr.Days[d].Appliance[2], s) { // dishwasher
 						hits++
 					}
 				}
@@ -254,7 +254,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		}
 		for a := range tr.Days[d].Appliance {
 			for s := 0; s < SlotsPerDay; s++ {
-				if got.Days[d].Appliance[a][s] != tr.Days[d].Appliance[a][s] {
+				if Bit(got.Days[d].Appliance[a], s) != Bit(tr.Days[d].Appliance[a], s) {
 					t.Fatalf("appliance round trip mismatch d=%d a=%d s=%d", d, a, s)
 				}
 			}

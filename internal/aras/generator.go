@@ -146,6 +146,11 @@ type Generator struct {
 	occRngs    []*rng.Source
 	weatherRng *rng.Source
 	day        int
+	// plan is planDay's reused block list.
+	plan []block
+	// skip is the day SkipDay rasterizes into and discards, allocated by
+	// the first SkipDay call.
+	skip *Day
 }
 
 // NewGenerator validates the configuration and seeds the day stream.
@@ -208,12 +213,42 @@ func (g *Generator) NextDayInto(day *Day, w *Weather) error {
 			len(day.Zone), len(day.Appliance), len(g.house.Occupants), len(g.house.Appliances))
 	}
 	// rasterize overwrites every Zone/Act slot but only ORs appliance runs in.
-	for a := range day.Appliance {
-		col := day.Appliance[a]
-		for t := range col {
-			col[t] = false
-		}
+	for _, col := range day.Appliance {
+		clear(col)
 	}
+	g.planOccupants(day)
+	genWeatherInto(g.cfg.SummerMeanF, g.weatherRng, w)
+	g.day++
+	return nil
+}
+
+// SkipDay advances the stream past one day without emitting it, leaving
+// every RNG stream exactly where NextDay would: the occupants' days are
+// planned and rasterized into a scratch day, because how many draws a day
+// takes depends on its plan, and the weather stream, whose draw count is
+// fixed, only advances. It returns io.EOF once the configured day count is
+// exhausted. Beyond the scratch day, which the first call allocates, and
+// the occasional growth of the reused plan buffer, a skip allocates
+// nothing.
+func (g *Generator) SkipDay() error {
+	if g.cfg.Days > 0 && g.day >= g.cfg.Days {
+		return io.EOF
+	}
+	if g.skip == nil {
+		d := NewDay(len(g.house.Occupants), len(g.house.Appliances))
+		g.skip = &d
+	}
+	g.planOccupants(g.skip)
+	for range weatherDraws {
+		g.weatherRng.Uint64()
+	}
+	g.day++
+	return nil
+}
+
+// planOccupants plans and rasterizes every occupant's day g.day into day,
+// drawing from each occupant's RNG stream.
+func (g *Generator) planOccupants(day *Day) {
 	weekday := g.day%7 < 5
 	for o := range g.house.Occupants {
 		var rt ScheduleProfile
@@ -223,12 +258,9 @@ func (g *Generator) NextDayInto(day *Day, w *Weather) error {
 			rt = DefaultProfile(g.house.Name, o)
 		}
 		irregular := g.occRngs[o].Bool(g.cfg.IrregularProb)
-		plan := planDay(rt, weekday, irregular, g.occRngs[o])
-		rasterize(g.house, plan, day, o, g.occRngs[o])
+		g.plan = planDay(g.plan[:0], rt, weekday, irregular, g.occRngs[o])
+		rasterize(g.house, g.plan, day, o, g.occRngs[o])
 	}
-	genWeatherInto(g.cfg.SummerMeanF, g.weatherRng, w)
-	g.day++
-	return nil
 }
 
 // Generate produces a synthetic trace for the house by draining the
@@ -259,8 +291,8 @@ func Generate(house *home.House, cfg GeneratorConfig) (*Trace, error) {
 }
 
 // planDay builds the ordered block list for one occupant-day, beginning at
-// midnight (asleep) and covering all 1440 minutes.
-func planDay(rt ScheduleProfile, weekday, irregular bool, r *rng.Source) []block {
+// midnight (asleep) and covering all 1440 minutes, appending it to plan.
+func planDay(plan []block, rt ScheduleProfile, weekday, irregular bool, r *rng.Source) []block {
 	jit := 1.0
 	if irregular {
 		jit = 3.0
@@ -272,7 +304,6 @@ func planDay(rt ScheduleProfile, weekday, irregular bool, r *rng.Source) []block
 		}
 		return int(v)
 	}
-	var plan []block
 	total := 0
 	add := func(act home.ActivityID, dur int) {
 		if dur <= 0 {
@@ -400,17 +431,13 @@ func rasterize(house *home.House, plan []block, day *Day, occupant int, r *rng.S
 			// only a few minutes.
 			switch house.Appliances[ai].Name {
 			case "Kettle", "CoffeeMaker":
-				runLen = minInt(runLen, 4+r.Intn(3))
+				runLen = min(runLen, 4+r.Intn(3))
 			case "HairDryer":
-				runLen = minInt(runLen, 3+r.Intn(3))
+				runLen = min(runLen, 3+r.Intn(3))
 			case "Microwave":
-				runLen = minInt(runLen, 3+r.Intn(5))
+				runLen = min(runLen, 3+r.Intn(5))
 			}
-			for i := 0; i < runLen && runStart+i < SlotsPerDay; i++ {
-				if runStart+i >= 0 {
-					day.Appliance[ai][runStart+i] = true
-				}
-			}
+			SetRun(day.Appliance[ai], max(runStart, 0), min(runStart+runLen, SlotsPerDay))
 		}
 	}
 	// Safety: fill any remaining slots as sleeping in the occupant's bedroom.
@@ -434,10 +461,15 @@ var diurnalCos = func() *[SlotsPerDay]float64 {
 	return &tab
 }()
 
+// weatherDraws is how many Uint64 draws genWeatherInto takes from its
+// stream: 1 + 2·SlotsPerDay Norm calls of two draws each.
+const weatherDraws = 2 * (1 + 2*SlotsPerDay)
+
 // genWeatherInto produces a diurnal outdoor temperature curve (sinusoid
 // peaking mid-afternoon plus a random daily offset and minute noise) and a
 // nearly constant outdoor CO2 level around 420 ppm, into caller-owned
-// SlotsPerDay buffers (allocated if nil or mis-sized).
+// SlotsPerDay buffers (allocated if nil or mis-sized). It takes exactly
+// weatherDraws draws, which SkipDay relies on.
 func genWeatherInto(meanF float64, r *rng.Source, w *Weather) {
 	if len(w.TempF) != SlotsPerDay {
 		w.TempF = make([]float64, SlotsPerDay)
@@ -451,11 +483,4 @@ func genWeatherInto(meanF float64, r *rng.Source, w *Weather) {
 		w.TempF[t] = base + diurnalCos[t] + r.Norm(0, 0.2)
 		w.CO2PPM[t] = 420 + r.Norm(0, 1.5)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -29,8 +29,9 @@ type Day struct {
 	Zone [][]home.ZoneID
 	// Act[o][t] is occupant o's activity at slot t.
 	Act [][]home.ActivityID
-	// Appliance[d][t] is appliance d's on/off status at slot t.
-	Appliance [][]bool
+	// Appliance[a] is appliance a's on/off column, packed a bit per slot
+	// (ColumnBytes bytes; read slot t with Bit(Appliance[a], t)).
+	Appliance [][]byte
 }
 
 // NewDay allocates a zeroed day for the given occupant and appliance counts.
@@ -38,14 +39,11 @@ func NewDay(occupants, appliances int) Day {
 	d := Day{
 		Zone:      make([][]home.ZoneID, occupants),
 		Act:       make([][]home.ActivityID, occupants),
-		Appliance: make([][]bool, appliances),
+		Appliance: NewColumns(appliances),
 	}
 	for o := 0; o < occupants; o++ {
 		d.Zone[o] = make([]home.ZoneID, SlotsPerDay)
 		d.Act[o] = make([]home.ActivityID, SlotsPerDay)
-	}
-	for a := 0; a < appliances; a++ {
-		d.Appliance[a] = make([]bool, SlotsPerDay)
 	}
 	return d
 }
@@ -187,7 +185,7 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 			}
 			var mask uint64
 			for a := 0; a < appl; a++ {
-				if day.Appliance[a][t] {
+				if Bit(day.Appliance[a], t) {
 					mask |= 1 << uint(a)
 				}
 			}
@@ -267,7 +265,7 @@ func ReadCSV(r io.Reader, house *home.House) (*Trace, error) {
 			return nil, fmt.Errorf("%w: bad appliance mask", errCSV)
 		}
 		for a := 0; a < appl; a++ {
-			tr.Days[d].Appliance[a][t] = mask&(1<<uint(a)) != 0
+			SetBit(tr.Days[d].Appliance[a], t, mask&(1<<uint(a)) != 0)
 		}
 	}
 	return tr, nil

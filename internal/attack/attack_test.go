@@ -254,10 +254,6 @@ func TestTriggerAddsImpact(t *testing.T) {
 		t.Errorf("triggering should add cost: %v vs %v",
 			impTrig.Attacked.TotalCostUSD, impNoTrig.Attacked.TotalCostUSD)
 	}
-	plan.ClearTriggers()
-	if plan.TriggeredSlots() != 0 {
-		t.Error("ClearTriggers left residue")
-	}
 }
 
 func TestTriggerRespectsOccupancyAndCapability(t *testing.T) {
@@ -271,8 +267,8 @@ func TestTriggerRespectsOccupancyAndCapability(t *testing.T) {
 	TriggerAppliances(f.trace, plan, f.model, cap)
 	for d := range plan.Triggered {
 		for a := range plan.Triggered[d] {
-			for tslot, on := range plan.Triggered[d][a] {
-				if !on {
+			for tslot := 0; tslot < aras.SlotsPerDay; tslot++ {
+				if !aras.Bit(plan.Triggered[d][a], tslot) {
 					continue
 				}
 				if a != 0 {
@@ -463,7 +459,7 @@ func TestPlannerOccupantDayAllocBounds(t *testing.T) {
 // oracleActualApplianceOn is the per-slot reference for an appliance's true
 // electrical state under attack: its trace status, or really triggered.
 func oracleActualApplianceOn(trace *aras.Trace, plan *Plan, day, slot, a int) bool {
-	return trace.Days[day].Appliance[a][slot] || plan.TriggeredAt(day, a, slot)
+	return aras.Bit(trace.Days[day].Appliance[a], slot) || plan.TriggeredAt(day, a, slot)
 }
 
 // oracleApplianceOn is the per-slot reference for the δ^D rule FalsifyDay
@@ -532,7 +528,7 @@ func overlayPlan(trace *aras.Trace, p *Plan) *Plan {
 			copy(out.RepAct[d][o], p.RepAct[d][o])
 		}
 		if p.Triggered[d] != nil {
-			out.Triggered[d] = newTriggerGrid(len(p.Triggered[d]))
+			out.Triggered[d] = aras.NewColumns(len(p.Triggered[d]))
 			for a := range p.Triggered[d] {
 				copy(out.Triggered[d][a], p.Triggered[d][a])
 			}
@@ -587,14 +583,14 @@ func TestFalsifyDayMatchesOracle(t *testing.T) {
 				}
 				for a := range house.Appliances {
 					for slot := 0; slot < aras.SlotsPerDay; slot++ {
-						if got, want := in.ActualAppliance[a][slot], oracleActualApplianceOn(f.trace, plan, d, slot, a); got != want {
+						if got, want := aras.Bit(in.ActualAppliance[a], slot), oracleActualApplianceOn(f.trace, plan, d, slot, a); got != want {
 							t.Fatalf("house %s %s day %d slot %d appl %d: actual %v, oracle %v", name, plan.Strategy, d, slot, a, got, want)
 						}
-						got, want := in.BelievedAppliance[a][slot], oracleApplianceOn(f.trace, plan, d, slot, a)
+						got, want := aras.Bit(in.BelievedAppliance[a], slot), oracleApplianceOn(f.trace, plan, d, slot, a)
 						if got != want {
 							t.Fatalf("house %s %s day %d slot %d appl %d: believed %v, oracle %v", name, plan.Strategy, d, slot, a, got, want)
 						}
-						if got && !in.ActualAppliance[a][slot] {
+						if got && !aras.Bit(in.ActualAppliance[a], slot) {
 							forged++
 						}
 					}
@@ -641,8 +637,8 @@ func stepOracle(t *testing.T, f *fixture, plan *Plan, reverted []bool) hvac.Resu
 				}
 			}
 			for a := range house.Appliances {
-				in.ActualAppliance[a] = day.Appliance[a][slot]
-				in.BelievedAppliance[a] = day.Appliance[a][slot]
+				in.ActualAppliance[a] = aras.Bit(day.Appliance[a], slot)
+				in.BelievedAppliance[a] = aras.Bit(day.Appliance[a], slot)
 				if !truth {
 					in.ActualAppliance[a] = oracleActualApplianceOn(f.trace, plan, d, slot, a)
 					in.BelievedAppliance[a] = oracleApplianceOn(f.trace, plan, d, slot, a)
@@ -748,9 +744,10 @@ func TestEvaluateImpactBeyondHorizon(t *testing.T) {
 }
 
 // TestLazyTriggerGrid holds Plan.Triggered to its nil-day rule: an
-// untriggered plan and its triggering clone carry no grid, TriggerAppliances
-// gives a grid only to the days it triggers, and TriggeredSlots, FalsifyDay
-// and ClearTriggers answer as they do on an eager all-false grid.
+// untriggered plan and its triggering clones carry no grid,
+// TriggerAppliances gives a grid only to the days it triggers, and
+// TriggeredAt, TriggeredSlots and FalsifyDay (which skips a nil day) answer
+// as they do on an eager all-false grid.
 func TestLazyTriggerGrid(t *testing.T) {
 	f := newFixture(t, "A", 6)
 	cap := Full(f.trace.House)
@@ -775,7 +772,7 @@ func TestLazyTriggerGrid(t *testing.T) {
 	lazy := plan.CloneForTriggering()
 	eager := plan.CloneForTriggering() // every day's grid allocated up front
 	for d := range eager.Triggered {
-		eager.Triggered[d] = newTriggerGrid(len(f.trace.House.Appliances))
+		eager.Triggered[d] = aras.NewColumns(len(f.trace.House.Appliances))
 	}
 	n := TriggerAppliances(f.trace, lazy, f.model, cap)
 	if m := TriggerAppliances(f.trace, eager, f.model, cap); m != n || n == 0 {
@@ -784,12 +781,8 @@ func TestLazyTriggerGrid(t *testing.T) {
 	allocated := 0
 	for d, grid := range lazy.Triggered {
 		onDay := 0
-		for a := range grid {
-			for _, on := range grid[a] {
-				if on {
-					onDay++
-				}
-			}
+		for _, col := range grid {
+			onDay += aras.CountBits(col)
 		}
 		if (grid != nil) != (onDay > 0) {
 			t.Errorf("day %d: grid allocated %v with %d triggers", d, grid != nil, onDay)
@@ -813,7 +806,7 @@ func TestLazyTriggerGrid(t *testing.T) {
 		for d := 0; d < f.trace.NumDays(); d++ {
 			for a := range f.trace.House.Appliances {
 				for s := 0; s < aras.SlotsPerDay; s++ {
-					if lazy.TriggeredAt(d, a, s) != eager.Triggered[d][a][s] {
+					if lazy.TriggeredAt(d, a, s) != aras.Bit(eager.Triggered[d][a], s) {
 						t.Fatalf("%s: day %d appliance %d slot %d differs", stage, d, a, s)
 					}
 				}
@@ -827,16 +820,14 @@ func TestLazyTriggerGrid(t *testing.T) {
 		}
 	}
 	same("triggered")
-	// Clearing drops every grid; an eager plan cleared cell by cell holds
-	// all-false grids.
-	lazy.ClearTriggers()
-	for d := range eager.Triggered {
-		eager.Triggered[d] = newTriggerGrid(len(f.trace.House.Appliances))
-	}
-	same("cleared")
+	// A triggering clone of the triggered plan drops every grid and answers
+	// as an eager plan with all-false grids.
+	lazy = lazy.CloneForTriggering()
 	for d, grid := range lazy.Triggered {
 		if grid != nil {
-			t.Errorf("ClearTriggers kept day %d's grid", d)
+			t.Errorf("triggering clone kept day %d's grid", d)
 		}
+		eager.Triggered[d] = aras.NewColumns(len(f.trace.House.Appliances))
 	}
+	same("cloned")
 }

@@ -117,7 +117,7 @@ func simulateAttacked(trace *aras.Trace, plan *Plan, reverted []bool, ctrl hvac.
 		return hvac.Result{}, err
 	}
 	believed := aras.NewDay(len(house.Occupants), len(house.Appliances))
-	actualAppl := aras.NewDay(0, len(house.Appliances)).Appliance
+	actualAppl := aras.NewColumns(len(house.Appliances))
 	for d, day := range trace.Days {
 		for o := range believed.Zone {
 			copy(believed.Zone[o], day.Zone[o])

@@ -19,11 +19,12 @@ type Plan struct {
 	RepZone [][][]home.ZoneID
 	// RepAct[d][o][t] is the reported activity.
 	RepAct [][][]home.ActivityID
-	// Triggered[d][a][t] marks appliance a really switched on by the
-	// attacker at slot t of day d (Algorithm 1). A day without a trigger
-	// holds no grid: Triggered[d] stays nil until TriggerAppliances marks a
-	// trigger on day d, so read single slots through TriggeredAt.
-	Triggered [][][]bool
+	// Triggered[d][a] is the packed column (aras.ColumnBytes bytes, a bit
+	// per slot) of appliance a's slots on day d that the attacker really
+	// switched on (Algorithm 1). A day without a trigger holds no grid:
+	// Triggered[d] stays nil until TriggerAppliances marks a trigger on day
+	// d, so read single slots through TriggeredAt.
+	Triggered [][][]byte
 	// InfeasibleWindows counts optimisation windows that fell back to
 	// truth-telling because no stealthy schedule existed.
 	InfeasibleWindows int
@@ -37,7 +38,7 @@ func newPlan(trace *aras.Trace, strategy string) *Plan {
 		Strategy:  strategy,
 		RepZone:   make([][][]home.ZoneID, days),
 		RepAct:    make([][][]home.ActivityID, days),
-		Triggered: make([][][]bool, days),
+		Triggered: make([][][]byte, days),
 	}
 	for d := 0; d < days; d++ {
 		occ := len(trace.House.Occupants)
@@ -60,7 +61,7 @@ func (p *Plan) CloneForTriggering() *Plan {
 		Strategy:          p.Strategy,
 		RepZone:           p.RepZone,
 		RepAct:            p.RepAct,
-		Triggered:         make([][][]bool, len(p.Triggered)),
+		Triggered:         make([][][]byte, len(p.Triggered)),
 		InfeasibleWindows: p.InfeasibleWindows,
 	}
 }
@@ -69,7 +70,7 @@ func (p *Plan) CloneForTriggering() *Plan {
 // at slot t of day d; days beyond the plan and days without a trigger read
 // false.
 func (p *Plan) TriggeredAt(d, a, t int) bool {
-	return d >= 0 && d < len(p.Triggered) && p.Triggered[d] != nil && p.Triggered[d][a][t]
+	return d >= 0 && d < len(p.Triggered) && p.Triggered[d] != nil && aras.Bit(p.Triggered[d][a], t)
 }
 
 // setReport records a falsified observation, choosing the activity: the
@@ -108,13 +109,9 @@ func (p *Plan) InjectedSlots(trace *aras.Trace) int {
 // TriggeredSlots counts appliance-slots the attacker really switched on.
 func (p *Plan) TriggeredSlots() int {
 	n := 0
-	for d := range p.Triggered {
-		for a := range p.Triggered[d] {
-			for _, on := range p.Triggered[d][a] {
-				if on {
-					n++
-				}
-			}
+	for _, grid := range p.Triggered {
+		for _, col := range grid {
+			n += aras.CountBits(col)
 		}
 	}
 	return n
@@ -183,11 +180,7 @@ func (p *Plan) FalsifyDay(house *home.House, day int, in *hvac.DayInput) {
 	}
 	if grid := p.Triggered[day]; grid != nil {
 		for a, col := range in.ActualAppliance {
-			for t, on := range grid[a] {
-				if on {
-					col[t] = true
-				}
-			}
+			aras.OrBits(col, grid[a])
 		}
 	}
 	for a, col := range in.BelievedAppliance {
@@ -201,7 +194,7 @@ func (p *Plan) FalsifyDay(house *home.House, day int, in *hvac.DayInput) {
 			}
 			for _, ai := range house.AppliancesForActivity(acts[t]) {
 				if house.Appliances[ai].Zone == z {
-					in.BelievedAppliance[ai][t] = true
+					aras.SetBit(in.BelievedAppliance[ai], t, true)
 				}
 			}
 		}

@@ -49,13 +49,13 @@ func TriggerAppliances(trace *aras.Trace, plan *Plan, model *adm.Model, cap Capa
 					if !cap.CanTrigger(ai, t) {
 						continue
 					}
-					if trace.Days[d].Appliance[ai][t] || plan.TriggeredAt(d, ai, t) {
+					if aras.Bit(trace.Days[d].Appliance[ai], t) || plan.TriggeredAt(d, ai, t) {
 						continue
 					}
 					if plan.Triggered[d] == nil {
-						plan.Triggered[d] = newTriggerGrid(len(trace.House.Appliances))
+						plan.Triggered[d] = aras.NewColumns(len(trace.House.Appliances))
 					}
-					plan.Triggered[d][ai][t] = true
+					aras.SetBit(plan.Triggered[d][ai], t, true)
 					total++
 				}
 			}
@@ -72,22 +72,4 @@ func zoneActuallyOccupied(trace *aras.Trace, day, slot int, z home.ZoneID) bool 
 		}
 	}
 	return false
-}
-
-// newTriggerGrid allocates one day's all-false trigger grid, one
-// aras.SlotsPerDay row per appliance in a single backing array.
-func newTriggerGrid(appliances int) [][]bool {
-	cells := make([]bool, appliances*aras.SlotsPerDay)
-	grid := make([][]bool, appliances)
-	for a := range grid {
-		grid[a] = cells[a*aras.SlotsPerDay : (a+1)*aras.SlotsPerDay : (a+1)*aras.SlotsPerDay]
-	}
-	return grid
-}
-
-// ClearTriggers resets all triggered appliances (used by evaluation to
-// compare with/without triggering on the same schedule, Fig 10): every day
-// drops its grid.
-func (p *Plan) ClearTriggers() {
-	clear(p.Triggered)
 }

@@ -379,25 +379,11 @@ func (o syntheticOracle) InRangeStay(_ int, z home.ZoneID, _ int, stay int) bool
 // a day: each cell is covered by the one stay interval [2, maxStay(z)].
 func (o syntheticOracle) stayBands() *solver.StayBands {
 	const slots = aras.SlotsPerDay
-	cells := o.n * slots
-	b := &solver.StayBands{
-		Slots:   slots,
-		Covered: make([]bool, cells),
-		MinStay: make([]int32, cells),
-		MaxStay: make([]int32, cells),
-		IvOff:   make([]int32, cells+1),
-		IvLo:    make([]float64, cells),
-		IvHi:    make([]float64, cells),
-	}
-	for c := range cells {
-		mx := o.maxStay(home.ZoneID(c / slots))
-		b.Covered[c] = true
-		b.MinStay[c], b.MaxStay[c] = syntheticMinStay, int32(mx)
-		b.IvOff[c] = int32(c)
-		b.IvLo[c], b.IvHi[c] = syntheticMinStay, float64(mx)
-	}
-	b.IvOff[cells] = int32(cells)
-	return b
+	return solver.NewStayBands(o.n, slots, 0, func(z home.ZoneID, add func(int, float64, float64)) {
+		for t := range slots {
+			add(t, syntheticMinStay, float64(o.maxStay(z)))
+		}
+	})
 }
 
 // TestbedResult wraps the Section VI validation.

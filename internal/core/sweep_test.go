@@ -146,13 +146,15 @@ func TestScenarioSweepReusesArtifacts(t *testing.T) {
 // TestSweepRetainedHeap bounds what an analysed home keeps resident: a
 // ScenarioSweep over SynthFleet(24, seed) × 12 days, measured as the
 // post-GC heap with the suite alive minus the same with the suite dropped.
-// The bound is about 1.25× the measured 99 KiB per home-day (byte-wide
-// IDs, one stay table per ADM, trigger grids only on triggered days); with
-// 8-byte IDs, per-ADM zone memos and eager all-false grids the same sweep
-// kept 234 KiB per home-day.
+// The bound is about 1.35× the measured 51 KiB per home-day (byte-wide
+// IDs, one stay table per ADM holding only each zone's covered arrival
+// span, appliance columns and trigger grids a bit per slot, grids only on
+// triggered days). With int32 stay cells over every arrival slot and a
+// bool per appliance-slot the same sweep kept 99 KiB per home-day; with
+// 8-byte IDs, per-ADM zone memos and eager all-false grids, 234 KiB.
 func TestSweepRetainedHeap(t *testing.T) {
 	const homes, days = 24, 12
-	const boundPerHomeDay = 124 << 10
+	const boundPerHomeDay = 70 << 10
 	for _, seed := range []uint64{1, 5} {
 		s, err := NewSuite(SuiteConfig{Days: days, TrainDays: 9, Seed: seed, WindowLen: 10})
 		if err != nil {

@@ -115,8 +115,8 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("crash-restart quarantined homes: %+v", got.Stats)
 		}
 	}
-	t.Run("direct", func(t *testing.T) { run(t, 24, 8, false) })
-	t.Run("mqtt", func(t *testing.T) { run(t, 8, 5, true) })
+	t.Run("direct", func(t *testing.T) { run(t, 24, 16, false) })
+	t.Run("mqtt", func(t *testing.T) { run(t, 8, 12, true) })
 }
 
 // TestServicePausePersistsAcrossRestart: an admin pause is part of the

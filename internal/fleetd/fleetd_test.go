@@ -922,6 +922,11 @@ func TestServiceRemove(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed %d homes, want 1: %+v", removed, res.Outcomes)
 	}
+	// The removed home never opened, so it adds no retry (nor a negative
+	// one) to the fleet's count.
+	if res.Stats.Retries != 0 {
+		t.Fatalf("fleet counts %d retries without a failure, want 0", res.Stats.Retries)
+	}
 	if got := svc.Snapshot(); got.HomesCompleted != homes-1 || got.HomesRemoved != 1 {
 		t.Fatalf("snapshot after removal: %+v", got)
 	}

@@ -30,8 +30,8 @@ func fillTruth(in *StepInput, tr *aras.Trace, d, s int) {
 		in.ActualOccupants[o] = obs
 	}
 	for a := range in.BelievedAppliance {
-		in.BelievedAppliance[a] = day.Appliance[a][s]
-		in.ActualAppliance[a] = day.Appliance[a][s]
+		in.BelievedAppliance[a] = aras.Bit(day.Appliance[a], s)
+		in.ActualAppliance[a] = aras.Bit(day.Appliance[a], s)
 	}
 }
 

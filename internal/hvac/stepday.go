@@ -3,14 +3,16 @@ package hvac
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
 // DayInput is one whole day of boundary conditions and observations in
-// struct-of-arrays layout: per-slot weather columns plus per-occupant and
-// per-appliance columns of aras.SlotsPerDay entries each. StepDay advances a
+// struct-of-arrays layout: per-slot weather columns, per-occupant columns
+// of aras.SlotsPerDay entries each, and per-appliance columns packed a bit
+// per slot. StepDay advances a
 // full day over these contiguous columns without materializing 1440
 // per-slot StepInputs. Batch Simulate points them at a trace day, the
 // streaming layer at a DayBlock, and attack.Plan.FalsifyDay rewrites the
@@ -25,14 +27,15 @@ type DayInput struct {
 	// observation of occupant o (falsified under attack).
 	BelievedZone [][]home.ZoneID
 	BelievedAct  [][]home.ActivityID
-	// BelievedAppliance[a][t] is the believed status column of appliance a.
-	BelievedAppliance [][]bool
+	// BelievedAppliance[a] is the believed status column of appliance a,
+	// packed a bit per slot (aras.ColumnBytes bytes, read with aras.Bit).
+	BelievedAppliance [][]byte
 	// ActualZone/ActualAct/ActualAppliance are the ground-truth columns that
 	// drive the plant's CO2 mass balance and the energy metering (really
 	// triggered appliances included).
 	ActualZone      [][]home.ZoneID
 	ActualAct       [][]home.ActivityID
-	ActualAppliance [][]bool
+	ActualAppliance [][]byte
 }
 
 // ErrNotDayBoundary is returned when StepDay is called with the simulator
@@ -61,8 +64,8 @@ func (in *DayInput) validate(house *home.House) error {
 		}
 	}
 	for a := 0; a < appl; a++ {
-		if len(in.BelievedAppliance[a]) != aras.SlotsPerDay || len(in.ActualAppliance[a]) != aras.SlotsPerDay {
-			return fmt.Errorf("hvac: DayInput appliance %d column not %d slots", a, aras.SlotsPerDay)
+		if len(in.BelievedAppliance[a]) != aras.ColumnBytes || len(in.ActualAppliance[a]) != aras.ColumnBytes {
+			return fmt.Errorf("hvac: DayInput appliance %d column not %d bytes", a, aras.ColumnBytes)
 		}
 	}
 	return nil
@@ -168,8 +171,8 @@ func (s *Sim) StepDay(in *DayInput) error {
 			sc.actual[o] = OccupantObs{Zone: in.ActualZone[o][t], Activity: in.ActualAct[o][t]}
 		}
 		for a := range sc.believedApp {
-			sc.believedApp[a] = in.BelievedAppliance[a][t]
-			sc.actualApp[a] = in.ActualAppliance[a][t]
+			sc.believedApp[a] = aras.Bit(in.BelievedAppliance[a], t)
+			sc.actualApp[a] = aras.Bit(in.ActualAppliance[a], t)
 		}
 		s.Step(StepInput{
 			OutdoorTempF:      in.OutdoorTempF[t],
@@ -307,7 +310,7 @@ func (s *Sim) loadSegment(in *DayInput, t int) {
 		z.occupied = true
 	}
 	for ai := range sc.appls {
-		if in.BelievedAppliance[ai][t] {
+		if aras.Bit(in.BelievedAppliance[ai], t) {
 			a := &sc.appls[ai]
 			sc.zones[a.zone].heatBase += a.heatW
 		}
@@ -339,7 +342,7 @@ func (s *Sim) loadSegment(in *DayInput, t int) {
 		}
 	}
 	for ai := range sc.appls {
-		if in.ActualAppliance[ai][t] {
+		if aras.Bit(in.ActualAppliance[ai], t) {
 			sc.onAppl = append(sc.onAppl, ai)
 		}
 	}
@@ -355,8 +358,19 @@ func (sc *dayScratch) markChanges(in *DayInput) {
 		markColumn(&sc.change, in.ActualAct[o])
 	}
 	for a := range in.BelievedAppliance {
-		markColumn(&sc.change, in.BelievedAppliance[a])
-		markColumn(&sc.change, in.ActualAppliance[a])
+		markBits(&sc.change, in.BelievedAppliance[a])
+		markBits(&sc.change, in.ActualAppliance[a])
+	}
+}
+
+// markBits is markColumn for a packed appliance column: it scans the
+// column's change bits a byte (eight slots) at a time and looks at single
+// slots only in a byte that holds a change.
+func markBits(mask *[aras.SlotsPerDay]bool, col []byte) {
+	for i := range col[:aras.ColumnBytes] {
+		for d := aras.ChangedBits(col, i); d != 0; d &= d - 1 {
+			mask[8*i+bits.TrailingZeros8(d)] = true
+		}
 	}
 }
 

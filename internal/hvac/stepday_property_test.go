@@ -59,12 +59,14 @@ func drawDay(h *home.House, r *rng.Source, p dayPattern) aras.Day {
 	}
 	for a := range day.Appliance {
 		if p.applianceOn {
-			for t := range day.Appliance[a] {
-				day.Appliance[a][t] = true
-			}
+			aras.SetRun(day.Appliance[a], 0, aras.SlotsPerDay)
 			continue
 		}
-		drawColumn(day.Appliance[a], r, p, func() bool { return r.Bool(0.5) })
+		on := make([]bool, aras.SlotsPerDay)
+		drawColumn(on, r, p, func() bool { return r.Bool(0.5) })
+		for t, v := range on {
+			aras.SetBit(day.Appliance[a], t, v)
+		}
 	}
 	return day
 }
@@ -167,8 +169,8 @@ func TestStepDayMatchesStepProperty(t *testing.T) {
 						step.ActualOccupants[o] = hvac.OccupantObs{Zone: actual.Zone[o][s], Activity: actual.Act[o][s]}
 					}
 					for a := range h.Appliances {
-						step.BelievedAppliance[a] = bel.Appliance[a][s]
-						step.ActualAppliance[a] = actual.Appliance[a][s]
+						step.BelievedAppliance[a] = aras.Bit(bel.Appliance[a], s)
+						step.ActualAppliance[a] = aras.Bit(actual.Appliance[a], s)
 					}
 					slotSim.Step(step)
 				}

@@ -11,7 +11,7 @@ import (
 
 // dayInputFor builds the SoA columns for one trace day with independently
 // suppliable believed columns (the attacked case feeds falsified ones).
-func dayInputFor(tr *aras.Trace, d int, believed aras.Day, believedAppl [][]bool) *DayInput {
+func dayInputFor(tr *aras.Trace, d int, believed aras.Day, believedAppl [][]byte) *DayInput {
 	return &DayInput{
 		OutdoorTempF:      tr.Weather[d].TempF,
 		OutdoorCO2PPM:     tr.Weather[d].CO2PPM,
@@ -26,7 +26,7 @@ func dayInputFor(tr *aras.Trace, d int, believed aras.Day, believedAppl [][]bool
 
 // stepSlots drives sim through one trace day with per-slot Step calls — the
 // equivalence reference for StepDay.
-func stepSlots(sim *Sim, tr *aras.Trace, d int, believed aras.Day, believedAppl [][]bool) {
+func stepSlots(sim *Sim, tr *aras.Trace, d int, believed aras.Day, believedAppl [][]byte) {
 	occ, appl := len(tr.House.Occupants), len(tr.House.Appliances)
 	in := newStepInput(tr.House)
 	for t := 0; t < aras.SlotsPerDay; t++ {
@@ -37,8 +37,8 @@ func stepSlots(sim *Sim, tr *aras.Trace, d int, believed aras.Day, believedAppl 
 			in.ActualOccupants[o] = OccupantObs{Zone: tr.Days[d].Zone[o][t], Activity: tr.Days[d].Act[o][t]}
 		}
 		for a := 0; a < appl; a++ {
-			in.BelievedAppliance[a] = believedAppl[a][t]
-			in.ActualAppliance[a] = tr.Days[d].Appliance[a][t]
+			in.BelievedAppliance[a] = aras.Bit(believedAppl[a], t)
+			in.ActualAppliance[a] = aras.Bit(tr.Days[d].Appliance[a], t)
 		}
 		sim.Step(in)
 	}
@@ -48,15 +48,15 @@ func stepSlots(sim *Sim, tr *aras.Trace, d int, believed aras.Day, believedAppl 
 // occupant 0 is reported in the living room mid-day and a forged appliance
 // status is flipped on — so the segmented believed/actual split is exercised
 // with genuinely different column sets.
-func falsifiedView(tr *aras.Trace, d int) (aras.Day, [][]bool) {
+func falsifiedView(tr *aras.Trace, d int) (aras.Day, [][]byte) {
 	day := aras.NewDay(len(tr.House.Occupants), len(tr.House.Appliances))
 	for o := range day.Zone {
 		copy(day.Zone[o], tr.Days[d].Zone[o])
 		copy(day.Act[o], tr.Days[d].Act[o])
 	}
-	appl := make([][]bool, len(tr.House.Appliances))
+	appl := aras.NewColumns(len(tr.House.Appliances))
 	for a := range appl {
-		appl[a] = append([]bool(nil), tr.Days[d].Appliance[a]...)
+		copy(appl[a], tr.Days[d].Appliance[a])
 	}
 	var living home.ZoneID
 	for zi := range tr.House.Zones {
@@ -70,9 +70,7 @@ func falsifiedView(tr *aras.Trace, d int) (aras.Day, [][]bool) {
 		day.Act[0][t] = home.WatchingTV
 	}
 	if len(appl) > 0 {
-		for t := 650; t < 700; t++ {
-			appl[0][t] = true
-		}
+		aras.SetRun(appl[0], 650, 700)
 	}
 	return day, appl
 }

@@ -13,31 +13,13 @@ import (
 // specialized band pass can be cross-validated against the interface pass
 // on identical stay semantics.
 func bandsFromMap(o mapOracle, nZones, nSlots int) *StayBands {
-	b := &StayBands{
-		Slots:   nSlots,
-		Covered: make([]bool, nZones*nSlots),
-		MinStay: make([]int32, nZones*nSlots),
-		MaxStay: make([]int32, nZones*nSlots),
-		IvOff:   make([]int32, nZones*nSlots+1),
-		Tol:     1e-9,
-	}
-	for z := 0; z < nZones; z++ {
-		band, ok := o[home.ZoneID(z)]
-		for t := 0; t < nSlots; t++ {
-			c := z*nSlots + t
-			b.IvOff[c] = int32(len(b.IvLo))
-			if !ok {
-				continue
+	return NewStayBands(nZones, nSlots, 1e-9, func(z home.ZoneID, add func(int, float64, float64)) {
+		if band, ok := o[z]; ok {
+			for t := 0; t < nSlots; t++ {
+				add(t, float64(band[0]), float64(band[1]))
 			}
-			b.Covered[c] = true
-			b.MinStay[c] = int32(band[0])
-			b.MaxStay[c] = int32(band[1])
-			b.IvLo = append(b.IvLo, float64(band[0]))
-			b.IvHi = append(b.IvHi, float64(band[1]))
 		}
-	}
-	b.IvOff[nZones*nSlots] = int32(len(b.IvLo))
-	return b
+	})
 }
 
 // TestBandsQueriesMatchOracle locks the StayBands accessors to the oracle
@@ -76,6 +58,79 @@ func TestBandsQueriesMatchOracle(t *testing.T) {
 	}
 	if b.InRange(home.ZoneID(99), 10, 5) {
 		t.Error("zone beyond the table should never be in range")
+	}
+}
+
+// TestStayBandsStoreOnlySpans holds the table to its information size: a
+// zone without an interval stores no cell, a zone's cells run from its
+// first to its last covered arrival (gaps inside the span included), and
+// each cell stores its own intervals once. Inside a span a gap reads as
+// uncovered, as do arrivals on either side of it.
+func TestStayBandsStoreOnlySpans(t *testing.T) {
+	const slots = 1440
+	b := NewStayBands(4, slots, 1e-9, func(z home.ZoneID, add func(int, float64, float64)) {
+		switch z {
+		case 1: // two clusters with a gap, reported out of arrival order
+			for a := 300; a < 310; a++ {
+				add(a, 5, 9)
+			}
+			for a := 100; a < 160; a++ {
+				add(a, 2, 30)
+			}
+		case 2: // the day's last slot only; out-of-day arrivals are dropped
+			add(slots-1, 1, 2)
+			add(-1, 1, 2)
+			add(slots, 1, 2)
+		case 3: // two intervals on one cell
+			add(0, 1, 3)
+			add(0, 10, 12)
+		}
+	})
+	if r := b.rows[0]; r.lo != r.hi {
+		t.Errorf("zone without an interval has span [%d, %d)", r.lo, r.hi)
+	}
+	const cells = (310 - 100) + 1 + 1
+	if len(b.minStay) != cells || len(b.maxStay) != cells || len(b.ivOff) != cells+1 {
+		t.Errorf("table holds %d/%d stay cells and %d offsets, want %d cells", len(b.minStay), len(b.maxStay), len(b.ivOff), cells)
+	}
+	if got, want := len(b.ivLo), 10+60+1+2; got != want || len(b.ivHi) != want {
+		t.Errorf("table holds %d/%d intervals, want %d", got, len(b.ivHi), want)
+	}
+	for _, q := range []struct {
+		z                home.ZoneID
+		arrival          int
+		minStay, maxStay int
+		ok               bool
+	}{
+		{0, 0, 0, 0, false}, {0, 700, 0, 0, false},
+		{1, 99, 0, 0, false}, {1, 100, 2, 30, true}, {1, 159, 2, 30, true},
+		{1, 160, 0, 0, false}, {1, 299, 0, 0, false}, {1, 300, 5, 9, true},
+		{1, 309, 5, 9, true}, {1, 310, 0, 0, false}, {1, -1, 0, 0, false},
+		{2, slots - 2, 0, 0, false}, {2, slots - 1, 1, 2, true}, {2, slots, 0, 0, false},
+		{3, 0, 1, 12, true}, {3, 1, 0, 0, false}, {4, 0, 0, 0, false}, {-1, 0, 0, 0, false},
+	} {
+		minStay, maxStay, ok := b.StayRangeAt(q.z, q.arrival)
+		if minStay != q.minStay || maxStay != q.maxStay || ok != q.ok {
+			t.Errorf("zone %d arrival %d: StayRangeAt (%d, %d, %v), want (%d, %d, %v)",
+				q.z, q.arrival, minStay, maxStay, ok, q.minStay, q.maxStay, q.ok)
+		}
+		if gotMax, gotOK := b.MaxStayAt(q.z, q.arrival); gotMax != q.maxStay || gotOK != q.ok {
+			t.Errorf("zone %d arrival %d: MaxStayAt (%d, %v)", q.z, q.arrival, gotMax, gotOK)
+		}
+		if gotMin, gotOK := b.MinStayAt(q.z, q.arrival); gotMin != q.minStay || gotOK != q.ok {
+			t.Errorf("zone %d arrival %d: MinStayAt (%d, %v)", q.z, q.arrival, gotMin, gotOK)
+		}
+	}
+	// The gap between zone 3's two intervals is not stealthy.
+	for stay, want := range map[int]bool{0: false, 1: true, 3: true, 4: false, 9: false, 10: true, 12: true, 13: false} {
+		if got := b.InRange(3, 0, stay); got != want {
+			t.Errorf("zone 3 arrival 0 stay %d: InRange %v, want %v", stay, got, want)
+		}
+	}
+	// A zone covered at every arrival costs a cell per slot.
+	full := bandsFromMap(mapOracle{home.Outside: {1, 600}, home.Bedroom: {2, 14}}, len(allZones), slots)
+	if got, want := len(full.minStay), 2*slots; got != want {
+		t.Errorf("two full rows hold %d cells, want %d", got, want)
 	}
 }
 

@@ -112,12 +112,12 @@ func (w Window) validate() error {
 // reaches. A zero Workspace is ready to use; it grows to the largest window
 // seen. Not safe for concurrent use — give each goroutine its own.
 type Workspace struct {
-	value    []float64
-	choice   []int32
-	stamp    []uint32
-	epoch    uint32
-	zones    []home.ZoneID
-	zoneBase []int
+	value  []float64
+	choice []int32
+	stamp  []uint32
+	epoch  uint32
+	zones  []home.ZoneID
+	rows   []bandRow
 	// front lists the live cells of the layer being expanded, as
 	// layer-local indices z·nA + a; next collects the cells that stay into
 	// the layer being filled.
@@ -156,13 +156,13 @@ func (ws *Workspace) zonesBuf(n int) []home.ZoneID {
 	return ws.zones[:n]
 }
 
-// zoneBaseBuf returns the reusable per-window zone→table-row scratch used
+// bandRowsBuf returns the reusable per-window zone→table-row scratch used
 // by the tabulated-oracle pass.
-func (ws *Workspace) zoneBaseBuf(n int) []int {
-	if cap(ws.zoneBase) < n {
-		ws.zoneBase = make([]int, n)
+func (ws *Workspace) bandRowsBuf(n int) []bandRow {
+	if cap(ws.rows) < n {
+		ws.rows = make([]bandRow, n)
 	}
-	return ws.zoneBase[:n]
+	return ws.rows[:n]
 }
 
 // frontiers returns the two empty live-cell lists, each able to hold a

@@ -10,8 +10,9 @@ import (
 )
 
 // DayBlock is one whole home-day of sensor traffic in struct-of-arrays
-// layout: parallel per-slot columns of weather, per-occupant zones and
-// activities, and per-appliance statuses, each aras.SlotsPerDay long. It is
+// layout: parallel per-slot columns of weather and per-occupant zones and
+// activities, each aras.SlotsPerDay long, and per-appliance statuses packed
+// a bit per slot (aras.ColumnBytes bytes, the frame's own bitset bytes). It is
 // the stream's only frame — a source emits one block per home-day, the
 // injector rewrites its reported columns in place, and Home.IngestDay
 // advances detection and the HVAC plant over the contiguous columns without
@@ -26,15 +27,16 @@ type DayBlock struct {
 	TempF  []float64
 	CO2PPM []float64
 	// TrueZone[o][t] / TrueAct[o][t] are occupant o's ground truth;
-	// TrueAppliance[a][t] the real electrical state of appliance a.
+	// TrueAppliance[a] the packed column of appliance a's real electrical
+	// state (read slot t with aras.Bit).
 	TrueZone      [][]home.ZoneID
 	TrueAct       [][]home.ActivityID
-	TrueAppliance [][]bool
+	TrueAppliance [][]byte
 	// RepZone/RepAct/RepAppliance are the reported (believed) columns; they
 	// mirror the truth until an Injector falsifies them.
 	RepZone      [][]home.ZoneID
 	RepAct       [][]home.ActivityID
-	RepAppliance [][]bool
+	RepAppliance [][]byte
 }
 
 // BlockSource is Source under its former name.
@@ -47,12 +49,12 @@ type BlockSource = Source
 func (b *DayBlock) ensure(occupants, appliances int) {
 	b.TempF = growFloats(b.TempF)
 	b.CO2PPM = growFloats(b.CO2PPM)
-	b.TrueZone = growCols(b.TrueZone, occupants)
-	b.RepZone = growCols(b.RepZone, occupants)
-	b.TrueAct = growCols(b.TrueAct, occupants)
-	b.RepAct = growCols(b.RepAct, occupants)
-	b.TrueAppliance = growCols(b.TrueAppliance, appliances)
-	b.RepAppliance = growCols(b.RepAppliance, appliances)
+	b.TrueZone = growCols(b.TrueZone, occupants, aras.SlotsPerDay)
+	b.RepZone = growCols(b.RepZone, occupants, aras.SlotsPerDay)
+	b.TrueAct = growCols(b.TrueAct, occupants, aras.SlotsPerDay)
+	b.RepAct = growCols(b.RepAct, occupants, aras.SlotsPerDay)
+	b.TrueAppliance = growCols(b.TrueAppliance, appliances, aras.ColumnBytes)
+	b.RepAppliance = growCols(b.RepAppliance, appliances, aras.ColumnBytes)
 }
 
 // shapeErr verifies the block matches a home's occupant/appliance shape with
@@ -76,8 +78,8 @@ func (b *DayBlock) shapeErr(occupants, appliances int) error {
 		}
 	}
 	for a := 0; a < appliances; a++ {
-		if len(b.TrueAppliance[a]) != aras.SlotsPerDay || len(b.RepAppliance[a]) != aras.SlotsPerDay {
-			return fmt.Errorf("stream: block appliance %d column not %d slots", a, aras.SlotsPerDay)
+		if len(b.TrueAppliance[a]) != aras.ColumnBytes || len(b.RepAppliance[a]) != aras.ColumnBytes {
+			return fmt.Errorf("stream: block appliance %d column not %d bytes", a, aras.ColumnBytes)
 		}
 	}
 	return nil
@@ -183,8 +185,8 @@ func (b *DayBlock) Slot(dst *Slot, t int) {
 		dst.Reported[o] = OccupantReading{Zone: b.RepZone[o][t], Activity: b.RepAct[o][t]}
 	}
 	for a := range b.TrueAppliance {
-		dst.TrueAppliance[a] = b.TrueAppliance[a][t]
-		dst.ReportedAppliance[a] = b.RepAppliance[a][t]
+		dst.TrueAppliance[a] = aras.Bit(b.TrueAppliance[a], t)
+		dst.ReportedAppliance[a] = aras.Bit(b.RepAppliance[a], t)
 	}
 }
 
@@ -195,16 +197,18 @@ func growFloats(b []float64) []float64 {
 	return b[:aras.SlotsPerDay]
 }
 
-func growCols[T any](cols [][]T, n int) [][]T {
+// growCols sizes cols to n columns of size entries each, reusing backing
+// storage where it fits.
+func growCols[T any](cols [][]T, n, size int) [][]T {
 	if cap(cols) < n {
 		cols = make([][]T, n)
 	}
 	cols = cols[:n]
 	for i := range cols {
-		if cap(cols[i]) < aras.SlotsPerDay {
-			cols[i] = make([]T, aras.SlotsPerDay)
+		if cap(cols[i]) < size {
+			cols[i] = make([]T, size)
 		} else {
-			cols[i] = cols[i][:aras.SlotsPerDay]
+			cols[i] = cols[i][:size]
 		}
 	}
 	return cols

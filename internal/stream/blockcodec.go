@@ -33,7 +33,9 @@ import (
 //	               IDs are int8 in memory, so the decoder rejects any value
 //	               outside int8
 //	per appliance  TrueAppliance, RepAppliance: packed bitset, (slots+7)/8 bytes
-//	               each, LSB first: slot t is bit t%8 (value 1<<(t%8)) of byte t/8
+//	               each, LSB first: slot t is bit t%8 (value 1<<(t%8)) of byte t/8;
+//	               the block holds its columns in this layout, so they are
+//	               copied as they are
 const blockFrameVersion = 1
 
 // blockMagic prefixes every binary day-block frame; its first byte also
@@ -112,8 +114,8 @@ func AppendBlockFrame(dst []byte, b *DayBlock, epoch int) ([]byte, error) {
 		dst = appendIDCol(dst, b.RepAct[o])
 	}
 	for a := 0; a < appl; a++ {
-		dst = appendBitset(dst, b.TrueAppliance[a])
-		dst = appendBitset(dst, b.RepAppliance[a])
+		dst = append(dst, b.TrueAppliance[a]...)
+		dst = append(dst, b.RepAppliance[a]...)
 	}
 	if got := len(dst) - body; got != payloadLen {
 		return dst[:base], fmt.Errorf("stream: block payload sized %d, computed %d", got, payloadLen)
@@ -184,8 +186,8 @@ func DecodeBlockFrame(dst *DayBlock, data []byte) (int, error) {
 		idCol(&cur, dst.RepAct[o])
 	}
 	for a := 0; a < appl; a++ {
-		cur.bitset(dst.TrueAppliance[a])
-		cur.bitset(dst.RepAppliance[a])
+		copy(dst.TrueAppliance[a], cur.take(aras.ColumnBytes))
+		copy(dst.RepAppliance[a], cur.take(aras.ColumnBytes))
 	}
 	if cur.bad || len(cur.buf) != cur.off {
 		return 0, fmt.Errorf("%w: truncated or trailing column data", ErrBadBlockFrame)
@@ -201,7 +203,7 @@ func blockPayloadLen(homeLen, occ, appl int) int {
 	const header = 4 + 4 + 2 + 2 + 2 + 2 // epoch, day, homeLen, occ, appl, slots
 	weather := 2 * aras.SlotsPerDay * 8
 	occCols := occ * 4 * aras.SlotsPerDay * 2
-	applCols := appl * 2 * ((aras.SlotsPerDay + 7) / 8)
+	applCols := appl * 2 * aras.ColumnBytes
 	return header + homeLen + weather + occCols + applCols
 }
 
@@ -225,31 +227,6 @@ func appendIDCol[ID home.ZoneID | home.ActivityID](dst []byte, col []ID) []byte 
 		dst = appendU16(dst, uint16(int16(v)))
 	}
 	return dst
-}
-
-// appendBitset packs a bool column LSB-first: slot t is bit t%8 of byte
-// t/8. Whole bytes are packed eight slots at a time.
-func appendBitset(dst []byte, col []bool) []byte {
-	for ; len(col) >= 8; col = col[8:] {
-		c := col[:8:8]
-		dst = append(dst, bit(c[0])|bit(c[1])<<1|bit(c[2])<<2|bit(c[3])<<3|
-			bit(c[4])<<4|bit(c[5])<<5|bit(c[6])<<6|bit(c[7])<<7)
-	}
-	if len(col) > 0 {
-		var acc byte
-		for i, on := range col {
-			acc |= bit(on) << i
-		}
-		dst = append(dst, acc)
-	}
-	return dst
-}
-
-func bit(on bool) byte {
-	if on {
-		return 1
-	}
-	return 0
 }
 
 // reader is a bounds-checked big-endian cursor; any overrun latches bad,
@@ -310,21 +287,5 @@ func idCol[ID home.ZoneID | home.ActivityID](r *reader, col []ID) {
 			r.wideID = true
 		}
 		col[t] = ID(v)
-	}
-}
-
-// bitset unpacks an appendBitset column, a byte into eight slots at a time.
-func (r *reader) bitset(col []bool) {
-	b := r.take((len(col) + 7) / 8)
-	if b == nil {
-		return
-	}
-	for i := 0; len(col) >= 8; i, col = i+1, col[8:] {
-		x, c := b[i], col[:8:8]
-		c[0], c[1], c[2], c[3] = x&1 != 0, x&2 != 0, x&4 != 0, x&8 != 0
-		c[4], c[5], c[6], c[7] = x&16 != 0, x&32 != 0, x&64 != 0, x&128 != 0
-	}
-	for t := range col {
-		col[t] = b[len(b)-1]&(1<<t) != 0
 	}
 }

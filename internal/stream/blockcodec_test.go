@@ -113,10 +113,10 @@ func TestBlockFrameBitOrder(t *testing.T) {
 		1: {3, 15, 16, 1000},                // RepAppliance[0]
 		2: {1438},                           // TrueAppliance[1]
 	}
-	cols := [][]bool{blk.TrueAppliance[0], blk.RepAppliance[0], blk.TrueAppliance[1], blk.RepAppliance[1]}
+	cols := [][]byte{blk.TrueAppliance[0], blk.RepAppliance[0], blk.TrueAppliance[1], blk.RepAppliance[1]}
 	for c, slots := range on {
 		for _, slot := range slots {
-			cols[c][slot] = true
+			aras.SetBit(cols[c], slot, true)
 		}
 	}
 	frame, err := AppendBlockFrame(nil, &blk, 1)

@@ -194,41 +194,78 @@ func TestCheckpointGeneratorSeekEquivalence(t *testing.T) {
 }
 
 // TestGeneratorSeekDay pins the seek contract directly: seeking a fresh
-// source equals consuming, and backward or mid-day seeks error.
+// source to days 0, 1, 7 and 100 (across week boundaries, where weekday
+// plans change) equals consuming the days before them, blocks and per-slot
+// frames alike; a seek allocates nothing per skipped day; seeking past the
+// stream's bound reports io.EOF; and backward or mid-day seeks error.
 func TestGeneratorSeekDay(t *testing.T) {
 	house := home.MustHouse("A")
-	mk := func() *GeneratorSource {
-		gen, err := aras.NewGenerator(house, aras.GeneratorConfig{Days: 4, Seed: 7})
+	const days = 102
+	mk := func(days int) *GeneratorSource {
+		gen, err := aras.NewGenerator(house, aras.GeneratorConfig{Days: days, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return NewGeneratorSource("A", gen)
 	}
-	consumed, seeked := mk(), mk()
-	var s Slot
-	for i := 0; i < 2*aras.SlotsPerDay; i++ {
-		if err := consumed.Next(&s); err != nil {
+	// The uninterrupted stream, a block per day.
+	ref := mk(days)
+	want := make([]DayBlock, days)
+	for d := range want {
+		if err := ref.NextBlock(&want[d]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := seeked.SeekDay(2); err != nil {
-		t.Fatal(err)
-	}
-	var a, b Slot
-	for i := 0; i < 2*aras.SlotsPerDay; i++ {
-		if err := consumed.Next(&a); err != nil {
-			t.Fatal(err)
+	for _, day := range []int{0, 1, 7, 100} {
+		blocks, slots := mk(days), mk(days)
+		for _, s := range []*GeneratorSource{blocks, slots} {
+			if err := s.SeekDay(day); err != nil {
+				t.Fatalf("seek to day %d: %v", day, err)
+			}
 		}
-		if err := seeked.Next(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("frame %d diverges after seek", i)
+		for d := day; d < day+2; d++ {
+			var got DayBlock
+			if err := blocks.NextBlock(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[d]) {
+				t.Fatalf("seek to day %d: block of day %d diverges", day, d)
+			}
+			var a, b Slot
+			for i := 0; i < aras.SlotsPerDay; i++ {
+				if err := slots.Next(&a); err != nil {
+					t.Fatal(err)
+				}
+				want[d].Slot(&b, i)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("seek to day %d: day %d slot %d diverges", day, d, i)
+				}
+			}
 		}
 	}
 
+	// After its first seek, a source allocates nothing to skip 100 days.
+	warm := mk(0)
+	if err := warm.SeekDay(1); err != nil {
+		t.Fatal(err)
+	}
+	target := 1
+	if allocs := testing.AllocsPerRun(3, func() {
+		target += 100
+		if err := warm.SeekDay(target); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a 100-day seek allocated %v times, want 0", allocs)
+	}
+
+	if err := mk(days).SeekDay(days + 1); !errors.Is(err, io.EOF) {
+		t.Fatalf("seek past the stream's %d days: %v, want io.EOF", days, err)
+	}
+
 	// Backward and mid-day seeks are errors.
-	back := mk()
+	var s Slot
+	back := mk(days)
 	if err := back.SeekDay(2); err != nil {
 		t.Fatal(err)
 	}

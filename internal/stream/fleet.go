@@ -117,7 +117,9 @@ func AggregateFleet(results []HomeResult, outcomes []HomeOutcome) FleetResult {
 		st.TotalCostUSD += r.Sim.TotalCostUSD
 	}
 	for i := range outcomes {
-		st.Retries += int64(outcomes[i].Attempts - 1)
+		// A home that never opened (removed while pending, or restored
+		// from a manifest) ran no attempt and so retried none.
+		st.Retries += int64(max(0, outcomes[i].Attempts-1))
 		st.Restores += int64(outcomes[i].Restores)
 		if outcomes[i].Status == OutcomeQuarantined {
 			st.Quarantined++

@@ -73,9 +73,9 @@ func (s *GeneratorSource) NextBlock(dst *DayBlock) error {
 }
 
 // SeekDay implements DaySeeker: it fast-forwards the stream to the start
-// of the given day by planning and discarding the skipped days, which
-// evolves the generator's RNG streams exactly as emitting them would — the
-// resumed stream is byte-identical to the uninterrupted one. Seeking
+// of the given day with aras.Generator.SkipDay, which leaves the
+// generator's RNG streams exactly where emitting the skipped days would —
+// the resumed stream is byte-identical to the uninterrupted one. Seeking
 // backward or into a partially emitted day is an error.
 func (s *GeneratorSource) SeekDay(day int) error {
 	cur := s.d
@@ -89,7 +89,7 @@ func (s *GeneratorSource) SeekDay(day int) error {
 		return fmt.Errorf("stream: source for %s cannot seek back to day %d (at day %d slot %d)", s.id, day, cur, s.slot%aras.SlotsPerDay)
 	}
 	for s.gen.DayIndex() < day {
-		if _, _, err := s.gen.NextDay(); err != nil {
+		if err := s.gen.SkipDay(); err != nil {
 			return fmt.Errorf("stream: source for %s seeking day %d: %w", s.id, day, err)
 		}
 	}
@@ -177,7 +177,7 @@ func fillSlot(dst *Slot, id string, d, slot int, day aras.Day, wth aras.Weather)
 		dst.True[o] = OccupantReading{Zone: day.Zone[o][slot], Activity: day.Act[o][slot]}
 	}
 	for a := range day.Appliance {
-		dst.TrueAppliance[a] = day.Appliance[a][slot]
+		dst.TrueAppliance[a] = aras.Bit(day.Appliance[a], slot)
 	}
 	dst.mirrorTruth()
 }

@@ -149,7 +149,7 @@ func TestHomeStreamMatchesBatchBenign(t *testing.T) {
 				day.Act[o][s.Index] = r.Activity
 			}
 			for a, on := range s.TrueAppliance {
-				day.Appliance[a][s.Index] = on
+				aras.SetBit(day.Appliance[a], s.Index, on)
 			}
 			rebuilt.Weather[s.Day].TempF[s.Index] = s.OutdoorTempF
 			rebuilt.Weather[s.Day].CO2PPM[s.Index] = s.OutdoorCO2PPM
@@ -312,7 +312,7 @@ func TestHomeStreamMatchesBatchAttacked(t *testing.T) {
 // actualApplianceOn is the per-slot reference for an appliance's true
 // electrical state under attack: its trace status, or really triggered.
 func actualApplianceOn(tr *aras.Trace, plan *attack.Plan, day, slot, a int) bool {
-	return tr.Days[day].Appliance[a][slot] || plan.TriggeredAt(day, a, slot)
+	return aras.Bit(tr.Days[day].Appliance[a], slot) || plan.TriggeredAt(day, a, slot)
 }
 
 // believedApplianceOn is the per-slot reference for the δ^D rule: appliance
