@@ -43,6 +43,12 @@ func waitIdleTimeout(t *testing.T, svc *Service, d time.Duration) {
 // exactly as a kill -9 would — no persistence pass, only the day-boundary
 // checkpoints already journaled) and restarted on the same state dir must
 // finish with per-home results byte-identical to an uninterrupted run.
+// Kills land on journal events, not on timers: boot k is killed once it
+// has journaled 1+4k checkpoint records, until a boot finishes the fleet
+// before its kill point. Each journaled checkpoint is a home-day of
+// progress, so the first kills always land mid-fleet, however fast the
+// machine; which homes are mid-day at a kill is left to scheduling, and
+// correctness may not depend on it.
 func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 	run := func(t *testing.T, homes, days int, mqttFrames bool) {
 		req := AddRequest{Synth: homes, Seed: 42, Days: days}
@@ -64,50 +70,60 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 			defer broker.Close()
 		}
 		stateDir := t.TempDir()
-		boot := func() *Service {
+		// boot starts a service on the state dir whose kill point is its
+		// killAt-th journaled checkpoint record, where reached closes.
+		boot := func(killAt int64) (*Service, <-chan struct{}) {
 			t.Helper()
 			opts := ShardOptions{Workers: 2, MaxResident: 3, Recover: true,
 				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}
 			if mqttFrames {
 				opts.Broker = broker.Addr()
 			}
-			svc, err := NewService(Config{Shards: 2, Shard: opts, StateDir: stateDir, Jobs: synthFactory})
+			cfg := Config{Shards: 2, Shard: opts, StateDir: stateDir, Jobs: synthFactory}
+			reached := killAtCheckpoint(&cfg, killAt)
+			svc, err := NewService(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return svc
+			return svc, reached
 		}
 
-		svc := boot()
+		svc, reached := boot(1)
 		if n, err := svc.AddSpec(req); err != nil || n != homes {
 			t.Fatalf("AddSpec: n=%d err=%v", n, err)
 		}
 		kills := 0
 		for {
-			// Randomized-by-scheduling kill points: the sleep lands the kill
-			// wherever the fleet happens to be; correctness may not depend on
-			// where. The window widens with each kill so progress always
-			// outpaces the replay overhead.
-			time.Sleep(time.Duration(4+4*kills) * time.Millisecond)
-			if svc.Snapshot().HomesActive == 0 {
-				break
+			idle := make(chan struct{})
+			go func(svc *Service) {
+				svc.WaitIdle() // also returns once a kill stops the shards
+				close(idle)
+			}(svc)
+			select {
+			case <-reached:
+			case <-idle:
+			case <-time.After(2 * time.Minute):
+				t.Fatalf("fleet neither reached its kill point nor finished: %+v", svc.Snapshot())
+			}
+			if !isClosed(reached) {
+				break // the fleet finished before this boot's kill point
 			}
 			svc.Close(false) // kill: no drain, no persistence pass
 			kills++
 			if kills > 100 {
 				t.Fatalf("fleet makes no progress across restarts: %+v", svc.Snapshot())
 			}
-			svc = boot()
+			svc, reached = boot(int64(1 + 4*kills))
 			done, live := svc.Resumed()
 			if done+live != homes {
 				t.Fatalf("restart %d resumed %d+%d homes, want %d", kills, done, live, homes)
 			}
 		}
 		defer svc.Close(false)
+		t.Logf("%d kills", kills)
 		if kills < 2 {
 			t.Fatalf("fleet finished after only %d kills; fixture too small to exercise recovery", kills)
 		}
-		waitIdleTimeout(t, svc, 2*time.Minute)
 		got := svc.Result()
 		checkHomesEqual(t, got.Homes, want.Homes)
 		checkStatsEqual(t, got.Stats, want.Stats, true)
@@ -117,6 +133,16 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 	}
 	t.Run("direct", func(t *testing.T) { run(t, 24, 16, false) })
 	t.Run("mqtt", func(t *testing.T) { run(t, 8, 12, true) })
+}
+
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // TestServicePausePersistsAcrossRestart: an admin pause is part of the

@@ -398,12 +398,13 @@ func pick(recs []ManifestRecord, keep []int) []ManifestRecord {
 }
 
 // rewrite atomically replaces the journal with the records at keep,
-// copying their frames from the file without decoding them: write them to
-// the temp file beside the journal, fsync, rename over the old journal. A
-// crash anywhere in the rewrite leaves either the old or the new journal
-// intact (and at most a stale temp file, which the next rewrite truncates
-// and OpenManifest removes). The index and size then describe the new
-// file; the caller reopens the append handle.
+// copying their frames from the file without decoding them: read each with
+// ReadAt into one reused buffer, write it through a buffered writer to the
+// temp file beside the journal, fsync, rename over the old journal. A crash
+// anywhere in the rewrite leaves either the old or the new journal intact
+// (and at most a stale temp file, which the next rewrite truncates and
+// OpenManifest removes). The index and size then describe the new file;
+// the caller reopens the append handle.
 func (m *Manifest) rewrite(keep []int) error {
 	offs := make([]int64, len(m.refs)+1)
 	for i, r := range m.refs {
@@ -421,11 +422,19 @@ func (m *Manifest) rewrite(keep []int) error {
 	w := bufio.NewWriter(tmp)
 	refs := make([]recordRef, len(keep))
 	var size int64
+	var frame []byte
 	for j, i := range keep {
 		refs[j] = m.refs[i]
 		size += int64(refs[j].n)
-		if n, cerr := io.Copy(w, io.NewSectionReader(src, offs[i], int64(refs[j].n))); n != int64(refs[j].n) {
-			err = fmt.Errorf("fleetd: copy manifest record %d (%d of %d bytes): %v", i, n, refs[j].n, cerr)
+		if cap(frame) < refs[j].n {
+			frame = make([]byte, refs[j].n)
+		}
+		frame = frame[:refs[j].n]
+		if n, rerr := src.ReadAt(frame, offs[i]); rerr != nil {
+			err = fmt.Errorf("fleetd: copy manifest record %d (%d of %d bytes): %v", i, n, refs[j].n, rerr)
+			break
+		}
+		if _, err = w.Write(frame); err != nil {
 			break
 		}
 	}

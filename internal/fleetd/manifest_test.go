@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -325,6 +326,54 @@ func FuzzReadManifest(f *testing.F) {
 			t.Fatalf("decode not stable:\n%+v\nvs\n%+v", again, recs)
 		}
 	})
+}
+
+// TestManifestRewriteCopiesThroughOneBuffer: compaction copies the kept
+// frames through one reused buffer. Rewriting a journal of 385 kept records
+// (an add and one checkpoint for each of 384 homes, about 240 KB) leaves its
+// bytes identical and allocates a few buffers, not a 32 KiB copy buffer per
+// record.
+func TestManifestRewriteCopiesThroughOneBuffer(t *testing.T) {
+	const homes = 384
+	dir := t.TempDir()
+	recs := []ManifestRecord{{Op: manifestOpAdd, Add: &AddRequest{Synth: homes, Seed: 1, Days: 4}}}
+	for i := 0; i < homes; i++ {
+		recs = append(recs, checkpointRecord(fmt.Sprintf("h%d", i), 1+i%4))
+	}
+	data := encodeManifest(t, recs)
+	if err := os.WriteFile(ManifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, replayed, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	if len(replayed) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(replayed), len(recs))
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	man.mu.Lock()
+	err = man.compactLocked()
+	man.mu.Unlock()
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, data) {
+		t.Fatalf("rewrite changed the journal: %d bytes, want %d", len(onDisk), len(data))
+	}
+	t.Logf("rewriting %d records (%d bytes) allocated %d B", len(recs), len(data), allocated)
+	if allocated > 256<<10 {
+		t.Fatalf("rewriting %d records (%d bytes) allocated %d B, want <= 256 KiB", len(recs), len(data), allocated)
+	}
 }
 
 // TestManifestOnlineCompaction drives Append with thousands of checkpoint

@@ -48,6 +48,11 @@ type Config struct {
 	// requires Jobs (replay re-resolves specs through the factory).
 	// Programmatic Add is NOT journaled; durable fleets admit via AddSpec.
 	StateDir string
+
+	// checkpointed, when set, runs after each checkpoint record reaches the
+	// journal, on the worker that wrote it and outside the manifest lock.
+	// Tests hold a worker in it to place a kill on a journal event.
+	checkpointed func(*Service)
 }
 
 // endedHome is a terminal home restored from the manifest rather than run
@@ -239,7 +244,13 @@ func (s *Service) end(id string, e endedHome) {
 // noteCheckpoint is the shard checkpoint hook (StateDir only): journal the
 // home's day-boundary checkpoint, so a restart resumes it there.
 func (s *Service) noteCheckpoint(ck *stream.Checkpoint) error {
-	return s.record(ManifestRecord{Op: manifestOpCheckpoint, Home: ck.Home, Checkpoint: ck})
+	if err := s.record(ManifestRecord{Op: manifestOpCheckpoint, Home: ck.Home, Checkpoint: ck}); err != nil {
+		return err
+	}
+	if s.cfg.checkpointed != nil {
+		s.cfg.checkpointed(s)
+	}
+	return nil
 }
 
 // noteDone is the shard completion hook (StateDir only): journal the

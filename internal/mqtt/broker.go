@@ -11,10 +11,15 @@
 // ordinary publishes), and 0x01 opens the binary publish layout — kind byte,
 // 2-byte big-endian topic length, topic, then an opaque payload forwarded
 // verbatim. Binary publishes are routed without any JSON work on either the
-// broker or the client path, with pooled encode buffers; they carry the
-// streaming layer's day-block frames. It is not the MQTT 3.1.1 wire format,
-// but it preserves the properties the experiment needs — topic routing,
-// ordered delivery per connection, and rewritability in transit.
+// broker or the client path; they carry the streaming layer's day-block
+// frames. A binary frame is written straight from its payload, and every
+// frame-sized buffer on the receive side comes from one pool: the buffer
+// each frame is read into, and the copy of a binary payload a client
+// delivers to each matching subscription, which the subscriber hands back
+// with Message.Release once it is done with it. It is not the MQTT 3.1.1
+// wire format, but it preserves the properties the experiment needs —
+// topic routing, ordered delivery per connection, and rewritability in
+// transit.
 package mqtt
 
 import (
@@ -38,6 +43,25 @@ type Message struct {
 	// Binary selects the binary frame kind on the wire. It never appears in
 	// JSON — the kind is a framing property, not message content.
 	Binary bool `json:"-"`
+	// pooled is the bufPool buffer behind a binary Payload a client
+	// delivered; Release hands it back.
+	pooled *[]byte
+}
+
+// Release hands the payload of a binary message received from a
+// subscription channel back to the bus's buffer pool, where a later frame
+// reuses it, and clears Payload. Only the subscriber that received m may
+// call it, once, after its last read of Payload; no copy of m may be read
+// afterwards. Every subscription receives its own copy of a payload, so
+// releasing one never touches another's. A payload that is never released
+// is simply collected. Release on any other message (JSON, or one the
+// caller built) does nothing.
+func (m *Message) Release() {
+	if m.pooled == nil {
+		return
+	}
+	bufPool.Put(m.pooled)
+	m.pooled, m.Payload = nil, nil
 }
 
 // maxFrame bounds a frame to keep a malformed or malicious peer from
@@ -54,19 +78,29 @@ const maxTopicLen = 1<<16 - 1
 // ErrFrameTooBig is returned when a peer announces an oversized frame.
 var ErrFrameTooBig = errors.New("mqtt: frame exceeds limit")
 
-// framePool recycles binary encode buffers across publishes — the broker
-// fan-out and client publish hot paths run without per-frame allocation.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
+// bufQuantum is the capacity step of the bus's pooled buffers: a new one is
+// rounded up to a multiple of it, so a buffer first grown for one home's day
+// frame (house A's is about 51 KB) fits the frame of every SynthFleet shape
+// (1–3 occupants, standard appliances; the largest is about 62 KB) when the
+// pool hands it on. A home with more occupants grows a 128 KiB buffer.
+const bufQuantum = 64 << 10
 
-// appendBinaryBody appends the binary frame body: kind byte, big-endian
-// topic length, topic bytes, then the payload verbatim.
-func appendBinaryBody(dst []byte, topic string, payload []byte) []byte {
-	dst = append(dst, binFrameKind)
-	var tl [2]byte
-	binary.BigEndian.PutUint16(tl[:], uint16(len(topic)))
-	dst = append(dst, tl[:]...)
-	dst = append(dst, topic...)
-	return append(dst, payload...)
+// bufPool recycles the bus's frame-sized buffers: the buffer a read loop
+// reads each frame into (see readBuf) and the payload copy a client
+// delivers to each subscription (see Message.Release). Since writeFrame
+// needs no encode buffer, the broker fan-out, client publish and delivery
+// hot paths run without per-frame allocation, and a new connection grows
+// no buffer.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// sized returns buf resliced to n bytes, or a new buffer with its capacity
+// rounded up to a multiple of bufQuantum when buf is too small. It keeps no
+// contents.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n, (n+bufQuantum-1)/bufQuantum*bufQuantum)
+	}
+	return buf[:n]
 }
 
 // decodeBinaryBody splits a binary frame body into topic and payload. The
@@ -97,18 +131,30 @@ func writeBody(w io.Writer, body []byte) error {
 }
 
 // writeFrame encodes and writes one message in its wire kind: the JSON
-// envelope for ordinary messages, the binary layout (assembled in a pooled
-// buffer) for Binary ones.
+// envelope for ordinary messages, the binary layout for Binary ones. A
+// binary frame is written field by field — length prefix, kind byte,
+// big-endian topic length, topic, then the payload straight from m — so it
+// needs no encode buffer; the bus's bufio.Writers gather the small fields.
 func writeFrame(w io.Writer, m Message) error {
 	if m.Binary {
 		if len(m.Topic) > maxTopicLen {
 			return fmt.Errorf("mqtt: topic %d bytes exceeds binary frame limit", len(m.Topic))
 		}
-		bp := framePool.Get().(*[]byte)
-		body := appendBinaryBody((*bp)[:0], m.Topic, m.Payload)
-		err := writeBody(w, body)
-		*bp = body[:0]
-		framePool.Put(bp)
+		n := 3 + len(m.Topic) + len(m.Payload)
+		if n > maxFrame {
+			return ErrFrameTooBig
+		}
+		var hdr [7]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+		hdr[4] = binFrameKind
+		binary.BigEndian.PutUint16(hdr[5:], uint16(len(m.Topic)))
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, m.Topic); err != nil {
+			return err
+		}
+		_, err := w.Write(m.Payload)
 		return err
 	}
 	data, err := json.Marshal(m)
@@ -118,10 +164,18 @@ func writeFrame(w io.Writer, m Message) error {
 	return writeBody(w, data)
 }
 
-// readBody reads one frame body, reusing buf's storage when it is large
-// enough. The returned slice is only valid until the next call reusing the
-// same buffer.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
+// readBuf is a read loop's frame buffer. It holds a buffer from bufPool only
+// while a frame is in hand: read hands the previous frame's buffer back
+// before it waits for the next header, and on any error; release hands back
+// the last one when the loop exits. A connection waiting for traffic, or
+// one whose read failed, holds no buffer, so a loop that outlives its
+// peer's Close has nothing left to return late.
+type readBuf struct{ p *[]byte }
+
+// read reads the next length-prefixed frame body from r; the body is valid
+// until the next read or release.
+func (b *readBuf) read(r io.Reader) ([]byte, error) {
+	b.release()
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -130,26 +184,33 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	if n > maxFrame {
 		return nil, ErrFrameTooBig
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b.p = bufPool.Get().(*[]byte)
+	*b.p = sized(*b.p, n)
+	if _, err := io.ReadFull(r, *b.p); err != nil {
+		b.release()
 		return nil, err
 	}
-	return buf, nil
+	return *b.p, nil
 }
 
-// decodeBody classifies and decodes a frame body. Binary payloads are
-// copied out of the read buffer (they outlive it on a client's subscription
-// channels); the JSON decoder copies inherently.
+func (b *readBuf) release() {
+	if b.p != nil {
+		bufPool.Put(b.p)
+		b.p = nil
+	}
+}
+
+// decodeBody classifies and decodes a frame body. A binary payload aliases
+// body, so it lives only as long as the read buffer: a client's read loop
+// hands each matching subscription its own copy (see pooledCopy). The JSON
+// decoder copies inherently.
 func decodeBody(body []byte) (Message, error) {
 	if len(body) > 0 && body[0] == binFrameKind {
 		topic, payload, err := decodeBinaryBody(body)
 		if err != nil {
 			return Message{}, err
 		}
-		return Message{Topic: topic, Payload: append([]byte(nil), payload...), Binary: true}, nil
+		return Message{Topic: topic, Payload: payload, Binary: true}, nil
 	}
 	var m Message
 	if err := json.Unmarshal(body, &m); err != nil {
@@ -158,9 +219,23 @@ func decodeBody(body []byte) (Message, error) {
 	return m, nil
 }
 
-// readFrame reads and decodes one message.
+// pooledCopy returns m with its binary payload copied into a buffer from
+// bufPool, owned by the one subscriber it is delivered to until it calls
+// Release.
+func pooledCopy(m Message) Message {
+	bp := bufPool.Get().(*[]byte)
+	*bp = sized(*bp, len(m.Payload))
+	copy(*bp, m.Payload)
+	m.Payload, m.pooled = *bp, bp
+	return m
+}
+
+// readFrame reads and decodes one message. It never releases its read
+// buffer, so a binary payload aliasing it stays valid and is collected with
+// the message.
 func readFrame(r io.Reader) (Message, error) {
-	body, err := readBody(r, nil)
+	var rb readBuf
+	body, err := rb.read(r)
 	if err != nil {
 		return Message{}, err
 	}
@@ -319,16 +394,16 @@ func (b *Broker) serve(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	sub := &subscriber{w: bufio.NewWriter(conn), c: conn}
-	// The read buffer is reused across frames: publish fan-out is synchronous
-	// (every subscriber write completes before the next read), and the JSON
-	// decoder copies what it keeps.
-	var buf []byte
+	// A frame's pooled read buffer outlives its routing: publish fan-out is
+	// synchronous (every subscriber write completes before the next read),
+	// and the JSON decoder copies what it keeps.
+	var rb readBuf
+	defer rb.release()
 	for {
-		body, err := readBody(r, buf)
+		body, err := rb.read(r)
 		if err != nil {
 			return
 		}
-		buf = body
 		if len(body) > 0 && body[0] == binFrameKind {
 			// A binary body is an implicit publish: route it straight off the
 			// read buffer with zero JSON work and zero payload copies.

@@ -162,22 +162,25 @@ func (c *Client) readLoop() {
 		c.subs = make(map[string][]chan Message)
 		c.mu.Unlock()
 	}()
+	// Each frame is read into a pooled buffer that the next read hands
+	// back; a failed read hands it back at once, so a session resume holds
+	// none. Nothing delivered aliases it: decodeBody leaves a binary payload
+	// in it, and each matching subscription gets its own pooled copy (JSON
+	// payloads are copied by the decoder).
+	var rb readBuf
+	defer rb.release()
 	r := bufio.NewReader(c.conn)
-	// The read buffer is reused across frames; decodeBody copies whatever
-	// outlives it (JSON inherently, binary payloads explicitly).
-	var buf []byte
+	var chans []chan Message
 	for {
-		body, rerr := readBody(r, buf)
+		body, rerr := rb.read(r)
 		if rerr != nil {
 			// Session resume: a lost connection redials and resubscribes
 			// instead of tearing the session down.
 			if r = c.resume(); r == nil {
 				return
 			}
-			buf = nil
 			continue
 		}
-		buf = body
 		m, err := decodeBody(body)
 		if err != nil {
 			return
@@ -185,10 +188,7 @@ func (c *Client) readLoop() {
 		// Dispatch to every subscription whose filter matches the topic;
 		// each subscription sees the message once.
 		c.mu.Lock()
-		var chans []chan Message
-		if exact := c.subs[m.Topic]; len(exact) > 0 {
-			chans = append(chans, exact...)
-		}
+		chans = append(chans[:0], c.subs[m.Topic]...)
 		for filter, fchans := range c.subs {
 			if filter == m.Topic || !isWildcard(filter) || !Match(filter, m.Topic) {
 				continue
@@ -197,8 +197,15 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		for _, ch := range chans {
+			d := m
+			if m.Binary {
+				// A subscriber may Release its copy while another still
+				// reads its own; all are copied from the read buffer, which
+				// the next read alone reuses.
+				d = pooledCopy(m)
+			}
 			select {
-			case ch <- m:
+			case ch <- d:
 			case <-c.done:
 				return
 			}
@@ -326,8 +333,9 @@ func (c *Client) Publish(topic string, payload any) error {
 
 // PublishRaw sends an opaque binary payload on the topic through the binary
 // frame kind — no JSON encoding on the client, the broker, or the delivery
-// path, with pooled frame buffers throughout. The payload is written to the
-// wire before return, so callers may reuse its storage immediately.
+// path, and no encode buffer: the payload is written to the wire straight
+// from its slice before return, so callers may reuse its storage
+// immediately.
 func (c *Client) PublishRaw(topic string, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -457,6 +465,7 @@ func (p *Proxy) bridge(client net.Conn) {
 	defer upstream.Close()
 
 	// Downstream (broker → client): verbatim body copy, no decoding at all.
+	// Each direction reads through its own pooled buffer.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -464,13 +473,13 @@ func (p *Proxy) bridge(client net.Conn) {
 		defer upstream.Close()
 		r := bufio.NewReader(upstream)
 		w := bufio.NewWriter(client)
-		var buf []byte
+		var rb readBuf
+		defer rb.release()
 		for {
-			body, err := readBody(r, buf)
+			body, err := rb.read(r)
 			if err != nil {
 				return
 			}
-			buf = body
 			if err := writeBody(w, body); err != nil {
 				return
 			}
@@ -485,13 +494,13 @@ func (p *Proxy) bridge(client net.Conn) {
 	// (the fleet's clean-path block frames are not this attacker's target).
 	r := bufio.NewReader(client)
 	w := bufio.NewWriter(upstream)
-	var buf []byte
+	var rb readBuf
+	defer rb.release()
 	for {
-		body, err := readBody(r, buf)
+		body, err := rb.read(r)
 		if err != nil {
 			return
 		}
-		buf = body
 		if len(body) > 0 && body[0] == binFrameKind {
 			if err := writeBody(w, body); err != nil {
 				return

@@ -3,6 +3,7 @@ package mqtt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -401,6 +402,112 @@ func TestPublishRawThroughBroker(t *testing.T) {
 		jm := recvOrFail(t, ch, "json frame after binary")
 		if jm.Binary || string(jm.Payload) != `{"day":3}` {
 			t.Fatalf("json delivery after binary mangled: %+v", jm)
+		}
+	}
+}
+
+// TestReleasedPayloadStaysWithItsSubscription: one connection holds an
+// exact and a '+' filter on the same topic, so the client delivers every
+// binary frame to two subscriptions. One consumer scribbles over each
+// payload and hands it back at once; the other keeps every payload it
+// receives and checks them against what was published only at the end,
+// after the pool has recycled the released buffers frames over. A payload
+// shared between the subscriptions, or a released buffer handed to a later
+// delivery while still held, shows up as wrong bytes (and under -race as a
+// data race).
+func TestReleasedPayloadStaysWithItsSubscription(t *testing.T) {
+	const frames = 200
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := Dial(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	exact, err := c.Subscribe("home/5/sensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wild, err := c.Subscribe("home/+/sensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(i int) []byte {
+		p := make([]byte, 900+(i*613)%5000)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	recv := func(ch <-chan Message, i int) (Message, error) {
+		select {
+		case m, ok := <-ch:
+			if !ok {
+				return Message{}, fmt.Errorf("subscription closed before frame %d", i)
+			}
+			return m, nil
+		case <-time.After(10 * time.Second):
+			return Message{}, fmt.Errorf("frame %d not delivered", i)
+		}
+	}
+	released := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			m, err := recv(exact, i)
+			if err != nil {
+				released <- err
+				return
+			}
+			if !m.Binary || !bytes.Equal(m.Payload, frame(i)) {
+				released <- fmt.Errorf("releasing subscription: frame %d arrived mangled", i)
+				return
+			}
+			for j := range m.Payload {
+				m.Payload[j] = 0xEE
+			}
+			m.Release()
+			if m.Payload != nil {
+				released <- fmt.Errorf("frame %d: Release left the payload in place", i)
+				return
+			}
+		}
+		released <- nil
+	}()
+	kept := make(chan []Message, 1)
+	keepErr := make(chan error, 1)
+	go func() {
+		ms := make([]Message, 0, frames)
+		for i := 0; i < frames; i++ {
+			m, err := recv(wild, i)
+			if err != nil {
+				keepErr <- err
+				return
+			}
+			ms = append(ms, m)
+		}
+		kept <- ms
+	}()
+	// Publishing on the subscribing connection orders every frame after
+	// both subscriptions.
+	for i := 0; i < frames; i++ {
+		if err := c.PublishRaw("home/5/sensor", frame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-keepErr:
+		t.Fatal(err)
+	case ms := <-kept:
+		for i, m := range ms {
+			if !m.Binary || !bytes.Equal(m.Payload, frame(i)) {
+				t.Fatalf("keeping subscription: frame %d changed after the other subscription released its copy", i)
+			}
 		}
 	}
 }

@@ -113,19 +113,33 @@ func OpenPipeOptions(broker, topic string, src Source, opts PipeOptions) (*Pipe,
 	return p, nil
 }
 
+// pumpBlockPool and pumpFramePool hold the pumps' scratch between pipes:
+// the day block a pump's source fills and the buffer its frames are encoded
+// into.
+var (
+	pumpBlockPool = sync.Pool{New: func() any { return new(DayBlock) }}
+	pumpFramePool = sync.Pool{New: func() any { return new([]byte) }}
+)
+
 // pumpBlocks publishes src's day-blocks as binary wire frames — one raw
-// publish per home-day through a reused encode buffer, so a warm pump runs
-// the whole transport path (encode, frame, fan-out) allocation-free. The
+// publish per home-day. Its day block and encode buffer come from pools and
+// go back when it exits, and the bus pools its own buffers, so once the
+// pools are warm the day path (encode, frame, fan-out, delivery) is
+// allocation-free from a pipe's first frame on. The
 // end-of-stream sentinel is a JSON control frame, published after a source
 // error too (the consumer then returns that error); it carries the
 // stream's final day so the consumer can detect a lost tail.
 func (p *Pipe) pumpBlocks(topic string, src Source) {
 	defer p.wg.Done()
-	var blk DayBlock
-	var buf []byte
+	blk := pumpBlockPool.Get().(*DayBlock)
+	buf := pumpFramePool.Get().(*[]byte)
+	defer func() {
+		pumpBlockPool.Put(blk)
+		pumpFramePool.Put(buf)
+	}()
 	final := 0
 	for {
-		err := src.NextBlock(&blk)
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
@@ -134,12 +148,12 @@ func (p *Pipe) pumpBlocks(topic string, src Source) {
 			break
 		}
 		final = blk.Day + 1
-		buf, err = AppendBlockFrame(buf[:0], &blk, p.epoch)
+		*buf, err = AppendBlockFrame((*buf)[:0], blk, p.epoch)
 		if err != nil {
 			p.setErr(fmt.Errorf("stream: pipe encode day %d: %w", blk.Day, err))
 			break
 		}
-		if err := p.client.PublishRaw(topic, buf); err != nil {
+		if err := p.client.PublishRaw(topic, *buf); err != nil {
 			p.publishFailed(err)
 			return
 		}
@@ -211,6 +225,9 @@ func (p *Pipe) next(dst *DayBlock, expired <-chan time.Time) error {
 		if IsBlockFrame(m.Payload) {
 			p.frames++
 			epoch, err := DecodeBlockFrame(dst, m.Payload)
+			// The frame is decoded (or rejected), so its payload goes back to
+			// the bus's pool, whether the day is delivered or discarded below.
+			m.Release()
 			if err != nil {
 				return fmt.Errorf("stream: pipe decode: %w", err)
 			}

@@ -2,7 +2,10 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -163,4 +166,162 @@ func (s *stallingSource) NextBlock(dst *DayBlock) error {
 	}
 	s.n++
 	return s.src.NextBlock(dst)
+}
+
+// lockstepSource emits its block once per request on next, as days 0, 1,
+// …, days-1, then io.EOF. A pump can publish a day only once the consumer
+// has asked for it, so a window of requests covers every stage of its days
+// on the bus: the source copy, encode, publish, broker fan-out, delivery
+// and decode.
+type lockstepSource struct {
+	blk       *DayBlock
+	next      chan struct{}
+	day, days int
+}
+
+func newLockstepSource(blk *DayBlock, days int) *lockstepSource {
+	return &lockstepSource{blk: blk, next: make(chan struct{}, 1), days: days}
+}
+
+func (s *lockstepSource) NextBlock(dst *DayBlock) error {
+	if s.day == s.days {
+		return io.EOF
+	}
+	<-s.next
+	copyBlock(dst, s.blk)
+	dst.Day = s.day
+	s.day++
+	return nil
+}
+
+// request asks for the source's next day and receives it from the pipe.
+func (s *lockstepSource) request(pipe *Pipe, dst *DayBlock) error {
+	s.next <- struct{}{}
+	return pipe.NextBlock(dst)
+}
+
+// TestPipeAllocBounds locks the bus's pooled buffers on pipes over an
+// in-process broker that stream house A. A warm pipe moves a home-day with
+// a few small allocations (topic and home strings) instead of a
+// frame-sized payload copy, and a new home's pipe draws its read buffers,
+// payload copies, pump block and encode buffer from the pools instead of
+// growing its own. The consumer's block is reused across homes, as a shard
+// worker's is. The collector is off while it measures, because a
+// collection empties the pools.
+func TestPipeAllocBounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under -race")
+	}
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	blk := codecBlocks(t, "A", 1)[0]
+	var dst DayBlock
+	open := func(id string, days int) (*Pipe, *lockstepSource) {
+		t.Helper()
+		src := newLockstepSource(blk, days)
+		pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic(id), src, PipeOptions{ReceiveTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipe, src
+	}
+	stream := func(pipe *Pipe, src *lockstepSource, days int) {
+		t.Helper()
+		for d := 0; d < days; d++ {
+			if err := src.request(pipe, &dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	finish := func(pipe *Pipe) {
+		t.Helper()
+		if err := pipe.NextBlock(&dst); err != io.EOF {
+			t.Fatalf("end of stream: %v", err)
+		}
+		pipe.Close()
+	}
+	oneDayHome := func(id string) {
+		pipe, src := open(id, 1)
+		stream(pipe, src, 1)
+		finish(pipe)
+	}
+	allocated := func(f func()) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 4; i++ {
+		oneDayHome(fmt.Sprintf("warm%d", i))
+	}
+
+	const days, warm = 32, 8
+	pipe, src := open("A", warm+days)
+	stream(pipe, src, warm)
+	perDay := allocated(func() { stream(pipe, src, days) }) / days
+	finish(pipe)
+
+	const homes = 32
+	perHome := allocated(func() {
+		for i := 0; i < homes; i++ {
+			oneDayHome(fmt.Sprintf("home%d", i))
+		}
+	}) / homes
+	t.Logf("%d B per home-day on a warm pipe, %d B per one-day home", perDay, perHome)
+	if perDay > 8<<10 {
+		t.Errorf("a warm pipe allocated %d B per home-day, want <= 8 KiB", perDay)
+	}
+	if perHome > 128<<10 {
+		t.Errorf("a one-day home allocated %d B, want <= 128 KiB", perHome)
+	}
+}
+
+// BenchmarkPipeDay times one house-A day through a warm pipe over an
+// in-process broker, from the request to the decoded block, with one day
+// in flight: source copy, encode, publish, broker fan-out, delivery and
+// decode. Its B/op is what the bus allocates per home-day once the
+// warm-up days have filled the pools; a single-day run can still miss a
+// pooled buffer held on the other P, so read it over a few hundred days.
+func BenchmarkPipeDay(b *testing.B) {
+	const warm = 8
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer broker.Close()
+	blk := codecBlocks(b, "A", 1)[0]
+	src := newLockstepSource(blk, warm+b.N)
+	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("A"), src, PipeOptions{ReceiveTimeout: 10 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pipe.Close()
+	var dst DayBlock
+	for d := 0; d < warm; d++ {
+		if err := src.request(pipe, &dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame, err := AppendBlockFrame(nil, blk, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := src.request(pipe, &dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := pipe.NextBlock(&dst); err != io.EOF {
+		b.Fatalf("end of stream: %v", err)
+	}
 }
