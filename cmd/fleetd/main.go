@@ -282,7 +282,7 @@ func admin(verb string, args []string) error {
 	if *brokerAddr == "" {
 		return fmt.Errorf("fleetd %s: -broker is required", verb)
 	}
-	a, err := fleetd.NewAdmin(*brokerAddr, mqtt.DialOptions{})
+	a, err := fleetd.NewAdmin(*brokerAddr)
 	if err != nil {
 		return err
 	}

@@ -88,10 +88,10 @@ type controlPlane struct {
 }
 
 func newControlPlane(svc *Service, broker string, every time.Duration) (*controlPlane, error) {
-	// The control plane rides through broker restarts: the client redials
-	// with the default backoff and re-registers the admin subscription
-	// itself, so the serve loop below survives an outage.
-	client, err := mqtt.DialWithOptions(broker, mqtt.DialOptions{Redial: true})
+	// The control plane rides through broker restarts: the session redials
+	// and re-registers the admin subscription itself, so the serve loop
+	// below survives an outage.
+	client, err := mqtt.DialSession(broker)
 	if err != nil {
 		return nil, err
 	}
@@ -124,12 +124,16 @@ func newControlPlane(svc *Service, broker string, every time.Duration) (*control
 	return cp, nil
 }
 
-// serve dispatches admin requests serially in arrival order.
+// serve dispatches admin requests serially in arrival order, handing each
+// delivered payload back to the bus once it is decoded.
 func (cp *controlPlane) serve(ch <-chan mqtt.Message, ready chan<- struct{}) {
 	defer cp.wg.Done()
 	probed := false
 	for msg := range ch {
 		verb := strings.TrimPrefix(msg.Topic, adminPrefix)
+		var req Request
+		err := json.Unmarshal(msg.Payload, &req)
+		msg.Release()
 		if verb == verbProbe {
 			if !probed {
 				probed = true
@@ -137,8 +141,7 @@ func (cp *controlPlane) serve(ch <-chan mqtt.Message, ready chan<- struct{}) {
 			}
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(msg.Payload, &req); err != nil || req.Reply == "" {
+		if err != nil || req.Reply == "" {
 			continue // malformed or fire-and-forget: nothing to answer
 		}
 		resp := cp.handle(verb, &req)
@@ -255,15 +258,15 @@ type Admin struct {
 }
 
 // NewAdmin connects an admin client to the service's broker. The
-// connection redials with dial's backoff, re-establishing the private
-// reply-topic subscription (and any Watch feed) after a broker restart —
-// requests issued while the broker is down fail fast with a disconnected
-// error and succeed again after resume. The reply subscription and every
-// request travel on this one connection, which the broker serves in order,
-// so the subscription is registered before the first request is routed.
-func NewAdmin(broker string, dial mqtt.DialOptions) (*Admin, error) {
-	dial.Redial = true
-	client, err := mqtt.DialWithOptions(broker, dial)
+// connection is a session (mqtt.DialSession): it redials, re-establishing
+// the private reply-topic subscription (and any Watch feed) after a broker
+// restart — requests issued while the broker is down fail fast with a
+// disconnected error and succeed again after resume. The reply
+// subscription and every request travel on this one connection, which the
+// broker serves in order, so the subscription is registered before the
+// first request is routed.
+func NewAdmin(broker string) (*Admin, error) {
+	client, err := mqtt.DialSession(broker)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +288,9 @@ func NewAdmin(broker string, dial mqtt.DialOptions) (*Admin, error) {
 func (a *Admin) dispatch(ch <-chan mqtt.Message) {
 	for msg := range ch {
 		var resp Response
-		if err := json.Unmarshal(msg.Payload, &resp); err != nil {
+		err := json.Unmarshal(msg.Payload, &resp)
+		msg.Release()
+		if err != nil {
 			continue
 		}
 		a.mu.Lock()
@@ -408,7 +413,9 @@ func (a *Admin) Watch() (<-chan Snapshot, error) {
 		defer close(out)
 		for msg := range ch {
 			var snap Snapshot
-			if json.Unmarshal(msg.Payload, &snap) == nil {
+			err := json.Unmarshal(msg.Payload, &snap)
+			msg.Release()
+			if err == nil {
 				out <- snap
 			}
 		}

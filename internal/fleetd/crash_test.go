@@ -339,9 +339,7 @@ func TestAdminRidesBrokerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close(false)
-	a, err := NewAdmin(broker.Addr(), mqtt.DialOptions{
-		Backoff: mqtt.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	a, err := NewAdmin(broker.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

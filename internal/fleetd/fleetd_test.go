@@ -508,6 +508,86 @@ func TestServiceDrainKeepsPauses(t *testing.T) {
 	checkHomesEqual(t, svc.Result().Homes, want.Homes)
 }
 
+// countedSource counts the day reads of every attempt of a job.
+type countedSource struct {
+	stream.Source
+	reads *atomic.Int64
+}
+
+func (s countedSource) NextBlock(dst *stream.DayBlock) error {
+	s.reads.Add(1)
+	return s.Source.NextBlock(dst)
+}
+
+// TestServiceCloseStopsEveryShardBeforeWaiting: Close stops dispatch on
+// every shard before it waits on any. Each of two shards has its one worker
+// held inside a day; while Close waits on shard 0's held day, shard 1 must
+// already be stopped, so its worker, once released, ends its day and starts
+// no other. A Close that stopped the shards one after another would leave
+// shard 1 dispatching until shard 0's hold is released.
+func TestServiceCloseStopsEveryShardBeforeWaiting(t *testing.T) {
+	const homes, days = 4, 3
+	jobs := synthJobs(homes, days, 88)
+	// Homes are assigned round-robin: even indices to shard 0, odd to 1.
+	holds := []*readHold{holdFirstRead(&jobs[0], nil), holdFirstRead(&jobs[1], nil)}
+	var shard1Reads atomic.Int64
+	for i := 1; i < homes; i += 2 {
+		open := jobs[i].Open
+		jobs[i].Open = func() (stream.Source, *stream.Home, error) {
+			src, h, err := open()
+			return countedSource{Source: src, reads: &shard1Reads}, h, err
+		}
+	}
+	svc, err := NewService(Config{Shards: 2, Shard: ShardOptions{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(false)
+	released := make([]bool, len(holds))
+	release := func(i int) {
+		if !released[i] {
+			released[i] = true
+			close(holds[i].release)
+		}
+	}
+	defer func() { // before the deferred Close, which waits on held days
+		for i := range holds {
+			release(i)
+		}
+	}()
+	if err := svc.Add(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range holds {
+		within(t, 10*time.Second, fmt.Sprintf("shard %d's first read", i), func() { <-h.reading })
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		svc.Close(false)
+	}()
+	sh := svc.shards[1]
+	eventually(t, 10*time.Second, "shard 1 to stop while Close waits on shard 0", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.stopped
+	})
+	release(1)
+	eventually(t, 10*time.Second, "shard 1's held day to end", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.running == 0
+	})
+	if n := shard1Reads.Load(); n != 1 {
+		t.Fatalf("shard 1 read %d days before shard 0's hold was released; want only its held one", n)
+	}
+	release(0)
+	within(t, 10*time.Second, "Close", func() { <-closed })
+	if n := shard1Reads.Load(); n != 1 {
+		t.Fatalf("shard 1 read %d days during Close; want only its held one", n)
+	}
+}
+
 // TestServiceJournalErrorsReachOutcomes: a record the manifest cannot take
 // is never dropped. With the journal closed under a running service, a
 // done record's failed append lands in the home's outcome, and a
@@ -998,7 +1078,7 @@ func TestServiceControlPlane(t *testing.T) {
 	}
 	defer svc.Close(false)
 
-	a, err := NewAdmin(broker.Addr(), mqtt.DialOptions{})
+	a, err := NewAdmin(broker.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -515,10 +515,13 @@ func (s *Service) Result() stream.FleetResult {
 func (s *Service) Done() <-chan struct{} { return s.done }
 
 // Close shuts the service down: the control plane detaches, every shard
-// stops (journaling a checkpoint of every still-resident home when persist
-// is set and a state dir is configured), and finally the manifest takes a
-// last sync and closes — after the shards, so late checkpoint and
-// completion records from finishing workers still land. Idempotent.
+// stops dispatch before Close waits on any of them, so no shard starts a
+// day while another finishes its running ones; then each shard's workers
+// exit and its still-resident homes are torn down (journaling a checkpoint
+// of each when persist is set and a state dir is configured), and finally
+// the manifest takes a last sync and closes — after the shards, so late
+// checkpoint and completion records from finishing workers still land.
+// Idempotent.
 func (s *Service) Close(persist bool) {
 	s.stop.Do(func() { close(s.done) })
 	if s.ctl != nil {
@@ -526,7 +529,10 @@ func (s *Service) Close(persist bool) {
 		s.ctl = nil
 	}
 	for _, sh := range s.shards {
-		sh.Stop(persist && s.man != nil)
+		sh.stop()
+	}
+	for _, sh := range s.shards {
+		sh.finish(persist && s.man != nil)
 	}
 	if s.man != nil {
 		_ = s.man.Close()

@@ -748,19 +748,19 @@ func (sh *Shard) WaitIdle() {
 	}
 }
 
-// Stop shuts the shard down: workers finish their current day and exit,
-// then every still-resident home is checkpointed (when persist) and torn
-// down. Idempotent.
-func (sh *Shard) Stop(persist bool) {
+// stop ends the shard's dispatch without waiting: each worker finishes its
+// current day and exits, and no home starts another. Idempotent.
+func (sh *Shard) stop() {
 	sh.mu.Lock()
-	if sh.stopped {
-		sh.mu.Unlock()
-		sh.wg.Wait()
-		return
-	}
 	sh.stopped = true
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
+}
+
+// finish waits for the workers of a stopped shard to exit, then
+// checkpoints every still-resident home (when persist) and tears it down.
+// Idempotent.
+func (sh *Shard) finish(persist bool) {
 	sh.wg.Wait()
 	sh.mu.Lock()
 	for _, h := range sh.homes {

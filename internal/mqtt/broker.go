@@ -5,27 +5,25 @@
 // attacker of the paper — can intercept and rewrite messages in flight
 // (the Polymorph/Scapy packet-crafting role).
 //
-// The wire protocol is deliberately small: a 4-byte big-endian frame length
-// followed by a frame body. Bodies come in two kinds, classified by their
-// first byte: '{' opens the JSON-encoded Message envelope (control frames,
-// ordinary publishes), and 0x01 opens the binary publish layout — kind byte,
-// 2-byte big-endian topic length, topic, then an opaque payload forwarded
-// verbatim. Binary publishes are routed without any JSON work on either the
-// broker or the client path; they carry the streaming layer's day-block
-// frames. A binary frame is written straight from its payload, and every
-// frame-sized buffer on the receive side comes from one pool: the buffer
-// each frame is read into, and the copy of a binary payload a client
-// delivers to each matching subscription, which the subscriber hands back
-// with Message.Release once it is done with it. It is not the MQTT 3.1.1
-// wire format, but it preserves the properties the experiment needs —
-// topic routing, ordered delivery per connection, and rewritability in
-// transit.
+// The wire protocol is deliberately small and has one frame layout: a
+// 4-byte big-endian body length, then the body — a kind byte (0x01
+// publish, 0x02 subscribe), a 2-byte big-endian topic length, the topic,
+// and for a publish an opaque payload forwarded verbatim. The broker routes
+// a publish straight off its read buffer; Publish JSON-encodes its value
+// into the payload and PublishRaw sends bytes as they are (the streaming
+// layer's day-block frames). A frame is written field by field straight
+// from its payload, and every frame-sized buffer on the receive side comes
+// from one pool: the buffer each frame is read into, and the copy of a
+// payload a client delivers to each matching subscription, which the
+// subscriber hands back with Message.Release once it is done with it. It
+// is not the MQTT 3.1.1 wire format, but it preserves the properties the
+// experiment needs — topic routing, ordered delivery per connection, and
+// rewritability in transit.
 package mqtt
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,28 +32,24 @@ import (
 	"time"
 )
 
-// Message is one published datum. Ordinary messages carry JSON payloads
-// through the JSON envelope; Binary marks a raw publish (PublishRaw) whose
-// Payload is opaque bytes framed in the binary wire layout.
+// Message is one publish: a topic and its opaque payload.
 type Message struct {
-	Topic   string          `json:"topic"`
-	Payload json.RawMessage `json:"payload"`
-	// Binary selects the binary frame kind on the wire. It never appears in
-	// JSON — the kind is a framing property, not message content.
-	Binary bool `json:"-"`
-	// pooled is the bufPool buffer behind a binary Payload a client
-	// delivered; Release hands it back.
+	Topic   string
+	Payload []byte
+	// pooled is the bufPool buffer behind a Payload a client delivered;
+	// Release hands it back.
 	pooled *[]byte
 }
 
-// Release hands the payload of a binary message received from a
-// subscription channel back to the bus's buffer pool, where a later frame
-// reuses it, and clears Payload. Only the subscriber that received m may
-// call it, once, after its last read of Payload; no copy of m may be read
-// afterwards. Every subscription receives its own copy of a payload, so
-// releasing one never touches another's. A payload that is never released
-// is simply collected. Release on any other message (JSON, or one the
-// caller built) does nothing.
+// Release hands the payload of a message received from a subscription
+// channel back to the bus's buffer pool, where a later frame reuses it, and
+// clears Payload. Only the subscriber that received m may call it, once,
+// after its last read of Payload; no copy of m may be read afterwards.
+// Every subscription receives its own copy of a payload, so releasing one
+// never touches another's. Every consumer calls it once it has decoded a
+// payload: one that never does leaves the collector a pooled buffer of at
+// least 64 KiB per delivery, however small the payload. Release on a
+// message the caller built does nothing.
 func (m *Message) Release() {
 	if m.pooled == nil {
 		return
@@ -64,15 +58,17 @@ func (m *Message) Release() {
 	m.pooled, m.Payload = nil, nil
 }
 
+// Frame kinds: the first byte of every frame body.
+const (
+	kindPublish   = 0x01
+	kindSubscribe = 0x02
+)
+
 // maxFrame bounds a frame to keep a malformed or malicious peer from
 // forcing huge allocations.
 const maxFrame = 1 << 20
 
-// binFrameKind is the first body byte of a binary publish frame. JSON
-// envelope bodies always start with '{', so one byte classifies a body.
-const binFrameKind = 0x01
-
-// maxTopicLen bounds a binary frame's topic (its length field is 16-bit).
+// maxTopicLen bounds a frame's topic (its length field is 16-bit).
 const maxTopicLen = 1<<16 - 1
 
 // ErrFrameTooBig is returned when a peer announces an oversized frame.
@@ -103,65 +99,30 @@ func sized(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// decodeBinaryBody splits a binary frame body into topic and payload. The
-// payload aliases body — callers that retain it must copy.
-func decodeBinaryBody(body []byte) (topic string, payload []byte, err error) {
-	if len(body) < 3 {
-		return "", nil, fmt.Errorf("mqtt: binary frame truncated (%d bytes)", len(body))
+// writeFrame writes one frame field by field — length prefix, kind byte,
+// big-endian topic length, topic, then the payload straight from its slice
+// — so it needs no encode buffer; the bus's bufio.Writers gather the small
+// fields.
+func writeFrame(w io.Writer, kind byte, topic string, payload []byte) error {
+	if len(topic) > maxTopicLen {
+		return fmt.Errorf("mqtt: topic %d bytes exceeds frame limit", len(topic))
 	}
-	tl := int(binary.BigEndian.Uint16(body[1:3]))
-	if tl > len(body)-3 {
-		return "", nil, fmt.Errorf("mqtt: binary frame topic length %d exceeds body", tl)
-	}
-	return string(body[3 : 3+tl]), body[3+tl:], nil
-}
-
-// writeBody writes one length-prefixed frame body.
-func writeBody(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
+	n := 3 + len(topic) + len(payload)
+	if n > maxFrame {
 		return ErrFrameTooBig
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	var hdr [7]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+	hdr[4] = kind
+	binary.BigEndian.PutUint16(hdr[5:], uint16(len(topic)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
-	return err
-}
-
-// writeFrame encodes and writes one message in its wire kind: the JSON
-// envelope for ordinary messages, the binary layout for Binary ones. A
-// binary frame is written field by field — length prefix, kind byte,
-// big-endian topic length, topic, then the payload straight from m — so it
-// needs no encode buffer; the bus's bufio.Writers gather the small fields.
-func writeFrame(w io.Writer, m Message) error {
-	if m.Binary {
-		if len(m.Topic) > maxTopicLen {
-			return fmt.Errorf("mqtt: topic %d bytes exceeds binary frame limit", len(m.Topic))
-		}
-		n := 3 + len(m.Topic) + len(m.Payload)
-		if n > maxFrame {
-			return ErrFrameTooBig
-		}
-		var hdr [7]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-		hdr[4] = binFrameKind
-		binary.BigEndian.PutUint16(hdr[5:], uint16(len(m.Topic)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, m.Topic); err != nil {
-			return err
-		}
-		_, err := w.Write(m.Payload)
+	if _, err := io.WriteString(w, topic); err != nil {
 		return err
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("mqtt: marshal: %w", err)
-	}
-	return writeBody(w, data)
+	_, err := w.Write(payload)
+	return err
 }
 
 // readBuf is a read loop's frame buffer. It holds a buffer from bufPool only
@@ -200,28 +161,28 @@ func (b *readBuf) release() {
 	}
 }
 
-// decodeBody classifies and decodes a frame body. A binary payload aliases
-// body, so it lives only as long as the read buffer: a client's read loop
-// hands each matching subscription its own copy (see pooledCopy). The JSON
-// decoder copies inherently.
-func decodeBody(body []byte) (Message, error) {
-	if len(body) > 0 && body[0] == binFrameKind {
-		topic, payload, err := decodeBinaryBody(body)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Topic: topic, Payload: payload, Binary: true}, nil
+// decodeBody splits a frame body into its kind and message; a subscribe
+// frame's Topic is its filter and it carries no payload. The payload
+// aliases body, so it lives only as long as the read buffer: a client's
+// read loop hands each matching subscription its own copy (see pooledCopy).
+func decodeBody(body []byte) (byte, Message, error) {
+	if len(body) < 3 {
+		return 0, Message{}, fmt.Errorf("mqtt: frame truncated (%d bytes)", len(body))
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return Message{}, fmt.Errorf("mqtt: unmarshal: %w", err)
+	kind, tl := body[0], int(binary.BigEndian.Uint16(body[1:3]))
+	switch {
+	case kind != kindPublish && kind != kindSubscribe:
+		return 0, Message{}, fmt.Errorf("mqtt: unknown frame kind %#x", kind)
+	case tl > len(body)-3:
+		return 0, Message{}, fmt.Errorf("mqtt: frame topic length %d exceeds body", tl)
+	case kind == kindSubscribe && tl < len(body)-3:
+		return 0, Message{}, errors.New("mqtt: subscribe frame carries a payload")
 	}
-	return m, nil
+	return kind, Message{Topic: string(body[3 : 3+tl]), Payload: body[3+tl:]}, nil
 }
 
-// pooledCopy returns m with its binary payload copied into a buffer from
-// bufPool, owned by the one subscriber it is delivered to until it calls
-// Release.
+// pooledCopy returns m with its payload copied into a buffer from bufPool,
+// owned by the one subscriber it is delivered to until it calls Release.
 func pooledCopy(m Message) Message {
 	bp := bufPool.Get().(*[]byte)
 	*bp = sized(*bp, len(m.Payload))
@@ -230,29 +191,10 @@ func pooledCopy(m Message) Message {
 	return m
 }
 
-// readFrame reads and decodes one message. It never releases its read
-// buffer, so a binary payload aliasing it stays valid and is collected with
-// the message.
-func readFrame(r io.Reader) (Message, error) {
-	var rb readBuf
-	body, err := rb.read(r)
-	if err != nil {
-		return Message{}, err
-	}
-	return decodeBody(body)
-}
-
-// control frames clients send to the broker.
-type control struct {
-	Op    string  `json:"op"` // "sub" or "pub"
-	Topic string  `json:"topic,omitempty"`
-	Msg   Message `json:"msg,omitempty"`
-}
-
 // Broker is a topic-routing pub/sub hub over TCP. It is chaos-capable:
 // Suspend severs every connection and stops accepting (a broker crash),
 // Resume re-binds the same address and starts accepting again (a broker
-// restart) — redial-enabled clients ride the outage via session resume.
+// restart) — clients dialed with DialSession ride the outage.
 type Broker struct {
 	addr string // bound address, stable across Suspend/Resume
 
@@ -276,7 +218,7 @@ type subscriber struct {
 func (s *subscriber) send(m Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := writeFrame(s.w, m); err != nil {
+	if err := writeFrame(s.w, kindPublish, m.Topic, m.Payload); err != nil {
 		return err
 	}
 	return s.w.Flush()
@@ -396,7 +338,7 @@ func (b *Broker) serve(conn net.Conn) {
 	sub := &subscriber{w: bufio.NewWriter(conn), c: conn}
 	// A frame's pooled read buffer outlives its routing: publish fan-out is
 	// synchronous (every subscriber write completes before the next read),
-	// and the JSON decoder copies what it keeps.
+	// and a subscription keeps only its filter string.
 	var rb readBuf
 	defer rb.release()
 	for {
@@ -404,46 +346,29 @@ func (b *Broker) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if len(body) > 0 && body[0] == binFrameKind {
-			// A binary body is an implicit publish: route it straight off the
-			// read buffer with zero JSON work and zero payload copies.
-			topic, payload, derr := decodeBinaryBody(body)
-			if derr != nil {
-				return // malformed frame: drop the client
-			}
-			b.publish(Message{Topic: topic, Payload: payload, Binary: true})
-			continue
-		}
-		var m Message
-		if err := json.Unmarshal(body, &m); err != nil {
+		kind, m, err := decodeBody(body)
+		if err != nil {
 			return // malformed frame: drop the client
 		}
-		var ctl control
-		if err := json.Unmarshal(m.Payload, &ctl); err != nil {
-			return // malformed control frame: drop the client
+		if kind == kindPublish {
+			b.publish(m)
+			continue
 		}
-		switch ctl.Op {
-		case "sub":
-			if !ValidFilter(ctl.Topic) {
-				return // malformed filter: drop the client
-			}
-			// Table selection must happen under the lock: Suspend swaps both
-			// map headers when it drops the session state.
-			b.mu.Lock()
-			table := b.subs
-			if isWildcard(ctl.Topic) {
-				table = b.wild
-			}
-			if table[ctl.Topic] == nil {
-				table[ctl.Topic] = make(map[net.Conn]*subscriber)
-			}
-			table[ctl.Topic][conn] = sub
-			b.mu.Unlock()
-		case "pub":
-			b.publish(ctl.Msg)
-		default:
-			return // protocol violation
+		if !ValidFilter(m.Topic) {
+			return // malformed filter: drop the client
 		}
+		// Table selection must happen under the lock: Suspend swaps both map
+		// headers when it drops the session state.
+		b.mu.Lock()
+		table := b.subs
+		if isWildcard(m.Topic) {
+			table = b.wild
+		}
+		if table[m.Topic] == nil {
+			table[m.Topic] = make(map[net.Conn]*subscriber)
+		}
+		table[m.Topic][conn] = sub
+		b.mu.Unlock()
 	}
 }
 

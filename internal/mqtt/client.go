@@ -38,47 +38,20 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// DialOptions configures connection establishment and per-frame deadlines.
-// The zero value matches the historical Dial behaviour plus a 10s dial
-// deadline (a dead broker address fails instead of hanging in the kernel).
-type DialOptions struct {
-	// Timeout bounds each TCP connection attempt; 0 defaults to 10s.
-	Timeout time.Duration
-	// Attempts is the number of dial attempts before giving up, with
-	// exponential backoff between them; 0 defaults to 1 (no retry).
-	Attempts int
-	// Backoff schedules the delay between dial attempts.
-	Backoff Backoff
-	// WriteTimeout bounds each control-frame write (publish/subscribe) on
-	// the resulting client; 0 leaves writes unbounded.
-	WriteTimeout time.Duration
-
-	// Redial enables session resume: when an established connection is
-	// lost, the client redials (Timeout per attempt, Backoff between
-	// attempts) and transparently re-issues every active subscription, so
-	// subscription channels stay open across a broker restart. Publishes
-	// issued while the connection is down fail fast with ErrDisconnected;
-	// frames the broker would have delivered during the outage are lost
-	// (the transport is at-most-once), which callers absorb with their own
-	// sequencing/retry machinery.
-	Redial bool
-	// RedialAttempts bounds reconnection attempts per outage; 0 (the
-	// default) retries until Close — the right behaviour for long-running
-	// services that must outlive arbitrary broker downtime.
-	RedialAttempts int
-}
+// dialTimeout bounds each TCP connection attempt, so a dead broker address
+// fails instead of hanging in the kernel.
+const dialTimeout = 10 * time.Second
 
 // ErrDisconnected is returned by publishes and subscribes issued while a
-// redial-enabled client is between connections.
+// session (DialSession) is between connections.
 var ErrDisconnected = errors.New("mqtt: connection down (session resuming)")
 
-// Client is a broker connection that can publish and subscribe. With
-// DialOptions.Redial it is a session: the connection underneath may be
-// replaced after a broker restart while subscriptions persist.
+// Client is a broker connection that can publish and subscribe. Dialed with
+// DialSession it is a session: the connection underneath may be replaced
+// after a broker restart while subscriptions persist.
 type Client struct {
-	addr         string
-	opts         DialOptions
-	writeTimeout time.Duration
+	addr    string
+	session bool
 
 	// wmu serializes writes. conn is replaced only under both wmu and mu,
 	// so Close can read it under mu alone, without waiting behind a write
@@ -96,54 +69,38 @@ type Client struct {
 	wg   sync.WaitGroup
 }
 
-// Dial connects to a broker (or a MITM proxy posing as one) with default
-// options.
-func Dial(addr string) (*Client, error) {
-	return DialWithOptions(addr, DialOptions{})
-}
+// Dial connects to a broker (or a MITM proxy posing as one) in one attempt.
+// The client never reconnects: when its connection is lost, every
+// subscription channel closes, so a consumer fails at once instead of
+// waiting for frames a restarted broker dropped.
+func Dial(addr string) (*Client, error) { return dial(addr, false) }
 
-// DialWithOptions connects to a broker with bounded dial attempts: each
-// attempt gets o.Timeout, and failed attempts back off exponentially
-// before redialing — the reconnect schedule a fleet client rides through a
-// broker restart.
-func DialWithOptions(addr string, o DialOptions) (*Client, error) {
-	attempts := o.Attempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var conn net.Conn
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(o.Backoff.Delay(i - 1))
-		}
-		conn, err = net.DialTimeout("tcp", addr, dialTimeout(o))
-		if err == nil {
-			break
-		}
-	}
+// DialSession connects like Dial but returns a session: when an
+// established connection is lost, the client redials until Close, with
+// Backoff's default schedule between attempts, and re-issues every active
+// subscription, so subscription channels stay open across a broker
+// restart. Publishes and subscribes issued while the connection is down
+// fail fast with ErrDisconnected; frames the broker would have delivered
+// during the outage are lost (the transport is at-most-once), which callers
+// absorb with their own retry machinery.
+func DialSession(addr string) (*Client, error) { return dial(addr, true) }
+
+func dial(addr string, session bool) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("mqtt: dial (%d attempts): %w", attempts, err)
+		return nil, fmt.Errorf("mqtt: dial: %w", err)
 	}
 	c := &Client{
-		addr:         addr,
-		opts:         o,
-		conn:         conn,
-		writeTimeout: o.WriteTimeout,
-		w:            bufio.NewWriter(conn),
-		subs:         make(map[string][]chan Message),
-		done:         make(chan struct{}),
+		addr:    addr,
+		session: session,
+		conn:    conn,
+		w:       bufio.NewWriter(conn),
+		subs:    make(map[string][]chan Message),
+		done:    make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.readLoop()
 	return c, nil
-}
-
-func dialTimeout(o DialOptions) time.Duration {
-	if o.Timeout > 0 {
-		return o.Timeout
-	}
-	return 10 * time.Second
 }
 
 func (c *Client) readLoop() {
@@ -164,9 +121,8 @@ func (c *Client) readLoop() {
 	}()
 	// Each frame is read into a pooled buffer that the next read hands
 	// back; a failed read hands it back at once, so a session resume holds
-	// none. Nothing delivered aliases it: decodeBody leaves a binary payload
-	// in it, and each matching subscription gets its own pooled copy (JSON
-	// payloads are copied by the decoder).
+	// none. Nothing delivered aliases it: decodeBody leaves the payload in
+	// it, and each matching subscription gets its own pooled copy.
 	var rb readBuf
 	defer rb.release()
 	r := bufio.NewReader(c.conn)
@@ -181,8 +137,8 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
-		m, err := decodeBody(body)
-		if err != nil {
+		kind, m, err := decodeBody(body)
+		if err != nil || kind != kindPublish {
 			return
 		}
 		// Dispatch to every subscription whose filter matches the topic;
@@ -197,15 +153,11 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		for _, ch := range chans {
-			d := m
-			if m.Binary {
-				// A subscriber may Release its copy while another still
-				// reads its own; all are copied from the read buffer, which
-				// the next read alone reuses.
-				d = pooledCopy(m)
-			}
+			// A subscriber may Release its copy while another still reads
+			// its own; all are copied from the read buffer, which the next
+			// read alone reuses.
 			select {
-			case ch <- d:
+			case ch <- pooledCopy(m):
 			case <-c.done:
 				return
 			}
@@ -214,13 +166,12 @@ func (c *Client) readLoop() {
 }
 
 // resume is the session-resume loop the read loop falls into when its
-// connection dies: redial with the configured backoff, swap the connection
-// in under the write lock, re-issue every active subscription, and hand a
-// reader over the new connection back. Returns nil when redial is disabled,
-// the attempt budget is exhausted, or the client closed — the read loop
-// then winds the session down.
+// connection dies: redial with Backoff's default schedule, swap the
+// connection in under the write lock, re-issue every active subscription,
+// and hand a reader over the new connection back. Returns nil for a client
+// that is not a session or has closed — the read loop then winds it down.
 func (c *Client) resume() *bufio.Reader {
-	if !c.opts.Redial || c.isClosed() {
+	if !c.session || c.isClosed() {
 		return nil
 	}
 	c.wmu.Lock()
@@ -236,18 +187,18 @@ func (c *Client) resume() *bufio.Reader {
 		case <-ctx.Done():
 		}
 	}()
-	for attempt := 0; c.opts.RedialAttempts == 0 || attempt < c.opts.RedialAttempts; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-c.done:
 				return nil
-			case <-time.After(c.opts.Backoff.Delay(attempt - 1)):
+			case <-time.After(Backoff{}.Delay(attempt - 1)):
 			}
 		}
 		if c.isClosed() {
 			return nil
 		}
-		d := net.Dialer{Timeout: dialTimeout(c.opts)}
+		d := net.Dialer{Timeout: dialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", c.addr)
 		if err != nil {
 			continue
@@ -278,7 +229,7 @@ func (c *Client) resume() *bufio.Reader {
 		// again and keep redialing.
 		resubscribed := true
 		for _, f := range filters {
-			if err := c.sendControl(control{Op: "sub", Topic: f}); err != nil {
+			if err := c.send(kindSubscribe, f, nil); err != nil {
 				resubscribed = false
 				break
 			}
@@ -292,7 +243,6 @@ func (c *Client) resume() *bufio.Reader {
 		}
 		return bufio.NewReader(conn)
 	}
-	return nil
 }
 
 func (c *Client) isClosed() bool {
@@ -301,56 +251,34 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-func (c *Client) sendControl(ctl control) error {
-	payload, err := json.Marshal(ctl)
-	if err != nil {
-		return err
-	}
+// send writes one frame on the live connection.
+func (c *Client) send(kind byte, topic string, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.down {
-		return fmt.Errorf("mqtt: %s %q: %w", ctl.Op, ctl.Topic+ctl.Msg.Topic, ErrDisconnected)
+		return fmt.Errorf("mqtt: %q: %w", topic, ErrDisconnected)
 	}
-	if c.writeTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(c.w, Message{Topic: "$ctl", Payload: payload}); err != nil {
+	if err := writeFrame(c.w, kind, topic, payload); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-// Publish sends payload (JSON-encoded) on the topic.
+// Publish sends payload, JSON-encoded, on the topic.
 func (c *Client) Publish(topic string, payload any) error {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("mqtt: encode payload: %w", err)
 	}
-	return c.sendControl(control{Op: "pub", Msg: Message{Topic: topic, Payload: data}})
+	return c.PublishRaw(topic, data)
 }
 
-// PublishRaw sends an opaque binary payload on the topic through the binary
-// frame kind — no JSON encoding on the client, the broker, or the delivery
-// path, and no encode buffer: the payload is written to the wire straight
-// from its slice before return, so callers may reuse its storage
-// immediately.
+// PublishRaw sends an opaque payload on the topic, with no encoding on the
+// client, the broker, or the delivery path, and no encode buffer: the
+// payload is written to the wire straight from its slice before return, so
+// callers may reuse its storage immediately.
 func (c *Client) PublishRaw(topic string, payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.down {
-		return fmt.Errorf("mqtt: pub %q: %w", topic, ErrDisconnected)
-	}
-	if c.writeTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(c.w, Message{Topic: topic, Payload: payload, Binary: true}); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.send(kindPublish, topic, payload)
 }
 
 // ErrBadFilter is returned for malformed subscription filters.
@@ -368,7 +296,7 @@ func (c *Client) Subscribe(topic string) (<-chan Message, error) {
 	c.mu.Lock()
 	c.subs[topic] = append(c.subs[topic], ch)
 	c.mu.Unlock()
-	if err := c.sendControl(control{Op: "sub", Topic: topic}); err != nil {
+	if err := c.send(kindSubscribe, topic, nil); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -397,13 +325,15 @@ func (c *Client) Close() error {
 }
 
 // Proxy is the man-in-the-middle attacker: clients dial the proxy thinking
-// it is the broker; every frame passes through Rewrite before forwarding
-// (ARP-poisoning + packet-crafting, Section VI).
+// it is the broker, and every publish they send passes through Rewrite
+// before it is forwarded (ARP-poisoning + packet-crafting, Section VI).
 type Proxy struct {
 	ln     net.Listener
 	target string
-	// Rewrite transforms broker-bound frames; returning the message
-	// unchanged forwards it verbatim. Only "pub" control frames reach it.
+	// Rewrite transforms every broker-bound publish; returning the message
+	// unchanged forwards its frame byte for byte. Subscribes and the
+	// broker's deliveries pass through untouched, and a nil Rewrite
+	// forwards everything.
 	Rewrite func(Message) Message
 
 	mu    sync.Mutex
@@ -412,7 +342,8 @@ type Proxy struct {
 	wg sync.WaitGroup
 }
 
-// NewProxy starts a MITM proxy on addr forwarding to the broker at target.
+// NewProxy starts a MITM proxy on addr forwarding to the broker at target,
+// with rewrite as its Rewrite.
 func NewProxy(addr, target string, rewrite func(Message) Message) (*Proxy, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -455,45 +386,31 @@ func (p *Proxy) bridge(client net.Conn) {
 	defer p.wg.Done()
 	p.track(client)
 	defer p.untrack(client)
-	defer client.Close()
 	upstream, err := net.Dial("tcp", p.target)
 	if err != nil {
+		client.Close()
 		return
 	}
 	p.track(upstream)
 	defer p.untrack(upstream)
-	defer upstream.Close()
-
-	// Downstream (broker → client): verbatim body copy, no decoding at all.
-	// Each direction reads through its own pooled buffer.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer client.Close()
-		defer upstream.Close()
-		r := bufio.NewReader(upstream)
-		w := bufio.NewWriter(client)
-		var rb readBuf
-		defer rb.release()
-		for {
-			body, err := rb.read(r)
-			if err != nil {
-				return
-			}
-			if err := writeBody(w, body); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
+		forward(client, upstream, nil) // deliveries: broker → client
 	}()
+	forward(upstream, client, p.Rewrite)
+}
 
-	// Upstream (client → broker): rewrite published measurements. Rewrite
-	// applies to the JSON publish envelope; binary bodies forward verbatim
-	// (the fleet's clean-path block frames are not this attacker's target).
-	r := bufio.NewReader(client)
-	w := bufio.NewWriter(upstream)
+// forward copies frames from src to dst until either connection fails, then
+// closes both, which ends the other direction too. Each frame is decoded
+// and written out again, a publish after passing through rewrite (when
+// set); a frame the rewrite leaves alone goes out byte for byte. Each
+// direction reads through its own pooled buffer.
+func forward(dst, src net.Conn, rewrite func(Message) Message) {
+	defer dst.Close()
+	defer src.Close()
+	r := bufio.NewReader(src)
+	w := bufio.NewWriter(dst)
 	var rb readBuf
 	defer rb.release()
 	for {
@@ -501,29 +418,14 @@ func (p *Proxy) bridge(client net.Conn) {
 		if err != nil {
 			return
 		}
-		if len(body) > 0 && body[0] == binFrameKind {
-			if err := writeBody(w, body); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			continue
-		}
-		var m Message
-		if err := json.Unmarshal(body, &m); err != nil {
+		kind, m, err := decodeBody(body)
+		if err != nil {
 			return
 		}
-		var ctl control
-		if err := json.Unmarshal(m.Payload, &ctl); err == nil && ctl.Op == "pub" && p.Rewrite != nil {
-			ctl.Msg = p.Rewrite(ctl.Msg)
-			payload, err := json.Marshal(ctl)
-			if err != nil {
-				return
-			}
-			m.Payload = payload
+		if kind == kindPublish && rewrite != nil {
+			m = rewrite(m)
 		}
-		if err := writeFrame(w, m); err != nil {
+		if err := writeFrame(w, kind, m.Topic, m.Payload); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,17 +25,23 @@ func recvOrFail(t *testing.T, ch <-chan Message, what string) Message {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	want := Message{Topic: "sensors/temp/1", Payload: json.RawMessage(`{"f":72.5}`)}
-	if err := writeFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Topic != want.Topic || string(got.Payload) != string(want.Payload) {
-		t.Errorf("round trip: %+v", got)
+	for _, want := range []struct {
+		kind    byte
+		topic   string
+		payload string
+	}{
+		{kindPublish, "sensors/temp/1", `{"f":72.5}`},
+		{kindPublish, "sensors/temp/1", ""},
+		{kindSubscribe, "sensors/+/1", ""},
+	} {
+		frame := frameBytes(t, want.kind, want.topic, []byte(want.payload))
+		kind, got, err := readFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != want.kind || got.Topic != want.topic || string(got.Payload) != want.payload {
+			t.Errorf("round trip of %+v: kind %#x, %+v", want, kind, got)
+		}
 	}
 }
 
@@ -44,7 +51,7 @@ func TestFrameTooBig(t *testing.T) {
 	hdr[1] = 0xFF
 	hdr[2] = 0xFF
 	hdr[3] = 0xFF
-	if _, err := readFrame(bytes.NewReader(hdr[:])); err != ErrFrameTooBig {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err != ErrFrameTooBig {
 		t.Errorf("want ErrFrameTooBig, got %v", err)
 	}
 }
@@ -331,34 +338,32 @@ func TestSubscriberChannelClosesOnDisconnect(t *testing.T) {
 	c.Close()
 }
 
-// TestBinaryFrameRoundTrip pins the binary frame kind's wire layout.
+// TestBinaryFrameRoundTrip pins the one frame layout byte for byte: length
+// prefix, kind, topic length, topic, payload. A day frame's wire bytes, and
+// so the traffic volume an eavesdropper sees, are its payload plus this
+// header.
 func TestBinaryFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte{0x00, 0x01, 'S', 'H', 0xFF, '{'}
-	want := Message{Topic: "home/7/sensor", Payload: payload, Binary: true}
-	if err := writeFrame(&buf, want); err != nil {
-		t.Fatal(err)
+	pub := frameBytes(t, kindPublish, "home/7", payload)
+	want := append([]byte{0, 0, 0, 15, 0x01, 0, 6, 'h', 'o', 'm', 'e', '/', '7'}, payload...)
+	if !bytes.Equal(pub, want) {
+		t.Fatalf("publish frame = %x, want %x", pub, want)
 	}
-	got, err := readFrame(&buf)
+	if sub := frameBytes(t, kindSubscribe, "a/#", nil); !bytes.Equal(sub, []byte{0, 0, 0, 6, 0x02, 0, 3, 'a', '/', '#'}) {
+		t.Fatalf("subscribe frame = %x", sub)
+	}
+	kind, got, err := readFrame(bytes.NewReader(pub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Binary || got.Topic != want.Topic || !bytes.Equal(got.Payload, payload) {
-		t.Errorf("round trip: %+v", got)
-	}
-	// Malformed binary bodies error cleanly: truncated header, topic length
-	// past the body end.
-	if _, _, err := decodeBinaryBody([]byte{binFrameKind, 0}); err == nil {
-		t.Error("truncated binary body accepted")
-	}
-	if _, _, err := decodeBinaryBody([]byte{binFrameKind, 0xFF, 0xFF, 'a'}); err == nil {
-		t.Error("oversized topic length accepted")
+	if kind != kindPublish || got.Topic != "home/7" || !bytes.Equal(got.Payload, payload) {
+		t.Errorf("round trip: kind %#x, %+v", kind, got)
 	}
 }
 
-// TestPublishRawThroughBroker routes a binary publish through the broker to
-// exact and wildcard subscribers, interleaved with JSON traffic on the same
-// connections — the two frame kinds must coexist on one stream.
+// TestPublishRawThroughBroker routes a raw publish through the broker to
+// exact and wildcard subscribers, followed by a JSON publish on the same
+// connections: Publish is PublishRaw with a JSON-encoded payload.
 func TestPublishRawThroughBroker(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -395,20 +400,20 @@ func TestPublishRawThroughBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ch := range []<-chan Message{exact, wild} {
-		bin := recvOrFail(t, ch, "binary frame")
-		if !bin.Binary || !bytes.Equal(bin.Payload, payload) {
-			t.Fatalf("binary delivery mangled: binary=%v len=%d", bin.Binary, len(bin.Payload))
+		raw := recvOrFail(t, ch, "raw publish")
+		if !bytes.Equal(raw.Payload, payload) {
+			t.Fatalf("raw delivery mangled: len=%d", len(raw.Payload))
 		}
-		jm := recvOrFail(t, ch, "json frame after binary")
-		if jm.Binary || string(jm.Payload) != `{"day":3}` {
-			t.Fatalf("json delivery after binary mangled: %+v", jm)
+		jm := recvOrFail(t, ch, "json publish after raw")
+		if string(jm.Payload) != `{"day":3}` {
+			t.Fatalf("json delivery after raw mangled: %+v", jm)
 		}
 	}
 }
 
 // TestReleasedPayloadStaysWithItsSubscription: one connection holds an
 // exact and a '+' filter on the same topic, so the client delivers every
-// binary frame to two subscriptions. One consumer scribbles over each
+// frame to two subscriptions. One consumer scribbles over each
 // payload and hands it back at once; the other keeps every payload it
 // receives and checks them against what was published only at the end,
 // after the pool has recycled the released buffers frames over. A payload
@@ -461,7 +466,7 @@ func TestReleasedPayloadStaysWithItsSubscription(t *testing.T) {
 				released <- err
 				return
 			}
-			if !m.Binary || !bytes.Equal(m.Payload, frame(i)) {
+			if !bytes.Equal(m.Payload, frame(i)) {
 				released <- fmt.Errorf("releasing subscription: frame %d arrived mangled", i)
 				return
 			}
@@ -505,24 +510,25 @@ func TestReleasedPayloadStaysWithItsSubscription(t *testing.T) {
 		t.Fatal(err)
 	case ms := <-kept:
 		for i, m := range ms {
-			if !m.Binary || !bytes.Equal(m.Payload, frame(i)) {
+			if !bytes.Equal(m.Payload, frame(i)) {
 				t.Fatalf("keeping subscription: frame %d changed after the other subscription released its copy", i)
 			}
 		}
 	}
 }
 
-// TestProxyForwardsBinary checks the MITM proxy passes binary publishes
-// through verbatim (its Rewrite hook only sees JSON publish envelopes).
+// TestProxyForwardsBinary checks that the MITM proxy's Rewrite sees every
+// publish, raw ones included, and that a publish it returns unchanged
+// reaches the broker byte for byte.
 func TestProxyForwardsBinary(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	rewrites := 0
+	var rewrites atomic.Int32
 	proxy, err := NewProxy("127.0.0.1:0", b.Addr(), func(m Message) Message {
-		rewrites++
+		rewrites.Add(1)
 		return m
 	})
 	if err != nil {
@@ -547,15 +553,15 @@ func TestProxyForwardsBinary(t *testing.T) {
 	defer pub.Close()
 	time.Sleep(50 * time.Millisecond)
 
-	payload := []byte{binFrameKind, 0x00, 0x07, 'o', 'p', 'a', 'q', 'u', 'e', '!'}
+	payload := []byte{kindPublish, 0x00, 0x07, 'o', 'p', 'a', 'q', 'u', 'e', '!'}
 	if err := pub.PublishRaw("home/5/sensor", payload); err != nil {
 		t.Fatal(err)
 	}
-	m := recvOrFail(t, ch, "binary frame via proxy")
-	if !m.Binary || !bytes.Equal(m.Payload, payload) {
-		t.Fatalf("proxy mangled binary frame: %+v", m)
+	m := recvOrFail(t, ch, "raw publish via proxy")
+	if !bytes.Equal(m.Payload, payload) {
+		t.Fatalf("proxy mangled a raw publish: %+v", m)
 	}
-	if rewrites != 0 {
-		t.Fatalf("proxy rewrite hook fired %d times on binary traffic", rewrites)
+	if n := rewrites.Load(); n != 1 {
+		t.Fatalf("proxy rewrite hook fired %d times for one publish", n)
 	}
 }

@@ -16,11 +16,7 @@ func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	c, err := DialWithOptions(b.Addr(), DialOptions{
-		Redial:  true,
-		Timeout: 2 * time.Second,
-		Backoff: Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	c, err := DialSession(b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,42 +75,6 @@ func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
 	}
 }
 
-// TestSessionResumeExhaustsAttempts: with a bounded redial budget against a
-// permanently dead broker, the session gives up and winds down — the
-// subscription channel closes instead of hanging forever.
-func TestSessionResumeExhaustsAttempts(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialWithOptions(b.Addr(), DialOptions{
-		Redial:         true,
-		RedialAttempts: 2,
-		Timeout:        200 * time.Millisecond,
-		Backoff:        Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ch, err := c.Subscribe("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close() // the broker never comes back
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return // session wound down cleanly
-			}
-		case <-deadline:
-			t.Fatal("subscription channel never closed after redial budget ran out")
-		}
-	}
-}
-
 // TestCloseDuringOutage: Close must not hang while the session is mid-redial
 // against a dead broker.
 func TestCloseDuringOutage(t *testing.T) {
@@ -122,11 +82,7 @@ func TestCloseDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialWithOptions(b.Addr(), DialOptions{
-		Redial:  true,
-		Timeout: 30 * time.Second, // dials would block for a long time
-		Backoff: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-	})
+	c, err := DialSession(b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // Day >= 0.
 const dayEOF = -1
 
-// controlFrame is the JSON envelope of a sensor topic's one control frame,
+// controlFrame is the JSON payload of a sensor topic's one control frame,
 // the end-of-stream sentinel (day -1). Epoch names the publishing attempt,
 // so a stale sentinel from a dead attempt can be discarded instead of
 // ending the current one.
@@ -126,7 +126,7 @@ var (
 // go back when it exits, and the bus pools its own buffers, so once the
 // pools are warm the day path (encode, frame, fan-out, delivery) is
 // allocation-free from a pipe's first frame on. The
-// end-of-stream sentinel is a JSON control frame, published after a source
+// end-of-stream sentinel is a JSON publish (Publish), sent after a source
 // error too (the consumer then returns that error); it carries the
 // stream's final day so the consumer can detect a lost tail.
 func (p *Pipe) pumpBlocks(topic string, src Source) {
@@ -183,9 +183,9 @@ func (p *Pipe) err() error {
 	return p.pumpErr
 }
 
-// NextBlock implements Source: binary frames decode into dst, and a JSON
-// frame is an end-of-stream sentinel, this attempt's or a foreign epoch's
-// straggler. The pump's sentinel yields io.EOF (or the pump's error).
+// NextBlock implements Source: day-block frames decode into dst, and any
+// other payload is a JSON end-of-stream sentinel, this attempt's or a
+// foreign epoch's straggler. The pump's sentinel yields io.EOF (or the pump's error).
 // Duplicate and stale frames are skipped so each day is delivered at most
 // once. A lost connection fails the call at once. With a ReceiveTimeout the
 // whole call is bounded: it returns ErrReceiveTimeout and marks the pipe
@@ -241,7 +241,11 @@ func (p *Pipe) next(dst *DayBlock, expired <-chan time.Time) error {
 			return nil
 		}
 		var c controlFrame
-		if err := json.Unmarshal(m.Payload, &c); err != nil {
+		err := json.Unmarshal(m.Payload, &c)
+		// Every delivery is a pooled copy: a sentinel left unreleased would
+		// hold a frame-sized buffer for its few bytes.
+		m.Release()
+		if err != nil {
 			return fmt.Errorf("stream: pipe decode: %w", err)
 		}
 		switch {

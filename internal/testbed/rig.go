@@ -3,7 +3,6 @@ package testbed
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/acyd-lab/shatter/internal/mqtt"
@@ -76,9 +75,23 @@ func NewRig(sim *Simulator, model *DynamicsModel, rewrite func(mqtt.Message) mqt
 		r.Close()
 		return nil, err
 	}
-	// Give the broker a moment to register subscriptions before traffic.
-	time.Sleep(30 * time.Millisecond)
-	return r, nil
+	// A loopback probe on the controller's own connection: the broker serves
+	// one connection's frames in order, so once the probe comes back both
+	// subscriptions are live.
+	if err := r.ctrl.PublishRaw("testbed/duty", nil); err != nil {
+		r.Close()
+		return nil, err
+	}
+	select {
+	case m, ok := <-r.duties:
+		if ok {
+			m.Release()
+			return r, nil
+		}
+	case <-time.After(3 * time.Second):
+	}
+	r.Close()
+	return nil, fmt.Errorf("testbed: subscription probe lost")
 }
 
 // Tick runs one supervisory minute: the sensor node publishes each zone's
@@ -104,7 +117,9 @@ func (r *Rig) Tick(actual, believed []float64) (float64, error) {
 				return 0, fmt.Errorf("testbed: load channel closed")
 			}
 			var rep loadReport
-			if err := json.Unmarshal(m.Payload, &rep); err != nil {
+			err := json.Unmarshal(m.Payload, &rep)
+			m.Release()
+			if err != nil {
 				return 0, err
 			}
 			if rep.Zone < 0 || rep.Zone >= zones {
@@ -131,7 +146,9 @@ func (r *Rig) Tick(actual, believed []float64) (float64, error) {
 				return 0, fmt.Errorf("testbed: duty channel closed")
 			}
 			var cmd dutyCommand
-			if err := json.Unmarshal(m.Payload, &cmd); err != nil {
+			err := json.Unmarshal(m.Payload, &cmd)
+			m.Release()
+			if err != nil {
 				return 0, err
 			}
 			if cmd.Zone < 0 || cmd.Zone >= zones {
@@ -193,17 +210,4 @@ func ForgeRewrite(forgeZone int, forgedW float64) func(mqtt.Message) mqtt.Messag
 // ZoneID Kitchen − 1).
 func KitchenForgeRewrite(kitchenIndexW float64) func(mqtt.Message) mqtt.Message {
 	return ForgeRewrite(2, kitchenIndexW)
-}
-
-// zoneTopicIndex parses a zone index out of a topic suffix against a zone
-// count bound; kept for forward compatibility with per-zone topics.
-func zoneTopicIndex(topic string, zones int) (int, bool) {
-	if len(topic) == 0 {
-		return 0, false
-	}
-	i, err := strconv.Atoi(topic[len(topic)-1:])
-	if err != nil || i < 0 || i >= zones {
-		return 0, false
-	}
-	return i, true
 }

@@ -244,21 +244,6 @@ func TestRigMITMForgesKitchen(t *testing.T) {
 	}
 }
 
-func TestZoneTopicIndex(t *testing.T) {
-	if _, ok := zoneTopicIndex("", 4); ok {
-		t.Error("empty topic should fail")
-	}
-	if i, ok := zoneTopicIndex("testbed/load/2", 4); !ok || i != 2 {
-		t.Errorf("parse = %d,%v", i, ok)
-	}
-	if _, ok := zoneTopicIndex("testbed/load/x", 4); ok {
-		t.Error("non-numeric suffix should fail")
-	}
-	if _, ok := zoneTopicIndex("testbed/load/2", 2); ok {
-		t.Error("index beyond the zone count should fail")
-	}
-}
-
 func TestNewForHouseMatchesCanonical(t *testing.T) {
 	// The canonical build IS the house-A build: same zone count, same
 	// derived thermal plant, so New and NewForHouse(A) behave identically.

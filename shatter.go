@@ -30,7 +30,6 @@ import (
 	"github.com/acyd-lab/shatter/internal/fleetd"
 	"github.com/acyd-lab/shatter/internal/home"
 	"github.com/acyd-lab/shatter/internal/hvac"
-	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
 	"github.com/acyd-lab/shatter/internal/testbed"
@@ -321,7 +320,7 @@ func NewFleetService(s *Suite, cfg FleetServiceConfig) (*FleetService, error) {
 
 // NewFleetAdmin dials a running fleet service's control plane.
 func NewFleetAdmin(broker string) (*FleetAdmin, error) {
-	return fleetd.NewAdmin(broker, mqtt.DialOptions{})
+	return fleetd.NewAdmin(broker)
 }
 
 // Testbed.
