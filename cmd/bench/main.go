@@ -11,8 +11,8 @@
 // series, the same fleet under the supervised fault-injection path
 // (block-scale seeded chaos, checkpointed retries on a virtual clock),
 // which prices the resilience layer against the clean run. A separate
-// fleetd_scale series runs the sharded fleet service's multiplexed
-// scheduler over -fleetd-scale home counts (plus -fleetd-chaos counts under
+// fleetd_scale series runs the sharded fleet service's worker pools over
+// -fleetd-scale home counts (plus -fleetd-chaos counts under
 // mixed fault injection), producing the scaling curve committed as
 // BENCH_PR9.json. A fleetd_restart series prices process-level recovery:
 // a fleet admitted through the durable manifest is dropped without any
@@ -97,7 +97,7 @@ type Report struct {
 	// throughput.
 	StreamFleetChaos *stream.FleetStats `json:"stream_fleet_chaos,omitempty"`
 	// FleetdScale is the sharded fleet service's scaling curve: each point
-	// runs N synthetic homes through the multiplexed day-boundary scheduler
+	// runs N synthetic homes through the fleet service's shards
 	// (internal/fleetd) on this machine. Points whose (homes, days) shape
 	// exists in the gate baseline are gated on elapsed time; other point
 	// counts (CI runs small, committed baselines go to 100k+) are reported
@@ -119,7 +119,6 @@ type FleetdPoint struct {
 	Homes          int     `json:"homes"`
 	Days           int     `json:"days"`
 	Shards         int     `json:"shards"`
-	MaxResident    int     `json:"max_resident"`
 	Chaos          bool    `json:"chaos,omitempty"`
 	Retries        int64   `json:"retries,omitempty"`
 	Restores       int64   `json:"restores,omitempty"`
@@ -569,8 +568,8 @@ func gateAgainstBaseline(w io.Writer, report Report, path string, maxRegress flo
 }
 
 // runFleetdScale drives one fleetd scaling point: homes synthetic homes
-// admitted to a 4-shard service with a bounded admission window, run to
-// completion through the multiplexed scheduler. The elapsed clock covers
+// admitted to a 4-shard service, each shard running one home per worker,
+// to completion. The elapsed clock covers
 // admission through fleet-idle; the heap figure is sampled at completion.
 // Chaos points layer mixed block-scale fault injection over the same fleet:
 // supervised retries resume from in-memory day-boundary checkpoints and
@@ -582,7 +581,7 @@ func runFleetdScale(s *core.Suite, homes, days int, seed uint64, chaos bool) (Fl
 		return FleetdPoint{}, err
 	}
 	const shards = 4
-	shard := fleetd.ShardOptions{MaxResident: 2048}
+	var shard fleetd.ShardOptions
 	if chaos {
 		shard.Recover = true
 		shard.Clock = stream.NewVirtualClock()
@@ -622,7 +621,6 @@ func runFleetdScale(s *core.Suite, homes, days int, seed uint64, chaos bool) (Fl
 		Homes:          homes,
 		Days:           days,
 		Shards:         shards,
-		MaxResident:    2048,
 		Chaos:          chaos,
 		Retries:        snap.Retries,
 		Restores:       snap.Restores,
@@ -658,7 +656,7 @@ func runFleetdRestart(s *core.Suite, homes, days int, seed uint64) (*FleetdResta
 	cfg := fleetd.Config{
 		Shards:   4,
 		StateDir: stateDir,
-		Shard:    fleetd.ShardOptions{MaxResident: 2048, Recover: true},
+		Shard:    fleetd.ShardOptions{Recover: true},
 	}
 	svc, err := core.NewFleetService(s, cfg)
 	if err != nil {

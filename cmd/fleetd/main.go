@@ -1,13 +1,13 @@
 // Command fleetd runs and administers the sharded fleet service: a
-// long-running runtime that multiplexes thousands of streaming smart homes
-// over a small worker pool per shard, with an MQTT control plane and a live
+// long-running runtime that streams thousands of smart homes through a
+// small worker pool per shard, with an MQTT control plane and a live
 // metrics feed.
 //
 // Serve mode starts an in-process MQTT broker, wires the service's control
 // plane to it, optionally admits an initial fleet, and prints metrics
 // snapshots until an admin stop request (or SIGINT/SIGTERM) shuts it down:
 //
-//	fleetd serve [-listen addr] [-shards N] [-workers N] [-max-resident N]
+//	fleetd serve [-listen addr] [-shards N] [-workers N]
 //	             [-state-dir D] [-mqtt-frames] [-retries N]
 //	             [-synth N] [-scenarios list] [-stream-days N]
 //	             [-days N] [-train N] [-seed S] [-defend] [-attack]
@@ -84,7 +84,6 @@ func serve(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:0", "broker listen address (the printed address is the control plane)")
 	shards := fs.Int("shards", 2, "shard count")
 	workers := fs.Int("workers", 0, "workers per shard (0 = one per CPU)")
-	maxResident := fs.Int("max-resident", 0, "admission window: live pipelines per shard (0 = default 4096)")
 	stateDir := fs.String("state-dir", "", "durable state directory holding the fleet manifest (admissions, mutations, checkpoints, results); a restart with the same flags resumes the fleet")
 	resultJSON := fs.String("result-json", "", "write per-home fleet results to this file (JSON) at shutdown")
 	brokerChaos := fs.String("broker-chaos", "", "broker outage schedule: every=DUR,down=DUR[,count=N][,seed=S]")
@@ -124,7 +123,6 @@ func serve(args []string) error {
 		Shards: *shards,
 		Shard: fleetd.ShardOptions{
 			Workers:          *workers,
-			MaxResident:      *maxResident,
 			Recover:          *retries > 0 || *stateDir != "",
 			MaxRetries:       *retries,
 			ProgressDeadline: *progressDeadline,
@@ -141,8 +139,7 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	persist := *stateDir != ""
-	defer svc.Close(persist)
+	defer svc.Close(false)
 
 	if resumedDone, resumedLive := svc.Resumed(); resumedDone+resumedLive > 0 {
 		// The manifest already names the fleet; admitting the startup fleet
@@ -201,7 +198,7 @@ func serve(args []string) error {
 			fmt.Println("fleetd: fleet idle, shutting down")
 			return finish()
 		case s := <-sig:
-			fmt.Printf("fleetd: %v, shutting down (persist=%v)\n", s, persist)
+			fmt.Printf("fleetd: %v, shutting down\n", s)
 			return finish()
 		case <-svc.Done():
 			fmt.Println("fleetd: stop requested, shutting down")
@@ -389,8 +386,8 @@ func printSnapshot(s fleetd.Snapshot) {
 			s.Retries, s.Restores, s.Checkpoints, s.WatchdogTrips, s.JournalErrors)
 	}
 	for _, sh := range s.Shards {
-		fmt.Printf("  shard %d: %d pending, %d resident (%d ready, %d running, %d paused), %d done, %d failed, ~%.1f MiB%s\n",
-			sh.Shard, sh.Pending, sh.Resident, sh.Ready, sh.Running, sh.Paused, sh.Done, sh.Failed,
+		fmt.Printf("  shard %d: %d running (%d pending, %d paused), %d done, %d failed, ~%.1f MiB%s\n",
+			sh.Shard, sh.Running, sh.Pending, sh.Paused, sh.Done, sh.Failed,
 			float64(sh.ApproxHeapBytes)/(1<<20), drainedMark(sh.Drained))
 	}
 }

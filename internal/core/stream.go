@@ -13,7 +13,7 @@ import (
 )
 
 // StreamOptions configures a Suite.Stream fleet run: what each home
-// streams, plus the fleet's scheduler, supervision, and transport options.
+// streams, plus the fleet's worker, supervision, and transport options.
 type StreamOptions struct {
 	// Days bounds each home's stream; 0 streams the suite's configured
 	// trace length, which makes a defended/attacked run comparable

@@ -206,7 +206,7 @@ func (cp *controlPlane) handle(verb string, req *Request) Response {
 		return Response{OK: true, Metrics: &snap}
 	case VerbStop:
 		// Acknowledge first, then trip Done; the embedder owns the actual
-		// Close so in-flight state is persisted on its terms.
+		// Close.
 		cp.svc.stop.Do(func() { close(cp.svc.done) })
 	default:
 		return fail(fmt.Errorf("fleetd: unknown admin verb %q", verb))
@@ -395,14 +395,16 @@ func (a *Admin) Status() (Snapshot, error) {
 	return *resp.Metrics, nil
 }
 
-// Stop asks the service to shut down (its embedder decides persistence).
+// Stop asks the service to shut down; its embedder closes it.
 func (a *Admin) Stop() error {
 	_, err := a.do(VerbStop, Request{})
 	return err
 }
 
 // Watch subscribes to the service's metrics broadcast on this connection.
-// The channel closes when the connection does.
+// A snapshot that finds the 4-slot feed full is dropped, so a caller that
+// stops reading never stalls the connection's replies. The channel closes
+// when the connection does.
 func (a *Admin) Watch() (<-chan Snapshot, error) {
 	ch, err := a.client.Subscribe(MetricsTopic)
 	if err != nil {
@@ -415,8 +417,12 @@ func (a *Admin) Watch() (<-chan Snapshot, error) {
 			var snap Snapshot
 			err := json.Unmarshal(msg.Payload, &snap)
 			msg.Release()
-			if err == nil {
-				out <- snap
+			if err != nil {
+				continue
+			}
+			select {
+			case out <- snap:
+			default:
 			}
 		}
 	}()

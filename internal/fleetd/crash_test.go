@@ -40,8 +40,8 @@ func waitIdleTimeout(t *testing.T, svc *Service, d time.Duration) {
 
 // TestServiceCrashRestartMatchesUninterrupted is the crash-injection gate:
 // a service killed without drain (Close(false) drops every in-flight home
-// exactly as a kill -9 would — no persistence pass, only the day-boundary
-// checkpoints already journaled) and restarted on the same state dir must
+// as a kill -9 would, leaving only the day-boundary checkpoints already
+// journaled) and restarted on the same state dir must
 // finish with per-home results byte-identical to an uninterrupted run.
 // Kills land on journal events, not on timers: boot k is killed once it
 // has journaled 1+4k checkpoint records, until a boot finishes the fleet
@@ -74,7 +74,7 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 		// killAt-th journaled checkpoint record, where reached closes.
 		boot := func(killAt int64) (*Service, <-chan struct{}) {
 			t.Helper()
-			opts := ShardOptions{Workers: 2, MaxResident: 3, Recover: true,
+			opts := ShardOptions{Workers: 2, Recover: true,
 				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}
 			if mqttFrames {
 				opts.Broker = broker.Addr()
@@ -108,7 +108,7 @@ func TestServiceCrashRestartMatchesUninterrupted(t *testing.T) {
 			if !isClosed(reached) {
 				break // the fleet finished before this boot's kill point
 			}
-			svc.Close(false) // kill: no drain, no persistence pass
+			svc.Close(false) // kill: no drain
 			kills++
 			if kills > 100 {
 				t.Fatalf("fleet makes no progress across restarts: %+v", svc.Snapshot())
@@ -219,7 +219,7 @@ func TestServiceRemovedAndFinishedSurviveRestart(t *testing.T) {
 	boot := func() *Service {
 		t.Helper()
 		svc, err := NewService(Config{Shards: 1,
-			Shard:    ShardOptions{Workers: 1, MaxResident: 2},
+			Shard:    ShardOptions{Workers: 1},
 			StateDir: stateDir, Jobs: synthFactory})
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +230,8 @@ func TestServiceRemovedAndFinishedSurviveRestart(t *testing.T) {
 	if _, err := svc.AddSpec(req); err != nil {
 		t.Fatal(err)
 	}
-	// The last home waits beyond the admission window; remove it outright.
+	// The one worker runs the homes in turn, so the last one still waits on
+	// the pending queue; remove it outright.
 	if err := svc.Remove(jobs[homes-1].ID); err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +408,56 @@ func TestAdminRidesBrokerRestart(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("no metrics broadcast after broker restart")
+	}
+}
+
+// TestAdminWatchUnreadKeepsReplies: a Watch feed nobody reads drops
+// snapshots instead of backing up the Admin's one connection, so requests
+// on the same Admin still get their replies while metrics keep coming.
+func TestAdminWatchUnreadKeepsReplies(t *testing.T) {
+	broker, err := mqtt.NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	svc, err := NewService(Config{
+		Shard:        ShardOptions{Workers: 1},
+		Broker:       broker.Addr(),
+		MetricsEvery: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(false)
+	a, err := NewAdmin(broker.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Timeout = 2 * time.Second
+	if _, err := a.Watch(); err != nil {
+		t.Fatal(err)
+	}
+	// A second Admin reads its feed until the service has published far
+	// more snapshots than the unread feed and its subscription buffer hold.
+	w, err := NewAdmin(broker.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	feed, err := w.Watch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 200; n++ {
+		select {
+		case <-feed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d metrics snapshots arrived", n)
+		}
+	}
+	if _, err := a.Status(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // Metrics is the service's live counter registry. Every shard worker bumps
 // the shared atomics as it drives homes, so a snapshot is cheap enough to
 // publish every few seconds without pausing the fleet. Counters are
-// monotonic over the service's lifetime; gauges (resident, paused, queue
-// depths) are read from the shards at snapshot time.
+// monotonic over the service's lifetime; gauges (pending, running and
+// paused homes) are read from the shards at snapshot time.
 type Metrics struct {
 	start time.Time
 
@@ -41,27 +41,21 @@ func NewMetrics() *Metrics {
 // ShardStatus is one shard's gauge set at snapshot time.
 type ShardStatus struct {
 	Shard int `json:"shard"`
-	// Pending homes hold no pipeline state: not yet opened (the admission
-	// window is the fleet's backpressure valve), waiting out a retry
-	// backoff, or released by a drain. Resident homes hold live pipeline
-	// state; Ready homes sit on the run queue at a day boundary; Running
-	// homes are on a worker right now; Paused homes are held off the queues,
-	// and a paused home may hold no pipeline (a drain releases it without
-	// lifting the pause).
-	Pending  int `json:"pending"`
-	Resident int `json:"resident"`
-	Ready    int `json:"ready"`
-	Running  int `json:"running"`
-	Paused   int `json:"paused"`
+	// Pending homes hold no pipeline state and wait for a worker: not yet
+	// opened, waiting out a retry backoff, or released at a day boundary by
+	// a drain. Running homes are on a worker, the only place a home holds
+	// pipeline state; Paused homes hold none and wait for Resume.
+	Pending int `json:"pending"`
+	Running int `json:"running"`
+	Paused  int `json:"paused"`
 	// Done and Failed count homes that finished on this shard.
 	Done   int `json:"done"`
 	Failed int `json:"failed"`
-	// Drained reports whether the shard is currently drained (state
-	// persisted to checkpoints, no live pipelines, dispatch off until
-	// Rehydrate).
+	// Drained reports whether the shard is currently drained (no live
+	// pipelines, dispatch off until Rehydrate).
 	Drained bool `json:"drained"`
 	// ApproxHeapBytes is the service heap prorated by this shard's share of
-	// resident homes — an approximation (Go's heap is global), but it tracks
+	// running homes — an approximation (Go's heap is global), but it tracks
 	// which shard holds the live state.
 	ApproxHeapBytes uint64 `json:"approx_heap_bytes"`
 }
@@ -139,15 +133,15 @@ func (m *Metrics) Snapshot(shards []ShardStatus) Snapshot {
 		s.DaysPerSec = float64(s.Days) / secs
 		s.EventsPerSec = float64(s.SensorEvents+s.ActionEvents+s.Verdicts) / secs
 	}
-	// Prorate the (global) heap across shards by resident share so the
+	// Prorate the (global) heap across shards by running share so the
 	// per-shard figure reflects who holds the live pipelines.
-	resident := 0
+	running := 0
 	for i := range shards {
-		resident += shards[i].Resident
+		running += shards[i].Running
 	}
 	for i := range s.Shards {
-		if resident > 0 {
-			s.Shards[i].ApproxHeapBytes = uint64(float64(ms.HeapAlloc) * float64(s.Shards[i].Resident) / float64(resident))
+		if running > 0 {
+			s.Shards[i].ApproxHeapBytes = uint64(float64(ms.HeapAlloc) * float64(s.Shards[i].Running) / float64(running))
 		}
 	}
 	return s

@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,8 +12,7 @@ import (
 // idle: admit, WaitIdle, Close, Result. It is the batch form of the service
 // — the same open → restore → transport → drive → checkpoint → retry or
 // quarantine loop — so a one-shot fleet and a long-running one cannot
-// drift apart. Unless MaxResident is set, the shard holds one live pipeline
-// per worker, the residency of a bounded worker pool.
+// drift apart. Each worker holds at most one live pipeline.
 //
 // Without Recover, or with FailFast, the first quarantined home stops the
 // run, and the error names the lowest-index failed home and wraps its
@@ -23,12 +21,6 @@ import (
 // deterministic for any worker count and transport.
 func RunFleet(jobs []stream.Job, opts ShardOptions) (stream.FleetResult, error) {
 	started := time.Now()
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxResident <= 0 {
-		opts.MaxResident = opts.Workers
-	}
 	abortOnQuarantine := !opts.Recover || opts.FailFast
 	abort := make(chan struct{})
 	var once sync.Once

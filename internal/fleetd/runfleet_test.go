@@ -277,11 +277,11 @@ func (g *gatedSource) NextBlock(dst *stream.DayBlock) error {
 
 // stopAtGate admits req's one home to a durable single-worker service and
 // streams it through a gatedSource held at block at — by then the home has
-// journaled its day-at checkpoint — then stops the service with
-// Close(persist) and fails the held block only once the shard is stopping.
+// journaled its day-at checkpoint — then closes the service and fails the
+// held block only once the shard is stopping.
 // It returns a boot function that restarts the service on the same state
 // dir; only the first process lifetime streams through the gate.
-func stopAtGate(t *testing.T, req AddRequest, at int, persist bool) (boot func() *Service, stateDir string) {
+func stopAtGate(t *testing.T, req AddRequest, at int) (boot func() *Service, stateDir string) {
 	t.Helper()
 	gated := &gatedSource{at: at, reached: make(chan struct{}), gate: make(chan struct{})}
 	var mu sync.Mutex
@@ -325,7 +325,7 @@ func stopAtGate(t *testing.T, req AddRequest, at int, persist bool) (boot func()
 	}
 	closed := make(chan struct{})
 	go func() {
-		svc.Close(persist)
+		svc.Close(false)
 		close(closed)
 	}()
 	// Fail the home only once the shard is stopping.
@@ -364,7 +364,7 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 	const days = 2
 	req := AddRequest{Synth: 1, Seed: 71, Days: days}
 	want := cleanRun(t, req)
-	boot, _ := stopAtGate(t, req, 1, true)
+	boot, _ := stopAtGate(t, req, 1)
 
 	svc := boot()
 	defer svc.Close(false)
@@ -382,15 +382,15 @@ func TestShardStopKeepsRetryableHomeLive(t *testing.T) {
 	}
 }
 
-// TestServiceKillRestartResumesFromJournaledCheckpoint: Close(false) is a
-// kill — no persistence pass — so a home stopped after day k resumes from
-// the checkpoint its drive path journaled at day k, and the state dir holds
-// nothing but the manifest and its lock file.
+// TestServiceKillRestartResumesFromJournaledCheckpoint: a home stopped
+// after day k resumes from the checkpoint journaled with day k — Close
+// journals none of its own — and the state dir holds nothing but the
+// manifest and its lock file.
 func TestServiceKillRestartResumesFromJournaledCheckpoint(t *testing.T) {
 	const days, k = 4, 2
 	req := AddRequest{Synth: 1, Seed: 73, Days: days}
 	want := cleanRun(t, req)
-	boot, stateDir := stopAtGate(t, req, k, false)
+	boot, stateDir := stopAtGate(t, req, k)
 
 	svc := boot()
 	defer svc.Close(false)
@@ -423,7 +423,7 @@ func TestServiceTornCheckpointRecordResumesFromPrevious(t *testing.T) {
 	const days, k = 4, 3
 	req := AddRequest{Synth: 1, Seed: 74, Days: days}
 	want := cleanRun(t, req)
-	boot, stateDir := stopAtGate(t, req, k, false)
+	boot, stateDir := stopAtGate(t, req, k)
 
 	path := ManifestPath(stateDir)
 	data, err := os.ReadFile(path)

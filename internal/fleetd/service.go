@@ -19,8 +19,8 @@ type Config struct {
 	// Shards is the horizontal partition count; 0 defaults to 1. Homes are
 	// assigned round-robin in add order.
 	Shards int
-	// Shard holds the per-shard scheduler and transport options (worker
-	// count, admission window, supervision, chaos, frame transport).
+	// Shard holds the per-shard worker, supervision and transport options
+	// (worker count, retries, chaos, frame transport).
 	Shard ShardOptions
 
 	// Broker, when non-empty, attaches the control plane: the service
@@ -62,8 +62,8 @@ type endedHome struct {
 	outcome stream.HomeOutcome
 }
 
-// Service is the long-running fleet runtime: a set of shards multiplexing
-// homes over worker pools, a shared metrics registry, and (optionally) an
+// Service is the long-running fleet runtime: a set of shards running
+// homes on worker pools, a shared metrics registry, and (optionally) an
 // MQTT control plane.
 type Service struct {
 	cfg    Config
@@ -444,7 +444,8 @@ func (s *Service) shard(i int) (*Shard, error) {
 	return s.shards[i], nil
 }
 
-// DrainShard quiesces one shard and checkpoints its homes.
+// DrainShard quiesces one shard, releasing its running homes at their day
+// boundaries.
 func (s *Service) DrainShard(i int) error {
 	sh, err := s.shard(i)
 	if err != nil {
@@ -454,7 +455,7 @@ func (s *Service) DrainShard(i int) error {
 }
 
 // RehydrateShard restarts a drained shard's dispatch; its released homes
-// reopen from their drain checkpoints.
+// reopen from their checkpoints.
 func (s *Service) RehydrateShard(i int) error {
 	sh, err := s.shard(i)
 	if err != nil {
@@ -517,11 +518,11 @@ func (s *Service) Done() <-chan struct{} { return s.done }
 // Close shuts the service down: the control plane detaches, every shard
 // stops dispatch before Close waits on any of them, so no shard starts a
 // day while another finishes its running ones; then each shard's workers
-// exit and its still-resident homes are torn down (journaling a checkpoint
-// of each when persist is set and a state dir is configured), and finally
-// the manifest takes a last sync and closes — after the shards, so late
+// release their homes at the end of their days and exit, and finally the
+// manifest takes a last sync and closes — after the shards, so late
 // checkpoint and completion records from finishing workers still land.
-// Idempotent.
+// persist changes nothing: a supervised home journaled its checkpoint with
+// its day, so a kill and a clean stop leave the same journal. Idempotent.
 func (s *Service) Close(persist bool) {
 	s.stop.Do(func() { close(s.done) })
 	if s.ctl != nil {
@@ -532,7 +533,7 @@ func (s *Service) Close(persist bool) {
 		sh.stop()
 	}
 	for _, sh := range s.shards {
-		sh.finish(persist && s.man != nil)
+		sh.wg.Wait()
 	}
 	if s.man != nil {
 		_ = s.man.Close()

@@ -12,21 +12,19 @@ import (
 	"github.com/acyd-lab/shatter/internal/stream"
 )
 
-// ShardOptions configures a fleet run: one shard's scheduler, supervision,
+// ShardOptions configures a fleet run: one shard's workers, supervision,
 // and transport. It is the only fleet options type — the service gives
 // every shard a copy, RunFleet runs one shard to idle, and
-// core.StreamOptions embeds it. The zero value multiplexes over one worker
-// per CPU with a 4096-home admission window (RunFleet: one home per
-// worker), direct (in-process) frame transport, and no supervision.
+// core.StreamOptions embeds it. The zero value runs one worker per CPU,
+// each driving one home at a time, over direct (in-process) frame transport
+// with no supervision.
 type ShardOptions struct {
 	// Workers is the shard's worker-goroutine count; 0 selects one per CPU.
-	// Homes vastly outnumber workers — the scheduler multiplexes them.
+	// It is also the bound on live pipelines: a home holds pipeline state
+	// only while a worker drives it, and the rest wait unopened.
 	Workers int
-	// MaxResident bounds how many homes hold live pipeline state at once
-	// (the admission window); 0 defaults to 4096 on the service and to
-	// Workers under RunFleet. Homes beyond the window wait unopened on the
-	// pending queue, which is what keeps a 100k-home shard's memory
-	// proportional to the window, not the fleet.
+	// Deprecated: a shard holds at most Workers live pipelines, and this
+	// option is ignored.
 	MaxResident int
 
 	// Recover enables supervised retries: a failed home reopens from its
@@ -88,9 +86,6 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxResident <= 0 {
-		o.MaxResident = 4096
-	}
 	if o.Recover && o.MaxRetries == 0 {
 		o.MaxRetries = 3
 	}
@@ -111,16 +106,13 @@ func (o ShardOptions) supervised() bool { return o.Recover || o.onCheckpoint != 
 type homeState uint8
 
 const (
-	// statePending: admitted to the shard but holding no pipeline state —
-	// freshly added, awaiting a retry timer, waiting out the admission
-	// window, or released by a drain.
+	// statePending: holding no pipeline state and waiting for a worker —
+	// freshly added, released at a day boundary by a drain or a stop, or
+	// (off the queue until its timer fires) awaiting a retry.
 	statePending homeState = iota
-	// stateReady: resident at a day boundary, queued for a worker.
-	stateReady
-	// stateRunning: a worker is driving the home's next day.
+	// stateRunning: a worker holds the home's pipeline and drives it.
 	stateRunning
-	// statePaused: explicitly paused, resident or not (a drain releases a
-	// paused home's pipeline and keeps the pause).
+	// statePaused: explicitly paused, holding no pipeline state.
 	statePaused
 	// stateDone, stateFailed, stateRemoved are terminal.
 	stateDone
@@ -129,20 +121,22 @@ const (
 )
 
 // homeRun is one home's scheduling record. Pipeline fields (src, drive,
-// home, days, …) are only touched by the worker currently driving the home
-// or, for idle homes, under the shard lock with no worker attached — a home
-// is never on two workers at once.
+// home, days, …) are only touched by the worker driving the home or, for
+// idle homes, under the shard lock — a home is never on two workers at
+// once, and it holds a pipeline only while a worker drives it.
 type homeRun struct {
 	job   stream.Job
 	state homeState
 
 	src   stream.Source // as returned by job.Open (owns real resources)
-	drive stream.Source // transport-wrapped source the scheduler pulls
+	drive stream.Source // transport-wrapped source the worker pulls
 
 	home *stream.Home
 	days int // completed days
 
-	opens    int // pipeline openings (attempt epoch for the MQTT pipe)
+	attempts int  // openings that started an attempt (the chaos plan's key)
+	opens    int  // every opening (the MQTT pipe's epoch)
+	released bool // released at a day boundary: the next opening continues the attempt
 	failures int
 	restores int
 	lastCk   *stream.Checkpoint // newest day-boundary checkpoint
@@ -152,8 +146,8 @@ type homeRun struct {
 	removeReq bool
 	err       error
 	result    stream.HomeResult
-	elapsed   time.Duration // driven time of finished turns
-	began     time.Time     // start of the running turn
+	elapsed   time.Duration // driven time of finished runs
+	began     time.Time     // start of the current run
 }
 
 // outcome assembles the home's supervision record. Callers own the home
@@ -162,7 +156,7 @@ func (h *homeRun) outcome(status stream.OutcomeStatus) stream.HomeOutcome {
 	out := stream.HomeOutcome{
 		ID:       h.job.ID,
 		Status:   status,
-		Attempts: h.opens,
+		Attempts: h.attempts,
 		Restores: h.restores,
 		Days:     h.days,
 		Duration: h.elapsed,
@@ -174,14 +168,14 @@ func (h *homeRun) outcome(status stream.OutcomeStatus) stream.HomeOutcome {
 	return out
 }
 
-// Shard multiplexes many homes over a small worker pool: homes advance one
-// day per scheduling turn and then requeue, so thousands of homes share a
-// handful of goroutines and every resident home is always at a day
-// boundary when it is not actively running — the invariant that makes
-// pause, drain, and checkpointing safe at any moment. Backpressure is
-// structural: the bounded admission window caps live pipelines
-// (injector→detector→controller state), and the ready queue only ever holds
-// admitted homes.
+// Shard runs homes on a small worker pool, each until it is released: a
+// worker claims a pending home, opens its pipeline and drives it day after
+// day until its stream ends or its attempt fails. Once per day boundary,
+// under the shard lock, the worker checks for a pause, removal, drain or
+// stop; when one stands it releases the home there — the pipeline is torn
+// down and the newest checkpoint kept — so a home is either on a worker or
+// holds nothing, and live pipelines (injector→detector→controller state)
+// never outnumber workers. A released home reopens from its checkpoint.
 type Shard struct {
 	id   int
 	opts ShardOptions
@@ -191,10 +185,8 @@ type Shard struct {
 	cond    *sync.Cond
 	homes   map[string]*homeRun
 	pending []*homeRun
-	ready   []*homeRun
-	// resident counts homes holding pipeline state; running the homes on a
-	// worker right now; outstanding the homes not yet in a terminal state.
-	resident    int
+	// running counts the homes on a worker right now; outstanding the homes
+	// not yet in a terminal state.
 	running     int
 	outstanding int
 	done        int
@@ -253,9 +245,9 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool, cks map[string]*
 	return nil
 }
 
-// worker is one scheduling loop: claim the next runnable home, drive one
-// day, repeat. The day-block buffer is reused across homes (sources size it
-// per home).
+// worker is one scheduling loop: claim a pending home, run it until it ends
+// or is released, repeat. The day-block buffer is reused across homes
+// (sources size it per home).
 func (sh *Shard) worker() {
 	defer sh.wg.Done()
 	var blk stream.DayBlock
@@ -264,12 +256,11 @@ func (sh *Shard) worker() {
 		if h == nil {
 			return
 		}
-		sh.drive(h, &blk)
+		sh.run(h, &blk)
 	}
 }
 
-// next blocks until a home is runnable (ready first, then admission from
-// pending) or the shard stops.
+// next blocks until a pending home can be claimed or the shard stops.
 func (sh *Shard) next() *homeRun {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -286,25 +277,11 @@ func (sh *Shard) next() *homeRun {
 	}
 }
 
-// claimLocked pops the next runnable home under the shard lock. Queue
+// claimLocked pops the next pending home under the shard lock. Queue
 // entries whose state moved on since they were enqueued (removed) are stale
-// and skipped.
+// and skipped; a home paused while it waited turns paused here.
 func (sh *Shard) claimLocked() *homeRun {
-	for len(sh.ready) > 0 {
-		h := sh.ready[0]
-		sh.ready = sh.ready[1:]
-		switch {
-		case h.state != stateReady:
-			// stale entry
-		case h.pauseReq:
-			h.state = statePaused
-		default:
-			h.state = stateRunning
-			sh.running++
-			return h
-		}
-	}
-	for sh.resident < sh.opts.MaxResident && len(sh.pending) > 0 {
+	for len(sh.pending) > 0 {
 		h := sh.pending[0]
 		sh.pending = sh.pending[1:]
 		switch {
@@ -314,7 +291,6 @@ func (sh *Shard) claimLocked() *homeRun {
 			h.state = statePaused
 		default:
 			h.state = stateRunning
-			sh.resident++ // admission: the worker will open the pipeline
 			sh.running++
 			return h
 		}
@@ -322,18 +298,31 @@ func (sh *Shard) claimLocked() *homeRun {
 	return nil
 }
 
-// drive advances one home by one day (or to end-of-stream) and hands it
-// back to the scheduler, with a day-boundary checkpoint when the shard is
-// supervised and event metrics from IngestDay's accounting.
-func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
+// run drives a claimed home day after day until its stream ends, its
+// attempt fails, or a request stands at a day boundary and the home is
+// released.
+func (sh *Shard) run(h *homeRun, blk *stream.DayBlock) {
 	h.began = time.Now()
-	if h.home == nil {
-		if err := sh.open(h); err != nil {
-			sh.fail(h, err)
+	err := sh.open(h)
+	for err == nil {
+		var end bool
+		if end, err = sh.day(h, blk); end {
+			sh.complete(h)
 			return
 		}
+		if err == nil && sh.interrupted(h) {
+			if err = sh.release(h); err == nil {
+				return
+			}
+		}
 	}
-	var err error
+	sh.fail(h, err)
+}
+
+// day advances a home by one day, with a day-boundary checkpoint when the
+// shard is supervised and event metrics from IngestDay's accounting. end
+// reports the end of the stream, the home's result taken.
+func (sh *Shard) day(h *homeRun, blk *stream.DayBlock) (end bool, err error) {
 	if pipe, ok := h.drive.(*stream.Pipe); ok {
 		at := pipe.Frames()
 		err = pipe.NextBlock(blk)
@@ -342,23 +331,15 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 		err = h.drive.NextBlock(blk)
 	}
 	if err == io.EOF {
-		res, cerr := h.home.Close()
-		if cerr != nil {
-			sh.fail(h, cerr)
-			return
-		}
-		h.result = res
-		sh.complete(h)
-		return
+		h.result, err = h.home.Close()
+		return err == nil, err
 	}
 	if err != nil {
-		sh.fail(h, err)
-		return
+		return false, err
 	}
 	st, err := h.home.IngestDay(blk)
 	if err != nil {
-		sh.fail(h, err)
-		return
+		return false, err
 	}
 	sh.met.sensorEvents.Add(st.SensorEvents)
 	sh.met.actionEvents.Add(st.ActionEvents)
@@ -367,17 +348,21 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	h.days = blk.Day + 1
 	sh.met.days.Add(1)
 	if sh.opts.supervised() {
-		if err := sh.checkpoint(h); err != nil {
-			sh.fail(h, err)
-			return
-		}
+		return false, sh.checkpoint(h)
 	}
-	sh.yield(h)
+	return false, nil
 }
 
-// open builds (or rebuilds) a home's pipeline on the claiming worker: one
-// attempt's open → restore from the newest checkpoint → wire the transport.
+// open builds (or rebuilds) a home's pipeline on the claiming worker: open →
+// restore from the newest checkpoint → wire the transport. A first opening,
+// or one after a failure, starts an attempt and counts its restore; an
+// opening after a release continues the released attempt.
 func (sh *Shard) open(h *homeRun) error {
+	fresh := !h.released
+	h.released = false
+	if fresh {
+		h.attempts++
+	}
 	h.opens++
 	src, home, err := h.job.Open()
 	if err != nil {
@@ -386,8 +371,10 @@ func (sh *Shard) open(h *homeRun) error {
 	if ck := h.lastCk; ck != nil && ck.Days > 0 {
 		if rerr := stream.RestoreFrom(src, home, ck); rerr == nil {
 			h.days = ck.Days
-			h.restores++
-			sh.met.restores.Add(1)
+			if fresh {
+				h.restores++
+				sh.met.restores.Add(1)
+			}
 		} else {
 			// A checkpoint that does not fit restarts the home from scratch
 			// on fresh components — a half-restored home must never stream.
@@ -401,11 +388,13 @@ func (sh *Shard) open(h *homeRun) error {
 	// Chaos perturbs whole day frames on the (home, attempt, day)-keyed
 	// schedule. The one wrapper serves both framings: a pipe pumps onto the
 	// bus exactly what the direct path would read.
-	drive := stream.NewFaultSource(src, sh.opts.Chaos.Plan(h.job.ID, h.opens-1), sh.opts.Clock)
+	drive := stream.NewFaultSource(src, sh.opts.Chaos.Plan(h.job.ID, h.attempts-1), sh.opts.Clock)
 	if sh.opts.Broker != "" {
 		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), drive, stream.PipeOptions{
 			ReceiveTimeout: sh.opts.ProgressDeadline,
-			Epoch:          h.opens - 1,
+			// Every opening takes a new epoch: a released pipe's tail may
+			// still be flushing out of the broker.
+			Epoch: h.opens - 1,
 		})
 		if perr != nil {
 			closeSource(src)
@@ -417,11 +406,11 @@ func (sh *Shard) open(h *homeRun) error {
 	return nil
 }
 
-// checkpoint snapshots a home at its current day boundary. On a service
-// with a state dir it is first journaled to the manifest, synchronously, so
-// a restarted process resumes the home here; only then does it become the
-// in-memory checkpoint that retries, drains and rehydrates restore from —
-// which therefore always equals the journal's newest.
+// checkpoint snapshots a home at its current day boundary. On a service with
+// a state dir it is first journaled to the manifest, synchronously, so a
+// restarted process resumes the home here; only then does it become the
+// in-memory checkpoint that retries and released homes reopen from — which
+// therefore always equals the journal's newest.
 func (sh *Shard) checkpoint(h *homeRun) error {
 	ck, err := h.home.Checkpoint()
 	if err != nil {
@@ -457,9 +446,27 @@ func closeSource(src stream.Source) {
 	}
 }
 
-// yield hands a home back to the scheduler at a day boundary. During a
-// drain it still joins the ready queue: the drain only stops dispatch.
-func (sh *Shard) yield(h *homeRun) {
+// interrupted reports whether a pause, removal, drain or stop stands at the
+// home's day boundary — the one shard-lock round trip of a home-day.
+func (sh *Shard) interrupted(h *homeRun) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return h.pauseReq || h.removeReq || sh.draining || sh.stopped
+}
+
+// release lets a home go at a day boundary. An unsupervised shard first
+// keeps an in-memory checkpoint (a supervised one took it with the day);
+// the pipeline is torn down off the lock, and the home ends removed, paused
+// or pending, by whichever request stands once the lock is retaken. A
+// checkpoint that fails is returned, and the home takes the fault path.
+func (sh *Shard) release(h *homeRun) error {
+	if !sh.opts.supervised() {
+		if err := sh.checkpoint(h); err != nil {
+			return fmt.Errorf("fleetd: release checkpoint: %w", err)
+		}
+	}
+	h.teardown()
+	h.released = true
 	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -470,14 +477,15 @@ func (sh *Shard) yield(h *homeRun) {
 	case h.pauseReq:
 		h.state = statePaused
 	default:
-		h.state = stateReady
-		sh.ready = append(sh.ready, h)
+		h.state = statePending
+		sh.pending = append(sh.pending, h)
 	}
 	sh.cond.Broadcast()
+	return nil
 }
 
 // complete finishes a home successfully. The duration is final before the
-// home is journaled: it covers the last turn. The done record supersedes
+// home is journaled: it covers the last run. The done record supersedes
 // the home's journaled checkpoints, so a restart serves the result instead
 // of resuming the home.
 func (sh *Shard) complete(h *homeRun) {
@@ -492,7 +500,6 @@ func (sh *Shard) complete(h *homeRun) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.running--
-	sh.resident--
 	h.state = stateDone
 	sh.done++
 	sh.outstanding--
@@ -515,7 +522,6 @@ func (sh *Shard) fail(h *homeRun, err error) {
 	h.elapsed += time.Since(h.began)
 	sh.mu.Lock()
 	sh.running--
-	sh.resident--
 	if h.removeReq {
 		sh.discardLocked(h)
 		sh.cond.Broadcast()
@@ -578,21 +584,18 @@ func (sh *Shard) requeue(h *homeRun) {
 	sh.cond.Broadcast()
 }
 
-// discardLocked finalizes a removal, releasing the pipeline of a home that
-// still holds one (a ready or paused resident home).
+// discardLocked finalizes the removal of an idle home, which holds no
+// pipeline.
 func (sh *Shard) discardLocked(h *homeRun) {
-	if h.home != nil {
-		h.teardown()
-		sh.resident--
-	}
 	h.state = stateRemoved
 	sh.outstanding--
 	sh.met.homesRemoved.Add(1)
 }
 
-// Pause holds a home at its next day boundary (immediately when it is not
-// running). A paused home keeps its pipeline unless a drain releases it;
-// Resume requeues it.
+// Pause holds a home at its next day boundary (at once when it is not
+// running): a running home is released there, its pipeline torn down, so a
+// paused home holds nothing. Resume makes it pending again, and its next
+// opening restores its checkpoint.
 func (sh *Shard) Pause(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -609,13 +612,13 @@ func (sh *Shard) pauseLocked(h *homeRun) error {
 		return fmt.Errorf("fleetd: home %q cannot pause (terminal)", h.job.ID)
 	}
 	h.pauseReq = true
-	// Ready/pending homes flip lazily when the dispatcher pops them;
-	// running homes pause at the end of their day.
+	// Pending homes turn paused when a worker pops them; running homes are
+	// released at the end of their day.
 	return nil
 }
 
-// Resume lifts a pause; the home requeues where it left off. A terminal
-// home has nothing to resume.
+// Resume lifts a pause: a paused home becomes pending and reopens where it
+// left off. A terminal home has nothing to resume.
 func (sh *Shard) Resume(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -626,28 +629,17 @@ func (sh *Shard) Resume(homeID string) error {
 	switch h.state {
 	case stateDone, stateFailed, stateRemoved:
 		return fmt.Errorf("fleetd: home %q cannot resume (terminal)", homeID)
+	case statePaused:
+		h.state = statePending
+		sh.pending = append(sh.pending, h)
+		sh.cond.Broadcast()
 	}
-	sh.resumeLocked(h)
+	h.pauseReq = false
 	return nil
 }
 
-func (sh *Shard) resumeLocked(h *homeRun) {
-	h.pauseReq = false
-	if h.state != statePaused {
-		return
-	}
-	if h.home != nil {
-		h.state = stateReady
-		sh.ready = append(sh.ready, h)
-	} else {
-		h.state = statePending
-		sh.pending = append(sh.pending, h)
-	}
-	sh.cond.Broadcast()
-}
-
 // Remove evicts a home from the shard: an idle home is dropped at once, a
-// running one when its day ends, whether that day succeeds or fails.
+// running one at the end of its day, whether that day succeeds or fails.
 func (sh *Shard) Remove(homeID string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -659,7 +651,7 @@ func (sh *Shard) Remove(homeID string) error {
 	case stateDone, stateFailed, stateRemoved:
 		return fmt.Errorf("fleetd: home %q already finished", homeID)
 	case stateRunning:
-		h.removeReq = true // the worker discards it at yield/fail
+		h.removeReq = true // its worker discards it at release or fail
 	default:
 		sh.discardLocked(h)
 		sh.cond.Broadcast()
@@ -667,62 +659,32 @@ func (sh *Shard) Remove(homeID string) error {
 	return nil
 }
 
-// Drain quiesces the shard and persists it. It only stops dispatch: running
-// homes finish their day and yield as usual, and then every resident home
-// is checkpointed (in memory, and into the manifest on a service with a
-// state dir) and its pipeline released. A released ready home joins the
-// pending queue; a paused one stays paused. A drained shard holds no live
-// state; after Rehydrate each released home reopens from its drain
-// checkpoint, byte-identically. Homes that fail to checkpoint are
-// quarantined rather than silently lost.
+// Drain quiesces the shard. It only stops dispatch: each running home is
+// released at the end of its day and joins the pending queue, and a paused
+// home stays paused. Drain returns once no worker holds a home, so a
+// drained shard holds no live pipeline state. Each released home keeps its
+// newest day-boundary checkpoint (journaled with its day on a service with
+// a state dir) and after Rehydrate reopens from it, byte-identically.
 func (sh *Shard) Drain() error {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.stopped {
-		sh.mu.Unlock()
 		return fmt.Errorf("fleetd: shard %d is stopped", sh.id)
 	}
 	if sh.draining {
-		sh.mu.Unlock()
 		return fmt.Errorf("fleetd: shard %d already draining", sh.id)
 	}
 	sh.draining = true
-	sh.cond.Broadcast()
 	for sh.running > 0 {
 		sh.cond.Wait()
 	}
-	// Every resident home now sits at a day boundary, ready or paused
-	// (dispatch is off), so checkpointing it is safe. The lock is held
-	// across the finalize: the shard is quiesced anyway, and it keeps
-	// concurrent admin verbs from mutating a home mid-teardown.
-	for _, h := range sh.homes {
-		if h.home == nil {
-			continue
-		}
-		err := sh.checkpoint(h)
-		h.teardown()
-		sh.resident--
-		switch {
-		case err != nil:
-			h.err = fmt.Errorf("fleetd: drain checkpoint: %w", err)
-			h.state = stateFailed
-			sh.failed++
-			sh.outstanding--
-			sh.met.homesFailed.Add(1)
-		case h.state == stateReady:
-			h.state = statePending
-			sh.pending = append(sh.pending, h)
-		}
-	}
-	sh.ready = nil
 	sh.drained = true
-	sh.cond.Broadcast()
-	sh.mu.Unlock()
 	return nil
 }
 
 // Rehydrate restarts a drained shard's dispatch: each released home
-// reopens on a worker and restores from its drain checkpoint, resuming
-// exactly where Drain stopped it.
+// reopens on a worker and restores from its checkpoint, resuming exactly
+// where Drain stopped it.
 func (sh *Shard) Rehydrate() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -748,33 +710,13 @@ func (sh *Shard) WaitIdle() {
 	}
 }
 
-// stop ends the shard's dispatch without waiting: each worker finishes its
-// current day and exits, and no home starts another. Idempotent.
+// stop ends the shard's dispatch without waiting: each worker releases its
+// home at the end of its current day and exits, and no home starts another,
+// so once wg is done the shard holds no pipeline. Idempotent.
 func (sh *Shard) stop() {
 	sh.mu.Lock()
 	sh.stopped = true
 	sh.cond.Broadcast()
-	sh.mu.Unlock()
-}
-
-// finish waits for the workers of a stopped shard to exit, then
-// checkpoints every still-resident home (when persist) and tears it down.
-// Idempotent.
-func (sh *Shard) finish(persist bool) {
-	sh.wg.Wait()
-	sh.mu.Lock()
-	for _, h := range sh.homes {
-		if h.home == nil {
-			continue
-		}
-		if persist {
-			if err := sh.checkpoint(h); err != nil && h.err == nil {
-				h.err = err
-			}
-		}
-		h.teardown()
-		sh.resident--
-	}
 	sh.mu.Unlock()
 }
 
@@ -783,19 +725,16 @@ func (sh *Shard) Status() ShardStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := ShardStatus{
-		Shard:    sh.id,
-		Resident: sh.resident,
-		Running:  sh.running,
-		Done:     sh.done,
-		Failed:   sh.failed,
-		Drained:  sh.drained,
+		Shard:   sh.id,
+		Running: sh.running,
+		Done:    sh.done,
+		Failed:  sh.failed,
+		Drained: sh.drained,
 	}
 	for _, h := range sh.homes {
 		switch h.state {
 		case statePending:
 			st.Pending++
-		case stateReady:
-			st.Ready++
 		case statePaused:
 			st.Paused++
 		}

@@ -15,8 +15,8 @@
 //     paper's evaluation and sweeps the full pipeline over arbitrary
 //     scenarios, and
 //   - the scaled prototype testbed with its MQTT-style transport, and
-//   - the sharded fleet service: a long-running runtime that multiplexes
-//     very large home fleets over small worker pools, with an MQTT control
+//   - the sharded fleet service: a long-running runtime that streams very
+//     large home fleets through small worker pools, with an MQTT control
 //     plane, live metrics, and checkpointed drain/rehydrate.
 //
 // See examples/quickstart for a five-minute tour.
@@ -241,9 +241,9 @@ type (
 	StreamOptions = core.StreamOptions
 	// FleetJob is one home's entry in a fleet run.
 	FleetJob = stream.Job
-	// FleetOptions configures a fleet run: workers, admission window,
-	// supervision, chaos, and frame transport. It is the same type as
-	// FleetShardOptions.
+	// FleetOptions configures a fleet run: workers (each drives one home at
+	// a time), supervision, chaos, and frame transport. It is the same type
+	// as FleetShardOptions.
 	FleetOptions = fleetd.ShardOptions
 	// FleetResult is a fleet run's per-home results plus aggregate stats.
 	FleetResult = stream.FleetResult
@@ -289,10 +289,10 @@ func RunFleet(jobs []FleetJob, opts FleetOptions) (FleetResult, error) {
 }
 
 // Fleet service: the long-running sharded runtime RunFleet is the batch
-// form of. It multiplexes thousands of homes over a small worker pool per
-// shard, admits and removes homes while running, pauses, drains, and
-// rehydrates shards from checkpoints, and speaks MQTT on its admin and
-// metrics topics. Per-home results stay byte-identical to RunFleet over
+// form of. It runs thousands of homes on a small worker pool per shard, a
+// home holding pipeline state only while a worker drives it, admits and
+// removes homes while running, pauses, drains, and rehydrates shards from
+// checkpoints, and speaks MQTT on its admin and metrics topics. Per-home results stay byte-identical to RunFleet over
 // the same jobs, whatever the shard count.
 type (
 	// FleetService is the running sharded fleet runtime.
@@ -300,9 +300,8 @@ type (
 	// FleetServiceConfig wires shards, the control-plane broker, and the
 	// metrics cadence.
 	FleetServiceConfig = fleetd.Config
-	// FleetShardOptions tunes one shard's scheduler (workers, admission
-	// window, supervision, frame transport); the same type as
-	// FleetOptions.
+	// FleetShardOptions tunes one shard (workers, supervision, frame
+	// transport); the same type as FleetOptions.
 	FleetShardOptions = fleetd.ShardOptions
 	// FleetAdmin is an MQTT control-plane client for a running service.
 	FleetAdmin = fleetd.Admin
