@@ -188,6 +188,8 @@ func serve(args []string) error {
 	}
 	finish := func() error {
 		printSnapshot(svc.Snapshot())
+		// A running home's result fields settle only once its worker exits.
+		svc.Close(false)
 		return writeFleetResult(*resultJSON, svc)
 	}
 	for {

@@ -484,7 +484,10 @@ func (s *Service) Snapshot() Snapshot {
 // Result assembles the fleet outcome in add order: per-home results
 // (ID-only for homes that did not complete), supervision outcomes for every
 // home, and the aggregate. Call after WaitIdle for a settled fleet;
-// calling earlier reports in-flight homes as OutcomeActive.
+// calling earlier reports in-flight homes as OutcomeActive. A running
+// home's worker writes its days, attempts and elapsed time without the
+// shard lock, so those fields are final, and safe to read, only once the
+// service is idle or closed.
 func (s *Service) Result() stream.FleetResult {
 	s.mu.Lock()
 	order := append([]string(nil), s.order...)
